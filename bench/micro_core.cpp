@@ -8,6 +8,9 @@
 // line per row:
 //   BENCH_JSON {"name": "codec.descriptor.binary", "ns_per_op": ...,
 //               "mops": ..., "bytes": ...}
+// Two more rows time the bid fan-out's XML work: building a workspace
+// CreateRequest tree (request.to_xml) and one plant's estimate leg
+// (serialize + deserialize + CreateRequest::from_xml, bid.leg.xml).
 // CI's bench-gate job feeds these to tools/bench_gate.py against
 // bench/baselines/micro_core.json, which enforces the binary codec's >= 3x
 // advantage over XML on descriptors (this PR's acceptance bar) plus
@@ -274,10 +277,41 @@ int run_codec_rows() {
     return wire.size();
   });
 
+  // The shop's bid fan-out (paper §3.1), per plant: the estimate request
+  // goes out as XML and the plant parses it back into a CreateRequest.
+  // The shop builds the request tree once per create; each plant pays the
+  // serialize + deserialize + from_xml leg.
+  const core::CreateRequest request =
+      workload::workspace_request(64, 3, "ufl.edu");
+  const std::size_t request_bytes = request.to_xml_string().size();
+  const CodecRow request_build = time_codec(kIters, [&] {
+    xml::Element body("message");
+    request.to_xml(&body);
+    benchmark::DoNotOptimize(body);
+    return request_bytes;
+  });
+  net::Message estimate = net::Message::request(
+      "vmplant.estimate", "shop0", "plant3", request.request_id);
+  request.to_xml(&estimate.body());
+  const CodecRow bid_leg = time_codec(kIters / 4, [&] {
+    const std::string wire = estimate.serialize();
+    auto received = net::Message::deserialize(wire);
+    if (!received.ok()) {
+      ok = false;
+      return wire.size();
+    }
+    auto parsed = core::CreateRequest::from_xml(received.value().body());
+    if (!parsed.ok()) ok = false;
+    benchmark::DoNotOptimize(parsed);
+    return wire.size();
+  });
+
   report_codec("codec.descriptor.xml", desc_xml);
   report_codec("codec.descriptor.binary", desc_bin);
   report_codec("codec.message.xml", msg_xml);
   report_codec("codec.message.binary", msg_bin);
+  report_codec("request.to_xml", request_build);
+  report_codec("bid.leg.xml", bid_leg);
   const double desc_speedup =
       desc_bin.ns_per_op > 0.0 ? desc_xml.ns_per_op / desc_bin.ns_per_op : 0.0;
   std::printf("BENCH_JSON {\"name\": \"codec.descriptor.speedup\", "

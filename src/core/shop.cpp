@@ -76,6 +76,10 @@ std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
   obs::ScopedSpan span("shop.bid", "vmshop", request.request_id);
   const double start_s = obs::Tracer::instance().now();
   std::vector<Bid> bids;
+  // One request, built once and re-addressed to each plant in turn.
+  net::Message m = net::Message::request("vmplant.estimate", config_.name, "",
+                                         request.request_id);
+  request.to_xml(&m.body());
   for (const net::ServiceRecord& plant : registry_->discover("vmplant")) {
     // The registry snapshot is a cache (paper §3.1): a plant can detach
     // between discover() and the bid call.  Probe the bus first so a
@@ -100,9 +104,7 @@ std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
       ShopMetrics::get().bid_timeouts->add();
       continue;
     }
-    net::Message m = net::Message::request("vmplant.estimate", config_.name,
-                                           plant.address, request.request_id);
-    request.to_xml(&m.body());
+    m.set_to(plant.address);
     auto response = net::call_expecting_success(bus_, m);
     if (!response.ok()) {
       const ErrorCode code = response.error().code();
@@ -273,6 +275,9 @@ Result<classad::ClassAd> VmShop::create_impl(const CreateRequest& request) {
   //     even if bids are re-collected.
   std::set<std::string> failed_plants;
   util::RetryState retry_state(config_.retry);
+  net::Message m = net::Message::request("vmplant.create", config_.name, "",
+                                         request.request_id);
+  request.to_xml(&m.body());
   bool rebid_done = false;
   std::string last_failure;
 
@@ -300,11 +305,8 @@ Result<classad::ClassAd> VmShop::create_impl(const CreateRequest& request) {
     Result<net::Message> response(
         Error(ErrorCode::kInternal, "create: no attempt made"));
     bool abandoned = false;
+    m.set_to(chosen->plant_address);
     while (true) {
-      net::Message m = net::Message::request("vmplant.create", config_.name,
-                                             chosen->plant_address,
-                                             request.request_id);
-      request.to_xml(&m.body());
       response = bus_->call(m);
       if (response.ok()) break;
 

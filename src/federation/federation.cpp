@@ -172,16 +172,19 @@ ShardBroker::collect_member_bids(
     member_list = members_;
   }
   std::map<std::string, std::vector<std::pair<double, std::string>>> bids;
+  // Each class is parsed once per refresh; the batch is then re-addressed
+  // to every member in turn.
+  net::Message m = net::Message::request("vmplant.estimate_batch",
+                                         config_.name, "", "refresh");
+  for (const auto& [key, request_xml] : batch) {
+    auto parsed = xml::parse(request_xml);
+    if (!parsed.ok()) continue;
+    xml::Element& cls = m.body().add_child("class");
+    cls.set_attr("key", key);
+    cls.adopt_child(std::move(parsed.value()));
+  }
   for (const std::string& member : member_list) {
-    net::Message m = net::Message::request("vmplant.estimate_batch",
-                                           config_.name, member, "refresh");
-    for (const auto& [key, request_xml] : batch) {
-      auto parsed = xml::parse(request_xml);
-      if (!parsed.ok()) continue;
-      xml::Element& cls = m.body().add_child("class");
-      cls.set_attr("key", key);
-      cls.adopt_child(std::move(parsed.value()));
-    }
+    m.set_to(member);
     auto response = net::call_expecting_success(bus_, m);
     if (!response.ok()) {
       kLog.debug() << config_.name << ": member " << member

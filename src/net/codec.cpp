@@ -16,11 +16,9 @@ constexpr std::size_t kHeaderBytes = 12;
 /// Corrupted child counts cannot recurse unboundedly past this.
 constexpr int kMaxElementDepth = 64;
 
-Result<warehouse::GoldenImage> reader_error(const ByteReader& in,
-                                            const char* what) {
-  return Result<warehouse::GoldenImage>(
-      Error(ErrorCode::kParseError,
-            std::string(what) + ": " + in.status().error().message()));
+Error reader_error(const ByteReader& in, const char* what) {
+  return Error(ErrorCode::kParseError,
+               std::string(what) + ": " + in.status().error().message());
 }
 
 }  // namespace
@@ -35,18 +33,39 @@ const char* frame_tag_name(FrameTag tag) noexcept {
   return "unknown";
 }
 
+namespace {
+
+/// Starts a frame whose length and checksum are left zero, so an encoder
+/// writes its payload once, straight into the frame.
+ByteBuffer begin_frame(FrameTag tag, std::size_t payload_hint) {
+  ByteBuffer frame;
+  frame.reserve(kHeaderBytes + payload_hint);
+  frame.put_u8(static_cast<std::uint8_t>(kMagic0));
+  frame.put_u8(static_cast<std::uint8_t>(kMagic1));
+  frame.put_u8(static_cast<std::uint8_t>(tag));
+  frame.put_u8(kCodecVersion);
+  frame.put_u32(0);  // payload length
+  frame.put_u32(0);  // payload checksum
+  return frame;
+}
+
+/// Fills in the length and checksum of the payload behind the header.
+std::string finish_frame(ByteBuffer* frame) {
+  const std::string_view payload =
+      std::string_view(frame->bytes()).substr(kHeaderBytes);
+  const auto payload_len = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t checksum = util::frame_checksum32(payload);
+  frame->patch_u32(4, payload_len);
+  frame->patch_u32(8, checksum);
+  return frame->take();
+}
+
+}  // namespace
+
 std::string seal_frame(FrameTag tag, std::string payload) {
-  ByteBuffer header;
-  header.reserve(kHeaderBytes + payload.size());
-  header.put_u8(static_cast<std::uint8_t>(kMagic0));
-  header.put_u8(static_cast<std::uint8_t>(kMagic1));
-  header.put_u8(static_cast<std::uint8_t>(tag));
-  header.put_u8(kCodecVersion);
-  header.put_u32(static_cast<std::uint32_t>(payload.size()));
-  header.put_u32(util::frame_checksum32(payload));
-  std::string out = header.take();
-  out += payload;
-  return out;
+  ByteBuffer frame = begin_frame(tag, payload.size());
+  frame.append_raw(payload);
+  return finish_frame(&frame);
 }
 
 Result<FrameView> open_frame(std::string_view frame) {
@@ -127,37 +146,53 @@ void encode_element(const xml::Element& element, ByteBuffer* out) {
 
 namespace {
 
-std::unique_ptr<xml::Element> decode_element_at(ByteReader* in, int depth) {
+bool decode_content(ByteReader* in, xml::Element* element, int depth,
+                    bool keep_attrs);
+
+/// Reads an element's name, which must be non-empty.
+std::string_view decode_name(ByteReader* in, int depth) {
   if (depth > kMaxElementDepth) {
     in->fail("element tree deeper than " + std::to_string(kMaxElementDepth));
-    return nullptr;
+    return {};
   }
-  std::string name = in->string_field();
+  const std::string_view name = in->string_view_field();
+  if (in->ok() && name.empty()) in->fail("element with empty name");
+  return name;
+}
+
+std::unique_ptr<xml::Element> decode_element_at(ByteReader* in, int depth) {
+  const std::string_view name = decode_name(in, depth);
   if (!in->ok()) return nullptr;
-  if (name.empty()) {
-    in->fail("element with empty name");
+  auto element = std::make_unique<xml::Element>(std::string(name));
+  if (!decode_content(in, element.get(), depth, /*keep_attrs=*/true)) {
     return nullptr;
   }
-  auto element = std::make_unique<xml::Element>(std::move(name));
+  return element;
+}
+
+/// Decodes the attributes (dropped unless `keep_attrs`), text and children
+/// of an element whose name has been read, into `element`.
+bool decode_content(ByteReader* in, xml::Element* element, int depth,
+                    bool keep_attrs) {
   const std::uint64_t nattrs = in->varint();
   // Each attribute costs at least two length prefixes (2 bytes).
-  if (!in->check_count(nattrs, 2)) return nullptr;
+  if (!in->check_count(nattrs, 2)) return false;
   for (std::uint64_t i = 0; i < nattrs && in->ok(); ++i) {
-    std::string key = in->string_field();
-    std::string value = in->string_field();
-    if (!in->ok()) return nullptr;
-    element->set_attr(std::move(key), std::move(value));
+    const std::string_view key = in->string_view_field();
+    const std::string_view value = in->string_view_field();
+    if (!in->ok()) return false;
+    if (keep_attrs) element->set_attr(key, std::string(value));
   }
   element->set_text(in->string_field());
   const std::uint64_t nchildren = in->varint();
   // A minimal child is name prefix + empty text prefix + counts: 4 bytes.
-  if (!in->check_count(nchildren, 4)) return nullptr;
+  if (!in->check_count(nchildren, 4)) return false;
   for (std::uint64_t i = 0; i < nchildren && in->ok(); ++i) {
     auto child = decode_element_at(in, depth + 1);
-    if (child == nullptr) return nullptr;
+    if (child == nullptr) return false;
     element->adopt_child(std::move(child));
   }
-  return in->ok() ? std::move(element) : nullptr;
+  return in->ok();
 }
 
 }  // namespace
@@ -175,8 +210,7 @@ Result<std::unique_ptr<xml::Element>> decode_element(ByteReader* in) {
 // -- Message envelopes --------------------------------------------------------
 
 std::string encode_message(const Message& message) {
-  ByteBuffer payload;
-  payload.reserve(256);
+  ByteBuffer payload = begin_frame(FrameTag::kMessage, 256);
   payload.put_u8(static_cast<std::uint8_t>(message.kind()));
   payload.put_string(message.service());
   payload.put_string(message.from());
@@ -185,7 +219,7 @@ std::string encode_message(const Message& message) {
   payload.put_string(message.trace().trace_id);
   payload.put_varint(message.trace().span_id);
   encode_element(message.body(), &payload);
-  return seal_frame(FrameTag::kMessage, payload.take());
+  return finish_frame(&payload);
 }
 
 Result<Message> decode_message(std::string_view frame) {
@@ -216,17 +250,20 @@ Result<Message> decode_message(std::string_view frame) {
                                       std::move(to), std::move(correlation));
   message.set_trace(std::move(trace));
 
-  auto body = decode_element(&in);
-  if (!body.ok()) return body.propagate<Message>();
+  // The body decodes straight into the message; like the XML path, the
+  // envelope keeps no attributes of the encoded body root.
+  decode_name(&in, 0);
+  if (!in.ok() ||
+      !decode_content(&in, &message.body(), 0, /*keep_attrs=*/false)) {
+    return Result<Message>(Error(
+        ErrorCode::kParseError,
+        "element decode: " + in.status().error().message()));
+  }
   if (!in.done()) {
     return Result<Message>(Error(
         ErrorCode::kParseError,
         std::to_string(in.remaining()) + " trailing bytes after message body"));
   }
-  for (const auto& child : body.value()->children()) {
-    message.body().adopt_child(child->clone());
-  }
-  message.body().set_text(body.value()->text());
   return message;
 }
 
@@ -278,21 +315,23 @@ void encode_descriptor_payload(const warehouse::GoldenImage& image,
   for (const auto& signature : image.performed) out->put_string(signature);
 }
 
-Result<warehouse::GoldenImage> decode_descriptor_payload(ByteReader* in) {
-  warehouse::GoldenImage image;
-  image.id = in->string_field();
-  image.backend = in->string_field();
-  image.layout.dir = in->string_field();
+namespace {
+
+util::Status decode_descriptor_fields(ByteReader* in,
+                                      warehouse::GoldenImage* out) {
+  warehouse::GoldenImage& image = *out;
+  image.id = in->string_view_field();
+  image.backend = in->string_view_field();
+  image.layout.dir = in->string_view_field();
   if (!in->ok()) return reader_error(*in, "descriptor header");
   if (image.id.empty()) {
-    return Result<warehouse::GoldenImage>(
-        Error(ErrorCode::kParseError, "descriptor: missing id"));
+    return Error(ErrorCode::kParseError, "descriptor: missing id");
   }
 
-  image.spec.os = in->string_field();
+  image.spec.os = in->string_view_field();
   image.spec.memory_bytes = in->varint();
   image.spec.suspended = in->boolean();
-  image.spec.disk.name = in->string_field();
+  image.spec.disk.name = in->string_view_field();
   image.spec.disk.capacity_bytes = in->varint();
   const std::uint64_t span_count = in->varint();
   const std::uint8_t mode_byte = in->u8();
@@ -308,46 +347,43 @@ Result<warehouse::GoldenImage> decode_descriptor_payload(ByteReader* in) {
   image.spec.disk.mode = static_cast<storage::DiskMode>(mode_byte);
 
   hv::GuestState& guest = image.guest;
-  guest.os = in->string_field();
-  guest.hostname = in->string_field();
-  guest.ip = in->string_field();
-  guest.mac = in->string_field();
+  guest.os = in->string_view_field();
+  guest.hostname = in->string_view_field();
+  guest.ip = in->string_view_field();
+  guest.mac = in->string_view_field();
   // The encoder walked sorted containers, so entries arrive in order and
   // end-hinted inserts are amortized O(1) (no descent, no rebalancing).
   const std::uint64_t npackages = in->varint();
   if (!in->check_count(npackages)) return reader_error(*in, "guest packages");
   for (std::uint64_t i = 0; i < npackages && in->ok(); ++i) {
-    guest.packages.emplace_hint(guest.packages.end(), in->string_field());
+    guest.packages.emplace_hint(guest.packages.end(), in->string_view_field());
   }
   const std::uint64_t nusers = in->varint();
   if (!in->check_count(nusers, 2)) return reader_error(*in, "guest users");
   for (std::uint64_t i = 0; i < nusers && in->ok(); ++i) {
-    std::string name = in->string_field();
-    std::string home = in->string_field();
-    guest.users.emplace_hint(guest.users.end(), std::move(name),
-                             std::move(home));
+    const std::string_view name = in->string_view_field();
+    const std::string_view home = in->string_view_field();
+    guest.users.emplace_hint(guest.users.end(), name, home);
   }
   const std::uint64_t nmounts = in->varint();
   if (!in->check_count(nmounts, 2)) return reader_error(*in, "guest mounts");
   for (std::uint64_t i = 0; i < nmounts && in->ok(); ++i) {
-    std::string mountpoint = in->string_field();
-    std::string source = in->string_field();
-    guest.mounts.emplace_hint(guest.mounts.end(), std::move(mountpoint),
-                              std::move(source));
+    const std::string_view mountpoint = in->string_view_field();
+    const std::string_view source = in->string_view_field();
+    guest.mounts.emplace_hint(guest.mounts.end(), mountpoint, source);
   }
   const std::uint64_t nservices = in->varint();
   if (!in->check_count(nservices)) return reader_error(*in, "guest services");
   for (std::uint64_t i = 0; i < nservices && in->ok(); ++i) {
     guest.running_services.emplace_hint(guest.running_services.end(),
-                                        in->string_field());
+                                        in->string_view_field());
   }
   const std::uint64_t nfiles = in->varint();
   if (!in->check_count(nfiles, 2)) return reader_error(*in, "guest files");
   for (std::uint64_t i = 0; i < nfiles && in->ok(); ++i) {
-    std::string path = in->string_field();
-    std::string content = in->string_field();
-    guest.files.emplace_hint(guest.files.end(), std::move(path),
-                             std::move(content));
+    const std::string_view path = in->string_view_field();
+    const std::string_view content = in->string_view_field();
+    guest.files.emplace_hint(guest.files.end(), path, content);
   }
 
   const std::uint64_t nperformed = in->varint();
@@ -356,31 +392,41 @@ Result<warehouse::GoldenImage> decode_descriptor_payload(ByteReader* in) {
   }
   image.performed.reserve(static_cast<std::size_t>(nperformed));
   for (std::uint64_t i = 0; i < nperformed && in->ok(); ++i) {
-    image.performed.push_back(in->string_field());
+    image.performed.emplace_back(in->string_view_field());
   }
   if (!in->ok()) return reader_error(*in, "descriptor");
   // Same gate as the XML parse_descriptor: a structurally well-formed frame
   // may still carry an unusable machine spec.
-  VMP_RETURN_IF_ERROR_AS(image.spec.validate(), warehouse::GoldenImage);
+  return image.spec.validate();
+}
+
+}  // namespace
+
+Result<warehouse::GoldenImage> decode_descriptor_payload(ByteReader* in) {
+  // Decoded in place and returned by name on every path: never moved.
+  Result<warehouse::GoldenImage> image(std::in_place);
+  if (util::Status s = decode_descriptor_fields(in, &image.value()); !s.ok()) {
+    image = s.error();
+  }
   return image;
 }
 
 std::string encode_descriptor(const warehouse::GoldenImage& image) {
-  ByteBuffer payload;
+  ByteBuffer payload = begin_frame(FrameTag::kDescriptor, 512);
   encode_descriptor_payload(image, &payload);
-  return seal_frame(FrameTag::kDescriptor, payload.take());
+  return finish_frame(&payload);
 }
 
 Result<warehouse::GoldenImage> decode_descriptor(std::string_view frame) {
   auto view = open_frame(frame, FrameTag::kDescriptor);
   if (!view.ok()) return view.propagate<warehouse::GoldenImage>();
   ByteReader in(view.value().payload);
+  // One named result, returned on every path below, so it is never moved.
   auto image = decode_descriptor_payload(&in);
-  if (!image.ok()) return image;
-  if (!in.done()) {
-    return Result<warehouse::GoldenImage>(Error(
-        ErrorCode::kParseError,
-        std::to_string(in.remaining()) + " trailing bytes after descriptor"));
+  if (image.ok() && !in.done()) {
+    image = Error(ErrorCode::kParseError,
+                  std::to_string(in.remaining()) +
+                      " trailing bytes after descriptor");
   }
   return image;
 }
@@ -424,9 +470,9 @@ Result<classad::ClassAd> decode_classad_payload(ByteReader* in) {
 }
 
 std::string encode_classad(const classad::ClassAd& ad) {
-  ByteBuffer payload;
+  ByteBuffer payload = begin_frame(FrameTag::kClassAd, 128);
   encode_classad_payload(ad, &payload);
-  return seal_frame(FrameTag::kClassAd, payload.take());
+  return finish_frame(&payload);
 }
 
 Result<classad::ClassAd> decode_classad(std::string_view frame) {
@@ -434,11 +480,9 @@ Result<classad::ClassAd> decode_classad(std::string_view frame) {
   if (!view.ok()) return view.propagate<classad::ClassAd>();
   ByteReader in(view.value().payload);
   auto ad = decode_classad_payload(&in);
-  if (!ad.ok()) return ad;
-  if (!in.done()) {
-    return Result<classad::ClassAd>(Error(
-        ErrorCode::kParseError,
-        std::to_string(in.remaining()) + " trailing bytes after classad"));
+  if (ad.ok() && !in.done()) {
+    ad = Error(ErrorCode::kParseError,
+               std::to_string(in.remaining()) + " trailing bytes after classad");
   }
   return ad;
 }

@@ -87,26 +87,27 @@ Error Message::fault_error() const {
 }
 
 std::string Message::serialize() const {
-  xml::Element root("message");
-  root.set_attr("kind", message_kind_name(kind_));
-  root.set_attr("service", service_);
-  root.set_attr("from", from_);
-  root.set_attr("to", to_);
-  root.set_attr("correlation", correlation_);
-  if (trace_.valid()) {
-    root.set_attr("trace", trace_.trace_id);
-    root.set_attr("span", std::to_string(trace_.span_id));
-  }
-  for (const auto& child : body_->children()) {
-    root.adopt_child(child->clone());
-  }
-  return root.to_string();
+  // The envelope wraps the body in place (no temporary root, no copy of
+  // the payload).  Attributes go in key order, as an xml::Element would
+  // render them, so the bytes match a built <message> element.
+  const bool traced = trace_.valid();
+  const std::string span = traced ? std::to_string(trace_.span_id) : "";
+  xml::AttrView attrs[7];
+  std::size_t n = 0;
+  attrs[n++] = {"correlation", correlation_};
+  attrs[n++] = {"from", from_};
+  attrs[n++] = {"kind", message_kind_name(kind_)};
+  attrs[n++] = {"service", service_};
+  if (traced) attrs[n++] = {"span", span};
+  attrs[n++] = {"to", to_};
+  if (traced) attrs[n++] = {"trace", trace_.trace_id};
+  return xml::render_wrapped("message", std::span(attrs, n), *body_);
 }
 
 Result<Message> Message::deserialize(const std::string& wire) {
   auto doc = xml::parse(wire);
   if (!doc.ok()) return doc.propagate<Message>();
-  const xml::Element& root = *doc.value();
+  xml::Element& root = *doc.value();
   if (root.name() != "message") {
     return Result<Message>(
         Error(ErrorCode::kParseError, "expected <message> root"));
@@ -125,8 +126,9 @@ Result<Message> Message::deserialize(const std::string& wire) {
     m.trace_.span_id = static_cast<std::uint64_t>(
         std::strtoull(root.attr("span").c_str(), nullptr, 10));
   }
-  for (const auto& child : root.children()) {
-    m.body().adopt_child(child->clone());
+  // The payload moves over; the parsed root keeps the envelope attributes.
+  for (auto& child : root.release_children()) {
+    m.body().adopt_child(std::move(child));
   }
   return m;
 }

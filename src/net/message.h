@@ -46,6 +46,9 @@ class Message {
   const std::string& from() const { return from_; }
   const std::string& to() const { return to_; }
   const std::string& correlation() const { return correlation_; }
+  /// Re-addresses the message, so one built request can be sent to many
+  /// endpoints in turn (the shop's bid fan-out).
+  void set_to(std::string to) { to_ = std::move(to); }
 
   /// Payload root (children of <message>).
   xml::Element& body() { return *body_; }

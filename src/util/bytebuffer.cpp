@@ -73,7 +73,7 @@ void ByteBuffer::put_u64(std::uint64_t v) {
 
 void ByteBuffer::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
-void ByteBuffer::put_varint(std::uint64_t v) {
+void ByteBuffer::put_varint_slow(std::uint64_t v) {
   while (v >= 0x80) {
     out_.push_back(static_cast<char>((v & 0x7f) | 0x80));
     v >>= 7;
@@ -84,11 +84,6 @@ void ByteBuffer::put_varint(std::uint64_t v) {
 void ByteBuffer::put_svarint(std::int64_t v) {
   const std::uint64_t u = static_cast<std::uint64_t>(v);
   put_varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
-}
-
-void ByteBuffer::put_string(std::string_view v) {
-  put_varint(v.size());
-  out_.append(v.data(), v.size());
 }
 
 void ByteBuffer::patch_u32(std::size_t offset, std::uint32_t v) {
@@ -109,7 +104,7 @@ const char* ByteReader::take(std::size_t n) {
   return p;
 }
 
-std::uint8_t ByteReader::u8() {
+std::uint8_t ByteReader::u8_slow() {
   const char* p = take(1);
   return p != nullptr ? static_cast<std::uint8_t>(*p) : 0;
 }
@@ -149,7 +144,7 @@ bool ByteReader::boolean() {
   return v == 1;
 }
 
-std::uint64_t ByteReader::varint() {
+std::uint64_t ByteReader::varint_slow() {
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     const char* p = take(1);
@@ -179,26 +174,18 @@ std::string_view ByteReader::view(std::size_t n) {
   return p != nullptr ? std::string_view(p, n) : std::string_view();
 }
 
-std::string_view ByteReader::string_view_field() {
-  const std::uint64_t n = varint();
+std::string_view ByteReader::string_overrun(std::uint64_t n) {
   if (!ok_) return {};
-  if (n > remaining()) {
-    fail("string length " + std::to_string(n) + " exceeds remaining " +
-         std::to_string(remaining()) + " bytes");
-    return {};
-  }
-  return view(static_cast<std::size_t>(n));
+  fail("string length " + std::to_string(n) + " exceeds remaining " +
+       std::to_string(remaining()) + " bytes");
+  return {};
 }
 
-bool ByteReader::check_count(std::uint64_t count, std::size_t min_bytes_each) {
+bool ByteReader::count_overrun(std::uint64_t count) {
   if (!ok_) return false;
-  if (min_bytes_each != 0 && count > remaining() / min_bytes_each) {
-    fail("element count " + std::to_string(count) +
-         " implausible for remaining " + std::to_string(remaining()) +
-         " bytes");
-    return false;
-  }
-  return true;
+  fail("element count " + std::to_string(count) +
+       " implausible for remaining " + std::to_string(remaining()) + " bytes");
+  return false;
 }
 
 void ByteReader::fail(const std::string& why) {

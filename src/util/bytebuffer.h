@@ -53,11 +53,20 @@ class ByteBuffer {
   void put_f64(double v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   /// LEB128: 7 bits per byte, low group first, high bit = continuation.
-  void put_varint(std::uint64_t v);
+  void put_varint(std::uint64_t v) {
+    if (v < 0x80) {
+      out_.push_back(static_cast<char>(v));
+    } else {
+      put_varint_slow(v);
+    }
+  }
   /// Zigzag-mapped varint for signed values (small magnitudes stay small).
   void put_svarint(std::int64_t v);
   /// Varint byte length, then the raw bytes.
-  void put_string(std::string_view v);
+  void put_string(std::string_view v) {
+    put_varint(v.size());
+    out_.append(v.data(), v.size());
+  }
   void append_raw(std::string_view v) { out_.append(v.data(), v.size()); }
 
   /// Overwrite 4 bytes at `offset` (length back-patching).
@@ -73,6 +82,8 @@ class ByteBuffer {
   void clear() { out_.clear(); }
 
  private:
+  void put_varint_slow(std::uint64_t v);
+
   std::string out_;
 };
 
@@ -80,26 +91,51 @@ class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
 
-  std::uint8_t u8();
+  std::uint8_t u8() {
+    if (ok_ && offset_ < data_.size()) {
+      return static_cast<std::uint8_t>(data_[offset_++]);
+    }
+    return u8_slow();
+  }
   std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
   bool boolean();
-  std::uint64_t varint();
+  std::uint64_t varint() {
+    // One-byte varints (every count and most string lengths) inline.
+    if (ok_ && offset_ < data_.size() &&
+        (static_cast<unsigned char>(data_[offset_]) & 0x80) == 0) {
+      return static_cast<unsigned char>(data_[offset_++]);
+    }
+    return varint_slow();
+  }
   std::int64_t svarint();
   /// Borrowed sub-view of the next `n` bytes (no copy).
   std::string_view view(std::size_t n);
   /// Length-prefixed string as a borrowed view; the prefix is rejected
   /// (error latch) when it exceeds the remaining bytes.
-  std::string_view string_view_field();
+  std::string_view string_view_field() {
+    const std::uint64_t n = varint();
+    if (ok_ && n <= remaining()) {
+      const std::string_view v = data_.substr(offset_, n);
+      offset_ += n;
+      return v;
+    }
+    return string_overrun(n);
+  }
   /// Owning copy of a length-prefixed string.
   std::string string_field() { return std::string(string_view_field()); }
 
   /// A decoded count is plausible only if the stream still holds at least
   /// `min_bytes_each` bytes per element; reject it up front so corrupted
   /// counts fail fast instead of driving giant loops/allocations.
-  bool check_count(std::uint64_t count, std::size_t min_bytes_each = 1);
+  bool check_count(std::uint64_t count, std::size_t min_bytes_each = 1) {
+    if (ok_ && (min_bytes_each == 0 || count <= remaining() / min_bytes_each)) {
+      return true;
+    }
+    return count_overrun(count);
+  }
 
   std::size_t offset() const { return offset_; }
   std::size_t remaining() const { return data_.size() - offset_; }
@@ -113,6 +149,10 @@ class ByteReader {
 
  private:
   const char* take(std::size_t n);
+  std::uint8_t u8_slow();
+  std::uint64_t varint_slow();
+  std::string_view string_overrun(std::uint64_t n);
+  bool count_overrun(std::uint64_t count);
 
   std::string_view data_;
   std::size_t offset_ = 0;

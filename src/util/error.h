@@ -84,7 +84,12 @@ class BadResultAccess : public std::logic_error {
 template <typename T>
 class Result {
  public:
-  Result(T value) : data_(std::move(value)) {}          // NOLINT implicit
+  Result(const T& value) : data_(value) {}              // NOLINT implicit
+  Result(T&& value) : data_(std::move(value)) {}        // NOLINT implicit
+  /// Constructs the value in place, for a T too large to move cheaply.
+  template <typename... Args>
+  explicit Result(std::in_place_t, Args&&... args)
+      : data_(std::in_place_type<T>, std::forward<Args>(args)...) {}
   Result(Error error) : data_(std::move(error)) {}      // NOLINT implicit
   Result(ErrorCode code, std::string message)
       : data_(Error(code, std::move(message))) {}

@@ -1,7 +1,8 @@
 #include "xml/xml.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -10,34 +11,77 @@ namespace vmp::xml {
 using util::Error;
 using util::ErrorCode;
 using util::Result;
+using util::Status;
 
 // ---------------------------------------------------------------------------
 // Element
 // ---------------------------------------------------------------------------
 
-bool Element::has_attr(const std::string& key) const {
-  return attrs_.count(key) != 0;
+Attributes::const_iterator Element::find_attr(std::string_view key) const {
+  // An element has a handful of attributes: a scan that compares lengths
+  // first beats a binary search of whole-string compares.
+  return std::find_if(attrs_.begin(), attrs_.end(),
+                      [key](const auto& attr) { return attr.first == key; });
 }
 
-const std::string& Element::attr(const std::string& key) const {
+bool Element::has_attr(std::string_view key) const {
+  return find_attr(key) != attrs_.end();
+}
+
+const std::string& Element::attr(std::string_view key) const {
   static const std::string kEmpty;
-  auto it = attrs_.find(key);
+  auto it = find_attr(key);
   return it == attrs_.end() ? kEmpty : it->second;
 }
 
-void Element::set_attr(const std::string& key, std::string value) {
-  attrs_[key] = std::move(value);
+std::pair<Attributes::iterator, bool> Element::locate_attr(
+    std::string_view key) {
+  // Parsed and rendered attributes arrive in key order: append in O(1).
+  if (attrs_.empty() || attrs_.back().first < key) {
+    return {attrs_.end(), false};
+  }
+  auto it = std::lower_bound(
+      attrs_.begin(), attrs_.end(), key,
+      [](const auto& attr, std::string_view k) { return attr.first < k; });
+  return {it, it != attrs_.end() && it->first == key};
 }
 
-long long Element::attr_int(const std::string& key, long long fallback) const {
+void Element::set_attr(std::string_view key, std::string value) {
+  auto [it, found] = locate_attr(key);
+  if (found) {
+    it->second = std::move(value);
+  } else {
+    insert_attr(it, key, std::move(value));
+  }
+}
+
+bool Element::add_attr(std::string_view key, std::string value) {
+  auto [it, found] = locate_attr(key);
+  if (!found) insert_attr(it, key, std::move(value));
+  return !found;
+}
+
+void Element::insert_attr(Attributes::iterator pos, std::string_view key,
+                          std::string value) {
+  // One allocation holds the attributes of a typical element.
+  if (attrs_.empty()) {
+    attrs_.reserve(4);
+    pos = attrs_.end();
+  }
+  attrs_.emplace(pos, std::string(key), std::move(value));
+}
+
+long long Element::attr_int(std::string_view key, long long fallback) const {
+  auto it = find_attr(key);
   long long v = 0;
-  if (has_attr(key) && util::parse_int64(attr(key), &v)) return v;
+  if (it != attrs_.end() && util::parse_int64(it->second, &v)) return v;
   return fallback;
 }
 
-double Element::attr_double(const std::string& key, double fallback) const {
+double Element::attr_double(std::string_view key, double fallback) const {
+  auto it = find_attr(key);
   double v = 0;
-  if (has_attr(key) && util::parse_double(attr(key), &v)) return v;
+  if (it != attrs_.end() && util::parse_double(it->second, &v)) return v;
   return fallback;
 }
 
@@ -51,14 +95,18 @@ Element& Element::adopt_child(std::unique_ptr<Element> child) {
   return *children_.back();
 }
 
-const Element* Element::child(const std::string& name) const {
+std::vector<std::unique_ptr<Element>> Element::release_children() {
+  return std::exchange(children_, {});
+}
+
+const Element* Element::child(std::string_view name) const {
   for (const auto& c : children_) {
     if (c->name() == name) return c.get();
   }
   return nullptr;
 }
 
-Element* Element::child(const std::string& name) {
+Element* Element::child(std::string_view name) {
   for (auto& c : children_) {
     if (c->name() == name) return c.get();
   }
@@ -66,7 +114,7 @@ Element* Element::child(const std::string& name) {
 }
 
 std::vector<const Element*> Element::children_named(
-    const std::string& name) const {
+    std::string_view name) const {
   std::vector<const Element*> out;
   for (const auto& c : children_) {
     if (c->name() == name) out.push_back(c.get());
@@ -74,56 +122,90 @@ std::vector<const Element*> Element::children_named(
   return out;
 }
 
-const std::string& Element::child_text(const std::string& name) const {
+const std::string& Element::child_text(std::string_view name) const {
   static const std::string kEmpty;
   const Element* c = child(name);
   return c ? c->text() : kEmpty;
 }
 
-std::string escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
+void append_escaped(std::string* out, std::string_view raw) {
+  std::size_t run = 0;  // start of the pending run that needs no escaping
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    std::string_view entity;
+    switch (raw[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      case '\'': entity = "&apos;"; break;
+      default: continue;
     }
+    out->append(raw.substr(run, i - run));
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(raw.substr(run));
 }
 
-void Element::render(std::string* out, int indent, bool pretty) const {
-  const std::string pad = pretty ? std::string(2 * indent, ' ') : std::string();
-  *out += pad;
+namespace {
+
+template <typename Attrs>
+void append_start_tag(std::string* out, std::string_view name,
+                      const Attrs& attrs) {
   *out += '<';
-  *out += name_;
-  for (const auto& [k, v] : attrs_) {
+  out->append(name);
+  for (const auto& [key, value] : attrs) {
     *out += ' ';
-    *out += k;
-    *out += "=\"";
-    *out += escape(v);
+    out->append(key);
+    out->append("=\"");
+    append_escaped(out, value);
     *out += '"';
   }
+}
+
+void append_pad(std::string* out, int indent) {
+  out->append(2 * static_cast<std::size_t>(indent), ' ');
+}
+
+}  // namespace
+
+void Element::render(std::string* out, int indent, bool pretty) const {
+  if (pretty) append_pad(out, indent);
+  append_start_tag(out, name_, attrs_);
   if (children_.empty() && text_.empty()) {
     *out += "/>";
     if (pretty) *out += '\n';
     return;
   }
   *out += '>';
-  *out += escape(text_);
+  append_escaped(out, text_);
   if (!children_.empty()) {
     if (pretty) *out += '\n';
     for (const auto& c : children_) c->render(out, indent + 1, pretty);
-    *out += pad;
+    if (pretty) append_pad(out, indent);
   }
   *out += "</";
   *out += name_;
   *out += '>';
   if (pretty) *out += '\n';
+}
+
+std::string render_wrapped(std::string_view name,
+                           std::span<const AttrView> attrs,
+                           const Element& content) {
+  std::string out;
+  out.reserve(512);
+  append_start_tag(&out, name, attrs);
+  if (content.children_.empty()) {
+    out += "/>\n";
+    return out;
+  }
+  out += ">\n";
+  for (const auto& c : content.children_) c->render(&out, 1, /*pretty=*/true);
+  out += "</";
+  out.append(name);
+  out += ">\n";
+  return out;
 }
 
 std::string Element::to_string() const {
@@ -164,6 +246,25 @@ bool Element::deep_equal(const Element& other) const {
 
 namespace {
 
+// The "C" locale's isspace/isalpha/isdigit, without the locale lookup.
+bool is_space(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
+bool is_blank(std::string_view text) {
+  for (const char c : text) {
+    if (!is_space(c)) return false;
+  }
+  return true;
+}
+bool is_name_start(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         c == ':';
+}
+bool is_name_char(char c) {
+  return is_name_start(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view input) : input_(input) {}
@@ -191,14 +292,16 @@ class Parser {
   bool eof() const { return pos_ >= input_.size(); }
   char peek() const { return input_[pos_]; }
   bool consume(std::string_view token) {
-    if (input_.substr(pos_, token.size()) == token) {
-      pos_ += token.size();
-      return true;
+    // Tokens are a few bytes: compare in line, usually failing on the first.
+    if (input_.size() - pos_ < token.size()) return false;
+    for (std::size_t i = 0; i < token.size(); ++i) {
+      if (input_[pos_ + i] != token[i]) return false;
     }
-    return false;
+    pos_ += token.size();
+    return true;
   }
   void skip_ws() {
-    while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;
+    while (!eof() && is_space(peek())) ++pos_;
   }
 
   /// Skips whitespace, comments, and the XML declaration before the root.
@@ -224,40 +327,31 @@ class Parser {
     }
   }
 
-  static bool is_name_start(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-  }
-  static bool is_name_char(char c) {
-    return is_name_start(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-           c == '-' || c == '.';
-  }
-
-  std::string parse_name() {
-    std::string name;
-    if (eof() || !is_name_start(peek())) return name;
-    while (!eof() && is_name_char(peek())) name += input_[pos_++];
-    return name;
+  /// The name at the cursor, as a slice of the input ("" if none).
+  std::string_view parse_name() {
+    const std::size_t start = pos_;
+    if (eof() || !is_name_start(peek())) return {};
+    while (!eof() && is_name_char(peek())) ++pos_;
+    return input_.substr(start, pos_ - start);
   }
 
-  /// Decode &amp; &lt; &gt; &quot; &apos; and numeric references.
-  Result<std::string> decode_entities(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
+  /// Appends `raw` to `out`, decoding &amp; &lt; &gt; &quot; &apos; and
+  /// numeric references.  A run without '&' is appended as one slice.
+  Status decode_entities(std::string_view raw, std::string* out) {
     for (std::size_t i = 0; i < raw.size();) {
-      if (raw[i] != '&') {
-        out += raw[i++];
-        continue;
-      }
-      const std::size_t semi = raw.find(';', i);
+      const std::size_t amp = raw.find('&', i);
+      out->append(raw.substr(i, amp - i));
+      if (amp == std::string_view::npos) break;
+      const std::size_t semi = raw.find(';', amp);
       if (semi == std::string_view::npos) {
-        return Result<std::string>(error("unterminated entity"));
+        return Status(error("unterminated entity"));
       }
-      const std::string_view entity = raw.substr(i + 1, semi - i - 1);
-      if (entity == "amp") out += '&';
-      else if (entity == "lt") out += '<';
-      else if (entity == "gt") out += '>';
-      else if (entity == "quot") out += '"';
-      else if (entity == "apos") out += '\'';
+      const std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
+      if (entity == "amp") *out += '&';
+      else if (entity == "lt") *out += '<';
+      else if (entity == "gt") *out += '>';
+      else if (entity == "quot") *out += '"';
+      else if (entity == "apos") *out += '\'';
       else if (!entity.empty() && entity[0] == '#') {
         long long cp = 0;
         const bool hex = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
@@ -265,38 +359,38 @@ class Parser {
         char* end = nullptr;
         cp = std::strtoll(digits.c_str(), &end, hex ? 16 : 10);
         if (end != digits.c_str() + digits.size() || cp < 0 || cp > 0x10FFFF) {
-          return Result<std::string>(error("bad numeric character reference"));
+          return Status(error("bad numeric character reference"));
         }
         // Encode as UTF-8.
         const auto c = static_cast<unsigned long>(cp);
         if (c < 0x80) {
-          out += static_cast<char>(c);
+          *out += static_cast<char>(c);
         } else if (c < 0x800) {
-          out += static_cast<char>(0xC0 | (c >> 6));
-          out += static_cast<char>(0x80 | (c & 0x3F));
+          *out += static_cast<char>(0xC0 | (c >> 6));
+          *out += static_cast<char>(0x80 | (c & 0x3F));
         } else if (c < 0x10000) {
-          out += static_cast<char>(0xE0 | (c >> 12));
-          out += static_cast<char>(0x80 | ((c >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (c & 0x3F));
+          *out += static_cast<char>(0xE0 | (c >> 12));
+          *out += static_cast<char>(0x80 | ((c >> 6) & 0x3F));
+          *out += static_cast<char>(0x80 | (c & 0x3F));
         } else {
-          out += static_cast<char>(0xF0 | (c >> 18));
-          out += static_cast<char>(0x80 | ((c >> 12) & 0x3F));
-          out += static_cast<char>(0x80 | ((c >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (c & 0x3F));
+          *out += static_cast<char>(0xF0 | (c >> 18));
+          *out += static_cast<char>(0x80 | ((c >> 12) & 0x3F));
+          *out += static_cast<char>(0x80 | ((c >> 6) & 0x3F));
+          *out += static_cast<char>(0x80 | (c & 0x3F));
         }
       } else {
-        return Result<std::string>(error("unknown entity &" + std::string(entity) + ";"));
+        return Status(error("unknown entity &" + std::string(entity) + ";"));
       }
       i = semi + 1;
     }
-    return out;
+    return Status();
   }
 
   Result<std::unique_ptr<Element>> parse_element() {
     if (!consume("<")) return fail("expected '<'");
-    const std::string name = parse_name();
+    const std::string_view name = parse_name();
     if (name.empty()) return fail("expected element name");
-    auto element = std::make_unique<Element>(name);
+    auto element = std::make_unique<Element>(std::string(name));
 
     // Attributes.
     while (true) {
@@ -304,7 +398,7 @@ class Parser {
       if (eof()) return fail("unterminated start tag");
       if (consume("/>")) return element;
       if (consume(">")) break;
-      const std::string key = parse_name();
+      const std::string_view key = parse_name();
       if (key.empty()) return fail("expected attribute name");
       skip_ws();
       if (!consume("=")) return fail("expected '=' after attribute name");
@@ -317,51 +411,69 @@ class Parser {
       if (end == std::string_view::npos) {
         return fail("unterminated attribute value");
       }
-      auto decoded = decode_entities(input_.substr(pos_, end - pos_));
-      if (!decoded.ok()) return decoded.propagate<std::unique_ptr<Element>>();
-      if (element->has_attr(key)) return fail("duplicate attribute " + key);
-      element->set_attr(key, std::move(decoded).value());
+      const std::string_view raw = input_.substr(pos_, end - pos_);
+      std::string value;
+      if (raw.find('&') == std::string_view::npos) {
+        value.assign(raw);
+      } else if (Status s = decode_entities(raw, &value); !s.ok()) {
+        return s.propagate<std::unique_ptr<Element>>();
+      }
+      if (!element->add_attr(key, std::move(value))) {
+        return fail("duplicate attribute " + std::string(key));
+      }
       pos_ = end + 1;
     }
 
-    // Content.
+    // Content.  Text accumulates in place; CDATA and character data
+    // between child elements land in the same string.
+    std::string text;
     while (true) {
-      if (eof()) return fail("unterminated element <" + name + ">");
-      if (consume("</")) {
-        const std::string closing = parse_name();
+      if (eof()) return fail("unterminated element <" + std::string(name) + ">");
+      if (peek() != '<') {
+        // Character data up to the next '<'.
+        const std::size_t end = input_.find('<', pos_);
+        if (end == std::string_view::npos) return fail("unterminated content");
+        if (Status s = decode_entities(input_.substr(pos_, end - pos_), &text);
+            !s.ok()) {
+          return s.propagate<std::unique_ptr<Element>>();
+        }
+        pos_ = end;
+        continue;
+      }
+      // Markup: the byte after '<' says which kind.
+      const char next = pos_ + 1 < input_.size() ? input_[pos_ + 1] : '\0';
+      if (next == '/') {
+        pos_ += 2;
+        const std::string_view closing = parse_name();
         skip_ws();
         if (!consume(">")) return fail("malformed end tag");
         if (closing != name) {
-          return fail("mismatched end tag </" + closing + "> for <" + name + ">");
+          return fail("mismatched end tag </" + std::string(closing) +
+                      "> for <" + std::string(name) + ">");
+        }
+        // The whitespace rule (xml.h): indentation between children is
+        // layout, not content.
+        if (element->children().empty() || !is_blank(text)) {
+          element->set_text(std::move(text));
         }
         return element;
       }
-      if (consume("<!--")) {
+      if (next == '!' && consume("<!--")) {
         const std::size_t end = input_.find("-->", pos_);
         if (end == std::string_view::npos) return fail("unterminated comment");
         pos_ = end + 3;
         continue;
       }
-      if (consume("<![CDATA[")) {
+      if (next == '!' && consume("<![CDATA[")) {
         const std::size_t end = input_.find("]]>", pos_);
         if (end == std::string_view::npos) return fail("unterminated CDATA");
-        element->append_text(input_.substr(pos_, end - pos_));
+        text.append(input_.substr(pos_, end - pos_));
         pos_ = end + 3;
         continue;
       }
-      if (peek() == '<') {
-        auto child = parse_element();
-        if (!child.ok()) return child;
-        element->adopt_child(std::move(child).value());
-        continue;
-      }
-      // Character data up to the next '<'.
-      const std::size_t end = input_.find('<', pos_);
-      if (end == std::string_view::npos) return fail("unterminated content");
-      auto decoded = decode_entities(input_.substr(pos_, end - pos_));
-      if (!decoded.ok()) return decoded.propagate<std::unique_ptr<Element>>();
-      element->append_text(decoded.value());
-      pos_ = end;
+      auto child = parse_element();
+      if (!child.ok()) return child;
+      element->adopt_child(std::move(child).value());
     }
   }
 

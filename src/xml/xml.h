@@ -10,19 +10,36 @@
 // skipped).
 #pragma once
 
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
 
 namespace vmp::xml {
 
+/// Attributes of one element: unique keys, sorted by key (byte order), so
+/// rendering is deterministic and an element costs one allocation for all
+/// of its attributes.
+using Attributes = std::vector<std::pair<std::string, std::string>>;
+
+/// A borrowed attribute, for rendering an element that is never built.
+struct AttrView {
+  std::string_view key;
+  std::string_view value;
+};
+
 /// One element node.  Children are owned; text interleaved between child
 /// elements is concatenated into `text` (mixed content is rare in our
 /// messages, and ordering relative to children is not preserved).
+///
+/// Whitespace rule: the parser drops the text of an element that has child
+/// elements when that text is only whitespace (the indentation a pretty
+/// render puts between children), so render(parse(render(x))) ==
+/// render(x).  Leaf text is kept byte-exact, blank or not.
 class Element {
  public:
   explicit Element(std::string name) : name_(std::move(name)) {}
@@ -30,16 +47,19 @@ class Element {
   const std::string& name() const { return name_; }
 
   // -- Attributes -----------------------------------------------------------
-  bool has_attr(const std::string& key) const;
+  bool has_attr(std::string_view key) const;
   /// Returns "" when absent; use has_attr to distinguish.
-  const std::string& attr(const std::string& key) const;
-  void set_attr(const std::string& key, std::string value);
-  const std::map<std::string, std::string>& attrs() const { return attrs_; }
+  const std::string& attr(std::string_view key) const;
+  /// Inserts in key order, or overwrites the value of an existing key.
+  void set_attr(std::string_view key, std::string value);
+  /// Inserts in key order; false (and no change) when the key exists.
+  bool add_attr(std::string_view key, std::string value);
+  const Attributes& attrs() const { return attrs_; }
 
   /// Attribute parsed as integer/double; falls back to `fallback` when the
   /// attribute is missing or malformed.
-  long long attr_int(const std::string& key, long long fallback) const;
-  double attr_double(const std::string& key, double fallback) const;
+  long long attr_int(std::string_view key, long long fallback) const;
+  double attr_double(std::string_view key, double fallback) const;
 
   // -- Text -----------------------------------------------------------------
   const std::string& text() const { return text_; }
@@ -53,14 +73,16 @@ class Element {
   const std::vector<std::unique_ptr<Element>>& children() const {
     return children_;
   }
+  /// Moves every child out, leaving this element childless.
+  std::vector<std::unique_ptr<Element>> release_children();
   /// First child with the given name, or nullptr.
-  const Element* child(const std::string& name) const;
-  Element* child(const std::string& name);
+  const Element* child(std::string_view name) const;
+  Element* child(std::string_view name);
   /// All children with the given name.
-  std::vector<const Element*> children_named(const std::string& name) const;
+  std::vector<const Element*> children_named(std::string_view name) const;
 
   /// Text of the first child with the given name ("" if absent).
-  const std::string& child_text(const std::string& name) const;
+  const std::string& child_text(std::string_view name) const;
 
   // -- Serialization --------------------------------------------------------
   /// Render with 2-space indentation.
@@ -75,16 +97,33 @@ class Element {
   std::unique_ptr<Element> clone() const;
 
  private:
+  friend std::string render_wrapped(std::string_view,
+                                    std::span<const AttrView>,
+                                    const Element&);
   void render(std::string* out, int indent, bool pretty) const;
+  Attributes::const_iterator find_attr(std::string_view key) const;
+  /// Where `key` is or would go, and whether it is there.
+  std::pair<Attributes::iterator, bool> locate_attr(std::string_view key);
+  void insert_attr(Attributes::iterator pos, std::string_view key,
+                   std::string value);
 
   std::string name_;
-  std::map<std::string, std::string> attrs_;
+  Attributes attrs_;
   std::string text_;
   std::vector<std::unique_ptr<Element>> children_;
 };
 
-/// Escape text for use as element content / attribute value.
-std::string escape(std::string_view raw);
+/// Appends `raw` to `out`, escaped for element content / attribute value.
+void append_escaped(std::string* out, std::string_view raw);
+
+/// Renders, with 2-space indentation, an element called `name` carrying
+/// `attrs` (sorted by key, as an Element keeps its own) whose children are
+/// `content`'s children: the bytes that building that element and calling
+/// to_string() would give, without building it or copying `content`.
+/// `content`'s own name, attributes and text are not rendered.
+std::string render_wrapped(std::string_view name,
+                           std::span<const AttrView> attrs,
+                           const Element& content);
 
 /// Parse a document; returns its root element.
 util::Result<std::unique_ptr<Element>> parse(std::string_view input);

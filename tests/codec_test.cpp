@@ -14,6 +14,7 @@
 #include "net/message.h"
 #include "util/bytebuffer.h"
 #include "wire_fixtures.h"
+#include "workload/request_gen.h"
 
 namespace vmp {
 namespace {
@@ -327,6 +328,103 @@ TEST(WireCompatTest, CurrentEncoderMatchesCurrentVersionFixturesByteForByte) {
             codec::encode_descriptor(testing::wire_fixture_descriptor()));
   EXPECT_EQ(read_fixture("v1-classad.bin"),
             codec::encode_classad(testing::wire_fixture_classad()));
+}
+
+TEST(WireCompatTest, XmlRendererMatchesCommittedGoldensByteForByte) {
+  // The paper's wire protocol is XML (§4.1); the goldens pin the exact
+  // bytes a freshly built message and descriptor render to.
+  EXPECT_EQ(read_fixture("message.xml"),
+            testing::wire_fixture_message().serialize());
+  EXPECT_EQ(read_fixture("descriptor.xml"),
+            warehouse::render_descriptor(testing::wire_fixture_descriptor()));
+}
+
+// ---- XML re-rendering is a fixed point ----------------------------------------
+
+std::string rerender(const std::string& text) {
+  auto parsed = xml::parse(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.error().to_string();
+  return parsed.ok() ? parsed.value()->to_string() : std::string();
+}
+
+TEST(XmlFixedPointTest, CreateRequestClassAdAndDescriptorRerenderIdentically) {
+  const std::string request =
+      workload::workspace_request(64, 3, "ufl.edu").to_xml_string();
+  EXPECT_EQ(rerender(request), request);
+
+  xml::Element ad_parent("wrapper");
+  testing::wire_fixture_classad().to_xml(&ad_parent);
+  const std::string ad = ad_parent.children().front()->to_string();
+  EXPECT_EQ(rerender(ad), ad);
+
+  const std::string descriptor =
+      warehouse::render_descriptor(testing::wire_fixture_descriptor());
+  EXPECT_EQ(rerender(descriptor), descriptor);
+}
+
+TEST(XmlFixedPointTest, MessageForwardedTwiceKeepsItsBytes) {
+  // Forward the way a ShardBroker does: decode, copy the body into a fresh
+  // envelope, encode again.  Each hop must reproduce the original bytes.
+  net::Message original = net::Message::assemble(
+      net::MessageKind::kRequest, "vmplant.create", "shop0", "broker0", "r-1");
+  workload::workspace_request(64, 3, "ufl.edu").to_xml(&original.body());
+  const std::string wire = original.serialize();
+  std::string hop_wire = wire;
+  for (int hop = 0; hop < 2; ++hop) {
+    auto received = net::Message::deserialize(hop_wire);
+    ASSERT_TRUE(received.ok()) << received.error().to_string();
+    net::Message forward = received.value().clone_shallow_header();
+    for (const auto& child : received.value().body().children()) {
+      forward.body().adopt_child(child->clone());
+    }
+    hop_wire = forward.serialize();
+    EXPECT_EQ(hop_wire, wire) << "after hop " << hop + 1;
+  }
+}
+
+// ---- Message bodies survive both wire formats unchanged -----------------------
+
+TEST(MessageBodyTest, DeserializedBodyCarriesNoEnvelopeAttributes) {
+  const net::Message sent = testing::wire_fixture_message();
+  for (const bool binary : {false, true}) {
+    auto received = binary ? codec::decode_message(codec::encode_message(sent))
+                           : net::Message::deserialize(sent.serialize());
+    ASSERT_TRUE(received.ok()) << received.error().to_string();
+    const xml::Element& body = received.value().body();
+    EXPECT_TRUE(body.attrs().empty()) << (binary ? "binary" : "xml");
+    EXPECT_TRUE(body.deep_equal(sent.body())) << (binary ? "binary" : "xml");
+  }
+}
+
+TEST(MessageBodyTest, BinaryDuplicateAttributeKeyIsLastWins) {
+  // The encoder never writes a duplicate key, but a frame from elsewhere
+  // may; the decoder keeps the last value, as it always has.
+  ByteBuffer payload;
+  payload.put_u8(static_cast<std::uint8_t>(net::MessageKind::kRequest));
+  for (const char* field : {"svc", "a", "b", "c", ""}) payload.put_string(field);
+  payload.put_varint(0);        // span id
+  payload.put_string("message");
+  payload.put_varint(0);        // body attributes
+  payload.put_string("");       // body text
+  payload.put_varint(1);        // one child
+  payload.put_string("m");
+  payload.put_varint(3);
+  payload.put_string("k");
+  payload.put_string("first");
+  payload.put_string("a");
+  payload.put_string("other");
+  payload.put_string("k");
+  payload.put_string("last");
+  payload.put_string("");
+  payload.put_varint(0);
+  auto decoded = codec::decode_message(
+      codec::seal_frame(codec::FrameTag::kMessage, payload.take()));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  const xml::Element* m = decoded.value().body().child("m");
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->attrs().size(), 2u);
+  EXPECT_EQ(m->attr("k"), "last");
+  EXPECT_EQ(m->to_compact_string(), "<m a=\"other\" k=\"last\"/>");
 }
 
 // ---- Robustness sweeps ------------------------------------------------------

@@ -5,7 +5,8 @@
 // Run manually ONLY after a deliberate codec change, alongside a
 // kCodecVersion bump — the committed v<N>-*.bin files are the wire-compat
 // contract; regenerating them without a version bump rewrites history for
-// frames already persisted by older builds.
+// frames already persisted by older builds.  The unversioned *.xml goldens
+// pin the XML renderer's bytes; a diff in them is a wire-format change.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,8 +27,8 @@ int main(int argc, char** argv) {
 
   const std::string prefix =
       "v" + std::to_string(static_cast<int>(codec::kCodecVersion)) + "-";
-  const auto write = [&](const char* name, const std::string& bytes) {
-    const fs::path path = dir / (prefix + name);
+  const auto write = [&](const std::string& name, const std::string& bytes) {
+    const fs::path path = dir / name;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
@@ -38,13 +39,16 @@ int main(int argc, char** argv) {
     std::printf("%s  (%zu bytes)\n", path.c_str(), bytes.size());
   };
 
-  write("message.bin",
+  write(prefix + "message.bin",
         codec::encode_message(vmp::testing::wire_fixture_message()));
-  write("descriptor.bin",
+  write(prefix + "descriptor.bin",
         codec::encode_descriptor(vmp::testing::wire_fixture_descriptor()));
-  write("classad.bin",
+  write(prefix + "classad.bin",
         codec::encode_classad(vmp::testing::wire_fixture_classad()));
-  write("snapshot.bin",
+  write(prefix + "snapshot.bin",
         vmp::core::encode_snapshot(vmp::testing::wire_fixture_snapshot()));
+  write("message.xml", vmp::testing::wire_fixture_message().serialize());
+  write("descriptor.xml", vmp::warehouse::render_descriptor(
+                              vmp::testing::wire_fixture_descriptor()));
   return 0;
 }

@@ -42,7 +42,9 @@ TEST(XmlBuildTest, AttrIntAndDouble) {
 }
 
 TEST(XmlEscapeTest, EscapesSpecials) {
-  EXPECT_EQ(escape("a<b>&\"'"), "a&lt;b&gt;&amp;&quot;&apos;");
+  std::string out = "pre:";
+  append_escaped(&out, "a<b>&\"'");
+  EXPECT_EQ(out, "pre:a&lt;b&gt;&amp;&quot;&apos;");
 }
 
 TEST(XmlParseTest, SimpleElement) {
@@ -202,6 +204,101 @@ TEST(XmlRoundTripTest, SpecialCharactersInAttributes) {
   auto parsed = parse(root.to_string());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value()->attr("expr"), "a < b && \"x\"");
+}
+
+// -- Flat attribute store -------------------------------------------------------
+
+TEST(XmlAttrStoreTest, SetAttrOverwritesExistingKey) {
+  Element e("m");
+  e.set_attr("k", "one");
+  e.set_attr("k", "two");
+  EXPECT_EQ(e.attrs().size(), 1u);
+  EXPECT_EQ(e.attr("k"), "two");
+  EXPECT_FALSE(e.add_attr("k", "three"));
+  EXPECT_EQ(e.attr("k"), "two");
+  EXPECT_EQ(e.to_compact_string(), "<m k=\"two\"/>");
+}
+
+TEST(XmlAttrStoreTest, OutOfOrderInsertsRenderSorted) {
+  Element e("m");
+  e.set_attr("zeta", "3");
+  e.set_attr("alpha", "1");
+  e.set_attr("mid", "2");
+  e.set_attr("beta", "4");
+  EXPECT_EQ(e.to_compact_string(),
+            "<m alpha=\"1\" beta=\"4\" mid=\"2\" zeta=\"3\"/>");
+  EXPECT_EQ(e.attr("mid"), "2");
+  EXPECT_FALSE(e.has_attr("gamma"));
+  EXPECT_EQ(e.attr("gamma"), "");
+}
+
+TEST(XmlAttrStoreTest, ParserStillRejectsDuplicateOutOfOrder) {
+  EXPECT_FALSE(parse("<m b=\"1\" a=\"2\" b=\"3\"/>").ok());
+  auto ok = parse("<m b=\"1\" a=\"2\"/>");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value()->to_compact_string(), "<m a=\"2\" b=\"1\"/>");
+}
+
+// -- Whitespace rule ------------------------------------------------------------
+
+TEST(XmlWhitespaceTest, IndentationBetweenChildrenIsDropped) {
+  auto parsed = parse("<a>\n  <b/>\n  <c>\n    <d/>\n  </c>\n</a>");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value()->text(), "");
+  EXPECT_EQ(parsed.value()->child("c")->text(), "");
+}
+
+TEST(XmlWhitespaceTest, LeafTextStaysByteExact) {
+  auto parsed = parse("<a><b>  </b><c> x\n </c></a>");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value()->child_text("b"), "  ");
+  EXPECT_EQ(parsed.value()->child_text("c"), " x\n ");
+}
+
+TEST(XmlWhitespaceTest, MixedContentKeepsItsWhitespace) {
+  auto parsed = parse("<a> x <b/> y </a>");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value()->text(), " x  y ");
+}
+
+TEST(XmlWhitespaceTest, RenderParseRenderIsAFixedPoint) {
+  Element root("a");
+  root.set_attr("k", "v & w");
+  Element& b = root.add_child("b");
+  b.add_child("c").set_text("leaf <text>");
+  b.add_child("blank").set_text(" \n ");
+  root.add_child("d");
+  const std::string once = root.to_string();
+  std::string again = once;
+  for (int hop = 0; hop < 3; ++hop) {
+    auto parsed = parse(again);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+    again = parsed.value()->to_string();
+    EXPECT_EQ(again, once) << "after " << hop + 1 << " re-renders";
+  }
+}
+
+TEST(XmlRoundTripTest, ReleaseChildrenEmptiesTheParent) {
+  Element root("a");
+  root.add_child("b");
+  root.add_child("c");
+  auto children = root.release_children();
+  ASSERT_EQ(children.size(), 2u);
+  EXPECT_EQ(children[1]->name(), "c");
+  EXPECT_TRUE(root.children().empty());
+}
+
+TEST(XmlRenderTest, RenderWrappedMatchesABuiltElement) {
+  Element content("ignored");
+  content.set_attr("dropped", "x");
+  content.add_child("b").set_attr("k", "<v>");
+  Element built("env");
+  built.set_attr("a", "1");
+  built.set_attr("z", "\"2\"");
+  const AttrView attrs[] = {{"a", "1"}, {"z", "\"2\""}};
+  EXPECT_EQ(render_wrapped("env", attrs, Element("empty")), built.to_string());
+  built.adopt_child(content.child("b")->clone());
+  EXPECT_EQ(render_wrapped("env", attrs, content), built.to_string());
 }
 
 }  // namespace
