@@ -20,9 +20,9 @@ bool MachineRequirements::satisfied_by(const std::string& image_os,
 
 void MachineRequirements::to_xml(xml::Element* parent) const {
   xml::Element& hw = parent->add_child("hardware");
-  hw.set_attr("os", os);
   hw.set_attr("memory-bytes", std::to_string(memory_bytes));
   hw.set_attr("min-disk-bytes", std::to_string(min_disk_bytes));
+  hw.set_attr("os", os);
 }
 
 Result<MachineRequirements> MachineRequirements::from_xml(
@@ -59,11 +59,12 @@ Status CreateRequest::validate() const {
 
 void CreateRequest::to_xml(xml::Element* parent) const {
   xml::Element& req = parent->add_child("create-request");
-  req.set_attr("id", request_id);
+  // In key order, the order the element keeps them: each is an append.
+  req.set_attr("backend", backend);
   req.set_attr("client", client);
   req.set_attr("domain", domain);
+  req.set_attr("id", request_id);
   req.set_attr("proxy", proxy_address);
-  req.set_attr("backend", backend);
   hardware.to_xml(&req);
   dag::to_xml(config, &req);
 }

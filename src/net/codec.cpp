@@ -38,21 +38,18 @@ namespace {
 /// Starts a frame whose length and checksum are left zero, so an encoder
 /// writes its payload once, straight into the frame.
 ByteBuffer begin_frame(FrameTag tag, std::size_t payload_hint) {
+  // Length and checksum (bytes 4..11) stay zero until finish_frame.
+  const char header[kHeaderBytes] = {kMagic0, kMagic1, static_cast<char>(tag),
+                                     static_cast<char>(kCodecVersion)};
   ByteBuffer frame;
   frame.reserve(kHeaderBytes + payload_hint);
-  frame.put_u8(static_cast<std::uint8_t>(kMagic0));
-  frame.put_u8(static_cast<std::uint8_t>(kMagic1));
-  frame.put_u8(static_cast<std::uint8_t>(tag));
-  frame.put_u8(kCodecVersion);
-  frame.put_u32(0);  // payload length
-  frame.put_u32(0);  // payload checksum
+  frame.append_raw(std::string_view(header, kHeaderBytes));
   return frame;
 }
 
 /// Fills in the length and checksum of the payload behind the header.
 std::string finish_frame(ByteBuffer* frame) {
-  const std::string_view payload =
-      std::string_view(frame->bytes()).substr(kHeaderBytes);
+  const std::string_view payload = frame->bytes().substr(kHeaderBytes);
   const auto payload_len = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t checksum = util::frame_checksum32(payload);
   frame->patch_u32(4, payload_len);
@@ -118,12 +115,10 @@ Result<FrameView> open_frame(std::string_view frame) {
 
 Result<FrameView> open_frame(std::string_view frame, FrameTag expected) {
   auto view = open_frame(frame);
-  if (!view.ok()) return view;
-  if (view.value().tag != expected) {
-    return Result<FrameView>(Error(
-        ErrorCode::kParseError,
-        std::string("expected a ") + frame_tag_name(expected) + " frame, got " +
-            frame_tag_name(view.value().tag)));
+  if (view.ok() && view.value().tag != expected) {
+    view = Error(ErrorCode::kParseError,
+                 std::string("expected a ") + frame_tag_name(expected) +
+                     " frame, got " + frame_tag_name(view.value().tag));
   }
   return view;
 }

@@ -101,7 +101,7 @@ std::string Message::serialize() const {
   if (traced) attrs[n++] = {"span", span};
   attrs[n++] = {"to", to_};
   if (traced) attrs[n++] = {"trace", trace_.trace_id};
-  return xml::render_wrapped("message", std::span(attrs, n), *body_);
+  return xml::render_wrapped("message", std::span(attrs, n), body_);
 }
 
 Result<Message> Message::deserialize(const std::string& wire) {

@@ -11,7 +11,6 @@
 //   </message>
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "obs/trace.h"
@@ -27,7 +26,7 @@ util::Result<MessageKind> parse_message_kind(const std::string& name);
 
 class Message {
  public:
-  Message() : body_(std::make_unique<xml::Element>("message")) {}
+  Message() : body_("message") {}
 
   static Message request(std::string service, std::string from, std::string to,
                          std::string correlation);
@@ -51,8 +50,8 @@ class Message {
   void set_to(std::string to) { to_ = std::move(to); }
 
   /// Payload root (children of <message>).
-  xml::Element& body() { return *body_; }
-  const xml::Element& body() const { return *body_; }
+  xml::Element& body() { return body_; }
+  const xml::Element& body() const { return body_; }
 
   /// For faults: the carried error.
   util::Error fault_error() const;
@@ -78,7 +77,7 @@ class Message {
   std::string to_;
   std::string correlation_;
   obs::TraceContext trace_;
-  std::unique_ptr<xml::Element> body_;
+  xml::Element body_;
 };
 
 }  // namespace vmp::net

@@ -1,5 +1,6 @@
 #include "util/bytebuffer.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -54,31 +55,34 @@ std::uint32_t frame_checksum32(std::string_view data) noexcept {
   return h;
 }
 
+void ByteBuffer::expand(std::size_t n) {
+  out_.resize(std::max({size_ + n, 2 * out_.size(), std::size_t{64}}));
+}
+
 void ByteBuffer::put_u16(std::uint16_t v) {
-  out_.push_back(static_cast<char>(v & 0xff));
-  out_.push_back(static_cast<char>((v >> 8) & 0xff));
+  char* p = grow(2);
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>((v >> 8) & 0xff);
 }
 
 void ByteBuffer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char* p = grow(4);
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 void ByteBuffer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char* p = grow(8);
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 void ByteBuffer::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
 void ByteBuffer::put_varint_slow(std::uint64_t v) {
   while (v >= 0x80) {
-    out_.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    put_u8(static_cast<std::uint8_t>((v & 0x7f) | 0x80));
     v >>= 7;
   }
-  out_.push_back(static_cast<char>(v));
+  put_u8(static_cast<std::uint8_t>(v));
 }
 
 void ByteBuffer::put_svarint(std::int64_t v) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -45,7 +46,7 @@ std::uint32_t frame_checksum32(std::string_view data) noexcept;
 
 class ByteBuffer {
  public:
-  void put_u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  void put_u8(std::uint8_t v) { *grow(1) = static_cast<char>(v); }
   void put_u16(std::uint16_t v);
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
@@ -55,7 +56,7 @@ class ByteBuffer {
   /// LEB128: 7 bits per byte, low group first, high bit = continuation.
   void put_varint(std::uint64_t v) {
     if (v < 0x80) {
-      out_.push_back(static_cast<char>(v));
+      *grow(1) = static_cast<char>(v);
     } else {
       put_varint_slow(v);
     }
@@ -65,26 +66,45 @@ class ByteBuffer {
   /// Varint byte length, then the raw bytes.
   void put_string(std::string_view v) {
     put_varint(v.size());
-    out_.append(v.data(), v.size());
+    append_raw(v);
   }
-  void append_raw(std::string_view v) { out_.append(v.data(), v.size()); }
+  void append_raw(std::string_view v) {
+    if (!v.empty()) std::memcpy(grow(v.size()), v.data(), v.size());
+  }
 
   /// Overwrite 4 bytes at `offset` (length back-patching).
   void patch_u32(std::size_t offset, std::uint32_t v);
 
   /// Pre-size the backing store (encoders that know roughly how big the
   /// payload will be avoid the append-growth reallocations).
-  void reserve(std::size_t n) { out_.reserve(n); }
+  void reserve(std::size_t n) {
+    if (n > out_.size()) out_.resize(n);
+  }
 
-  std::size_t size() const { return out_.size(); }
-  const std::string& bytes() const& { return out_; }
-  std::string take() { return std::move(out_); }
-  void clear() { out_.clear(); }
+  std::size_t size() const { return size_; }
+  std::string_view bytes() const { return {out_.data(), size_}; }
+  std::string take() {
+    out_.resize(size_);
+    size_ = 0;
+    return std::move(out_);
+  }
+  void clear() { size_ = 0; }
 
  private:
+  /// Claims the next `n` bytes and returns where they start.  Writes go
+  /// through a raw pointer: no per-field capacity bookkeeping of
+  /// std::string, which dominated encoding small fields.
+  char* grow(std::size_t n) {
+    if (out_.size() - size_ < n) expand(n);
+    char* p = out_.data() + size_;
+    size_ += n;
+    return p;
+  }
+  void expand(std::size_t n);
   void put_varint_slow(std::uint64_t v);
 
-  std::string out_;
+  std::string out_;  // [0, size_) written; the rest is spare room
+  std::size_t size_ = 0;
 };
 
 class ByteReader {
@@ -118,7 +138,7 @@ class ByteReader {
   std::string_view string_view_field() {
     const std::uint64_t n = varint();
     if (ok_ && n <= remaining()) {
-      const std::string_view v = data_.substr(offset_, n);
+      const std::string_view v(data_.data() + offset_, n);
       offset_ += n;
       return v;
     }
