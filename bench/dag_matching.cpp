@@ -68,7 +68,7 @@ int main() {
   // 3. Matching cost scaling: evaluate_match over warehouse/DAG sizes.
   std::printf("matching micro-cost (single thread):\n");
   std::printf("%-10s %-10s %-14s\n", "dag_nodes", "images", "time_per_plan");
-  for (const auto [layers, width, images] :
+  for (const auto& [layers, width, images] :
        {std::tuple{4, 4, 16}, std::tuple{4, 4, 256}, std::tuple{8, 8, 16},
         std::tuple{8, 8, 256}, std::tuple{16, 16, 64}}) {
     dag::ConfigDag d = workload::random_layered_dag(42, layers, width, 0.3);

@@ -11,6 +11,9 @@
 // Two more rows time the bid fan-out's XML work: building a workspace
 // CreateRequest tree (request.to_xml) and one plant's estimate leg
 // (serialize + deserialize + CreateRequest::from_xml, bid.leg.xml).
+// dag.match.256 times one evaluate_match on a 256-node request DAG with
+// half its nodes performed (the BM_EvaluateMatch/16 shape); its bytes
+// field is the history's signature bytes.
 // CI's bench-gate job feeds these to tools/bench_gate.py against
 // bench/baselines/micro_core.json, which enforces the binary codec's >= 3x
 // advantage over XML on descriptors (this PR's acceptance bar) plus
@@ -306,12 +309,29 @@ int run_codec_rows() {
     return wire.size();
   });
 
+  // The PPP's per-candidate cost on a deep request DAG (paper §3.2).
+  const dag::ConfigDag deep = workload::random_layered_dag(2, 16, 16, 0.3);
+  const std::vector<std::string> deep_order = deep.topological_sort().value();
+  std::vector<std::string> half_performed;
+  std::size_t history_bytes = 0;
+  for (std::size_t i = 0; i < deep_order.size() / 2; ++i) {
+    half_performed.push_back(deep.action(deep_order[i])->signature());
+    history_bytes += half_performed.back().size();
+  }
+  const CodecRow match_256 = time_codec(kIters / 10, [&] {
+    auto eval = dag::evaluate_match(deep, half_performed);
+    if (!eval.ok() || !eval.value().matches()) ok = false;
+    benchmark::DoNotOptimize(eval);
+    return history_bytes;
+  });
+
   report_codec("codec.descriptor.xml", desc_xml);
   report_codec("codec.descriptor.binary", desc_bin);
   report_codec("codec.message.xml", msg_xml);
   report_codec("codec.message.binary", msg_bin);
   report_codec("request.to_xml", request_build);
   report_codec("bid.leg.xml", bid_leg);
+  report_codec("dag.match.256", match_256);
   const double desc_speedup =
       desc_bin.ns_per_op > 0.0 ? desc_xml.ns_per_op / desc_bin.ns_per_op : 0.0;
   std::printf("BENCH_JSON {\"name\": \"codec.descriptor.speedup\", "
@@ -319,7 +339,7 @@ int run_codec_rows() {
               desc_speedup);
 
   if (!ok) {
-    std::printf("FAILED: a codec round trip returned an error\n");
+    std::printf("FAILED: a codec round trip or the match returned an error\n");
     return 1;
   }
   return 0;

@@ -129,8 +129,8 @@ int main() {
                                    &site.registry(), &info);
   std::printf("  sweep answered by %zu services\n", aggregator.sweep());
   for (const auto& state : aggregator.broker_states()) {
-    std::printf("  obs://broker/%s members=%d forwarded=%llu\n",
-                state.broker.c_str(), state.members,
+    std::printf("  obs://broker/%s members=%lld forwarded=%llu\n",
+                state.broker.c_str(), static_cast<long long>(state.members),
                 static_cast<unsigned long long>(state.creations_forwarded));
   }
   std::printf("done\n");

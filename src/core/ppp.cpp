@@ -57,20 +57,19 @@ Result<ProductionPlan> ProductionProcessPlanner::plan(
   const std::string backend =
       request.backend.empty() ? "vmware-gsx" : request.backend;
 
-  // Digest the request's action multiset once.  A degenerate request DAG
-  // with duplicate signatures defeats the digests (the Subset test rejects
-  // repeats the mask cannot see), so fall back to an all-ones mask — every
-  // candidate passes the prune and correctness rests on the full tests.
-  std::vector<std::string> request_signatures;
-  request_signatures.reserve(request.config.size());
-  for (const std::string& id : request.config.node_ids()) {
-    request_signatures.push_back(request.config.action(id)->signature());
+  // Compile the request DAG once for every candidate's match, and digest
+  // its action multiset.  A degenerate request DAG (duplicate signatures,
+  // or a cycle) does not compile: it gets an all-ones mask, and the
+  // compile error is the plan's error once any golden passes the hardware
+  // filter.
+  const auto index = dag::MatchIndex::build(request.config);
+  std::uint64_t request_mask = ~0ull;
+  std::uint64_t request_fingerprint = 0;
+  if (index.ok()) {
+    request_mask = warehouse::action_mask(index.value().signatures());
+    request_fingerprint =
+        warehouse::action_fingerprint(index.value().signatures());
   }
-  std::uint64_t request_mask = warehouse::action_mask(request_signatures);
-  std::uint64_t request_fingerprint =
-      warehouse::action_fingerprint(request_signatures);
-  bool digests_valid = request.config.signature_index().ok();
-  if (!digests_valid) request_mask = ~0ull;
 
   // Hardware filter first (memory / disk / OS, counted for diagnostics),
   // then the warehouse's precomputed action-mask prune, then DAG matching.
@@ -96,6 +95,11 @@ Result<ProductionPlan> ProductionProcessPlanner::plan(
             ", os=" + request.hardware.os + ", memory=" +
             std::to_string(request.hardware.memory_bytes) + ")"));
   }
+  if (!index.ok()) {
+    record_elapsed();
+    span.set_status(util::error_code_name(index.error().code()));
+    return index.propagate<ProductionPlan>();
+  }
 
   // One evaluation per candidate yields both the ranking and the
   // match-kind classification (subset / prefix / partial-order / hit).
@@ -113,38 +117,29 @@ Result<ProductionPlan> ProductionProcessPlanner::plan(
   std::vector<Scored> matching;
   std::vector<std::size_t> probe_order;
   probe_order.reserve(candidates.size());
-  if (digests_valid) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (candidates[i].fingerprint == request_fingerprint)
-        probe_order.push_back(i);
-    }
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (candidates[i].fingerprint != request_fingerprint)
-        probe_order.push_back(i);
-    }
-  } else {
-    for (std::size_t i = 0; i < candidates.size(); ++i) probe_order.push_back(i);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].fingerprint == request_fingerprint)
+      probe_order.push_back(i);
+  }
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].fingerprint != request_fingerprint)
+      probe_order.push_back(i);
   }
   const std::size_t total_nodes = request.config.size();
   bool full_match = false;
   for (const std::size_t i : probe_order) {
-    auto eval = dag::evaluate_match(request.config, candidates[i].performed);
-    if (!eval.ok()) {
-      record_elapsed();
-      span.set_status(util::error_code_name(eval.error().code()));
-      return eval.propagate<ProductionPlan>();
-    }
-    if (eval.value().matches()) {
+    dag::MatchEvaluation eval = index.value().evaluate(candidates[i].performed);
+    if (eval.matches()) {
       metrics.match_hit->add();
-      const bool full = eval.value().satisfied_nodes.size() == total_nodes;
-      matching.push_back(Scored{i, std::move(eval.value())});
-      if (full && digests_valid) {
+      const bool full = eval.satisfied_nodes.size() == total_nodes;
+      matching.push_back(Scored{i, std::move(eval)});
+      if (full) {
         full_match = true;
         break;  // nothing can rank higher; skip the remaining evaluations
       }
-    } else if (!eval.value().subset_ok) {
+    } else if (!eval.subset_ok) {
       metrics.subset_fail->add();
-    } else if (!eval.value().prefix_ok) {
+    } else if (!eval.prefix_ok) {
       metrics.prefix_fail->add();
     } else {
       metrics.order_fail->add();

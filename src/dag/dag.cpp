@@ -1,8 +1,11 @@
 #include "dag/dag.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <deque>
+#include <functional>
+#include <string_view>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -122,44 +125,116 @@ const ConfigDag* ConfigDag::error_subgraph(const std::string& action_id) const {
   return it == nodes_.end() ? nullptr : it->second.error_subgraph.get();
 }
 
-Result<std::vector<std::string>> ConfigDag::topological_sort() const {
-  // Kahn's algorithm with insertion-order tie-breaking: the ready list is
-  // scanned in order_ sequence, so the output is deterministic.
-  std::map<std::string, std::size_t> in_degree;
+namespace {
+/// Node id -> position in the insertion order: open addressing over views
+/// of the ids, in one allocation (the ids must outlive the index).
+class IdIndex {
+ public:
+  explicit IdIndex(const std::vector<std::string>& order)
+      : slots_(std::bit_ceil(2 * order.size() + 1)) {
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      slots_[probe(order[i])] = {order[i], i};
+    }
+  }
+
+  /// Position of an id that is in the index.
+  std::size_t at(std::string_view id) const { return slots_[probe(id)].second; }
+
+ private:
+  std::size_t probe(std::string_view id) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = std::hash<std::string_view>{}(id) & mask;
+    while (slots_[slot].first.data() != nullptr && slots_[slot].first != id) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  std::vector<std::pair<std::string_view, std::size_t>> slots_;
+};
+}  // namespace
+
+std::vector<std::vector<std::size_t>> ConfigDag::predecessor_indices() const {
+  const IdIndex index(order_);
+  std::vector<std::vector<std::size_t>> preds(order_.size());
   for (const auto& [id, node] : nodes_) {
-    in_degree[id] = node.predecessors.size();
+    std::vector<std::size_t>& out = preds[index.at(id)];
+    out.reserve(node.predecessors.size());
+    for (const std::string& pred : node.predecessors) {
+      out.push_back(index.at(pred));
+    }
+  }
+  return preds;
+}
+
+Result<std::vector<std::size_t>> ConfigDag::topological_indices() const {
+  // Kahn's algorithm in any order computes each node's pass (see dag.h);
+  // a counting sort by pass over insertion order then yields the order
+  // the repeated-pass scan would emit.  Successors are held in compressed
+  // rows: node i's are succs[row[i] .. row[i + 1]).
+  const IdIndex index(order_);
+  const std::size_t n = order_.size();
+  std::vector<std::size_t> row(n + 1, 0);
+  std::vector<std::size_t> in_degree(n);
+  for (const auto& [id, node] : nodes_) {
+    const std::size_t i = index.at(id);
+    row[i + 1] = node.successors.size();
+    in_degree[i] = node.predecessors.size();
+  }
+  for (std::size_t i = 0; i < n; ++i) row[i + 1] += row[i];
+  std::vector<std::size_t> succs(row[n]);
+  for (const auto& [id, node] : nodes_) {
+    std::size_t next = row[index.at(id)];
+    for (const std::string& succ : node.successors) {
+      succs[next++] = index.at(succ);
+    }
   }
 
+  std::vector<std::size_t> ready;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (in_degree[i] == 0) ready.push_back(i);
+  }
+  std::vector<std::size_t> pass(n, 0);
+  std::size_t emitted = 0;
+  std::size_t max_pass = 0;
+  while (!ready.empty()) {
+    const std::size_t node = ready.back();
+    ready.pop_back();
+    ++emitted;
+    max_pass = std::max(max_pass, pass[node]);
+    for (std::size_t k = row[node]; k < row[node + 1]; ++k) {
+      const std::size_t succ = succs[k];
+      pass[succ] = std::max(pass[succ], pass[node] + (node > succ ? 1 : 0));
+      if (--in_degree[succ] == 0) ready.push_back(succ);
+    }
+  }
+  if (emitted < n) {
+    // Cycle members never reach in-degree 0.  Name the first in order.
+    const std::size_t member = static_cast<std::size_t>(
+        std::find_if(in_degree.begin(), in_degree.end(),
+                     [](std::size_t d) { return d != 0; }) -
+        in_degree.begin());
+    return Result<std::vector<std::size_t>>(
+        Error(ErrorCode::kInvalidArgument,
+              "configuration DAG contains a cycle through '" +
+                  order_[member] + "'"));
+  }
+  std::vector<std::size_t> bucket_start(max_pass + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) ++bucket_start[pass[i] + 1];
+  for (std::size_t p = 1; p < bucket_start.size(); ++p) {
+    bucket_start[p] += bucket_start[p - 1];
+  }
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[bucket_start[pass[i]]++] = i;
+  return order;
+}
+
+Result<std::vector<std::string>> ConfigDag::topological_sort() const {
+  auto indices = topological_indices();
+  if (!indices.ok()) return indices.propagate<std::vector<std::string>>();
   std::vector<std::string> result;
-  result.reserve(nodes_.size());
-  std::set<std::string> emitted;
-
-  while (result.size() < nodes_.size()) {
-    bool progressed = false;
-    for (const std::string& id : order_) {
-      if (emitted.count(id)) continue;
-      if (in_degree[id] != 0) continue;
-      result.push_back(id);
-      emitted.insert(id);
-      for (const std::string& succ : nodes_.at(id).successors) {
-        --in_degree[succ];
-      }
-      progressed = true;
-    }
-    if (!progressed) {
-      // Remaining nodes all have in-degree > 0: cycle.  Name one member.
-      std::string member;
-      for (const std::string& id : order_) {
-        if (!emitted.count(id)) {
-          member = id;
-          break;
-        }
-      }
-      return Result<std::vector<std::string>>(
-          Error(ErrorCode::kInvalidArgument,
-                "configuration DAG contains a cycle through '" + member + "'"));
-    }
-  }
+  result.reserve(indices.value().size());
+  for (const std::size_t i : indices.value()) result.push_back(order_[i]);
   return result;
 }
 

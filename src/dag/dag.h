@@ -66,10 +66,21 @@ class ConfigDag {
   /// Returns the offending cycle in the error message when cyclic.
   util::Status validate() const;
 
-  /// Deterministic topological order (Kahn's algorithm; ties broken by
-  /// insertion order, so equal graphs built identically sort identically).
-  /// Fails if the graph is cyclic.
+  /// Deterministic topological order: repeated in-order passes over the
+  /// insertion order, each emitting every node whose predecessors are all
+  /// emitted, so equal graphs built identically sort identically.  Computed
+  /// in one O(V+E) Kahn traversal as the sort by (pass, insertion index),
+  /// where a node's pass is the largest pass(p) + [p inserted after it]
+  /// over its predecessors p (sources: pass 0).  Fails if the graph is
+  /// cyclic, naming the first node in insertion order left unsorted.
   util::Result<std::vector<std::string>> topological_sort() const;
+
+  /// topological_sort() as insertion indices (positions in node_ids()).
+  util::Result<std::vector<std::size_t>> topological_indices() const;
+
+  /// Direct predecessors of every node as insertion indices:
+  /// entry i lists node_ids()[i]'s predecessors in id order.
+  std::vector<std::vector<std::size_t>> predecessor_indices() const;
 
   /// All strict ancestors of `id` (every node with a path to `id`).
   std::set<std::string> ancestors(const std::string& id) const;

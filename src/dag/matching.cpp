@@ -1,110 +1,126 @@
 #include "dag/matching.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <limits>
 
 namespace vmp::dag {
 
-using util::Error;
-using util::ErrorCode;
 using util::Result;
 
-Result<MatchEvaluation> evaluate_match(
-    const ConfigDag& request,
-    const std::vector<std::string>& performed_signatures) {
-  auto index_result = request.signature_index();
-  if (!index_result.ok()) return index_result.propagate<MatchEvaluation>();
-  const std::map<std::string, std::string>& sig_to_node = index_result.value();
+namespace {
+constexpr std::size_t kNotPerformed = std::numeric_limits<std::size_t>::max();
+}  // namespace
 
+Result<MatchIndex> MatchIndex::build(const ConfigDag& request) {
+  MatchIndex index;
+  index.ids_ = request.node_ids();
+  index.signatures_.reserve(index.ids_.size());
+  index.by_signature_.reserve(index.ids_.size());
+  for (std::size_t i = 0; i < index.ids_.size(); ++i) {
+    index.signatures_.push_back(request.action(index.ids_[i])->signature());
+    if (!index.by_signature_.emplace(index.signatures_.back(), i).second) {
+      return request.signature_index().propagate<MatchIndex>();
+    }
+  }
+  index.predecessors_ = request.predecessor_indices();
+  auto topo = request.topological_indices();
+  if (!topo.ok()) return topo.propagate<MatchIndex>();
+  index.topological_order_ = std::move(topo).value();
+  return index;
+}
+
+MatchEvaluation MatchIndex::evaluate(
+    const std::vector<std::string>& performed_signatures) const {
   MatchEvaluation eval;
 
   // -- Subset Test ----------------------------------------------------------
   // Every performed signature must name a node of the request DAG, and no
   // signature may repeat (an image cannot have performed the same action
-  // twice for a DAG in which it appears once).
-  std::vector<std::string> performed_nodes;  // request node ids, history order
-  std::set<std::string> performed_set;
-  eval.subset_ok = true;
+  // twice for a DAG in which it appears once).  position[node] is the
+  // node's place in the history.
+  std::vector<std::size_t> performed_nodes;  // node indices, history order
+  performed_nodes.reserve(performed_signatures.size());
+  std::vector<std::size_t> position(ids_.size(), kNotPerformed);
   for (const std::string& sig : performed_signatures) {
-    auto it = sig_to_node.find(sig);
-    if (it == sig_to_node.end()) {
-      eval.subset_ok = false;
+    auto it = by_signature_.find(sig);
+    if (it == by_signature_.end()) {
       eval.failure_reason =
           "subset test failed: image performed unrequested action '" + sig + "'";
-      break;
+      return eval;
     }
-    if (!performed_set.insert(it->second).second) {
-      eval.subset_ok = false;
+    if (position[it->second] != kNotPerformed) {
       eval.failure_reason =
           "subset test failed: image performed action '" + sig + "' twice";
-      break;
+      return eval;
     }
+    position[it->second] = performed_nodes.size();
     performed_nodes.push_back(it->second);
   }
-  if (!eval.subset_ok) return eval;
+  eval.subset_ok = true;
 
   // -- Prefix Test ----------------------------------------------------------
-  // The performed set must be downward-closed: all ancestors of a performed
-  // node are performed.
-  eval.prefix_ok = true;
-  for (const std::string& node : performed_nodes) {
-    for (const std::string& ancestor : request.ancestors(node)) {
-      if (!performed_set.count(ancestor)) {
-        eval.prefix_ok = false;
-        eval.failure_reason = "prefix test failed: image performed '" + node +
-                              "' without its predecessor '" + ancestor + "'";
-        break;
+  // The performed set must be downward-closed: every direct predecessor of
+  // a performed node is performed.
+  for (const std::size_t node : performed_nodes) {
+    for (const std::size_t pred : predecessors_[node]) {
+      if (position[pred] == kNotPerformed) {
+        eval.failure_reason = "prefix test failed: image performed '" +
+                              ids_[node] + "' without its predecessor '" +
+                              ids_[pred] + "'";
+        return eval;
       }
     }
-    if (!eval.prefix_ok) break;
   }
-  if (!eval.prefix_ok) return eval;
+  eval.prefix_ok = true;
 
   // -- Partial Order Test ---------------------------------------------------
-  // History order must refine the DAG partial order: no performed pair may
-  // appear in the history in the opposite order of a DAG requirement.
-  std::map<std::string, std::size_t> history_position;
-  for (std::size_t i = 0; i < performed_nodes.size(); ++i) {
-    history_position[performed_nodes[i]] = i;
-  }
-  eval.partial_order_ok = true;
-  for (const std::string& node : performed_nodes) {
-    for (const std::string& ancestor : request.ancestors(node)) {
-      // ancestor is performed (prefix test passed).
-      if (history_position.at(ancestor) > history_position.at(node)) {
-        eval.partial_order_ok = false;
+  // History order must refine the DAG partial order: every direct edge
+  // between performed nodes points forward in the history.
+  for (const std::size_t node : performed_nodes) {
+    for (const std::size_t pred : predecessors_[node]) {
+      if (position[pred] > position[node]) {
         eval.failure_reason = "partial order test failed: image performed '" +
-                              node + "' before its predecessor '" + ancestor +
-                              "'";
-        break;
+                              ids_[node] + "' before its predecessor '" +
+                              ids_[pred] + "'";
+        return eval;
       }
     }
-    if (!eval.partial_order_ok) break;
   }
-  if (!eval.partial_order_ok) return eval;
+  eval.partial_order_ok = true;
 
   // -- Plan the remaining suffix ---------------------------------------------
-  eval.satisfied_nodes = performed_nodes;
-  auto topo = request.topological_sort();
-  if (!topo.ok()) return topo.propagate<MatchEvaluation>();
-  for (const std::string& id : topo.value()) {
-    if (!performed_set.count(id)) eval.remaining_plan.push_back(id);
+  eval.satisfied_nodes.reserve(performed_nodes.size());
+  for (const std::size_t node : performed_nodes) {
+    eval.satisfied_nodes.push_back(ids_[node]);
+  }
+  eval.remaining_plan.reserve(ids_.size() - performed_nodes.size());
+  for (const std::size_t node : topological_order_) {
+    if (position[node] == kNotPerformed) eval.remaining_plan.push_back(ids_[node]);
   }
   return eval;
+}
+
+Result<MatchEvaluation> evaluate_match(
+    const ConfigDag& request,
+    const std::vector<std::string>& performed_signatures) {
+  auto index = MatchIndex::build(request);
+  if (!index.ok()) return index.propagate<MatchEvaluation>();
+  return index.value().evaluate(performed_signatures);
 }
 
 Result<std::vector<RankedMatch>> rank_matches(
     const ConfigDag& request,
     const std::vector<std::vector<std::string>>& image_histories) {
   std::vector<RankedMatch> ranked;
+  // No image to rank: no error either, even for a DAG that cannot compile.
+  if (image_histories.empty()) return ranked;
+  auto index = MatchIndex::build(request);
+  if (!index.ok()) return index.propagate<std::vector<RankedMatch>>();
   for (std::size_t i = 0; i < image_histories.size(); ++i) {
-    auto eval = evaluate_match(request, image_histories[i]);
-    if (!eval.ok()) return eval.propagate<std::vector<RankedMatch>>();
-    if (!eval.value().matches()) continue;
-    ranked.push_back(RankedMatch{
-        i, eval.value().satisfied_nodes.size(),
-        eval.value().remaining_plan.size()});
+    MatchEvaluation eval = index.value().evaluate(image_histories[i]);
+    if (!eval.matches()) continue;
+    ranked.push_back(RankedMatch{i, eval.satisfied_nodes.size(),
+                                 eval.remaining_plan.size()});
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const RankedMatch& a, const RankedMatch& b) {

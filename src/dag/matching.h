@@ -16,9 +16,19 @@
 //
 // Identity between a performed action and a DAG node is by Action signature
 // (operation + canonical parameters); see dag/action.h.
+//
+// Direct edges are enough for the last two tests.  If a performed node has
+// an unperformed ancestor, the last unperformed node on the path between
+// them is a direct predecessor of a performed node, so checking direct
+// predecessors proves downward closure.  Once the performed set is
+// downward-closed, every path between two performed nodes stays inside it,
+// so history order respecting each direct edge respects every ancestor pair
+// by transitivity.  MatchIndex therefore tests one image in O(V+E).
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dag/dag.h"
@@ -46,13 +56,38 @@ struct MatchEvaluation {
   std::string failure_reason;
 };
 
-/// Evaluate the three tests for one image.
+/// A request DAG compiled once for matching many images against it: dense
+/// node indices (insertion order), a signature -> index map, direct
+/// predecessor lists and one topological order, all as indices.
+class MatchIndex {
+ public:
+  /// Fails if two nodes share a signature (the ConfigDag::signature_index
+  /// error) or if the DAG is cyclic (the topological_sort error).
+  static util::Result<MatchIndex> build(const ConfigDag& request);
+
+  /// The three tests for one image history, oldest action first, in
+  /// O(V+E).  Unknown signatures fail the Subset test; they are not errors.
+  MatchEvaluation evaluate(
+      const std::vector<std::string>& performed_signatures) const;
+
+  /// Node signatures in insertion order.
+  const std::vector<std::string>& signatures() const { return signatures_; }
+
+ private:
+  std::vector<std::string> ids_;
+  std::vector<std::string> signatures_;
+  std::unordered_map<std::string, std::size_t> by_signature_;
+  std::vector<std::vector<std::size_t>> predecessors_;
+  std::vector<std::size_t> topological_order_;
+};
+
+/// Evaluate the three tests for one image (MatchIndex build + evaluate).
 ///
 /// `performed_signatures` is the image's action history, oldest first.
-/// The request DAG must have unique signatures (ConfigDag::signature_index);
-/// an error is returned otherwise.  Unknown signatures in the history are
-/// not an error — they simply fail the Subset test, because the image has an
-/// operation the request does not want.
+/// The request DAG must be acyclic with unique signatures
+/// (ConfigDag::signature_index); an error is returned otherwise.  Unknown
+/// signatures in the history are not an error — they simply fail the Subset
+/// test, because the image has an operation the request does not want.
 util::Result<MatchEvaluation> evaluate_match(
     const ConfigDag& request,
     const std::vector<std::string>& performed_signatures);

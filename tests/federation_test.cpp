@@ -20,6 +20,12 @@
 namespace vmp {
 namespace {
 
+core::ShopConfig shop_config(const std::string& name) {
+  core::ShopConfig config;
+  config.name = name;
+  return config;
+}
+
 class FederationTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -130,7 +136,7 @@ TEST_F(FederationTest, SecondEstimateServedFromCacheWithZeroDownstreamMessages) 
   shard->add_member("cacheA0");
   shard->add_member("cacheA1");
 
-  core::VmShop shop(core::ShopConfig{.name = "shopA"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopA"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   const auto request = workload::workspace_request(64, 0, "d");
 
@@ -164,7 +170,7 @@ TEST_F(FederationTest, FederationRunsOverBinaryWireFormat) {
   federation::ShardBroker shard({.name = "fedshardBin"}, &binbus, &registry);
   shard.add_member("binM0");
   ASSERT_TRUE(shard.attach_to_bus().ok());
-  core::VmShop shop(core::ShopConfig{.name = "shopBin"}, &binbus, &registry);
+  core::VmShop shop(shop_config("shopBin"), &binbus, &registry);
   ASSERT_TRUE(shop.attach_to_bus().ok());
 
   const auto request = workload::workspace_request(64, 0, "d");
@@ -182,7 +188,7 @@ TEST_F(FederationTest, StaleEntryRefreshesAfterTtl) {
   auto shard = make_shard({.name = "fedshardB", .bid_ttl_s = 10.0});
   shard->add_member("ttlB0");
 
-  core::VmShop shop(core::ShopConfig{.name = "shopB"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopB"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   const auto request = workload::workspace_request(64, 0, "d");
 
@@ -202,7 +208,7 @@ TEST_F(FederationTest, RefreshAllSendsOneBatchMessagePerMember) {
   auto shard = make_shard({.name = "fedshardC", .bid_ttl_s = 5.0});
   for (const char* m : {"rfC0", "rfC1", "rfC2"}) shard->add_member(m);
 
-  core::VmShop shop(core::ShopConfig{.name = "shopC"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopC"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   // Prime two DAG-classes.
   ASSERT_EQ(shop.collect_bids(workload::workspace_request(32, 0, "d")).size(),
@@ -238,7 +244,7 @@ TEST_F(FederationTest, AggregateBidIsCheapestMemberPlusMarkup) {
   auto shard = make_shard({.name = "fedshardD", .bid_markup = 3.5});
   shard->add_member("mkD0");
   shard->add_member("mkD1");
-  core::VmShop shop(core::ShopConfig{.name = "shopD"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopD"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   auto bids = shop.collect_bids(request);
   ASSERT_EQ(bids.size(), 1u);
@@ -255,7 +261,7 @@ TEST_F(FederationTest, DrainedHeadroomScalesBidsUp) {
   config.subtree_budget_bytes = 1000;
   auto shard = make_shard(config);
   shard->add_member("hrE0");
-  core::VmShop shop(core::ShopConfig{.name = "shopE"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopE"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   const auto request = workload::workspace_request(64, 0, "d");
 
@@ -292,7 +298,7 @@ TEST_F(FederationTest, CreateQueryCollectRouteThroughShard) {
   auto shard = make_shard({.name = "fedshardF"});
   shard->add_member("rtF0");
   shard->add_member("rtF1");
-  core::VmShop shop(core::ShopConfig{.name = "shopF"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopF"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
 
   auto ad = shop.create(workload::workspace_request(64, 0, "d"));
@@ -314,7 +320,7 @@ TEST_F(FederationTest, StaleMisrouteFallsBackToNextMemberAndInvalidates) {
   auto shard = make_shard({.name = "fedshardG", .bid_ttl_s = 1000.0});
   shard->add_member("fbG0");
   shard->add_member("fbG1");
-  core::VmShop shop(core::ShopConfig{.name = "shopG"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopG"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   const auto request = workload::workspace_request(64, 0, "d");
   const std::string key = federation::dag_class_key(request);
@@ -340,7 +346,7 @@ TEST_F(FederationTest, DeadShardFaultsCreateAndShopFailsOverToSurvivor) {
   shard_a->add_member("svH0");
   auto shard_b = make_shard({.name = "fedshardH1"});
   shard_b->add_member("svH1");
-  core::VmShop shop(core::ShopConfig{.name = "shopH"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopH"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   const auto request = workload::workspace_request(64, 0, "d");
 
@@ -362,7 +368,7 @@ TEST_F(FederationTest, DeadBrokerDegradesToDirectBiddingAgainstSurvivors) {
   shard_a->add_member("dgI0");
   auto shard_b = make_shard({.name = "fedshardI1"});
   shard_b->add_member("dgI1");
-  core::VmShop shop(core::ShopConfig{.name = "shopI"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopI"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   const auto request = workload::workspace_request(64, 0, "d");
   ASSERT_EQ(shop.collect_bids(request).size(), 2u);
@@ -390,7 +396,7 @@ TEST_F(FederationTest, VanishedPlantIsSkippedNotFatal) {
   ghost.address = "ghostJ";
   registry_.publish(ghost);
 
-  core::VmShop shop(core::ShopConfig{.name = "shopJ"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopJ"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   auto bids = shop.collect_bids(workload::workspace_request(64, 0, "d"));
   ASSERT_EQ(bids.size(), 1u);
@@ -429,7 +435,7 @@ TEST_F(FederationTest, FleetSweepPublishesPerShardBrokerAds) {
   auto shard = make_shard({.name = "fedshardL"});
   shard->add_member("flL0");
   shard->add_member("flL1");
-  core::VmShop shop(core::ShopConfig{.name = "shopL"}, &bus_, &registry_);
+  core::VmShop shop(shop_config("shopL"), &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
   auto ad = shop.create(workload::workspace_request(64, 0, "d"));
   ASSERT_TRUE(ad.ok()) << ad.error().to_string();
@@ -472,7 +478,7 @@ class VmBrokerSeedTest : public FederationTest {
     broker_->add_member("seedM1");
     ASSERT_TRUE(broker_->attach_to_bus().ok());
     shop_ = std::make_unique<core::VmShop>(
-        core::ShopConfig{.name = "seedshop"}, &bus_, &registry_);
+        shop_config("seedshop"), &bus_, &registry_);
     ASSERT_TRUE(shop_->attach_to_bus().ok());
   }
   void TearDown() override {

@@ -251,7 +251,12 @@ TEST(ExportTest, MetricsAdCarriesCountersTimersAndHitRatio) {
   snap.counters["ppp.plan_hit.count"] = 3;
   snap.counters["ppp.plan_miss.count"] = 1;
   snap.gauges["vm.active.gauge"] = 2;
-  snap.timers["bus.call.seconds"] = obs::TimerStats{4, 2.0, 0.5, 0.1, 0.9};
+  obs::TimerStats& call = snap.timers["bus.call.seconds"];
+  call.count = 4;
+  call.sum_s = 2.0;
+  call.mean_s = 0.5;
+  call.min_s = 0.1;
+  call.max_s = 0.9;
 
   classad::ClassAd ad = obs::metrics_ad(snap, util::FaultReport{});
   EXPECT_EQ(ad.get_string(obs::export_attrs::kKind).value(), "metrics");

@@ -10,6 +10,7 @@
 #include <set>
 
 #include "core/plant.h"
+#include "core/ppp.h"
 #include "core/request.h"
 #include "core/shop.h"
 #include "dag/dag_xml.h"
@@ -181,6 +182,441 @@ INSTANTIATE_TEST_SUITE_P(
                       DagShape{5, 3, 6, 0.2}, DagShape{6, 6, 2, 0.7},
                       DagShape{7, 2, 8, 0.4}, DagShape{8, 8, 2, 0.3},
                       DagShape{9, 4, 5, 0.5}, DagShape{10, 5, 5, 0.25}));
+
+// =====================================================================
+// Differential tests: the O(V+E) topological sort and MatchIndex against
+// reference copies of the algorithms they replaced.
+// =====================================================================
+
+/// The repeated-pass Kahn sort the O(V+E) version replaced: scan the
+/// insertion order, emit every node whose predecessors are all emitted,
+/// repeat until done; on no progress, name the first unemitted node.
+util::Result<std::vector<std::string>> reference_topological_sort(
+    const dag::ConfigDag& d) {
+  std::map<std::string, std::size_t> in_degree;
+  for (const std::string& id : d.node_ids()) {
+    in_degree[id] = d.predecessors(id).size();
+  }
+  std::vector<std::string> result;
+  std::set<std::string> emitted;
+  while (result.size() < d.size()) {
+    bool progressed = false;
+    for (const std::string& id : d.node_ids()) {
+      if (emitted.count(id) || in_degree[id] != 0) continue;
+      result.push_back(id);
+      emitted.insert(id);
+      for (const std::string& succ : d.successors(id)) --in_degree[succ];
+      progressed = true;
+    }
+    if (!progressed) {
+      std::string member;
+      for (const std::string& id : d.node_ids()) {
+        if (!emitted.count(id)) {
+          member = id;
+          break;
+        }
+      }
+      return util::Result<std::vector<std::string>>(util::Error(
+          util::ErrorCode::kInvalidArgument,
+          "configuration DAG contains a cycle through '" + member + "'"));
+    }
+  }
+  return result;
+}
+
+/// The ancestor-walking matcher MatchIndex replaced: Prefix and Partial
+/// Order check every ancestor of every performed node.
+util::Result<dag::MatchEvaluation> reference_evaluate_match(
+    const dag::ConfigDag& request, const std::vector<std::string>& performed) {
+  auto index_result = request.signature_index();
+  if (!index_result.ok()) return index_result.propagate<dag::MatchEvaluation>();
+  const std::map<std::string, std::string>& sig_to_node = index_result.value();
+  dag::MatchEvaluation eval;
+
+  std::vector<std::string> performed_nodes;
+  std::set<std::string> performed_set;
+  eval.subset_ok = true;
+  for (const std::string& sig : performed) {
+    auto it = sig_to_node.find(sig);
+    if (it == sig_to_node.end()) {
+      eval.subset_ok = false;
+      eval.failure_reason =
+          "subset test failed: image performed unrequested action '" + sig + "'";
+      break;
+    }
+    if (!performed_set.insert(it->second).second) {
+      eval.subset_ok = false;
+      eval.failure_reason =
+          "subset test failed: image performed action '" + sig + "' twice";
+      break;
+    }
+    performed_nodes.push_back(it->second);
+  }
+  if (!eval.subset_ok) return eval;
+
+  eval.prefix_ok = true;
+  for (const std::string& node : performed_nodes) {
+    for (const std::string& ancestor : request.ancestors(node)) {
+      if (!performed_set.count(ancestor)) {
+        eval.prefix_ok = false;
+        eval.failure_reason = "prefix test failed: image performed '" + node +
+                              "' without its predecessor '" + ancestor + "'";
+        break;
+      }
+    }
+    if (!eval.prefix_ok) break;
+  }
+  if (!eval.prefix_ok) return eval;
+
+  std::map<std::string, std::size_t> history_position;
+  for (std::size_t i = 0; i < performed_nodes.size(); ++i) {
+    history_position[performed_nodes[i]] = i;
+  }
+  eval.partial_order_ok = true;
+  for (const std::string& node : performed_nodes) {
+    for (const std::string& ancestor : request.ancestors(node)) {
+      if (history_position.at(ancestor) > history_position.at(node)) {
+        eval.partial_order_ok = false;
+        eval.failure_reason = "partial order test failed: image performed '" +
+                              node + "' before its predecessor '" + ancestor +
+                              "'";
+        break;
+      }
+    }
+    if (!eval.partial_order_ok) break;
+  }
+  if (!eval.partial_order_ok) return eval;
+
+  eval.satisfied_nodes = performed_nodes;
+  auto topo = reference_topological_sort(request);
+  if (!topo.ok()) return topo.propagate<dag::MatchEvaluation>();
+  for (const std::string& id : topo.value()) {
+    if (!performed_set.count(id)) eval.remaining_plan.push_back(id);
+  }
+  return eval;
+}
+
+template <typename T>
+void shuffle(std::vector<T>* items, util::SplitMix64* rng) {
+  for (std::size_t i = items->size(); i > 1; --i) {
+    std::swap((*items)[i - 1], (*items)[rng->next_below(i)]);
+  }
+}
+
+/// The same graph with nodes and edges inserted in a shuffled order.
+dag::ConfigDag insertion_shuffled(const dag::ConfigDag& d,
+                                  util::SplitMix64* rng) {
+  std::vector<std::string> ids = d.node_ids();
+  shuffle(&ids, rng);
+  std::vector<std::pair<std::string, std::string>> edges;
+  for (const std::string& id : d.node_ids()) {
+    for (const std::string& succ : d.successors(id)) edges.emplace_back(id, succ);
+  }
+  shuffle(&edges, rng);
+  dag::ConfigDag out;
+  for (const std::string& id : ids) EXPECT_TRUE(out.add_action(*d.action(id)).ok());
+  for (const auto& [from, to] : edges) EXPECT_TRUE(out.add_edge(from, to).ok());
+  return out;
+}
+
+std::string failure_test(const std::string& reason) {
+  return reason.substr(0, reason.find(':'));
+}
+
+void expect_same_evaluation(const dag::ConfigDag& d,
+                            const std::vector<std::string>& history) {
+  auto want = reference_evaluate_match(d, history);
+  auto got = dag::evaluate_match(d, history);
+  ASSERT_EQ(want.ok(), got.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(want.error().message(), got.error().message());
+    return;
+  }
+  const dag::MatchEvaluation& w = want.value();
+  const dag::MatchEvaluation& g = got.value();
+  EXPECT_EQ(w.subset_ok, g.subset_ok);
+  EXPECT_EQ(w.prefix_ok, g.prefix_ok);
+  EXPECT_EQ(w.partial_order_ok, g.partial_order_ok);
+  EXPECT_EQ(w.satisfied_nodes, g.satisfied_nodes);
+  EXPECT_EQ(w.remaining_plan, g.remaining_plan);
+  EXPECT_EQ(failure_test(w.failure_reason), failure_test(g.failure_reason))
+      << "reference: " << w.failure_reason << "\nindex: " << g.failure_reason;
+  if (!w.subset_ok) {
+    EXPECT_EQ(w.failure_reason, g.failure_reason);
+  }
+}
+
+class DifferentialDag : public ::testing::TestWithParam<DagShape> {
+ protected:
+  dag::ConfigDag make() const {
+    const DagShape& s = GetParam();
+    return workload::random_layered_dag(s.seed, s.layers, s.width, s.density);
+  }
+};
+
+TEST_P(DifferentialDag, TopologicalSortMatchesRepeatedPassSort) {
+  util::SplitMix64 rng(GetParam().seed ^ 0x5eed);
+  const dag::ConfigDag base = make();
+  std::vector<dag::ConfigDag> graphs{base};
+  for (int i = 0; i < 8; ++i) graphs.push_back(insertion_shuffled(base, &rng));
+  for (const dag::ConfigDag& d : graphs) {
+    auto want = reference_topological_sort(d);
+    auto got = d.topological_sort();
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(want.value(), got.value());
+  }
+}
+
+TEST_P(DifferentialDag, CycleErrorNamesTheSameNode) {
+  util::SplitMix64 rng(GetParam().seed ^ 0xc7c1e);
+  const dag::ConfigDag base = make();
+  for (int i = 0; i < 8; ++i) {
+    dag::ConfigDag d = insertion_shuffled(base, &rng);
+    // Close a cycle: an edge from some descendant back to its ancestor.
+    const std::vector<std::string>& ids = d.node_ids();
+    std::string from;
+    std::string to;
+    for (std::size_t tries = 0; tries < 4 * ids.size() && from.empty(); ++tries) {
+      const std::string& candidate = ids[rng.next_below(ids.size())];
+      const std::set<std::string> below = d.descendants(candidate);
+      if (below.empty()) continue;
+      auto it = below.begin();
+      std::advance(it, rng.next_below(below.size()));
+      if (d.successors(*it).count(candidate)) continue;
+      from = *it;
+      to = candidate;
+    }
+    ASSERT_FALSE(from.empty());
+    ASSERT_TRUE(d.add_edge(from, to).ok());
+    auto want = reference_topological_sort(d);
+    auto got = d.topological_sort();
+    ASSERT_FALSE(want.ok());
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(want.error().code(), got.error().code());
+    EXPECT_EQ(want.error().message(), got.error().message());
+    EXPECT_FALSE(dag::evaluate_match(d, {}).ok());
+  }
+}
+
+TEST_P(DifferentialDag, MatchIndexAgreesWithAncestorWalks) {
+  util::SplitMix64 rng(GetParam().seed ^ 0xd1ff);
+  const dag::ConfigDag base = make();
+  for (const dag::ConfigDag& d : {base, insertion_shuffled(base, &rng)}) {
+    const std::vector<std::string> order = d.topological_sort().value();
+    auto sig = [&d](const std::string& id) { return d.action(id)->signature(); };
+    std::vector<std::vector<std::string>> histories{{}};
+    for (std::size_t take = 0; take <= order.size(); ++take) {
+      std::vector<std::string> prefix;
+      for (std::size_t i = 0; i < take; ++i) prefix.push_back(sig(order[i]));
+      histories.push_back(prefix);
+      if (take == 0) continue;
+
+      std::vector<std::string> shuffled = prefix;
+      shuffle(&shuffled, &rng);
+      histories.push_back(shuffled);
+
+      // Drop an early (deep) ancestor from the prefix.
+      std::vector<std::string> dropped = prefix;
+      dropped.erase(dropped.begin() +
+                    static_cast<std::ptrdiff_t>(rng.next_below(take / 2 + 1)));
+      histories.push_back(dropped);
+
+      std::vector<std::string> duplicate = prefix;
+      duplicate.insert(duplicate.begin() + static_cast<std::ptrdiff_t>(
+                                               rng.next_below(take + 1)),
+                       prefix[rng.next_below(take)]);
+      histories.push_back(duplicate);
+
+      std::vector<std::string> unknown = prefix;
+      unknown.insert(
+          unknown.begin() +
+              static_cast<std::ptrdiff_t>(rng.next_below(take + 1)),
+          "alien-op{x=1}");
+      histories.push_back(unknown);
+    }
+    // Random downward-closed sets in topological order, and swapped pairs.
+    for (int round = 0; round < 8; ++round) {
+      std::set<std::string> closed;
+      std::vector<std::string> history;
+      for (const std::string& id : order) {
+        bool all_preds = true;
+        for (const std::string& p : d.predecessors(id)) {
+          if (!closed.count(p)) all_preds = false;
+        }
+        if (all_preds && rng.bernoulli(0.6)) {
+          closed.insert(id);
+          history.push_back(sig(id));
+        }
+      }
+      histories.push_back(history);
+      if (history.size() >= 2) {
+        const std::size_t i = rng.next_below(history.size() - 1);
+        std::swap(history[i], history[i + 1]);
+        histories.push_back(history);
+      }
+    }
+    for (const auto& history : histories) {
+      SCOPED_TRACE("history of " + std::to_string(history.size()));
+      expect_same_evaluation(d, history);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DifferentialDag,
+    ::testing::Values(DagShape{1, 2, 2, 0.5}, DagShape{2, 3, 3, 0.4},
+                      DagShape{3, 4, 4, 0.3}, DagShape{4, 5, 3, 0.6},
+                      DagShape{6, 6, 2, 0.7}, DagShape{8, 8, 2, 0.3},
+                      DagShape{20040621, 8, 8, 0.25}));
+
+TEST(DifferentialDagTest, DuplicateSignatureErrorIsUnchanged) {
+  dag::ConfigDag d;
+  ASSERT_TRUE(d.add_action(dag::Action("A", "op")).ok());
+  ASSERT_TRUE(d.add_action(dag::Action("B", "op")).ok());
+  for (const std::vector<std::string>& history :
+       {std::vector<std::string>{}, std::vector<std::string>{"op{}"}}) {
+    auto want = reference_evaluate_match(d, history);
+    auto got = dag::evaluate_match(d, history);
+    ASSERT_FALSE(want.ok());
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(want.error().message(), got.error().message());
+  }
+}
+
+/// The PPP over a deep prefix catalog (one 64-node DAG, goldens on its
+/// topological prefixes plus goldens that fail each test) picks the golden,
+/// plan and match-kind counts the reference matcher implies.
+class PppPrefixCatalog : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  void SetUp() override {
+    root_ = std::filesystem::temp_directory_path() /
+            ("vmp-prop-ppp-" + std::to_string(::getpid()) + "-" +
+             std::to_string(GetParam()));
+    std::filesystem::remove_all(root_);
+    store_ = std::make_unique<storage::ArtifactStore>(root_);
+    warehouse_ = std::make_unique<warehouse::Warehouse>(store_.get(), "warehouse");
+  }
+  void TearDown() override {
+    warehouse_.reset();
+    store_.reset();
+    std::filesystem::remove_all(root_);
+  }
+
+  void publish(const std::string& id, const std::vector<std::string>& performed) {
+    storage::MachineSpec spec;
+    spec.os = "linux";
+    spec.memory_bytes = 64ull << 20;
+    spec.suspended = true;
+    spec.disk = {"disk0", 2048ull << 20, 4, storage::DiskMode::kNonPersistent};
+    hv::GuestState guest;
+    guest.os = "linux";
+    ASSERT_TRUE(warehouse_->publish_new(id, "vmware-gsx", spec, guest, performed).ok());
+    catalog_[id] = performed;
+  }
+
+  std::filesystem::path root_;
+  std::unique_ptr<storage::ArtifactStore> store_;
+  std::unique_ptr<warehouse::Warehouse> warehouse_;
+  std::map<std::string, std::vector<std::string>> catalog_;  // id order
+};
+
+TEST_P(PppPrefixCatalog, PlanAndMatchCountsEqualTheReference) {
+  util::SplitMix64 rng(GetParam());
+  const dag::ConfigDag shape = workload::random_layered_dag(GetParam(), 8, 8, 0.25);
+  const std::vector<std::string> order = shape.topological_sort().value();
+  auto sig = [&shape](const std::string& id) {
+    return shape.action(id)->signature();
+  };
+  constexpr std::size_t kGoldens = 16;
+  constexpr std::size_t kSuffix = 4;
+  const std::size_t step = (order.size() - kSuffix) / (kGoldens - 1);
+  for (std::size_t k = 0; k < kGoldens; ++k) {
+    std::vector<std::string> performed;
+    for (std::size_t n = 0; n < k * step; ++n) performed.push_back(sig(order[n]));
+    char id[32];
+    std::snprintf(id, sizeof id, "golden-deep-%02zu", k);
+    publish(id, performed);
+  }
+  std::vector<std::string> deep;
+  for (std::size_t n = 0; n + kSuffix < order.size(); ++n) deep.push_back(sig(order[n]));
+  std::vector<std::string> shuffled = deep;
+  shuffle(&shuffled, &rng);
+  publish("golden-bad-order", shuffled);
+  std::vector<std::string> dropped = deep;
+  dropped.erase(dropped.begin() + 1);
+  publish("golden-bad-prefix", dropped);
+  std::vector<std::string> twice = deep;
+  twice.push_back(deep.front());
+  publish("golden-bad-twice", twice);
+  std::vector<std::string> alien = deep;
+  alien.push_back("alien-op{x=1}");
+  publish("golden-bad-alien", alien);
+
+  // The request: the same DAG with the uncached suffix's parameters
+  // varied, so no golden matches fully and every candidate is evaluated.
+  core::CreateRequest request = workload::workspace_request(64, 0, "ufl.edu");
+  request.hardware.os = "linux";
+  const std::set<std::string> suffix(order.end() - kSuffix, order.end());
+  dag::ConfigDag config;
+  for (const std::string& id : shape.node_ids()) {
+    dag::Action action = *shape.action(id);
+    if (suffix.count(id)) action.set_param("package", "pkg-" + id + "-req");
+    ASSERT_TRUE(config.add_action(std::move(action)).ok());
+  }
+  for (const std::string& id : shape.node_ids()) {
+    for (const std::string& next : shape.successors(id)) {
+      ASSERT_TRUE(config.add_edge(id, next).ok());
+    }
+  }
+  request.config = config;
+
+  std::string want_golden;
+  dag::MatchEvaluation want_eval;
+  std::map<std::string, std::uint64_t> want_counts;
+  for (const auto& [id, performed] : catalog_) {
+    auto eval = reference_evaluate_match(request.config, performed);
+    ASSERT_TRUE(eval.ok());
+    const dag::MatchEvaluation& e = eval.value();
+    if (e.matches()) {
+      ++want_counts["ppp.match_hit.count"];
+      if (want_golden.empty() ||
+          e.satisfied_nodes.size() > want_eval.satisfied_nodes.size()) {
+        want_golden = id;
+        want_eval = e;
+      }
+    } else if (!e.subset_ok) {
+      ++want_counts["ppp.match_subset_fail.count"];
+    } else if (!e.prefix_ok) {
+      ++want_counts["ppp.match_prefix_fail.count"];
+    } else {
+      ++want_counts["ppp.match_order_fail.count"];
+    }
+  }
+  EXPECT_EQ(want_counts["ppp.match_hit.count"], kGoldens);
+  EXPECT_EQ(want_counts["ppp.match_subset_fail.count"], 2u);
+  EXPECT_EQ(want_counts["ppp.match_prefix_fail.count"], 1u);
+  EXPECT_EQ(want_counts["ppp.match_order_fail.count"], 1u);
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  std::map<std::string, std::uint64_t> before;
+  for (const auto& [name, count] : want_counts) {
+    before[name] = metrics.counter(name)->value();
+  }
+  core::ProductionProcessPlanner ppp(warehouse_.get());
+  auto plan = ppp.plan(request);
+  ASSERT_TRUE(plan.ok()) << plan.error().to_string();
+  EXPECT_EQ(plan.value().golden.id, want_golden);
+  EXPECT_EQ(plan.value().satisfied_nodes, want_eval.satisfied_nodes);
+  EXPECT_EQ(plan.value().remaining_plan, want_eval.remaining_plan);
+  EXPECT_EQ(plan.value().hardware_candidates, catalog_.size());
+  for (const auto& [name, count] : want_counts) {
+    EXPECT_EQ(metrics.counter(name)->value() - before[name], count) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PppPrefixCatalog,
+                         ::testing::Values(20040621u, 7u, 11u));
 
 // =====================================================================
 // Ranking properties.

@@ -110,7 +110,9 @@ TEST_F(ShopTest, QueryRoutedAndBroadcast) {
   EXPECT_EQ(q.value().get_string(attrs::kVmId).value(), vm_id);
 
   // A second shop with no routing cache finds the VM by broadcast.
-  VmShop shop2(ShopConfig{.name = "vmshop2"}, &bus_, &registry_);
+  ShopConfig config2;
+  config2.name = "vmshop2";
+  VmShop shop2(config2, &bus_, &registry_);
   auto q2 = shop2.query(vm_id);
   ASSERT_TRUE(q2.ok());
   EXPECT_EQ(q2.value().get_string(attrs::kVmId).value(), vm_id);
