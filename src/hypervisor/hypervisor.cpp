@@ -29,6 +29,36 @@ Result<VmInstance*> Hypervisor::find_mutable(const std::string& vm_id) {
   return &it->second;
 }
 
+namespace {
+
+bool is_active(PowerState power) { return power != PowerState::kDestroyed; }
+
+bool is_resident(PowerState power) {
+  return power == PowerState::kRunning || power == PowerState::kSuspended;
+}
+
+}  // namespace
+
+void Hypervisor::set_power(VmInstance* vm, PowerState next) {
+  const PowerState prev = vm->power;
+  active_count_ += is_active(next);
+  active_count_ -= is_active(prev);
+  if (is_resident(next)) resident_bytes_ += vm->spec.memory_bytes;
+  if (is_resident(prev)) resident_bytes_ -= vm->spec.memory_bytes;
+  vm->power = next;
+}
+
+bool Hypervisor::register_instance(VmInstance vm) {
+  const PowerState power = vm.power;
+  std::string id = vm.id;
+  auto [it, inserted] = instances_.emplace(std::move(id), std::move(vm));
+  if (!inserted) return false;
+  // Count it as a transition out of nothing (kDestroyed adds nothing).
+  it->second.power = PowerState::kDestroyed;
+  set_power(&it->second, power);
+  return true;
+}
+
 const VmInstance* Hypervisor::find(const std::string& vm_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = instances_.find(vm_id);
@@ -59,23 +89,12 @@ std::size_t Hypervisor::instance_count() const {
 
 std::size_t Hypervisor::active_instances() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& [id, vm] : instances_) {
-    if (vm.power != PowerState::kDestroyed) ++count;
-  }
-  return count;
+  return active_count_;
 }
 
 std::uint64_t Hypervisor::resident_memory_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [id, vm] : instances_) {
-    if (vm.power == PowerState::kRunning ||
-        vm.power == PowerState::kSuspended) {
-      total += vm.spec.memory_bytes;
-    }
-  }
-  return total;
+  return resident_bytes_;
 }
 
 Result<std::string> Hypervisor::clone_vm(const CloneSource& source,
@@ -141,7 +160,7 @@ Result<std::string> Hypervisor::clone_vm(const CloneSource& source,
   bool registered;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    registered = instances_.emplace(vm_id, std::move(vm)).second;
+    registered = register_instance(std::move(vm));
   }
   if (!registered) {
     // Lost a registration race on the same id (ids are generator-unique, so
@@ -200,7 +219,7 @@ Result<std::string> Hypervisor::import_vm(const std::string& clone_dir,
   bool registered;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    registered = instances_.emplace(vm_id, std::move(vm)).second;
+    registered = register_instance(std::move(vm));
   }
   if (!registered) {
     if (leased) lease_hook_->release(golden_id);
@@ -230,7 +249,7 @@ Status Hypervisor::start_vm(const std::string& vm_id) {
     return fault;
   }
   VMP_RETURN_IF_ERROR(do_start(vm.value()));
-  vm.value()->power = PowerState::kRunning;
+  set_power(vm.value(), PowerState::kRunning);
   return Status();
 }
 
@@ -253,7 +272,7 @@ Status Hypervisor::suspend_vm(const std::string& vm_id) {
   auto gs = store_->write_file(vm.value()->layout.dir + "/guest.state",
                                render_guest_state(vm.value()->guest));
   if (!gs.ok()) return gs.error();
-  vm.value()->power = PowerState::kSuspended;
+  set_power(vm.value(), PowerState::kSuspended);
   return Status();
 }
 
@@ -271,7 +290,7 @@ Status Hypervisor::power_off(const std::string& vm_id) {
         vm.value()->layout.base_redo_path(vm.value()->spec.disk), "");
     if (!redo.ok()) return redo.error();
   }
-  vm.value()->power = PowerState::kStopped;
+  set_power(vm.value(), PowerState::kStopped);
   return Status();
 }
 
@@ -291,7 +310,7 @@ Status Hypervisor::destroy_vm(const std::string& vm_id) {
     golden_id = vm.value()->golden_id;
     prev_power = vm.value()->power;
     prev_isos = std::move(vm.value()->connected_isos);
-    vm.value()->power = PowerState::kDestroyed;
+    set_power(vm.value(), PowerState::kDestroyed);
     vm.value()->connected_isos.clear();
   }
   auto removed = storage::destroy_clone(store_, dir);
@@ -302,7 +321,7 @@ Status Hypervisor::destroy_vm(const std::string& vm_id) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = instances_.find(vm_id);
     if (it != instances_.end()) {
-      it->second.power = prev_power;
+      set_power(&it->second, prev_power);
       it->second.connected_isos = std::move(prev_isos);
     }
     return removed.error();

@@ -151,9 +151,12 @@ class Hypervisor {
   std::optional<VmInstance> snapshot_vm(const std::string& vm_id) const;
   std::vector<std::string> instance_ids() const;
   std::size_t instance_count() const;
-  /// Non-destroyed instances (the plant's capacity unit).
+  /// Non-destroyed instances (the plant's capacity unit).  O(1): a counter
+  /// kept in step with every power transition, since the table retains
+  /// destroyed instances and plants ask on every bid and create.
   std::size_t active_instances() const;
-  /// Sum of configured memory of non-destroyed instances (bytes).
+  /// Sum of configured memory of Running and Suspended instances (bytes).
+  /// O(1), like active_instances().
   std::uint64_t resident_memory_bytes() const;
 
   // -- Fault injection ------------------------------------------------------
@@ -180,6 +183,13 @@ class Hypervisor {
 
   /// Must be called with mutex_ held.
   util::Result<VmInstance*> find_mutable(const std::string& vm_id);
+  /// Moves `vm` to `next` and updates the load counters.  Every power
+  /// change goes through here.  Must be called with mutex_ held.
+  void set_power(VmInstance* vm, PowerState next);
+  /// Registers a new instance (its power as set by the caller) and counts
+  /// it.  Returns false when the id is taken.  Must be called with mutex_
+  /// held.
+  bool register_instance(VmInstance vm);
 
   storage::ArtifactStore* store_;
   /// Guards the instance table and every registered instance's fields.
@@ -189,6 +199,10 @@ class Hypervisor {
   /// creations overlap on one plant (DESIGN.md §10).
   mutable std::mutex mutex_;
   std::map<std::string, VmInstance> instances_;
+  /// Load counters over instances_ (see active_instances()), updated only
+  /// by set_power() and register_instance().
+  std::size_t active_count_ = 0;
+  std::uint64_t resident_bytes_ = 0;
   std::map<std::string, bool> start_failures_;
   GuestAgent agent_;
   std::map<std::string, std::uint32_t> iso_counters_;

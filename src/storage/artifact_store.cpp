@@ -1,12 +1,16 @@
 #include "storage/artifact_store.h"
 
 #include <algorithm>
-#include <fstream>
+#include <cerrno>
+#include <cstring>
+#include <memory>
+#include <string_view>
 #include <system_error>
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
-
-#include <optional>
+#include <unistd.h>
 
 #include "fault/fault.h"
 
@@ -18,15 +22,172 @@ using util::ErrorCode;
 using util::Result;
 using util::Status;
 
+// The hot operations (clone artefacts, ISO writes, collect) run on plain
+// POSIX calls: one open per file, no std::filesystem status probes, parent
+// directories created only when an open reports them missing.  DESIGN.md
+// §17 lists the syscall budget per operation.
+
 namespace {
 
-/// Allocated 512-byte blocks of a file (follows symlinks), or nullopt when
-/// the platform call fails.  Used to detect sparse sources in copy_file.
-std::optional<std::uint64_t> sparse_block_hint(const fs::path& path) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-  return static_cast<std::uint64_t>(st.st_blocks);
+/// Owns one file descriptor and closes it on every exit path.
+class Fd {
+ public:
+  explicit Fd(int fd) : fd_(fd) {}
+  ~Fd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+
+  int get() const { return fd_; }
+  bool ok() const { return fd_ >= 0; }
+
+ private:
+  int fd_;
+};
+
+/// Runs `call` (an open/symlink returning < 0 on failure); when it fails
+/// with ENOENT, creates the parent directories of `path` and retries once.
+template <typename Call>
+int with_parent_dirs(const fs::path& path, Call call) {
+  int rc = call();
+  if (rc < 0 && errno == ENOENT) {
+    std::error_code ec;
+    fs::create_directories(path.parent_path(), ec);
+    rc = call();
+  }
+  return rc;
 }
+
+int open_for_write(const fs::path& path, int flags, mode_t mode) {
+  return with_parent_dirs(path, [&] {
+    return ::open(path.c_str(), flags | O_WRONLY | O_CLOEXEC, mode);
+  });
+}
+
+bool write_all(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Opens the copy target: a new file (the clone path) costs one call.  An
+/// existing target is truncated unless it is the source itself (reached
+/// through a symlink, say), which would lose the source's bytes.
+int open_copy_target(const fs::path& path, const struct stat& source) {
+  const mode_t mode = source.st_mode & 07777;
+  const int fd = open_for_write(path, O_CREAT | O_EXCL, mode);
+  if (fd >= 0 || errno != EEXIST) return fd;
+  const int existing =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, mode);
+  if (existing < 0) return -1;
+  struct stat st {};
+  int failure = 0;
+  if (::fstat(existing, &st) != 0) {
+    failure = errno;
+  } else if (st.st_dev == source.st_dev && st.st_ino == source.st_ino) {
+    failure = EEXIST;
+  } else if (::ftruncate(existing, 0) != 0) {
+    failure = errno;
+  }
+  if (failure == 0) return existing;
+  ::close(existing);
+  errno = failure;
+  return -1;
+}
+
+/// Copies `size` bytes in the kernel with copy_file_range; falls back to a
+/// read/write loop where the kernel or file system cannot (cross-device,
+/// old kernels, special files).  Stops early if the source shrinks.
+bool copy_bytes(int in, int out, std::uint64_t size) {
+  std::unique_ptr<char[]> buffer;
+  constexpr std::size_t kChunk = 1 << 16;
+  while (size > 0) {
+    ssize_t n = 0;
+    if (!buffer) {
+      n = ::copy_file_range(in, nullptr, out, nullptr, size, 0);
+      if (n < 0 && (errno == EXDEV || errno == ENOSYS ||
+                    errno == EOPNOTSUPP || errno == EINVAL)) {
+        buffer = std::make_unique<char[]>(kChunk);
+        continue;
+      }
+    } else {
+      n = ::read(in, buffer.get(), std::min<std::uint64_t>(size, kChunk));
+      if (n > 0 && !write_all(out, buffer.get(), static_cast<std::size_t>(n))) {
+        return false;
+      }
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    if (n == 0) break;
+    size -= static_cast<std::uint64_t>(n);
+  }
+  return true;
+}
+
+/// Measures and deletes everything under the open directory `dir` (taken
+/// over and closed here), one fstatat + unlinkat per regular file and one
+/// unlinkat per link.  Never follows a symlink: a link is removed itself
+/// and charges nothing, and subdirectories are opened O_NOFOLLOW, so the
+/// walk cannot leave the tree.  Returns false with errno set on failure.
+bool drain_directory(int dir, TreeFootprint& fp) {
+  DIR* stream = ::fdopendir(dir);
+  if (stream == nullptr) {
+    const int saved = errno;
+    ::close(dir);
+    errno = saved;
+    return false;
+  }
+  // Every failing call below leaves errno set; a finished walk leaves 0.
+  errno = 0;
+  while (const dirent* entry = ::readdir(stream)) {
+    const char* name = entry->d_name;
+    if (std::strcmp(name, ".") == 0 || std::strcmp(name, "..") == 0) continue;
+    unsigned char type = entry->d_type;
+    off_t size = 0;
+    if (type == DT_REG || type == DT_UNKNOWN) {
+      struct stat st {};
+      if (::fstatat(dir, name, &st, AT_SYMLINK_NOFOLLOW) != 0) break;
+      type = IFTODT(st.st_mode);
+      size = st.st_size;
+    }
+    int unlink_flags = 0;
+    if (type == DT_DIR) {
+      const int sub =
+          ::openat(dir, name, O_RDONLY | O_DIRECTORY | O_NOFOLLOW | O_CLOEXEC);
+      if (sub < 0 || !drain_directory(sub, fp)) break;
+      unlink_flags = AT_REMOVEDIR;
+    } else if (type == DT_LNK) {
+      ++fp.links;
+    } else if (type == DT_REG) {
+      ++fp.files;
+      fp.physical_bytes += static_cast<std::uint64_t>(size);
+    }
+    if (::unlinkat(dir, name, unlink_flags) != 0) break;
+  }
+  const int saved = errno;
+  ::closedir(stream);
+  errno = saved;
+  return saved == 0;
+}
+
+bool has_parent_component(std::string_view path) {
+  std::size_t start = 0;
+  while (start <= path.size()) {
+    std::size_t end = path.find('/', start);
+    if (end == std::string_view::npos) end = path.size();
+    if (path.substr(start, end - start) == "..") return true;
+    start = end + 1;
+  }
+  return false;
+}
+
+std::string errno_text() { return std::generic_category().message(errno); }
 
 }  // namespace
 
@@ -41,23 +202,21 @@ IoAccounting& IoAccounting::operator+=(const IoAccounting& other) {
 
 ArtifactStore::ArtifactStore(fs::path root) : root_(std::move(root)) {
   fs::create_directories(root_);
+  absolute_root_ = fs::absolute(root_);
 }
 
 Result<fs::path> ArtifactStore::resolve(const std::string& relative) const {
-  const fs::path p(relative);
-  if (p.is_absolute()) {
+  if (!relative.empty() && relative.front() == '/') {
     return Result<fs::path>(
         Error(ErrorCode::kInvalidArgument,
               "absolute path not allowed in store: " + relative));
   }
-  for (const auto& part : p) {
-    if (part == "..") {
-      return Result<fs::path>(
-          Error(ErrorCode::kInvalidArgument,
-                "path traversal not allowed in store: " + relative));
-    }
+  if (has_parent_component(relative)) {
+    return Result<fs::path>(
+        Error(ErrorCode::kInvalidArgument,
+              "path traversal not allowed in store: " + relative));
   }
-  return root_ / p;
+  return root_ / relative;
 }
 
 bool ArtifactStore::exists(const std::string& relative) const {
@@ -170,6 +329,8 @@ Result<std::vector<std::string>> ArtifactStore::list_dir(
 Status ArtifactStore::make_dir(const std::string& relative) {
   auto p = resolve(relative);
   if (!p.ok()) return p.error();
+  // One mkdir in the common case (new clone directory, parent present).
+  if (::mkdir(p.value().c_str(), 0777) == 0) return Status();
   std::error_code ec;
   fs::create_directories(p.value(), ec);
   if (ec) {
@@ -187,18 +348,13 @@ Result<IoAccounting> ArtifactStore::create_sparse_file(
   }
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<IoAccounting>();
-  std::error_code ec;
-  fs::create_directories(p.value().parent_path(), ec);
-  std::ofstream out(p.value(), std::ios::binary | std::ios::trunc);
-  if (!out) {
+  Fd out(open_for_write(p.value(), O_CREAT | O_TRUNC, 0666));
+  if (!out.ok()) {
     return Result<IoAccounting>(
         Error(ErrorCode::kInternal, "cannot create " + relative));
   }
-  if (size > 0) {
-    out.seekp(static_cast<std::streamoff>(size - 1));
-    out.put('\0');
-  }
-  if (!out) {
+  if (size > 0 &&
+      ::pwrite(out.get(), "", 1, static_cast<off_t>(size - 1)) != 1) {
     return Result<IoAccounting>(
         Error(ErrorCode::kInternal, "cannot size " + relative));
   }
@@ -217,15 +373,12 @@ Result<IoAccounting> ArtifactStore::write_file(const std::string& relative,
   }
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<IoAccounting>();
-  std::error_code ec;
-  fs::create_directories(p.value().parent_path(), ec);
-  std::ofstream out(p.value(), std::ios::binary | std::ios::trunc);
-  if (!out) {
+  Fd out(open_for_write(p.value(), O_CREAT | O_TRUNC, 0666));
+  if (!out.ok()) {
     return Result<IoAccounting>(
         Error(ErrorCode::kInternal, "cannot write " + relative));
   }
-  out << content;
-  if (!out) {
+  if (!write_all(out.get(), content.data(), content.size())) {
     return Result<IoAccounting>(
         Error(ErrorCode::kInternal, "short write to " + relative));
   }
@@ -243,13 +396,30 @@ Result<std::string> ArtifactStore::read_file(const std::string& relative) const 
   }
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<std::string>();
-  std::ifstream in(p.value(), std::ios::binary);
-  if (!in) {
+  Fd in(::open(p.value().c_str(), O_RDONLY | O_CLOEXEC));
+  struct stat st {};
+  if (!in.ok() || ::fstat(in.get(), &st) != 0) {
     return Result<std::string>(
         Error(ErrorCode::kNotFound, "cannot read " + relative));
   }
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+  // A regular file stops at its size; anything else reads to end of file.
+  const bool sized = S_ISREG(st.st_mode);
+  std::string content(sized ? static_cast<std::size_t>(st.st_size) : 4096,
+                      '\0');
+  std::size_t used = 0;
+  while (!sized || used < content.size()) {
+    if (used == content.size()) content.resize(content.size() * 2);
+    const ssize_t n =
+        ::read(in.get(), content.data() + used, content.size() - used);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Result<std::string>(
+          Error(ErrorCode::kNotFound, "cannot read " + relative));
+    }
+    if (n == 0) break;
+    used += static_cast<std::size_t>(n);
+  }
+  content.resize(used);
   return content;
 }
 
@@ -261,12 +431,16 @@ Result<IoAccounting> ArtifactStore::append_file(const std::string& relative,
   }
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<IoAccounting>();
-  std::ofstream out(p.value(), std::ios::binary | std::ios::app);
-  if (!out) {
+  Fd out(::open(p.value().c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                0666));
+  if (!out.ok()) {
     return Result<IoAccounting>(
         Error(ErrorCode::kInternal, "cannot append to " + relative));
   }
-  out << content;
+  if (!write_all(out.get(), content.data(), content.size())) {
+    return Result<IoAccounting>(
+        Error(ErrorCode::kInternal, "short write to " + relative));
+  }
   IoAccounting acct;
   acct.bytes_written = content.size();
   acct.files_touched = 1;
@@ -284,12 +458,25 @@ Result<IoAccounting> ArtifactStore::copy_file(const std::string& from,
   if (!from_p.ok()) return from_p.propagate<IoAccounting>();
   auto to_p = resolve(to);
   if (!to_p.ok()) return to_p.propagate<IoAccounting>();
+  auto copy_error = [&] {
+    return Result<IoAccounting>(Error(
+        ErrorCode::kInternal, "copy " + from + " -> " + to + ": " + errno_text()));
+  };
 
-  auto size = logical_size(from);
-  if (!size.ok()) return size.propagate<IoAccounting>();
-
-  std::error_code ec;
-  fs::create_directories(to_p.value().parent_path(), ec);
+  // One open + fstat yields the logical size (through a symlink, like cp),
+  // the allocated blocks and the permission bits.
+  Fd in(::open(from_p.value().c_str(), O_RDONLY | O_CLOEXEC));
+  struct stat st {};
+  if (!in.ok() || ::fstat(in.get(), &st) != 0 || !S_ISREG(st.st_mode)) {
+    const int saved = errno;
+    // logical_size words the failure: a dangling symlink is a stale base
+    // reference (kFailedPrecondition), anything else is not found.
+    auto size = logical_size(from);
+    if (!size.ok()) return size.propagate<IoAccounting>();
+    errno = saved;
+    return copy_error();
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
 
   // Sparse fast path: multi-gigabyte virtual disks and memory checkpoints
   // are created as holes (create_sparse_file).  Byte-copying holes would
@@ -297,30 +484,27 @@ Result<IoAccounting> ArtifactStore::copy_file(const std::string& from,
   // a sparse target instead.  The accounting still charges the logical
   // size — the simulated cluster bills transfer time for it as the real
   // testbed would.
-  const auto blocks = sparse_block_hint(from_p.value());
-  if (size.value() >= 1 << 20 && blocks.has_value() &&
-      *blocks * 512 < size.value() / 2) {
-    std::ofstream out(to_p.value(), std::ios::binary | std::ios::trunc);
-    if (!out) {
+  const bool sparse = size >= 1 << 20 &&
+                      static_cast<std::uint64_t>(st.st_blocks) * 512 < size / 2;
+  Fd out(open_copy_target(to_p.value(), st));
+  if (!out.ok()) {
+    if (sparse) {
       return Result<IoAccounting>(
           Error(ErrorCode::kInternal, "cannot create " + to));
     }
-    if (size.value() > 0) {
-      out.seekp(static_cast<std::streamoff>(size.value() - 1));
-      out.put('\0');
-    }
-  } else {
-    fs::copy_file(from_p.value(), to_p.value(),
-                  fs::copy_options::overwrite_existing, ec);
-    if (ec) {
+    return copy_error();
+  }
+  if (sparse) {
+    if (::pwrite(out.get(), "", 1, static_cast<off_t>(size - 1)) != 1) {
       return Result<IoAccounting>(
-          Error(ErrorCode::kInternal,
-                "copy " + from + " -> " + to + ": " + ec.message()));
+          Error(ErrorCode::kInternal, "cannot size " + to));
     }
+  } else if (!copy_bytes(in.get(), out.get(), size)) {
+    return copy_error();
   }
   IoAccounting acct;
-  acct.bytes_read = size.value();
-  acct.bytes_written = size.value();
+  acct.bytes_read = size;
+  acct.bytes_written = size;
   acct.files_touched = 2;
   account(acct);
   return acct;
@@ -336,19 +520,20 @@ Result<IoAccounting> ArtifactStore::link_file(const std::string& from,
   if (!from_p.ok()) return from_p.propagate<IoAccounting>();
   auto to_p = resolve(to);
   if (!to_p.ok()) return to_p.propagate<IoAccounting>();
-  if (!exists(from)) {
+  struct stat st {};
+  if (::lstat(from_p.value().c_str(), &st) != 0) {
     return Result<IoAccounting>(
         Error(ErrorCode::kNotFound, "link source missing: " + from));
   }
-  std::error_code ec;
-  fs::create_directories(to_p.value().parent_path(), ec);
   // Link target stored as absolute path; clone directories move rarely, and
   // absolute links keep reads working from any CWD.
-  fs::create_symlink(fs::absolute(from_p.value()), to_p.value(), ec);
-  if (ec) {
+  const fs::path target = absolute_root_ / from;
+  if (with_parent_dirs(to_p.value(), [&] {
+        return ::symlink(target.c_str(), to_p.value().c_str());
+      }) != 0) {
     return Result<IoAccounting>(
         Error(ErrorCode::kInternal,
-              "link " + to + " -> " + from + ": " + ec.message()));
+              "link " + to + " -> " + from + ": " + errno_text()));
   }
   IoAccounting acct;
   acct.links_created = 1;
@@ -431,24 +616,39 @@ Result<IoAccounting> ArtifactStore::remove_tree(const std::string& relative) {
   }
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<IoAccounting>();
-  // Measure before deleting so the caller learns what the removal actually
+  const char* path = p.value().c_str();
+  // Measure while deleting so the caller learns what the removal actually
   // reclaimed.  A missing path is not an error (idempotent cleanup): it
   // frees nothing.
-  IoAccounting acct;
-  if (exists(relative)) {
-    auto fp = tree_footprint(relative);
-    if (fp.ok()) {
-      acct.bytes_freed = fp.value().physical_bytes;
-      acct.files_touched = fp.value().files + fp.value().links;
+  TreeFootprint freed;
+  bool ok = true;
+  const int dir = ::open(path, O_RDONLY | O_DIRECTORY | O_NOFOLLOW | O_CLOEXEC);
+  if (dir >= 0) {
+    ok = drain_directory(dir, freed) && ::rmdir(path) == 0;
+  } else if (errno == ENOTDIR || errno == ELOOP) {
+    // A single file, or a symlink (O_NOFOLLOW refused it): the entry itself.
+    struct stat st {};
+    if (::lstat(path, &st) == 0) {
+      if (S_ISLNK(st.st_mode)) {
+        ++freed.links;
+      } else if (S_ISREG(st.st_mode)) {
+        ++freed.files;
+        freed.physical_bytes = static_cast<std::uint64_t>(st.st_size);
+      }
+      ok = ::unlink(path) == 0;
+    } else {
+      ok = errno == ENOENT || errno == ENOTDIR;
     }
+  } else {
+    ok = errno == ENOENT;
   }
-  std::error_code ec;
-  fs::remove_all(p.value(), ec);
-  if (ec) {
-    return Result<IoAccounting>(
-        Error(ErrorCode::kInternal,
-              "remove_tree(" + relative + "): " + ec.message()));
+  if (!ok) {
+    return Result<IoAccounting>(Error(
+        ErrorCode::kInternal, "remove_tree(" + relative + "): " + errno_text()));
   }
+  IoAccounting acct;
+  acct.bytes_freed = freed.physical_bytes;
+  acct.files_touched = freed.files + freed.links;
   account(acct);
   return acct;
 }

@@ -111,7 +111,9 @@ class ArtifactStore {
 
   /// Recursively delete a tree; reports the physical bytes it freed
   /// (symlink-aware, like tree_footprint).  Removing a missing path
-  /// succeeds and frees nothing, so cleanup paths stay idempotent.
+  /// succeeds and frees nothing, so cleanup paths stay idempotent.  The
+  /// walk measures and deletes in one pass and never follows a symlink, so
+  /// removing a linked clone cannot reach into its golden image.
   util::Result<IoAccounting> remove_tree(const std::string& relative);
 
   // -- Aggregate accounting ---------------------------------------------------
@@ -129,6 +131,9 @@ class ArtifactStore {
   }
 
   std::filesystem::path root_;
+  /// absolute(root_), computed once: link targets are stored absolute, and
+  /// nothing in the process changes its working directory.
+  std::filesystem::path absolute_root_;
   mutable std::mutex lifetime_mutex_;
   IoAccounting lifetime_;
 };

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <utility>
 
+#include "fault/fault.h"
 #include "hypervisor/gsx.h"
 #include "hypervisor/guest.h"
 #include "hypervisor/uml.h"
+#include "util/random.h"
 
 namespace vmp::hv {
 namespace {
@@ -384,6 +387,90 @@ TEST_F(HypervisorTest, UmlCloneIsCowShared) {
   // The root file-system span is a link; no memory state was copied.
   EXPECT_EQ(vm->clone_report.disk.links_created, 1u);
   EXPECT_EQ(vm->clone_report.memory.bytes_written, 0u);
+}
+
+// -- Load counters -----------------------------------------------------------------------
+
+/// Reference for the O(1) load counters: a full scan of the live instances.
+std::pair<std::size_t, std::uint64_t> scan_load(const Hypervisor& hv) {
+  std::size_t active = 0;
+  std::uint64_t resident = 0;
+  for (const std::string& id : hv.instance_ids()) {
+    const auto vm = hv.snapshot_vm(id);
+    ++active;
+    if (vm->power == PowerState::kRunning ||
+        vm->power == PowerState::kSuspended) {
+      resident += vm->spec.memory_bytes;
+    }
+  }
+  return {active, resident};
+}
+
+// Seeded random sequences of clone, import, start, suspend, power-off and
+// destroy — including destroys whose tree removal fails (injected
+// store.remove) and roll back — keep both counters equal to a full scan.
+TEST_F(HypervisorTest, LoadCountersMatchFullScanOverRandomTransitions) {
+  const CloneSource goldens[] = {
+      make_golden(true, 64), make_golden(true, 32, "warehouse/golden32")};
+  std::size_t rollbacks = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GsxHypervisor gsx(store_.get());
+    util::SplitMix64 rng(seed);
+    std::vector<std::string> ids;
+    for (int step = 0; step < 150; ++step) {
+      const std::string fresh =
+          "s" + std::to_string(seed) + "-" + std::to_string(step);
+      const std::string id =
+          ids.empty() ? fresh : ids[rng.next_below(ids.size())];
+      const CloneSource& golden = goldens[rng.next_below(2)];
+      switch (rng.next_below(8)) {
+        case 0:
+          if (gsx.clone_vm(golden, "clones/" + fresh, fresh).ok()) {
+            ids.push_back(fresh);
+          }
+          break;
+        case 1: {
+          const std::string dir = "imports/" + fresh;
+          ASSERT_TRUE(storage::clone_image(store_.get(), golden.layout,
+                                           golden.spec, dir,
+                                           storage::CloneStrategy::kLinked)
+                          .ok());
+          if (gsx.import_vm(dir, golden.spec, golden.guest, fresh,
+                            /*suspended=*/rng.next_below(2) == 0)
+                  .ok()) {
+            ids.push_back(fresh);
+          }
+          break;
+        }
+        case 2:
+        case 3:
+          (void)gsx.start_vm(id);
+          break;
+        case 4:
+          (void)gsx.suspend_vm(id);
+          break;
+        case 5:
+          (void)gsx.power_off(id);
+          break;
+        case 6:
+          (void)gsx.destroy_vm(id);
+          break;
+        default: {
+          const bool live = gsx.snapshot_vm(id).has_value() &&
+                            gsx.snapshot_vm(id)->power != PowerState::kDestroyed;
+          fault::ScopedFaultPlan fail_removal(
+              fault::FaultPlan::parse("store.remove:times=1").value());
+          if (!gsx.destroy_vm(id).ok() && live) ++rollbacks;
+          break;
+        }
+      }
+      const auto [active, resident] = scan_load(gsx);
+      ASSERT_EQ(gsx.active_instances(), active) << "step " << step;
+      ASSERT_EQ(gsx.resident_memory_bytes(), resident) << "step " << step;
+    }
+  }
+  EXPECT_GT(rollbacks, 0u);
 }
 
 }  // namespace

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <set>
 
+#include <unistd.h>
+
+#include "fault/fault.h"
 #include "storage/artifact_store.h"
 #include "storage/clone_ops.h"
 #include "storage/disk.h"
 #include "storage/image_layout.h"
+#include "util/random.h"
 
 namespace vmp::storage {
 namespace {
@@ -102,7 +108,75 @@ TEST_F(StorageTest, CopySparseFileStaysSparseButAccountsLogicalBytes) {
 }
 
 TEST_F(StorageTest, CopyMissingSourceFails) {
-  EXPECT_FALSE(store_->copy_file("missing", "dst").ok());
+  auto copied = store_->copy_file("missing", "dst");
+  ASSERT_FALSE(copied.ok());
+  EXPECT_EQ(copied.error().code(), util::ErrorCode::kNotFound);
+  EXPECT_EQ(copied.error().message(),
+            "logical_size(missing): No such file or directory");
+  EXPECT_FALSE(store_->exists("dst"));
+}
+
+TEST_F(StorageTest, CopyIsByteExactOnMultiMiBSource) {
+  util::SplitMix64 rng(7);
+  std::string data((3u << 20) + 12345, '\0');
+  for (char& c : data) c = static_cast<char>(rng.next_u64());
+  ASSERT_TRUE(store_->write_file("golden/memory.vmss", data).ok());
+  auto acct = store_->copy_file("golden/memory.vmss", "clone/memory.vmss");
+  ASSERT_TRUE(acct.ok()) << acct.error().to_string();
+  EXPECT_EQ(acct.value().bytes_read, data.size());
+  EXPECT_EQ(acct.value().bytes_written, data.size());
+  EXPECT_EQ(acct.value().files_touched, 2u);
+  EXPECT_TRUE(store_->read_file("clone/memory.vmss").value() == data);
+}
+
+TEST_F(StorageTest, CopyOverwritesExistingTarget) {
+  ASSERT_TRUE(store_->write_file("src", "short").ok());
+  ASSERT_TRUE(store_->write_file("dst", "a much longer old content").ok());
+  ASSERT_TRUE(store_->copy_file("src", "dst").ok());
+  EXPECT_EQ(store_->read_file("dst").value(), "short");
+}
+
+TEST_F(StorageTest, CopyCreatesMissingParents) {
+  ASSERT_TRUE(store_->write_file("src", "content").ok());
+  ASSERT_TRUE(store_->copy_file("src", "a/b/c/dst").ok());
+  EXPECT_EQ(store_->read_file("a/b/c/dst").value(), "content");
+}
+
+TEST_F(StorageTest, CopyOntoItselfThroughLinkKeepsSource) {
+  ASSERT_TRUE(store_->write_file("src", "precious").ok());
+  ASSERT_TRUE(store_->link_file("src", "alias").ok());
+  auto copied = store_->copy_file("src", "alias");
+  ASSERT_FALSE(copied.ok());
+  EXPECT_EQ(copied.error().code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(store_->read_file("src").value(), "precious");
+}
+
+TEST_F(StorageTest, CopyDanglingSymlinkKeepsErrorCodeAndText) {
+  ASSERT_TRUE(store_->write_file("t/a", "12345").ok());
+  ASSERT_TRUE(store_->link_file("t/a", "t/link").ok());
+  ASSERT_TRUE(store_->remove("t/a").ok());
+  auto copied = store_->copy_file("t/link", "clone/x");
+  ASSERT_FALSE(copied.ok());
+  EXPECT_EQ(copied.error().code(), util::ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(copied.error().message(),
+            "logical_size(t/link): dangling symlink (target " +
+                (std::filesystem::absolute(root_) / "t/a").string() +
+                " is gone)");
+  EXPECT_FALSE(store_->exists("clone/x"));
+}
+
+// Writes that the device refuses (ENOSPC) fail and charge nothing.
+TEST_F(StorageTest, WritesToFullDeviceFail) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ASSERT_EQ(::symlink("/dev/full", (root_ / "full").c_str()), 0);
+  const std::uint64_t before = store_->lifetime_accounting().bytes_written;
+  auto written = store_->write_file("full", "payload");
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.error().code(), util::ErrorCode::kInternal);
+  auto appended = store_->append_file("full", "payload");
+  ASSERT_FALSE(appended.ok());
+  EXPECT_EQ(appended.error().code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(store_->lifetime_accounting().bytes_written, before);
 }
 
 // -- Links --------------------------------------------------------------------
@@ -123,6 +197,13 @@ TEST_F(StorageTest, LinkCreatesSymlinkReadThrough) {
 
 TEST_F(StorageTest, LinkMissingSourceFails) {
   EXPECT_FALSE(store_->link_file("missing", "clone/x").ok());
+}
+
+TEST_F(StorageTest, LinkIntoMissingParentDirectory) {
+  ASSERT_TRUE(store_->write_file("golden/disk", "DISKDATA").ok());
+  ASSERT_TRUE(store_->link_file("golden/disk", "a/b/clone/disk").ok());
+  EXPECT_TRUE(store_->is_symlink("a/b/clone/disk"));
+  EXPECT_EQ(store_->read_file("a/b/clone/disk").value(), "DISKDATA");
 }
 
 // -- Directory ops ---------------------------------------------------------------
@@ -174,6 +255,108 @@ TEST_F(StorageTest, DanglingSymlinkLogicalSizeIsExplicitError) {
   auto size = store_->logical_size("t/link");
   ASSERT_FALSE(size.ok());
   EXPECT_EQ(size.error().code(), util::ErrorCode::kFailedPrecondition);
+}
+
+TEST_F(StorageTest, RemoveTreeOfDirectoryLinkRemovesOnlyTheLink) {
+  ASSERT_TRUE(store_->write_file("golden/disk", "DISK").ok());
+  ASSERT_TRUE(store_->link_file("golden", "clone").ok());
+  auto removed = store_->remove_tree("clone");
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(removed.value().bytes_freed, 0u);
+  EXPECT_EQ(removed.value().files_touched, 1u);
+  EXPECT_FALSE(store_->exists("clone"));
+  EXPECT_EQ(store_->read_file("golden/disk").value(), "DISK");
+}
+
+TEST_F(StorageTest, RemoveTreeOfSingleFileChargesItsSize) {
+  ASSERT_TRUE(store_->write_file("f", "12345").ok());
+  auto removed = store_->remove_tree("f");
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(removed.value().bytes_freed, 5u);
+  EXPECT_EQ(removed.value().files_touched, 1u);
+  EXPECT_FALSE(store_->exists("f"));
+}
+
+// Over seeded random trees — nested directories, plain and sparse files,
+// links to files and directories inside and outside the tree, dangling
+// links — the one-pass removal reports exactly the footprint measured just
+// before it, and never deletes through a link.
+TEST_F(StorageTest, RemoveTreeAccountingMatchesFootprintOnRandomTrees) {
+  // Link targets outside every tree; they must all survive.
+  ASSERT_TRUE(store_->write_file("outside/f0", "outside-file-0").ok());
+  ASSERT_TRUE(store_->write_file("outside/f1", "outside-file-1").ok());
+  ASSERT_TRUE(store_->write_file("outside/d/a", "dir-entry-a").ok());
+  ASSERT_TRUE(store_->write_file("outside/d/sub/b", "dir-entry-b").ok());
+  const std::map<std::string, std::string> outside_files = {
+      {"outside/f0", "outside-file-0"},
+      {"outside/f1", "outside-file-1"},
+      {"outside/d/a", "dir-entry-a"},
+      {"outside/d/sub/b", "dir-entry-b"}};
+  const std::vector<std::string> outside_dirs = {"outside/d", "outside/d/sub"};
+
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::SplitMix64 rng(seed);
+    const std::string tree = "t" + std::to_string(seed);
+    ASSERT_TRUE(store_->make_dir(tree).ok());
+    std::vector<std::string> dirs = {tree};
+    std::vector<std::string> files;
+    for (int i = 0; i < 48; ++i) {
+      const std::string parent = dirs[rng.next_below(dirs.size())];
+      const std::string path = parent + "/e" + std::to_string(i);
+      switch (rng.next_below(8)) {
+        case 0:
+        case 1:
+          ASSERT_TRUE(store_->make_dir(path).ok());
+          dirs.push_back(path);
+          break;
+        case 2:
+        case 3:
+          ASSERT_TRUE(store_->write_file(
+                                path, std::string(rng.next_below(5000), 'x'))
+                          .ok());
+          files.push_back(path);
+          break;
+        case 4:
+          ASSERT_TRUE(store_->create_sparse_file(path, 2ull << 20).ok());
+          files.push_back(path);
+          break;
+        case 5: {  // link to a file, inside or outside the tree
+          const bool inside = !files.empty() && rng.next_below(2) == 0;
+          const std::string target =
+              inside ? files[rng.next_below(files.size())]
+                     : (rng.next_below(2) ? "outside/f0" : "outside/f1");
+          ASSERT_TRUE(store_->link_file(target, path).ok());
+          break;
+        }
+        case 6: {  // link to a directory, inside or outside the tree
+          const std::string target =
+              rng.next_below(2) ? dirs[rng.next_below(dirs.size())]
+                                : outside_dirs[rng.next_below(2)];
+          ASSERT_TRUE(store_->link_file(target, path).ok());
+          break;
+        }
+        default:  // dangling link
+          ASSERT_EQ(::symlink((root_ / "gone").c_str(),
+                              store_->resolve(path).value().c_str()),
+                    0);
+          break;
+      }
+    }
+    auto footprint = store_->tree_footprint(tree);
+    ASSERT_TRUE(footprint.ok());
+    auto removed = store_->remove_tree(tree);
+    ASSERT_TRUE(removed.ok()) << removed.error().to_string();
+    EXPECT_EQ(removed.value().bytes_freed, footprint.value().physical_bytes);
+    EXPECT_EQ(removed.value().files_touched,
+              footprint.value().files + footprint.value().links);
+    EXPECT_FALSE(store_->exists(tree));
+    for (const auto& [path, content] : outside_files) {
+      auto read = store_->read_file(path);
+      ASSERT_TRUE(read.ok()) << path;
+      EXPECT_EQ(read.value(), content);
+    }
+  }
 }
 
 TEST_F(StorageTest, RemoveSingleFile) {
@@ -372,6 +555,47 @@ TEST_F(CloneTest, ManyClonesShareOneGolden) {
     const ImageLayout clone{"clones/many" + std::to_string(i)};
     EXPECT_TRUE(store_->is_symlink(clone.span_paths(spec_.disk)[5]));
   }
+}
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// 500 clone + destroy cycles, some cut short by injected store.write faults
+// mid-clone, leave no file descriptor open.
+TEST_F(CloneTest, NoFdLeakAcrossCloneDestroyCyclesWithFaults) {
+  // A non-sparse checkpoint takes the byte-copy path.
+  ASSERT_TRUE(
+      store_->write_file(golden_.memory_path(), std::string(64 << 10, 'm')).ok());
+  const std::size_t fds_before = open_fd_count();
+  std::size_t cloned = 0;
+  {
+    fault::ScopedFaultPlan faults(
+        fault::FaultPlan::parse("store.write:target=clones,p=0.02", 11)
+            .value());
+    for (int i = 0; i < 500; ++i) {
+      const std::string dir = "clones/cycle" + std::to_string(i);
+      auto report =
+          clone_image(store_.get(), golden_, spec_, dir, CloneStrategy::kLinked);
+      if (!report.ok()) {
+        EXPECT_FALSE(store_->exists(dir));
+        continue;
+      }
+      ++cloned;
+      EXPECT_TRUE(store_->read_file(ImageLayout{dir}.config_path()).ok());
+      ASSERT_TRUE(destroy_clone(store_.get(), dir).ok());
+    }
+    EXPECT_GT(fault::FaultRegistry::instance().fired(fault::points::kStoreWrite),
+              0u);
+  }
+  EXPECT_GT(cloned, 0u);
+  EXPECT_LT(cloned, 500u);
+  EXPECT_EQ(open_fd_count(), fds_before);
 }
 
 }  // namespace
