@@ -13,10 +13,10 @@
 #include <filesystem>
 
 #include "core/architect.h"
-#include "core/broker.h"
 #include "core/migration.h"
 #include "core/plant.h"
 #include "core/shop.h"
+#include "federation/federation.h"
 #include "storage/artifact_store.h"
 #include "warehouse/warehouse.h"
 #include "workload/request_gen.h"
@@ -84,9 +84,12 @@ int main() {
   ph.name = "hiddenplant";
   core::VmPlant hidden(ph, &store, &wh);
   (void)hidden.attach_to_bus(&bus, nullptr);  // bus endpoint, NOT registered
-  core::VmBroker broker(core::BrokerConfig{.name = "gateway-broker",
-                                           .bid_markup = 2.0},
-                        &bus, &registry);
+  // A zero TTL never serves a cached bid: every estimate is priced
+  // against the members, as a plain gateway broker does.
+  federation::ShardBroker broker(
+      federation::ShardBrokerConfig{
+          .name = "gateway-broker", .bid_markup = 2.0, .bid_ttl_s = 0.0},
+      &bus, &registry);
   broker.add_member("hiddenplant");
   (void)broker.attach_to_bus();
 

@@ -76,7 +76,6 @@ Status ShardBroker::attach_to_bus() {
     record.type = "vmplant";  // shops bid against brokers transparently
     record.address = bus_address();
     record.properties["broker"] = "true";
-    record.properties["members"] = std::to_string(members().size());
     registry_->publish(record);
   }
   return Status();
@@ -238,8 +237,9 @@ std::size_t ShardBroker::refresh_all() {
   bids_refreshed_->add(refreshed);
   scoped_bids_refreshed_->add(refreshed);
   refreshes_->add();
-  refresh_seconds_->record(obs::Tracer::instance().now() - start_s);
-  scoped_refresh_seconds_->record(obs::Tracer::instance().now() - start_s);
+  const double elapsed_s = obs::Tracer::instance().now() - start_s;
+  refresh_seconds_->record(elapsed_s);
+  scoped_refresh_seconds_->record(elapsed_s);
   return refreshed;
 }
 
@@ -252,7 +252,8 @@ Result<ShardBroker::Selection> ShardBroker::select(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = cache_.find(class_key);
-    if (it != cache_.end() && it->second.refreshed_at >= 0.0 &&
+    if (config_.bid_ttl_s > 0.0 && it != cache_.end() &&
+        it->second.refreshed_at >= 0.0 &&
         t - it->second.refreshed_at <= config_.bid_ttl_s &&
         !it->second.member_bids.empty()) {
       fresh = true;

@@ -5,11 +5,11 @@
 // collect bids containing estimated VM creation costs from VMPlants
 // (directly, or indirectly through VMBrokers)", and Section 3.3 sketches
 // gateway deployments where plants live behind a private network.  The
-// seed realization (core/broker.h) already hides member plants behind a
-// broker endpoint — but it re-fans every estimate to every member, so a
-// shop in front of brokers still pays O(plants) bid messages per create.
-//
-// The ShardBroker grows that seed into a federation node:
+// ShardBroker is that indirect tier: it registers as a "vmplant" so shops
+// bid against it transparently, while its members stay off the public
+// registry, reachable only through the broker's bus endpoint.  With
+// bid_ttl_s = 0 it is the plain gateway broker: every estimate and create
+// is priced against the members.  With a TTL it is a federation node:
 //
 //   * it maintains a cached, TTL'd AGGREGATE bid per DAG-class for its
 //     subtree.  A fresh cache entry answers the shop's vmplant.estimate
@@ -63,14 +63,15 @@ std::string dag_class_key(const core::CreateRequest& request);
 
 struct ShardBrokerConfig {
   std::string name = "shard0";
-  /// Added to every aggregate bid (the broker's cut / gateway cost),
-  /// exactly like core::BrokerConfig::bid_markup.
+  /// Added to every aggregate bid (the broker's cut / gateway cost).
   double bid_markup = 0.0;
   /// Cached aggregate bids older than this many clock seconds are stale:
   /// estimates and creates fall back to a synchronous single-class
   /// refresh (counted in broker.bids.refreshed.count).  The clock is
   /// whatever set_clock installed — wall seconds by default, the sim
-  /// clock in deployments.
+  /// clock in deployments.  A value <= 0 never serves from the cache,
+  /// under any clock (a frozen one included): every estimate and create
+  /// re-prices the class against the members.
   double bid_ttl_s = 30.0;
   /// How strongly subtree headroom pressure scales bids:
   ///   effective = (min member cost + markup) * (1 + weight * pressure)

@@ -1,15 +1,13 @@
 // Tests for the paper's §6 future-work features implemented as extensions:
-// the Xen paravirtual backend, speculative pre-creation, cross-plant VM
-// migration, and the VMBroker indirect-bidding path.
+// the Xen paravirtual backend, speculative pre-creation, and cross-plant VM
+// migration.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "cluster/timing_model.h"
-#include "core/broker.h"
 #include "core/migration.h"
 #include "core/plant.h"
-#include "core/shop.h"
 #include "hypervisor/gsx.h"
 #include "hypervisor/xen.h"
 #include "util/stats.h"
@@ -296,106 +294,6 @@ TEST_F(ExtensionsTest, ImportVmValidation) {
   EXPECT_FALSE(gsx.import_vm("does/not/exist", golden.value().spec,
                              golden.value().guest, "m2", true)
                    .ok());
-}
-
-// -- VMBroker -----------------------------------------------------------------------
-
-class BrokerTest : public ExtensionsTest {
- protected:
-  void SetUp() override {
-    ExtensionsTest::SetUp();
-    // Two hidden plants reachable only via the broker, one public plant.
-    hidden0_ = make_plant("hidden0");
-    hidden1_ = make_plant("hidden1");
-    public0_ = make_plant("public0");
-    // Hidden plants: bus endpoint but NO registry entry.
-    ASSERT_TRUE(hidden0_->attach_to_bus(&bus_, nullptr).ok());
-    ASSERT_TRUE(hidden1_->attach_to_bus(&bus_, nullptr).ok());
-    ASSERT_TRUE(public0_->attach_to_bus(&bus_, &registry_).ok());
-
-    broker_ = std::make_unique<core::VmBroker>(core::BrokerConfig{},
-                                               &bus_, &registry_);
-    broker_->add_member("hidden0");
-    broker_->add_member("hidden1");
-    ASSERT_TRUE(broker_->attach_to_bus().ok());
-
-    shop_ = std::make_unique<core::VmShop>(core::ShopConfig{}, &bus_,
-                                           &registry_);
-    ASSERT_TRUE(shop_->attach_to_bus().ok());
-  }
-  void TearDown() override {
-    shop_.reset();
-    broker_.reset();
-    hidden0_.reset();
-    hidden1_.reset();
-    public0_.reset();
-    ExtensionsTest::TearDown();
-  }
-
-  net::MessageBus bus_;
-  net::ServiceRegistry registry_;
-  std::unique_ptr<core::VmPlant> hidden0_, hidden1_, public0_;
-  std::unique_ptr<core::VmBroker> broker_;
-  std::unique_ptr<core::VmShop> shop_;
-};
-
-TEST_F(BrokerTest, ShopSeesBrokerAsAPlant) {
-  auto bids = shop_->collect_bids(workload::workspace_request(64, 0, "d"));
-  // public0 + broker (representing two hidden plants) = 2 bids.
-  ASSERT_EQ(bids.size(), 2u);
-}
-
-TEST_F(BrokerTest, CreationRoutesThroughBrokerToHiddenPlant) {
-  // Make the public plant expensive by marking it down: the broker wins.
-  bus_.set_down("public0", true);
-  auto ad = shop_->create(workload::workspace_request(64, 0, "ufl.edu"));
-  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
-  const std::string plant = ad.value().get_string(core::attrs::kPlant).value();
-  EXPECT_TRUE(plant == "hidden0" || plant == "hidden1") << plant;
-  EXPECT_EQ(broker_->creations_forwarded(), 1u);
-  EXPECT_EQ(hidden0_->active_vms() + hidden1_->active_vms(), 1u);
-}
-
-TEST_F(BrokerTest, QueryAndDestroyRouteThroughBroker) {
-  bus_.set_down("public0", true);
-  auto ad = shop_->create(workload::workspace_request(32, 0, "d"));
-  ASSERT_TRUE(ad.ok());
-  const std::string vm_id = ad.value().get_string(core::attrs::kVmId).value();
-  bus_.set_down("public0", false);
-
-  auto q = shop_->query(vm_id);
-  ASSERT_TRUE(q.ok()) << q.error().to_string();
-  EXPECT_EQ(q.value().get_string(core::attrs::kVmId).value(), vm_id);
-
-  ASSERT_TRUE(shop_->destroy(vm_id).ok());
-  EXPECT_EQ(hidden0_->active_vms() + hidden1_->active_vms(), 0u);
-}
-
-TEST_F(BrokerTest, MarkupRaisesBrokerBids) {
-  core::VmBroker pricey(core::BrokerConfig{.name = "pricey", .bid_markup = 10.0},
-                        &bus_, &registry_);
-  pricey.add_member("hidden0");
-  ASSERT_TRUE(pricey.attach_to_bus().ok());
-
-  auto bids = shop_->collect_bids(workload::workspace_request(64, 0, "d"));
-  double broker_bid = -1, pricey_bid = -1;
-  for (const core::Bid& bid : bids) {
-    if (bid.plant_address == "broker0") broker_bid = bid.cost;
-    if (bid.plant_address == "pricey") pricey_bid = bid.cost;
-  }
-  ASSERT_GE(broker_bid, 0.0);
-  ASSERT_GE(pricey_bid, 0.0);
-  EXPECT_DOUBLE_EQ(pricey_bid, broker_bid + 10.0);
-}
-
-TEST_F(BrokerTest, BrokerWithNoMembersDeclines) {
-  core::VmBroker empty(core::BrokerConfig{.name = "empty"}, &bus_, &registry_);
-  ASSERT_TRUE(empty.attach_to_bus().ok());
-  net::Message m = net::Message::request("vmplant.estimate", "x", "empty", "c");
-  workload::workspace_request(64, 0, "d").to_xml(&m.body());
-  auto response = net::call_expecting_success(&bus_, m);
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.error().code(), util::ErrorCode::kNoBids);
 }
 
 }  // namespace

@@ -1,20 +1,21 @@
 // Federation tests (DESIGN.md §16): the ShardBroker's cached bid
-// aggregation, headroom-aware routing, and graceful degradation — plus the
-// pre-existing VmBroker seed paths (markup arithmetic, winning-member
-// forwarding, VMID-map routing, shop failover) that previously had no
-// dedicated suite, and the shop-side bid-collection robustness knobs.
+// aggregation, headroom-aware routing, and graceful degradation; the
+// zero-TTL gateway broker that prices every estimate and create against
+// its members (markup arithmetic, winning-member forwarding, VMID-map
+// routing, shop failover, private-network plants behind a gateway); and
+// the shop-side bid-collection robustness knobs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "cluster/deployment.h"
-#include "core/broker.h"
 #include "core/fleet.h"
 #include "core/plant.h"
 #include "core/shop.h"
 #include "fault/fault.h"
 #include "federation/federation.h"
 #include "obs/export.h"
+#include "obs/trace.h"
 #include "workload/request_gen.h"
 
 namespace vmp {
@@ -463,17 +464,96 @@ TEST_F(FederationTest, FleetSweepPublishesPerShardBrokerAds) {
             1);
 }
 
-// -- Pre-existing VmBroker seed paths -----------------------------------------------
+// -- Zero TTL: a gateway broker that never serves a cached bid ----------------------
 
-class VmBrokerSeedTest : public FederationTest {
+TEST_F(FederationTest, ZeroTtlShardRepricesEveryEstimate) {
+  auto m0 = make_member("ztM0");
+  auto m1 = make_member("ztM1");
+  // The frozen clock keeps every cache entry at age 0: only the TTL rule
+  // can force the re-price.
+  auto shard = make_shard({.name = "fedshardZ", .bid_ttl_s = 0.0});
+  shard->add_member("ztM0");
+  shard->add_member("ztM1");
+  core::VmShop shop(shop_config("shopZ"), &bus_, &registry_);
+  ASSERT_TRUE(shop.attach_to_bus().ok());
+
+  const auto request = workload::workspace_request(64, 0, "d");
+  for (std::uint64_t call = 1; call <= 3; ++call) {
+    const std::uint64_t before = bus_.calls_total();
+    ASSERT_EQ(shop.collect_bids(request).size(), 1u);
+    EXPECT_EQ(shard->bids_refreshed(), call);
+    EXPECT_EQ(shard->bids_cached_served(), 0u);
+    // shop -> shard, then one vmplant.estimate_batch per member.
+    EXPECT_EQ(bus_.calls_total() - before, 3u);
+  }
+}
+
+TEST_F(FederationTest, ZeroTtlCreateLandsOnMemberCheapestNow) {
+  auto m0 = make_member("zcM0");
+  auto m1 = make_member("zcM1");
+  auto shard = make_shard({.name = "fedshardZC", .bid_ttl_s = 0.0});
+  shard->add_member("zcM0");
+  shard->add_member("zcM1");
+  core::VmShop shop(shop_config("shopZC"), &bus_, &registry_);
+  ASSERT_TRUE(shop.attach_to_bus().ok());
+  const auto request = workload::workspace_request(64, 0, "d");
+
+  // Domain affinity makes zcM0 the cheapest member when the shard prices.
+  ASSERT_TRUE(m0->create(workload::workspace_request(32, 0, "d")).ok());
+  ASSERT_LT(m0->estimate(request).value(), m1->estimate(request).value());
+  auto bids = shop.collect_bids(request);
+  ASSERT_EQ(bids.size(), 1u);
+  EXPECT_DOUBLE_EQ(bids[0].cost, m0->estimate(request).value());
+
+  // The load moves: zcM1 joins the domain and zcM0 takes another VM.
+  ASSERT_TRUE(m1->create(workload::workspace_request(32, 1, "d")).ok());
+  ASSERT_TRUE(m0->create(workload::workspace_request(32, 2, "d")).ok());
+  ASSERT_LT(m1->estimate(request).value(), m0->estimate(request).value());
+  auto ad = shop.create(request);
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  EXPECT_EQ(ad.value().get_string(core::attrs::kPlant).value(), "zcM1");
+  EXPECT_EQ(shard->bids_cached_served(), 0u);
+}
+
+TEST_F(FederationTest, RefreshAllRecordsOneElapsedTimeInBothTimers) {
+  auto m0 = make_member("rtT0");
+  auto shard = make_shard({.name = "fedshardT", .bid_ttl_s = 30.0});
+  shard->add_member("rtT0");
+  core::VmShop shop(shop_config("shopT"), &bus_, &registry_);
+  ASSERT_TRUE(shop.attach_to_bus().ok());
+  ASSERT_EQ(shop.collect_bids(workload::workspace_request(64, 0, "d")).size(),
+            1u);
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  obs::Timer* global = metrics.timer("broker.refresh.seconds");
+  obs::Timer* scoped = metrics.timer("fedshardT.broker.refresh.seconds");
+  const double global_before = global->summary().sum();
+  const double scoped_before = scoped->summary().sum();
+  // Every tracer clock read advances one second, so two reads of the end
+  // time would record two different elapsed times.
+  double tick = 0.0;
+  obs::Tracer::instance().set_clock([&tick] { return tick += 1.0; });
+  const std::size_t refreshed = shard->refresh_all();
+  obs::Tracer::instance().set_clock(nullptr);
+
+  EXPECT_EQ(refreshed, 1u);
+  const double scoped_delta = scoped->summary().sum() - scoped_before;
+  EXPECT_GT(scoped_delta, 0.0);
+  EXPECT_DOUBLE_EQ(global->summary().sum() - global_before, scoped_delta);
+}
+
+// -- Gateway broker seed paths (bid_ttl_s = 0) ---------------------------------------
+
+class BrokerSeedTest : public FederationTest {
  protected:
   void SetUp() override {
     FederationTest::SetUp();
     member0_ = make_member("seedM0");
     member1_ = make_member("seedM1");
-    broker_ = std::make_unique<core::VmBroker>(
-        core::BrokerConfig{.name = "seedbroker", .bid_markup = 2.0}, &bus_,
-        &registry_);
+    broker_ = std::make_unique<federation::ShardBroker>(
+        federation::ShardBrokerConfig{
+            .name = "seedbroker", .bid_markup = 2.0, .bid_ttl_s = 0.0},
+        &bus_, &registry_);
     broker_->add_member("seedM0");
     broker_->add_member("seedM1");
     ASSERT_TRUE(broker_->attach_to_bus().ok());
@@ -490,11 +570,11 @@ class VmBrokerSeedTest : public FederationTest {
   }
 
   std::unique_ptr<core::VmPlant> member0_, member1_;
-  std::unique_ptr<core::VmBroker> broker_;
+  std::unique_ptr<federation::ShardBroker> broker_;
   std::unique_ptr<core::VmShop> shop_;
 };
 
-TEST_F(VmBrokerSeedTest, MarkupArithmeticOnCheapestMember) {
+TEST_F(BrokerSeedTest, MarkupArithmeticOnCheapestMember) {
   const auto request = workload::workspace_request(64, 0, "d");
   const double cheapest = std::min(member0_->estimate(request).value(),
                                    member1_->estimate(request).value());
@@ -504,7 +584,7 @@ TEST_F(VmBrokerSeedTest, MarkupArithmeticOnCheapestMember) {
   EXPECT_DOUBLE_EQ(bids[0].cost, cheapest + 2.0);
 }
 
-TEST_F(VmBrokerSeedTest, CreationForwardsToWinningMember) {
+TEST_F(BrokerSeedTest, CreationForwardsToWinningMember) {
   // Domain affinity (network-compute cost model) makes member0 strictly
   // cheaper, so it wins the broker's internal auction.
   ASSERT_TRUE(member0_->create(workload::workspace_request(256, 0, "d")).ok());
@@ -514,7 +594,7 @@ TEST_F(VmBrokerSeedTest, CreationForwardsToWinningMember) {
   EXPECT_EQ(broker_->creations_forwarded(), 1u);
 }
 
-TEST_F(VmBrokerSeedTest, QueryAndCollectRouteByVmidMap) {
+TEST_F(BrokerSeedTest, QueryAndCollectRouteByVmidMap) {
   auto ad = shop_->create(workload::workspace_request(32, 0, "d"));
   ASSERT_TRUE(ad.ok());
   const std::string vm_id = ad.value().get_string(core::attrs::kVmId).value();
@@ -527,7 +607,7 @@ TEST_F(VmBrokerSeedTest, QueryAndCollectRouteByVmidMap) {
   EXPECT_FALSE(shop_->query(vm_id).ok());
 }
 
-TEST_F(VmBrokerSeedTest, ShopFailsOverWhenChosenMembersFailMidCreate) {
+TEST_F(BrokerSeedTest, ShopFailsOverWhenChosenMembersFailMidCreate) {
   // A public plant stands by as the shop's failover target.
   auto standby = make_plant("standbyN");
   ASSERT_TRUE(standby->attach_to_bus(&bus_, &registry_).ok());
@@ -543,6 +623,109 @@ TEST_F(VmBrokerSeedTest, ShopFailsOverWhenChosenMembersFailMidCreate) {
   ASSERT_TRUE(ad.ok()) << ad.error().to_string();
   EXPECT_EQ(ad.value().get_string(core::attrs::kPlant).value(), "standbyN");
   EXPECT_GE(shop_->failovers(), 1u);
+}
+
+// -- Gateway broker: plants behind a private network --------------------------------
+
+class BrokerTest : public FederationTest {
+ protected:
+  void SetUp() override {
+    FederationTest::SetUp();
+    // Two hidden plants reachable only via the broker, one public plant.
+    hidden0_ = make_plant("hidden0");
+    hidden1_ = make_plant("hidden1");
+    public0_ = make_plant("public0");
+    // Hidden plants: bus endpoint but NO registry entry.
+    ASSERT_TRUE(hidden0_->attach_to_bus(&bus_, nullptr).ok());
+    ASSERT_TRUE(hidden1_->attach_to_bus(&bus_, nullptr).ok());
+    ASSERT_TRUE(public0_->attach_to_bus(&bus_, &registry_).ok());
+
+    broker_ = std::make_unique<federation::ShardBroker>(
+        federation::ShardBrokerConfig{.name = "broker0", .bid_ttl_s = 0.0},
+        &bus_, &registry_);
+    broker_->add_member("hidden0");
+    broker_->add_member("hidden1");
+    ASSERT_TRUE(broker_->attach_to_bus().ok());
+
+    shop_ = std::make_unique<core::VmShop>(core::ShopConfig{}, &bus_,
+                                           &registry_);
+    ASSERT_TRUE(shop_->attach_to_bus().ok());
+  }
+  void TearDown() override {
+    shop_.reset();
+    broker_.reset();
+    hidden0_.reset();
+    hidden1_.reset();
+    public0_.reset();
+    FederationTest::TearDown();
+  }
+
+  std::unique_ptr<core::VmPlant> hidden0_, hidden1_, public0_;
+  std::unique_ptr<federation::ShardBroker> broker_;
+  std::unique_ptr<core::VmShop> shop_;
+};
+
+TEST_F(BrokerTest, ShopSeesBrokerAsAPlant) {
+  auto bids = shop_->collect_bids(workload::workspace_request(64, 0, "d"));
+  // public0 + broker (representing two hidden plants) = 2 bids.
+  ASSERT_EQ(bids.size(), 2u);
+}
+
+TEST_F(BrokerTest, CreationRoutesThroughBrokerToHiddenPlant) {
+  // Make the public plant expensive by marking it down: the broker wins.
+  bus_.set_down("public0", true);
+  auto ad = shop_->create(workload::workspace_request(64, 0, "ufl.edu"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  const std::string plant = ad.value().get_string(core::attrs::kPlant).value();
+  EXPECT_TRUE(plant == "hidden0" || plant == "hidden1") << plant;
+  EXPECT_EQ(broker_->creations_forwarded(), 1u);
+  EXPECT_EQ(hidden0_->active_vms() + hidden1_->active_vms(), 1u);
+}
+
+TEST_F(BrokerTest, QueryAndDestroyRouteThroughBroker) {
+  bus_.set_down("public0", true);
+  auto ad = shop_->create(workload::workspace_request(32, 0, "d"));
+  ASSERT_TRUE(ad.ok());
+  const std::string vm_id = ad.value().get_string(core::attrs::kVmId).value();
+  bus_.set_down("public0", false);
+
+  auto q = shop_->query(vm_id);
+  ASSERT_TRUE(q.ok()) << q.error().to_string();
+  EXPECT_EQ(q.value().get_string(core::attrs::kVmId).value(), vm_id);
+
+  ASSERT_TRUE(shop_->destroy(vm_id).ok());
+  EXPECT_EQ(hidden0_->active_vms() + hidden1_->active_vms(), 0u);
+}
+
+TEST_F(BrokerTest, MarkupRaisesBrokerBids) {
+  federation::ShardBroker pricey(
+      federation::ShardBrokerConfig{
+          .name = "pricey", .bid_markup = 10.0, .bid_ttl_s = 0.0},
+      &bus_, &registry_);
+  pricey.add_member("hidden0");
+  ASSERT_TRUE(pricey.attach_to_bus().ok());
+
+  auto bids = shop_->collect_bids(workload::workspace_request(64, 0, "d"));
+  double broker_bid = -1, pricey_bid = -1;
+  for (const core::Bid& bid : bids) {
+    if (bid.plant_address == "broker0") broker_bid = bid.cost;
+    if (bid.plant_address == "pricey") pricey_bid = bid.cost;
+  }
+  ASSERT_GE(broker_bid, 0.0);
+  ASSERT_GE(pricey_bid, 0.0);
+  EXPECT_DOUBLE_EQ(pricey_bid, broker_bid + 10.0);
+}
+
+TEST_F(BrokerTest, BrokerWithNoMembersDeclines) {
+  federation::ShardBroker empty(
+      federation::ShardBrokerConfig{.name = "empty", .bid_ttl_s = 0.0}, &bus_,
+      &registry_);
+  ASSERT_TRUE(empty.attach_to_bus().ok());
+  net::Message m = net::Message::request("vmplant.estimate", "x", "empty", "c");
+  workload::workspace_request(64, 0, "d").to_xml(&m.body());
+  auto response = net::call_expecting_success(&bus_, m);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.error().code(), util::ErrorCode::kNoBids);
 }
 
 // -- Sharded SimulatedDeployment ----------------------------------------------------
