@@ -129,7 +129,8 @@ Result<double> VmPlant::estimate(const CreateRequest& request) const {
   // No plant lock: the snapshot and allocator queries are internally
   // synchronized, and a bid is an estimate by nature — it may be stale the
   // moment it is produced (the shop re-validates by actually creating).
-  VMP_RETURN_IF_ERROR_AS(request.validate(), double);
+  // The cost models read the header alone, so only the header is checked.
+  VMP_RETURN_IF_ERROR_AS(request.validate_header(), double);
   return cost_model_->estimate(load_for(request));
 }
 
@@ -576,11 +577,15 @@ net::Message VmPlant::handle_message(const net::Message& request_msg) {
           request_msg,
           Error(ErrorCode::kParseError, "missing <create-request>"));
     }
-    auto request = CreateRequest::from_xml(*req_elem);
+    // A bid prices from the request header (PlantLoad reads the domain and
+    // memory), so only a create parses the configuration DAG.
+    const bool bidding = service == "vmplant.estimate";
+    auto request = bidding ? CreateRequest::header_from_xml(*req_elem)
+                           : CreateRequest::from_xml(*req_elem);
     if (!request.ok()) {
       return net::Message::fault_to(request_msg, request.error());
     }
-    if (service == "vmplant.estimate") {
+    if (bidding) {
       auto cost = estimate(request.value());
       if (!cost.ok()) return net::Message::fault_to(request_msg, cost.error());
       net::Message response = net::Message::response_to(request_msg);
@@ -605,7 +610,7 @@ net::Message VmPlant::handle_message(const net::Message& request_msg) {
     for (const xml::Element* cls : request_msg.body().children_named("class")) {
       const xml::Element* req_elem = cls->child("create-request");
       if (req_elem == nullptr || !cls->has_attr("key")) continue;
-      auto request = CreateRequest::from_xml(*req_elem);
+      auto request = CreateRequest::header_from_xml(*req_elem);
       if (!request.ok()) continue;
       auto cost = estimate(request.value());
       if (!cost.ok()) continue;

@@ -81,7 +81,8 @@ class VmPlant {
   const PlantConfig& config() const { return config_; }
 
   // -- Direct (in-process) service interface --------------------------------
-  /// Estimate the cost of serving `request` (the bid).
+  /// Estimate the cost of serving `request` (the bid).  Prices from the
+  /// header alone: `request.config` is neither read nor validated.
   util::Result<double> estimate(const CreateRequest& request) const;
 
   /// Create a VM; returns its classad.  Independent creations overlap:

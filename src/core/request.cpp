@@ -41,7 +41,7 @@ Result<MachineRequirements> MachineRequirements::from_xml(
   return out;
 }
 
-Status CreateRequest::validate() const {
+Status CreateRequest::validate_header() const {
   if (request_id.empty()) {
     return Status(ErrorCode::kInvalidArgument, "request_id must not be empty");
   }
@@ -54,6 +54,11 @@ Status CreateRequest::validate() const {
     return Status(ErrorCode::kInvalidArgument,
                   "hardware memory requirement must be specified");
   }
+  return Status();
+}
+
+Status CreateRequest::validate() const {
+  VMP_RETURN_IF_ERROR(validate_header());
   return config.validate();
 }
 
@@ -69,33 +74,45 @@ void CreateRequest::to_xml(xml::Element* parent) const {
   dag::to_xml(config, &req);
 }
 
-Result<CreateRequest> CreateRequest::from_xml(const xml::Element& element) {
-  const xml::Element* req = element.name() == "create-request"
-                                ? &element
-                                : element.child("create-request");
+namespace {
+
+const xml::Element* find_create_request(const xml::Element& element) {
+  return element.name() == "create-request" ? &element
+                                            : element.child("create-request");
+}
+
+}  // namespace
+
+Result<CreateRequest> CreateRequest::header_from_xml(
+    const xml::Element& element) {
+  const xml::Element* req = find_create_request(element);
   if (req == nullptr) {
     return Result<CreateRequest>(
         Error(ErrorCode::kParseError, "missing <create-request>"));
   }
+  auto hw = MachineRequirements::from_xml(*req);
+  if (!hw.ok()) return hw.propagate<CreateRequest>();
   CreateRequest out;
   out.request_id = req->attr("id");
   out.client = req->attr("client");
   out.domain = req->attr("domain");
   out.proxy_address = req->attr("proxy");
   out.backend = req->attr("backend");
-
-  auto hw = MachineRequirements::from_xml(*req);
-  if (!hw.ok()) return hw.propagate<CreateRequest>();
   out.hardware = std::move(hw).value();
+  return out;
+}
 
-  const xml::Element* dag_elem = req->child("dag");
+Result<CreateRequest> CreateRequest::from_xml(const xml::Element& element) {
+  auto out = header_from_xml(element);
+  if (!out.ok()) return out;
+  const xml::Element* dag_elem = find_create_request(element)->child("dag");
   if (dag_elem == nullptr) {
     return Result<CreateRequest>(
         Error(ErrorCode::kParseError, "create-request missing <dag>"));
   }
   auto parsed = dag::from_xml(*dag_elem);
   if (!parsed.ok()) return parsed.propagate<CreateRequest>();
-  out.config = std::move(parsed).value();
+  out.value().config = std::move(parsed).value();
   return out;
 }
 

@@ -45,11 +45,19 @@ struct CreateRequest {
   MachineRequirements hardware;
   dag::ConfigDag config;
 
+  /// What a bid needs of the request: an id, a client domain and a
+  /// memory requirement.  No check reads the configuration DAG.
+  util::Status validate_header() const;
+  /// validate_header(), then the configuration DAG's own checks.
   util::Status validate() const;
 
   /// Full XML (a <create-request> element).
   void to_xml(xml::Element* parent) const;
   static util::Result<CreateRequest> from_xml(const xml::Element& element);
+  /// The attributes and <hardware> of a <create-request> (or of its
+  /// parent), with `config` left empty: everything a bid reads.
+  static util::Result<CreateRequest> header_from_xml(
+      const xml::Element& element);
   std::string to_xml_string() const;
   static util::Result<CreateRequest> from_xml_string(const std::string& text);
 };

@@ -1,6 +1,8 @@
 #include "core/shop.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "fault/fault.h"
@@ -20,6 +22,7 @@ using util::Status;
 
 namespace {
 const util::Logger kLog("vmshop");
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 struct ShopMetrics {
   obs::Counter* creates;
@@ -127,10 +130,15 @@ std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
     }
     const xml::Element* bid_elem = response.value().body().child("bid");
     if (bid_elem == nullptr) continue;
-    Bid bid;
-    bid.plant_address = plant.address;
-    bid.cost = bid_elem->attr_double("cost", 0.0);
-    bids.push_back(bid);
+    // A missing, malformed or non-finite cost would win (or poison) the
+    // auction: it counts as a declined bid.
+    const double cost = bid_elem->attr_double("cost", kNan);
+    if (!std::isfinite(cost)) {
+      kLog.debug() << plant.address << " declined to bid: cost \""
+                   << bid_elem->attr("cost") << "\" is not a finite number";
+      continue;
+    }
+    bids.push_back(Bid{plant.address, cost});
   }
   ShopMetrics::get().bids->add(bids.size());
   ShopMetrics::get().bid_seconds->record(obs::Tracer::instance().now() -

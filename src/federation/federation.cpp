@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 
 #include "classad/classad.h"
 #include "obs/export.h"
@@ -19,6 +21,7 @@ using util::Status;
 
 namespace {
 const util::Logger kLog("federation");
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
 std::string dag_class_key(const core::CreateRequest& request) {
@@ -195,8 +198,16 @@ ShardBroker::collect_member_bids(
     if (bids_elem == nullptr) continue;
     for (const xml::Element* bid : bids_elem->children_named("bid")) {
       if (!bid->has_attr("class")) continue;
-      bids[bid->attr("class")].emplace_back(bid->attr_double("cost", 0.0),
-                                            member);
+      // A missing, malformed or non-finite cost is a declined bid, not a
+      // free one.
+      const double cost = bid->attr_double("cost", kNan);
+      if (!std::isfinite(cost)) {
+        kLog.debug() << config_.name << ": member " << member
+                     << " declined class " << bid->attr("class") << ": cost \""
+                     << bid->attr("cost") << "\" is not a finite number";
+        continue;
+      }
+      bids[bid->attr("class")].emplace_back(cost, member);
     }
   }
   for (auto& [key, member_bids] : bids) {
@@ -324,7 +335,8 @@ net::Message ShardBroker::handle_estimate(const net::Message& request_msg) {
     return net::Message::fault_to(
         request_msg, Error(ErrorCode::kParseError, "missing <create-request>"));
   }
-  auto request = core::CreateRequest::from_xml(*req_elem);
+  // The class key, like a plant's bid, reads the request header only.
+  auto request = core::CreateRequest::header_from_xml(*req_elem);
   if (!request.ok()) {
     return net::Message::fault_to(request_msg, request.error());
   }

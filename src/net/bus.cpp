@@ -89,10 +89,11 @@ std::vector<std::string> MessageBus::endpoints() const {
 Result<Message> MessageBus::call(const Message& request_msg) {
   // Client-side transport span, parented by the context carried on the
   // message (the caller's span) so a request joins its originating trace
-  // even when the caller sits on another thread.
-  obs::ScopedSpan span("bus.call", "bus",
-                       request_msg.service() + "->" + request_msg.to(),
-                       request_msg.trace());
+  // even when the caller sits on another thread.  Its detail string is
+  // built only while tracing is armed.
+  obs::ScopedSpan span("bus.call", "bus", request_msg.trace(), [&] {
+    return request_msg.service() + "->" + request_msg.to();
+  });
   obs_calls_->add();
   obs_inflight_->add(1);
   const auto start = std::chrono::steady_clock::now();

@@ -5,7 +5,9 @@
 // `call` with a serialized Message and receive the serialized response.
 // Requests and responses pass through the full wire encoding (serialize ->
 // deserialize) on every hop, so format bugs cannot hide behind in-process
-// shortcuts.
+// shortcuts.  A message re-addressed and sent again (a fan-out) reuses its
+// encoded body (Message::shared_body); each hop's bytes still equal a
+// fresh encode.
 //
 // The wire encoding is negotiated per bus (DESIGN.md §15): kXml (default)
 // round-trips the paper's §4.1 XML text — the debug/interchange format,
@@ -36,11 +38,6 @@ namespace vmp::net {
 /// A request handler: consumes a request Message, produces a response
 /// (normal or fault).  Handlers run on the caller's thread.
 using Handler = std::function<Message(const Message&)>;
-
-/// Per-bus wire encoding.  kXml is the paper's §4.1 text format and the
-/// default (paper runs stay byte-identical); kBinary is the compact
-/// versioned codec of net/codec.h.
-enum class WireFormat { kXml, kBinary };
 
 const char* wire_format_name(WireFormat format) noexcept;
 util::Result<WireFormat> parse_wire_format(const std::string& name);

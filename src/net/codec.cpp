@@ -204,8 +204,24 @@ Result<std::unique_ptr<xml::Element>> decode_element(ByteReader* in) {
 
 // -- Message envelopes --------------------------------------------------------
 
+namespace {
+
+std::string encode_body(const xml::Element& body) {
+  ByteBuffer out;
+  encode_element(body, &out);
+  return out.take();
+}
+
+}  // namespace
+
 std::string encode_message(const Message& message) {
-  ByteBuffer payload = begin_frame(FrameTag::kMessage, 256);
+  // The body is the payload's tail: a repeat send splices the shared
+  // encoded body behind its own envelope, and the checksum still covers
+  // the whole payload.
+  const std::string* body =
+      message.shared_body(WireFormat::kBinary, encode_body);
+  ByteBuffer payload =
+      begin_frame(FrameTag::kMessage, 256 + (body ? body->size() : 0));
   payload.put_u8(static_cast<std::uint8_t>(message.kind()));
   payload.put_string(message.service());
   payload.put_string(message.from());
@@ -213,7 +229,11 @@ std::string encode_message(const Message& message) {
   payload.put_string(message.correlation());
   payload.put_string(message.trace().trace_id);
   payload.put_varint(message.trace().span_id);
-  encode_element(message.body(), &payload);
+  if (body != nullptr) {
+    payload.append_raw(*body);
+  } else {
+    encode_element(message.body(), &payload);
+  }
   return finish_frame(&payload);
 }
 

@@ -1,6 +1,7 @@
 #include "net/message.h"
 
 #include <cstdlib>
+#include <memory>
 
 namespace vmp::net {
 
@@ -23,6 +24,31 @@ Result<MessageKind> parse_message_kind(const std::string& name) {
   if (name == "fault") return MessageKind::kFault;
   return Result<MessageKind>(
       Error(ErrorCode::kParseError, "unknown message kind: " + name));
+}
+
+const std::string* SharedBody::get(
+    WireFormat wire, const xml::Element& body,
+    std::string (*encode)(const xml::Element&)) const {
+  if (!sent_.exchange(true, std::memory_order_relaxed)) return nullptr;
+  std::atomic<const std::string*>& slot = bytes_[static_cast<int>(wire)];
+  const std::string* bytes = slot.load(std::memory_order_acquire);
+  if (bytes != nullptr) return bytes;
+  auto fresh = std::make_unique<const std::string>(encode(body));
+  if (slot.compare_exchange_strong(bytes, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return fresh.release();
+  }
+  return bytes;  // a concurrent send published first
+}
+
+void SharedBody::clear() noexcept {
+  sent_.store(false, std::memory_order_relaxed);
+  for (auto& slot : bytes_) {
+    if (slot.load(std::memory_order_relaxed) != nullptr) {
+      delete slot.exchange(nullptr, std::memory_order_acquire);
+    }
+  }
 }
 
 Message Message::request(std::string service, std::string from, std::string to,
@@ -87,9 +113,10 @@ Error Message::fault_error() const {
 }
 
 std::string Message::serialize() const {
-  // The envelope wraps the body in place (no temporary root, no copy of
-  // the payload).  Attributes go in key order, as an xml::Element would
-  // render them, so the bytes match a built <message> element.
+  // The envelope wraps the body without a temporary root: in place on a
+  // first send, around the shared rendered body on a repeat one.
+  // Attributes go in key order, as an xml::Element would render them, so
+  // the bytes match a built <message> element.
   const bool traced = trace_.valid();
   const std::string span = traced ? std::to_string(trace_.span_id) : "";
   xml::AttrView attrs[7];
@@ -101,7 +128,9 @@ std::string Message::serialize() const {
   if (traced) attrs[n++] = {"span", span};
   attrs[n++] = {"to", to_};
   if (traced) attrs[n++] = {"trace", trace_.trace_id};
-  return xml::render_wrapped("message", std::span(attrs, n), body_);
+  return xml::render_wrapped(
+      "message", std::span(attrs, n), body_,
+      shared_body(WireFormat::kXml, xml::render_children));
 }
 
 Result<Message> Message::deserialize(const std::string& wire) {

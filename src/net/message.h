@@ -11,6 +11,7 @@
 //   </message>
 #pragma once
 
+#include <atomic>
 #include <string>
 
 #include "obs/trace.h"
@@ -20,6 +21,35 @@
 namespace vmp::net {
 
 enum class MessageKind { kRequest, kResponse, kFault };
+
+/// Per-bus wire encoding.  kXml is the paper's §4.1 text format and the
+/// default (paper runs stay byte-identical); kBinary is the compact
+/// versioned codec of net/codec.h.
+enum class WireFormat { kXml, kBinary };
+
+/// Encoded body bytes shared by the sends of one message, one slot per
+/// wire format (see Message::shared_body).  A const message may be sent
+/// from several threads at once: the first encoder to publish its bytes
+/// wins.  A moved-to message starts empty.
+class SharedBody {
+ public:
+  SharedBody() = default;
+  SharedBody(SharedBody&&) noexcept {}
+  SharedBody& operator=(SharedBody&&) noexcept {
+    clear();
+    return *this;
+  }
+  ~SharedBody() { clear(); }
+
+  const std::string* get(WireFormat wire, const xml::Element& body,
+                         std::string (*encode)(const xml::Element&)) const;
+  /// Forgets the body was ever sent.  Callers hold the message exclusively.
+  void clear() noexcept;
+
+ private:
+  mutable std::atomic<bool> sent_{false};
+  mutable std::atomic<const std::string*> bytes_[2]{};
+};
 
 const char* message_kind_name(MessageKind kind) noexcept;
 util::Result<MessageKind> parse_message_kind(const std::string& name);
@@ -46,12 +76,26 @@ class Message {
   const std::string& to() const { return to_; }
   const std::string& correlation() const { return correlation_; }
   /// Re-addresses the message, so one built request can be sent to many
-  /// endpoints in turn (the shop's bid fan-out).
+  /// endpoints in turn (the shop's bid fan-out), its body encoded once.
   void set_to(std::string to) { to_ = std::move(to); }
 
-  /// Payload root (children of <message>).
-  xml::Element& body() { return body_; }
+  /// Payload root (children of <message>).  The non-const accessor marks
+  /// the body edited, so the next send encodes it afresh: take it again
+  /// for an edit after a send, rather than keeping the reference.
+  xml::Element& body() {
+    shared_.clear();
+    return body_;
+  }
   const xml::Element& body() const { return body_; }
+
+  /// For the wire encoders: the body encoded for `wire`, to splice behind
+  /// one send's envelope.  nullptr on the first send after an edit, which
+  /// encodes the body inline, so a message sent once pays nothing extra.
+  /// A repeat send runs `encode` once; every later one shares its bytes.
+  const std::string* shared_body(
+      WireFormat wire, std::string (*encode)(const xml::Element&)) const {
+    return shared_.get(wire, body_, encode);
+  }
 
   /// For faults: the carried error.
   util::Error fault_error() const;
@@ -78,6 +122,7 @@ class Message {
   std::string correlation_;
   obs::TraceContext trace_;
   xml::Element body_;
+  SharedBody shared_;
 };
 
 }  // namespace vmp::net

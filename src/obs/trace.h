@@ -180,6 +180,17 @@ class ScopedSpan {
       ctx_ = Tracer::instance().begin_span(name, component, detail, parent);
     }
   }
+  /// As above, but the detail is `make_detail()`, called only when the
+  /// span is recorded: a disarmed span builds no detail string.
+  template <typename MakeDetail>
+  ScopedSpan(const char* name, const char* component,
+             const TraceContext& parent, MakeDetail&& make_detail)
+      : active_(tracer_armed()) {
+    if (active_) {
+      ctx_ = Tracer::instance().begin_span(name, component, make_detail(),
+                                           parent);
+    }
+  }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ~ScopedSpan() {

@@ -192,19 +192,30 @@ void Element::render(std::string* out, int indent, bool pretty) const {
 
 std::string render_wrapped(std::string_view name,
                            std::span<const AttrView> attrs,
-                           const Element& content) {
+                           const Element& content,
+                           const std::string* rendered_children) {
   std::string out;
-  out.reserve(512);
+  out.reserve(512 + (rendered_children ? rendered_children->size() : 0));
   append_start_tag(&out, name, attrs);
   if (content.children_.empty()) {
     out += "/>\n";
     return out;
   }
   out += ">\n";
-  for (const auto& c : content.children_) c->render(&out, 1, /*pretty=*/true);
+  if (rendered_children != nullptr) {
+    out += *rendered_children;
+  } else {
+    for (const auto& c : content.children_) c->render(&out, 1, /*pretty=*/true);
+  }
   out += "</";
   out.append(name);
   out += ">\n";
+  return out;
+}
+
+std::string render_children(const Element& content) {
+  std::string out;
+  for (const auto& c : content.children_) c->render(&out, 1, /*pretty=*/true);
   return out;
 }
 

@@ -99,7 +99,8 @@ class Element {
  private:
   friend std::string render_wrapped(std::string_view,
                                     std::span<const AttrView>,
-                                    const Element&);
+                                    const Element&, const std::string*);
+  friend std::string render_children(const Element&);
   void render(std::string* out, int indent, bool pretty) const;
   Attributes::const_iterator find_attr(std::string_view key) const;
   /// Where `key` is or would go, and whether it is there.
@@ -120,10 +121,17 @@ void append_escaped(std::string* out, std::string_view raw);
 /// `attrs` (sorted by key, as an Element keeps its own) whose children are
 /// `content`'s children: the bytes that building that element and calling
 /// to_string() would give, without building it or copying `content`.
-/// `content`'s own name, attributes and text are not rendered.
+/// `content`'s own name, attributes and text are not rendered.  Given
+/// `rendered_children` (render_children(content)), those bytes are copied
+/// in instead of rendering the children again.
 std::string render_wrapped(std::string_view name,
                            std::span<const AttrView> attrs,
-                           const Element& content);
+                           const Element& content,
+                           const std::string* rendered_children = nullptr);
+
+/// The bytes render_wrapped writes for `content`'s children, rendered once
+/// so that many wrappers can share them.
+std::string render_children(const Element& content);
 
 /// Parse a document; returns its root element.
 util::Result<std::unique_ptr<Element>> parse(std::string_view input);

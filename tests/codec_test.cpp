@@ -5,9 +5,12 @@
 // must fail CLEANLY (error Status, no crash, no giant allocation).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "net/bus.h"
 #include "net/codec.h"
@@ -425,6 +428,142 @@ TEST(MessageBodyTest, BinaryDuplicateAttributeKeyIsLastWins) {
   EXPECT_EQ(m->attrs().size(), 2u);
   EXPECT_EQ(m->attr("k"), "last");
   EXPECT_EQ(m->to_compact_string(), "<m a=\"other\" k=\"last\"/>");
+}
+
+// ---- Render-once fan-out ------------------------------------------------------
+//
+// A message re-addressed and sent again shares its encoded body between
+// sends; every send's bytes must still be exactly those of a fresh encode.
+
+/// The wire bytes of one send, as the bus encodes them.
+std::string encode_on(net::WireFormat wire, const net::Message& message) {
+  return wire == net::WireFormat::kBinary ? codec::encode_message(message)
+                                          : message.serialize();
+}
+
+/// A bid request like the shop's fan-out, built afresh for `to`.
+net::Message bid_request(const std::string& to, bool traced) {
+  net::Message m = net::Message::assemble(
+      net::MessageKind::kRequest, "vmplant.estimate", "shop0", to, "r-7");
+  if (traced) {
+    obs::TraceContext trace;
+    trace.trace_id = "trace-fanout";
+    trace.span_id = 42;
+    m.set_trace(std::move(trace));
+  }
+  workload::workspace_request(64, 3, "ufl.edu").to_xml(&m.body());
+  return m;
+}
+
+constexpr net::WireFormat kWires[] = {net::WireFormat::kXml,
+                                      net::WireFormat::kBinary};
+
+TEST(FanOutTest, EachDestinationMatchesAFreshEncode) {
+  for (const net::WireFormat wire : kWires) {
+    for (const bool traced : {false, true}) {
+      net::Message m = bid_request("", traced);
+      for (const char* to : {"plant0", "plant1", "a-much-longer-plant-name",
+                             "", "plant0"}) {
+        m.set_to(to);
+        EXPECT_EQ(encode_on(wire, m), encode_on(wire, bid_request(to, traced)))
+            << net::wire_format_name(wire) << " to '" << to << "'";
+      }
+    }
+  }
+}
+
+TEST(FanOutTest, BodyEditBetweenSendsIsCarried) {
+  for (const net::WireFormat wire : kWires) {
+    const char* name = net::wire_format_name(wire);
+    net::Message m = bid_request("plant0", false);
+    net::Message expected = bid_request("plant0", false);
+    (void)encode_on(wire, m);
+    ASSERT_EQ(encode_on(wire, m), encode_on(wire, expected)) << name;
+
+    m.body().add_child("extra").set_text("added after two sends");
+    expected.body().add_child("extra").set_text("added after two sends");
+    m.set_to("plant1");
+    expected.set_to("plant1");
+    EXPECT_EQ(encode_on(wire, m), encode_on(wire, expected)) << name;
+    EXPECT_EQ(encode_on(wire, m), encode_on(wire, expected)) << name;
+
+    m.body().child("create-request")->set_attr("domain", "nwu.edu");
+    expected.body().child("create-request")->set_attr("domain", "nwu.edu");
+    EXPECT_EQ(encode_on(wire, m), encode_on(wire, expected)) << name;
+    EXPECT_EQ(encode_on(wire, m), encode_on(wire, expected)) << name;
+
+    // An emptied body encodes as a childless envelope on every send.
+    (void)m.body().release_children();
+    (void)expected.body().release_children();
+    for (int send = 0; send < 3; ++send) {
+      EXPECT_EQ(encode_on(wire, m), encode_on(wire, expected)) << name;
+    }
+  }
+}
+
+TEST(FanOutTest, RepeatSendsMatchCommittedGoldens) {
+  net::Message m = testing::wire_fixture_message();
+  const std::string xml = read_fixture("message.xml");
+  const std::string binary = read_fixture("v1-message.bin");
+  for (int send = 0; send < 3; ++send) {
+    EXPECT_EQ(m.serialize(), xml) << "send " << send;
+    EXPECT_EQ(codec::encode_message(m), binary) << "send " << send;
+  }
+  // Sent elsewhere and back: the golden bytes again.
+  m.set_to("plant9");
+  EXPECT_NE(m.serialize(), xml);
+  EXPECT_NE(codec::encode_message(m), binary);
+  m.set_to("plant3");
+  EXPECT_EQ(m.serialize(), xml);
+  EXPECT_EQ(codec::encode_message(m), binary);
+}
+
+TEST(FanOutTest, BusCarriesBodyEditsOnBothWires) {
+  for (const net::WireFormat wire : kWires) {
+    net::MessageBus bus{net::BusConfig{wire}};
+    std::vector<std::string> seen;
+    for (const char* address : {"p0", "p1", "p2"}) {
+      ASSERT_TRUE(bus.register_endpoint(address, [&seen](const net::Message& m) {
+                       seen.push_back(m.to() + " " +
+                                      m.body().child("note")->attr("v"));
+                       return net::Message::response_to(m);
+                     }).ok());
+    }
+    net::Message m = net::Message::request("svc", "client", "", "c");
+    m.body().add_child("note").set_attr("v", "1");
+    for (const char* to : {"p0", "p1"}) {
+      m.set_to(to);
+      ASSERT_TRUE(bus.call(m).ok());
+    }
+    m.body().child("note")->set_attr("v", "2");
+    m.set_to("p2");
+    ASSERT_TRUE(bus.call(m).ok());
+    m.set_to("p0");
+    ASSERT_TRUE(bus.call(m).ok());
+    EXPECT_EQ(seen, (std::vector<std::string>{"p0 1", "p1 1", "p2 2", "p0 2"}))
+        << net::wire_format_name(wire);
+  }
+}
+
+TEST(FanOutTest, ConcurrentSendsOfOneMessageAgree) {
+  // Sends of one const message from several threads race to publish the
+  // shared body; every thread must still see exact bytes.
+  const net::Message m = bid_request("plant0", true);
+  const std::string xml = bid_request("plant0", true).serialize();
+  const std::string binary =
+      codec::encode_message(bid_request("plant0", true));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) {
+        if (m.serialize() != xml) ++mismatches;
+        if (codec::encode_message(m) != binary) ++mismatches;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---- Robustness sweeps ------------------------------------------------------

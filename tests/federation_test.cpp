@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 
 #include "cluster/deployment.h"
 #include "core/fleet.h"
@@ -250,6 +251,68 @@ TEST_F(FederationTest, AggregateBidIsCheapestMemberPlusMarkup) {
   auto bids = shop.collect_bids(request);
   ASSERT_EQ(bids.size(), 1u);
   EXPECT_DOUBLE_EQ(bids[0].cost, cheapest + 3.5);
+}
+
+/// A hidden member that prices every class of an estimate_batch with `cost`
+/// as the raw cost attribute (none when nullopt) and counts creates.
+void attach_bad_member(net::MessageBus* bus, const std::string& address,
+                       std::optional<std::string> cost, int* creates) {
+  ASSERT_TRUE(bus->register_endpoint(address, [=](const net::Message& m) {
+                   if (m.service() != "vmplant.estimate_batch") {
+                     ++*creates;
+                     return net::Message::fault_to(
+                         m, util::Error(util::ErrorCode::kInternal,
+                                        "stub never creates"));
+                   }
+                   net::Message response = net::Message::response_to(m);
+                   xml::Element& bids = response.body().add_child("bids");
+                   for (const xml::Element* cls :
+                        m.body().children_named("class")) {
+                     xml::Element& bid = bids.add_child("bid");
+                     bid.set_attr("class", cls->attr("key"));
+                     bid.set_attr("plant", address);
+                     if (cost.has_value()) bid.set_attr("cost", *cost);
+                   }
+                   return response;
+                 }).ok());
+}
+
+TEST_F(FederationTest, MalformedMemberCostsAreDeclined) {
+  auto real = make_member("bcH0");
+  int stub_creates = 0;
+  attach_bad_member(&bus_, "bcH-nan", "nan", &stub_creates);
+  attach_bad_member(&bus_, "bcH-text", "abc", &stub_creates);
+  attach_bad_member(&bus_, "bcH-none", std::nullopt, &stub_creates);
+  auto shard = make_shard({.name = "fedshardH"});
+  for (const char* member : {"bcH-nan", "bcH-text", "bcH-none", "bcH0"}) {
+    shard->add_member(member);
+  }
+  core::VmShop shop(shop_config("shopH"), &bus_, &registry_);
+  ASSERT_TRUE(shop.attach_to_bus().ok());
+
+  const auto request = workload::workspace_request(64, 0, "d");
+  auto bids = shop.collect_bids(request);
+  ASSERT_EQ(bids.size(), 1u);
+  EXPECT_DOUBLE_EQ(bids[0].cost, real->estimate(request).value());
+  auto ad = shop.create(request);
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  EXPECT_EQ(ad.value().get_string(core::attrs::kPlant).value(), "bcH0");
+  EXPECT_EQ(stub_creates, 0);
+}
+
+TEST_F(FederationTest, OnlyMalformedMemberCostsMeansNoBids) {
+  int stub_creates = 0;
+  attach_bad_member(&bus_, "bcI-nan", "nan", &stub_creates);
+  attach_bad_member(&bus_, "bcI-none", std::nullopt, &stub_creates);
+  auto shard = make_shard({.name = "fedshardI"});
+  shard->add_member("bcI-nan");
+  shard->add_member("bcI-none");
+  core::VmShop shop(shop_config("shopI"), &bus_, &registry_);
+  ASSERT_TRUE(shop.attach_to_bus().ok());
+  auto r = shop.create(workload::workspace_request(64, 0, "d"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), util::ErrorCode::kNoBids);
+  EXPECT_EQ(stub_creates, 0);
 }
 
 // -- Headroom-aware routing ---------------------------------------------------------

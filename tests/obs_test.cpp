@@ -17,6 +17,7 @@
 #include "core/shop.h"
 #include "dag/dag.h"
 #include "fault/fault.h"
+#include "net/bus.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -119,6 +120,46 @@ TEST_F(TracerTest, DisarmedScopedSpanRecordsNothing) {
     EXPECT_FALSE(span.active());
   }
   EXPECT_EQ(Tracer::instance().span_count(), 0u);
+}
+
+TEST_F(TracerTest, LazyDetailIsBuiltOnlyWhenArmed) {
+  int built = 0;
+  const auto make_detail = [&built] {
+    ++built;
+    return std::string("svc->p");
+  };
+  Tracer::instance().disarm();
+  { obs::ScopedSpan span("lazy", "test", obs::TraceContext{}, make_detail); }
+  EXPECT_EQ(built, 0);
+  Tracer::instance().arm();
+  { obs::ScopedSpan span("lazy", "test", obs::TraceContext{}, make_detail); }
+  EXPECT_EQ(built, 1);
+  auto spans = Tracer::instance().spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].detail, "svc->p");
+}
+
+TEST_F(TracerTest, BusCallSpanKeepsItsDetailAndParent) {
+  net::MessageBus bus;
+  ASSERT_TRUE(bus.register_endpoint("p", [](const net::Message& m) {
+                   return net::Message::response_to(m);
+                 }).ok());
+  obs::TraceContext caller;
+  {
+    obs::ScopedSpan root("root", "test");
+    caller = root.context();
+    ASSERT_TRUE(bus.call(net::Message::request("svc", "a", "p", "c")).ok());
+  }
+  bool found = false;
+  for (const obs::Span& span : Tracer::instance().spans()) {
+    if (span.name != "bus.call") continue;
+    found = true;
+    EXPECT_EQ(span.detail, "svc->p");
+    EXPECT_EQ(span.component, "bus");
+    EXPECT_EQ(span.trace_id, caller.trace_id);
+    EXPECT_EQ(span.parent_id, caller.span_id);
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST_F(TracerTest, NestedSpansFormOneTraceWithParentLinks) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
+#include <optional>
 
 #include "core/plant.h"
 #include "core/shop.h"
@@ -11,6 +13,11 @@
 
 namespace vmp::core {
 namespace {
+
+using util::Error;
+using util::ErrorCode;
+using util::Result;
+using util::Status;
 
 class ShopTest : public ::testing::Test {
  protected:
@@ -266,6 +273,165 @@ TEST_F(ShopTest, PublishMessageAdmitsAndBackpressures) {
   EXPECT_FALSE(warehouse_->contains("oversized-img"));
 
   shop_->set_lifecycle(nullptr);
+}
+
+// -- Malformed bid costs ---------------------------------------------------------
+
+/// Registers a vmplant endpoint that bids with `cost` as the raw cost
+/// attribute (none when nullopt) and refuses every create, counting them.
+void attach_bad_bidder(net::MessageBus* bus, net::ServiceRegistry* registry,
+                       const std::string& address,
+                       std::optional<std::string> cost, int* creates) {
+  ASSERT_TRUE(bus->register_endpoint(address, [=](const net::Message& m) {
+                   if (m.service() != "vmplant.estimate") {
+                     ++*creates;
+                     return net::Message::fault_to(
+                         m, Error(ErrorCode::kInternal, "stub never creates"));
+                   }
+                   net::Message response = net::Message::response_to(m);
+                   xml::Element& bid = response.body().add_child("bid");
+                   bid.set_attr("plant", address);
+                   if (cost.has_value()) bid.set_attr("cost", *cost);
+                   return response;
+                 }).ok());
+  registry->publish(net::ServiceRecord{"vmplant", address, {}});
+}
+
+TEST_F(ShopTest, MalformedBidCostsAreDeclined) {
+  plants_[1]->detach_from_bus();
+  plants_[2]->detach_from_bus();
+  // Address-ordered discovery puts the stubs first: a NaN leads the bids.
+  int stub_creates = 0;
+  attach_bad_bidder(&bus_, &registry_, "a-nan", "nan", &stub_creates);
+  attach_bad_bidder(&bus_, &registry_, "a-text", "abc", &stub_creates);
+  attach_bad_bidder(&bus_, &registry_, "a-none", std::nullopt, &stub_creates);
+  attach_bad_bidder(&bus_, &registry_, "a-inf", "-inf", &stub_creates);
+
+  const auto bids =
+      shop_->collect_bids(workload::workspace_request(64, 0, "d1"));
+  ASSERT_EQ(bids.size(), 1u);
+  EXPECT_EQ(bids[0].plant_address, "plant0");
+  EXPECT_DOUBLE_EQ(bids[0].cost, 50.0);
+
+  auto ad = shop_->create(workload::workspace_request(64, 0, "d1"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  EXPECT_EQ(ad.value().get_string(attrs::kPlant).value(), "plant0");
+  EXPECT_EQ(stub_creates, 0);
+}
+
+TEST_F(ShopTest, OnlyMalformedBidsMeansNoBids) {
+  for (auto& plant : plants_) plant->detach_from_bus();
+  int stub_creates = 0;
+  attach_bad_bidder(&bus_, &registry_, "a-nan", "nan", &stub_creates);
+  attach_bad_bidder(&bus_, &registry_, "a-text", "abc", &stub_creates);
+  attach_bad_bidder(&bus_, &registry_, "a-none", std::nullopt, &stub_creates);
+  auto r = shop_->create(workload::workspace_request(64, 0, "d1"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), ErrorCode::kNoBids);
+  EXPECT_EQ(stub_creates, 0);
+}
+
+// -- The bid-time contract: vmplant.estimate reads the request header -------------
+
+/// One vmplant.estimate to plant0 carrying `build`'s body.
+Result<double> estimate_over_bus(
+    net::MessageBus* bus, const std::function<void(xml::Element*)>& build) {
+  net::Message m =
+      net::Message::request("vmplant.estimate", "client", "plant0", "e-1");
+  build(&m.body());
+  auto response = net::call_expecting_success(bus, m);
+  if (!response.ok()) return response.propagate<double>();
+  return response.value().body().child("bid")->attr_double("cost", -1.0);
+}
+
+Result<double> estimate_over_bus(net::MessageBus* bus,
+                                 const CreateRequest& request) {
+  return estimate_over_bus(
+      bus, [&request](xml::Element* body) { request.to_xml(body); });
+}
+
+void expect_fault(const Result<double>& bid, ErrorCode code,
+                  const std::string& text) {
+  ASSERT_FALSE(bid.ok());
+  EXPECT_EQ(bid.error().code(), code);
+  EXPECT_EQ(bid.error().message(), text);
+}
+
+TEST_F(ShopTest, EstimateHeaderFaultsKeepCodeAndText) {
+  expect_fault(estimate_over_bus(&bus_, [](xml::Element*) {}),
+               ErrorCode::kParseError, "missing <create-request>");
+  expect_fault(estimate_over_bus(&bus_,
+                                 [](xml::Element* body) {
+                                   xml::Element& req =
+                                       body->add_child("create-request");
+                                   req.set_attr("id", "r");
+                                   req.set_attr("domain", "d");
+                                 }),
+               ErrorCode::kParseError, "missing <hardware> element");
+
+  CreateRequest no_id = workload::workspace_request(64, 0, "d");
+  no_id.request_id.clear();
+  expect_fault(estimate_over_bus(&bus_, no_id), ErrorCode::kInvalidArgument,
+               "request_id must not be empty");
+  CreateRequest no_domain = workload::workspace_request(64, 0, "d");
+  no_domain.domain.clear();
+  expect_fault(estimate_over_bus(&bus_, no_domain),
+               ErrorCode::kInvalidArgument,
+               "client domain must not be empty (host-only network "
+               "assignment requires it)");
+  CreateRequest no_memory = workload::workspace_request(64, 0, "d");
+  no_memory.hardware.memory_bytes = 0;
+  expect_fault(estimate_over_bus(&bus_, no_memory),
+               ErrorCode::kInvalidArgument,
+               "hardware memory requirement must be specified");
+}
+
+TEST_F(ShopTest, EstimateRefusalsKeepCodeAndText) {
+  // No network: plant0's four host-only networks are held by other domains.
+  for (int d = 0; d < 4; ++d) {
+    ASSERT_TRUE(plants_[0]
+                    ->create(workload::workspace_request(
+                        32, d + 100, "filler" + std::to_string(d)))
+                    .ok());
+  }
+  expect_fault(
+      estimate_over_bus(&bus_, workload::workspace_request(64, 0, "fresh")),
+      ErrorCode::kResourceExhausted, "no host-only network for this domain");
+
+  // Capacity: a one-VM plant holding its VM.
+  PlantConfig config;
+  config.name = "tiny";
+  config.max_vms = 1;
+  VmPlant tiny(config, store_.get(), warehouse_.get());
+  ASSERT_TRUE(tiny.create(workload::workspace_request(32, 0, "d")).ok());
+  expect_fault(tiny.estimate(workload::workspace_request(32, 1, "d")),
+               ErrorCode::kResourceExhausted, "plant at VM capacity");
+}
+
+TEST_F(ShopTest, CyclicDagGetsABidButNoCreate) {
+  CreateRequest request = workload::workspace_request(64, 0, "d1");
+  const std::vector<std::string> order =
+      request.config.topological_sort().value();
+  ASSERT_TRUE(request.config.add_edge(order.back(), order.front()).ok());
+  const Status invalid = request.validate();
+  ASSERT_FALSE(invalid.ok());
+  EXPECT_TRUE(request.validate_header().ok());
+
+  // A bid prices the header: the cycle does not matter to it.
+  auto bid = estimate_over_bus(&bus_, request);
+  ASSERT_TRUE(bid.ok()) << bid.error().to_string();
+  EXPECT_DOUBLE_EQ(bid.value(), 50.0);
+
+  // The shop still rejects the request before any bid, as it always has.
+  const std::uint64_t calls_before = bus_.calls_total();
+  auto created = shop_->create(request);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(created.error().message(), invalid.error().message());
+  EXPECT_EQ(created.error().message().rfind(
+                "configuration DAG contains a cycle through '", 0),
+            0u);
+  EXPECT_EQ(bus_.calls_total(), calls_before);
 }
 
 }  // namespace
