@@ -20,7 +20,8 @@
 //                            cost the cache warmth is bought with: one
 //                            estimate_batch per member, O(children).
 //
-// Message counts come from the bus's own call counter, so they are exact
+// Message and byte counts come from the bus's own call and byte counters
+// (requests and replies, bids and create forwards alike), so they are exact
 // and deterministic; bench/baselines/federation.json gates the sharded /
 // flat throughput ratio (>= 2x) and the flat / sharded bid-message ratio
 // (>= 8x) via tools/bench_gate.py "must_exceed".
@@ -89,6 +90,7 @@ void register_stub_plant(net::MessageBus* bus, const std::string& name,
 struct LegResult {
   double throughput_vm_s = 0.0;
   double bid_msgs_per_create = 0.0;
+  double bid_bytes_per_create = 0.0;
   std::size_t failures = 0;
 };
 
@@ -96,6 +98,7 @@ LegResult run_creates(core::VmShop* shop, net::MessageBus* bus,
                       std::size_t creates) {
   LegResult result;
   const std::uint64_t calls_before = bus->calls_total();
+  const std::uint64_t bytes_before = bus->bytes_total();
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < creates; ++i) {
     auto ad = shop->create(workload::workspace_request(32, i, "bench.grid"));
@@ -109,6 +112,9 @@ LegResult run_creates(core::VmShop* shop, net::MessageBus* bus,
   result.bid_msgs_per_create =
       static_cast<double>(bus->calls_total() - calls_before) /
       static_cast<double>(creates);
+  result.bid_bytes_per_create =
+      static_cast<double>(bus->bytes_total() - bytes_before) /
+      static_cast<double>(creates);
   return result;
 }
 
@@ -116,10 +122,10 @@ void report_leg(const char* name, const char* topology, const LegResult& r) {
   std::printf("%-24s %14.1f %18.1f %10zu\n", topology, r.throughput_vm_s,
               r.bid_msgs_per_create, r.failures);
   std::printf("BENCH_JSON {\"name\": \"%s\", \"throughput_vm_s\": %.2f, "
-              "\"bid_msgs_per_create\": %.2f, \"plants\": %zu, "
-              "\"failures\": %zu}\n",
-              name, r.throughput_vm_s, r.bid_msgs_per_create, kPlants,
-              r.failures);
+              "\"bid_msgs_per_create\": %.2f, \"bid_bytes_per_create\": %.1f, "
+              "\"plants\": %zu, \"failures\": %zu}\n",
+              name, r.throughput_vm_s, r.bid_msgs_per_create,
+              r.bid_bytes_per_create, kPlants, r.failures);
 }
 
 LegResult run_flat() {

@@ -63,6 +63,10 @@ Status CreateRequest::validate() const {
 }
 
 void CreateRequest::to_xml(xml::Element* parent) const {
+  dag::to_xml(config, &header_to_xml(parent));
+}
+
+xml::Element& CreateRequest::header_to_xml(xml::Element* parent) const {
   xml::Element& req = parent->add_child("create-request");
   // In key order, the order the element keeps them: each is an append.
   req.set_attr("backend", backend);
@@ -71,7 +75,7 @@ void CreateRequest::to_xml(xml::Element* parent) const {
   req.set_attr("id", request_id);
   req.set_attr("proxy", proxy_address);
   hardware.to_xml(&req);
-  dag::to_xml(config, &req);
+  return req;
 }
 
 namespace {

@@ -51,8 +51,13 @@ struct CreateRequest {
   /// validate_header(), then the configuration DAG's own checks.
   util::Status validate() const;
 
-  /// Full XML (a <create-request> element).
+  /// Full XML (a <create-request> element): header_to_xml() plus the
+  /// configuration DAG.
   void to_xml(xml::Element* parent) const;
+  /// The <create-request> attributes and <hardware>, with no <dag>:
+  /// everything a bid reads (the mirror of header_from_xml).  Returns the
+  /// appended element.
+  xml::Element& header_to_xml(xml::Element* parent) const;
   static util::Result<CreateRequest> from_xml(const xml::Element& element);
   /// The attributes and <hardware> of a <create-request> (or of its
   /// parent), with `config` left empty: everything a bid reads.

@@ -79,10 +79,11 @@ std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
   obs::ScopedSpan span("shop.bid", "vmshop", request.request_id);
   const double start_s = obs::Tracer::instance().now();
   std::vector<Bid> bids;
-  // One request, built once and re-addressed to each plant in turn.
+  // One request, built once and re-addressed to each plant in turn.  It
+  // carries the header only: a bid never reads the configuration DAG.
   net::Message m = net::Message::request("vmplant.estimate", config_.name, "",
                                          request.request_id);
-  request.to_xml(&m.body());
+  request.header_to_xml(&m.body());
   for (const net::ServiceRecord& plant : registry_->discover("vmplant")) {
     // The registry snapshot is a cache (paper §3.1): a plant can detach
     // between discover() and the bid call.  Probe the bus first so a

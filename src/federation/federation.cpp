@@ -270,15 +270,17 @@ Result<ShardBroker::Selection> ShardBroker::select(
       fresh = true;
       ++it->second.served;
       member_bids = it->second.member_bids;
-    } else {
-      const xml::Element* req_elem = request_body.child("create-request");
-      if (req_elem == nullptr) {
-        return Result<Selection>(
-            Error(ErrorCode::kParseError, "missing <create-request>"));
-      }
-      request_xml =
-          it != cache_.end() ? it->second.request_xml : req_elem->to_string();
+    } else if (it != cache_.end()) {
+      request_xml = it->second.request_xml;
     }
+  }
+  if (!fresh && request_xml.empty()) {
+    // A new class caches its request as the rendered header, whatever the
+    // caller sent: refreshes never carry a DAG that no bidder reads.
+    auto header = core::CreateRequest::header_from_xml(request_body);
+    if (!header.ok()) return header.propagate<Selection>();
+    xml::Element wrapper("wrapper");
+    request_xml = header.value().header_to_xml(&wrapper).to_string();
   }
 
   if (fresh) {

@@ -88,7 +88,8 @@ struct ShardBrokerConfig {
 struct CachedBid {
   /// Member bids sorted cheapest-first (the within-shard failover order).
   std::vector<std::pair<double, std::string>> member_bids;
-  /// Representative request for refreshes, serialized once.
+  /// Representative request header (no <dag>) for refreshes, serialized
+  /// once.
   std::string request_xml;
   double refreshed_at = -1.0;  // clock seconds; < 0 = never refreshed
   std::uint64_t served = 0;    // estimates answered from this entry

@@ -1,7 +1,7 @@
 #include "xml/xml.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <utility>
 
 #include "util/strings.h"
@@ -364,16 +364,19 @@ class Parser {
       else if (entity == "quot") *out += '"';
       else if (entity == "apos") *out += '\'';
       else if (!entity.empty() && entity[0] == '#') {
-        long long cp = 0;
-        const bool hex = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
-        const std::string digits(entity.substr(hex ? 2 : 1));
-        char* end = nullptr;
-        cp = std::strtoll(digits.c_str(), &end, hex ? 16 : 10);
-        if (end != digits.c_str() + digits.size() || cp < 0 || cp > 0x10FFFF) {
+        // Only &#[0-9]+; and &#x[0-9a-fA-F]+; (from_chars takes no sign,
+        // space or prefix), naming a character: not NUL, not a UTF-16
+        // surrogate, at most U+10FFFF.
+        const bool hex = entity.size() > 1 && entity[1] == 'x';
+        const std::string_view digits = entity.substr(hex ? 2 : 1);
+        unsigned long c = 0;
+        const auto [end, ec] = std::from_chars(
+            digits.data(), digits.data() + digits.size(), c, hex ? 16 : 10);
+        if (ec != std::errc() || end != digits.data() + digits.size() ||
+            c == 0 || c > 0x10FFFF || (c >= 0xD800 && c <= 0xDFFF)) {
           return Status(error("bad numeric character reference"));
         }
         // Encode as UTF-8.
-        const auto c = static_cast<unsigned long>(cp);
         if (c < 0x80) {
           *out += static_cast<char>(c);
         } else if (c < 0x800) {

@@ -42,6 +42,43 @@ TEST(RequestTest, XmlRoundTrip) {
   EXPECT_TRUE(parsed.value().config == r.config);
 }
 
+TEST(RequestTest, HeaderXmlRoundTripKeepsEveryHeaderField) {
+  for (const std::string backend : {"vmware-gsx", "uml"}) {
+    for (const std::uint32_t memory_mb : {32u, 64u, 256u}) {
+      for (const CreateRequest& r :
+           workload::workspace_requests(memory_mb, 3, "ufl.edu", backend)) {
+        xml::Element wrapper("wrapper");
+        const xml::Element& header = r.header_to_xml(&wrapper);
+        EXPECT_EQ(header.child("dag"), nullptr);
+        auto parsed = CreateRequest::header_from_xml(header);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+        EXPECT_EQ(parsed.value().request_id, r.request_id);
+        EXPECT_EQ(parsed.value().client, r.client);
+        EXPECT_EQ(parsed.value().domain, r.domain);
+        EXPECT_EQ(parsed.value().proxy_address, r.proxy_address);
+        EXPECT_EQ(parsed.value().backend, r.backend);
+        EXPECT_EQ(parsed.value().hardware.os, r.hardware.os);
+        EXPECT_EQ(parsed.value().hardware.memory_bytes,
+                  r.hardware.memory_bytes);
+        EXPECT_EQ(parsed.value().hardware.min_disk_bytes,
+                  r.hardware.min_disk_bytes);
+        EXPECT_EQ(parsed.value().config.size(), 0u);
+
+        // The full request is that header with the DAG appended.
+        xml::Element wrapper_full("wrapper");
+        r.to_xml(&wrapper_full);
+        const xml::Element& full = *wrapper_full.children().front();
+        EXPECT_EQ(full.attrs(), header.attrs());
+        ASSERT_EQ(header.children().size(), 1u);
+        ASSERT_EQ(full.children().size(), 2u);
+        EXPECT_EQ(full.children()[0]->to_string(),
+                  header.children()[0]->to_string());
+        EXPECT_EQ(full.children()[1]->name(), "dag");
+      }
+    }
+  }
+}
+
 TEST(RequestTest, HardwareMatching) {
   MachineRequirements req;
   req.os = "linux";

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <optional>
+#include <set>
 
 #include "cluster/deployment.h"
 #include "core/fleet.h"
@@ -313,6 +314,78 @@ TEST_F(FederationTest, OnlyMalformedMemberCostsMeansNoBids) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code(), util::ErrorCode::kNoBids);
   EXPECT_EQ(stub_creates, 0);
+}
+
+// -- Refresh traffic carries the request header ------------------------------------
+
+/// A hidden member that bids 1.0 on every class of an estimate_batch and
+/// records each class's <create-request> as rendered.
+void attach_recording_member(net::MessageBus* bus, const std::string& address,
+                             std::vector<std::string>* seen) {
+  ASSERT_TRUE(bus->register_endpoint(address, [=](const net::Message& m) {
+                   EXPECT_EQ(m.service(), "vmplant.estimate_batch");
+                   net::Message response = net::Message::response_to(m);
+                   xml::Element& bids = response.body().add_child("bids");
+                   for (const xml::Element* cls :
+                        m.body().children_named("class")) {
+                     const xml::Element* req = cls->child("create-request");
+                     seen->push_back(req == nullptr ? "" : req->to_string());
+                     xml::Element& bid = bids.add_child("bid");
+                     bid.set_attr("class", cls->attr("key"));
+                     bid.set_attr("plant", address);
+                     bid.set_attr("cost", "1");
+                   }
+                   return response;
+                 }).ok());
+}
+
+std::string rendered_header(const core::CreateRequest& request) {
+  xml::Element wrapper("wrapper");
+  return request.header_to_xml(&wrapper).to_string();
+}
+
+TEST_F(FederationTest, RefreshClassesCarryTheHeaderOnly) {
+  std::vector<std::string> seen;
+  attach_recording_member(&bus_, "recJ0", &seen);
+  auto shard = make_shard({.name = "fedshardJ", .bid_ttl_s = 5.0});
+  shard->add_member("recJ0");
+
+  // A direct caller sends a whole request, DAG and all...
+  const auto request = workload::workspace_request(64, 0, "d");
+  net::Message estimate =
+      net::Message::request("vmplant.estimate", "client", "fedshardJ", "e-1");
+  request.to_xml(&estimate.body());
+  ASSERT_TRUE(net::call_expecting_success(&bus_, estimate).ok());
+  // ...and so does a parent broker's batch, for a second class.
+  const auto other = workload::workspace_request(32, 0, "d");
+  net::Message batch = net::Message::request("vmplant.estimate_batch",
+                                             "parent", "fedshardJ", "b-1");
+  xml::Element& cls = batch.body().add_child("class");
+  cls.set_attr("key", federation::dag_class_key(other));
+  other.to_xml(&cls);
+  auto batch_reply = net::call_expecting_success(&bus_, batch);
+  ASSERT_TRUE(batch_reply.ok()) << batch_reply.error().to_string();
+  EXPECT_EQ(batch_reply.value().body().child("bids")->children().size(), 1u);
+
+  clock_s_ = 100.0;  // both stale
+  EXPECT_EQ(shard->refresh_all(), 2u);
+
+  // Two single-class misses, then one refresh of both classes: every
+  // class the member saw is the header, never the DAG.
+  const std::set<std::string> headers = {rendered_header(request),
+                                         rendered_header(other)};
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0], rendered_header(request));
+  EXPECT_EQ(seen[1], rendered_header(other));
+  for (const std::string& body : seen) {
+    EXPECT_EQ(body.find("<dag"), std::string::npos) << body;
+    EXPECT_EQ(headers.count(body), 1u) << body;
+  }
+  for (const core::CreateRequest* r : {&request, &other}) {
+    const auto entry = shard->cached(federation::dag_class_key(*r));
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->request_xml, rendered_header(*r));
+  }
 }
 
 // -- Headroom-aware routing ---------------------------------------------------------

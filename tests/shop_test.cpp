@@ -9,6 +9,7 @@
 #include "core/plant.h"
 #include "core/shop.h"
 #include "lifecycle/lifecycle.h"
+#include "util/strings.h"
 #include "workload/request_gen.h"
 
 namespace vmp::core {
@@ -331,6 +332,79 @@ TEST_F(ShopTest, OnlyMalformedBidsMeansNoBids) {
   EXPECT_EQ(stub_creates, 0);
 }
 
+// -- The bid wire schema: estimates carry the header, creates the DAG -------------
+
+/// What a recording vmplant stub saw: every body, rendered, per service.
+struct Recorded {
+  std::vector<std::string> estimates;
+  std::vector<std::string> creates;
+};
+
+/// Registers a vmplant endpoint that bids `cost` on every estimate and
+/// refuses every create, recording each body's <create-request>.
+void attach_recording_bidder(net::MessageBus* bus,
+                             net::ServiceRegistry* registry,
+                             const std::string& address, double cost,
+                             Recorded* seen) {
+  ASSERT_TRUE(bus->register_endpoint(address, [=](const net::Message& m) {
+                   const xml::Element* req = m.body().child("create-request");
+                   const bool estimate = m.service() == "vmplant.estimate";
+                   // One <create-request> and nothing else in the body.
+                   EXPECT_EQ(m.body().children().size(), 1u);
+                   (estimate ? seen->estimates : seen->creates)
+                       .push_back(req == nullptr ? "" : req->to_string());
+                   if (!estimate) {
+                     return net::Message::fault_to(
+                         m, Error(ErrorCode::kInternal, "stub never creates"));
+                   }
+                   net::Message response = net::Message::response_to(m);
+                   xml::Element& bid = response.body().add_child("bid");
+                   bid.set_attr("plant", address);
+                   bid.set_attr("cost", util::format_double(cost));
+                   return response;
+                 }).ok());
+  registry->publish(net::ServiceRecord{"vmplant", address, {}});
+}
+
+/// An estimate body is the request header: exactly the five
+/// <create-request> attributes and one <hardware> child, no <dag>.
+void expect_header_only(const std::string& rendered,
+                        const CreateRequest& request) {
+  auto parsed = xml::parse(rendered);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  const xml::Element& req = *parsed.value();
+  EXPECT_EQ(req.name(), "create-request");
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : req.attrs()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"backend", "client", "domain",
+                                            "id", "proxy"}));
+  ASSERT_EQ(req.children().size(), 1u);
+  EXPECT_EQ(req.children().front()->name(), "hardware");
+  EXPECT_EQ(req.child("dag"), nullptr);
+  xml::Element wrapper("wrapper");
+  EXPECT_EQ(rendered, request.header_to_xml(&wrapper).to_string());
+}
+
+TEST_F(ShopTest, EstimatesCarryTheHeaderAndCreateTheDag) {
+  for (auto& plant : plants_) plant->detach_from_bus();
+  Recorded seen;
+  attach_recording_bidder(&bus_, &registry_, "recorder", 1.0, &seen);
+
+  // The stub wins, refuses the create, and the shop re-bids once before
+  // giving up: a first-round estimate, a create, a rebid estimate.
+  const CreateRequest request = workload::workspace_request(64, 0, "d1");
+  auto r = shop_->create(request);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), ErrorCode::kUnavailable);
+  ASSERT_EQ(seen.estimates.size(), 2u);
+  for (const std::string& body : seen.estimates) {
+    expect_header_only(body, request);
+  }
+  ASSERT_EQ(seen.creates.size(), 1u);
+  EXPECT_EQ(seen.creates.front(), request.to_xml_string());
+  EXPECT_NE(seen.creates.front().find("<dag"), std::string::npos);
+}
+
 // -- The bid-time contract: vmplant.estimate reads the request header -------------
 
 /// One vmplant.estimate to plant0 carrying `build`'s body.
@@ -406,6 +480,21 @@ TEST_F(ShopTest, EstimateRefusalsKeepCodeAndText) {
   ASSERT_TRUE(tiny.create(workload::workspace_request(32, 0, "d")).ok());
   expect_fault(tiny.estimate(workload::workspace_request(32, 1, "d")),
                ErrorCode::kResourceExhausted, "plant at VM capacity");
+}
+
+TEST_F(ShopTest, LegacyEstimateWithDagBidsTheSameCost) {
+  // Direct callers may still send the whole request: the <dag> is ignored.
+  for (const CreateRequest& request :
+       {workload::workspace_request(64, 0, "d1"),
+        workload::workspace_request(32, 3, "fresh")}) {
+    auto full = estimate_over_bus(&bus_, request);
+    auto header = estimate_over_bus(&bus_, [&request](xml::Element* body) {
+      request.header_to_xml(body);
+    });
+    ASSERT_TRUE(full.ok()) << full.error().to_string();
+    ASSERT_TRUE(header.ok()) << header.error().to_string();
+    EXPECT_DOUBLE_EQ(full.value(), header.value());
+  }
 }
 
 TEST_F(ShopTest, CyclicDagGetsABidButNoCreate) {

@@ -161,6 +161,46 @@ TEST(XmlParseErrorTest, BadNumericEntity) {
   EXPECT_FALSE(parse("<a>&#1114112;</a>").ok());  // beyond U+10FFFF
 }
 
+// A numeric character reference is &#[0-9]+; or &#x[0-9a-fA-F]+; naming a
+// character: each malformed form below is rejected, in text and in an
+// attribute value, with the same message.
+void expect_bad_char_ref(const std::string& ref) {
+  for (const std::string& doc :
+       {"<a>x" + ref + "y</a>", "<a k=\"x" + ref + "y\"/>"}) {
+    auto parsed = parse(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_NE(parsed.error().message().find("bad numeric character reference"),
+              std::string::npos)
+        << doc << ": " << parsed.error().message();
+  }
+}
+
+TEST(XmlParseErrorTest, EmptyDecimalCharRef) { expect_bad_char_ref("&#;"); }
+
+TEST(XmlParseErrorTest, EmptyHexCharRef) { expect_bad_char_ref("&#x;"); }
+
+TEST(XmlParseErrorTest, SignedCharRef) { expect_bad_char_ref("&#+65;"); }
+
+TEST(XmlParseErrorTest, SpacedCharRef) { expect_bad_char_ref("&# 65;"); }
+
+TEST(XmlParseErrorTest, NulCharRef) {
+  expect_bad_char_ref("&#0;");
+  expect_bad_char_ref("&#x0;");
+}
+
+TEST(XmlParseErrorTest, SurrogateCharRef) {
+  expect_bad_char_ref("&#xD800;");
+  expect_bad_char_ref("&#xDFFF;");
+  expect_bad_char_ref("&#55296;");  // U+D800 in decimal
+}
+
+TEST(XmlParseTest, CharRefsAroundSurrogates) {
+  auto doc = parse("<x k=\"&#xD7FF;\">&#xE000;&#x10FFFF;&#0065;</x>");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc.value()->attr("k"), "\xed\x9f\xbf");
+  EXPECT_EQ(doc.value()->text(), "\xee\x80\x80\xf4\x8f\xbf\xbf" "A");
+}
+
 // -- Round trips ----------------------------------------------------------------
 
 TEST(XmlRoundTripTest, SerializeParseDeepEqual) {
