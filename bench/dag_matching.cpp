@@ -27,8 +27,8 @@ int main() {
   auto eval = dag::evaluate_match(request, workload::invigo_golden_history());
   if (!eval.ok() || !eval.value().matches()) return 1;
   std::printf("figure-3 match: %zu cached actions, remaining plan:",
-              eval.value().satisfied_nodes.size());
-  for (const auto& id : eval.value().remaining_plan) {
+              eval.value().satisfied.size());
+  for (const auto& id : request.ids_at(eval.value().remaining)) {
     std::printf(" %s", id.c_str());
   }
   std::printf("\n\n");

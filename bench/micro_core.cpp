@@ -13,7 +13,10 @@
 // (serialize + deserialize + CreateRequest::from_xml, bid.leg.xml).
 // dag.match.256 times one evaluate_match on a 256-node request DAG with
 // half its nodes performed (the BM_EvaluateMatch/16 shape); its bytes
-// field is the history's signature bytes.
+// field is the history's signature bytes.  dag.from_xml.invigo and
+// dag.from_xml.64 time dag::from_xml over an already-parsed <dag> element
+// (the 9-node In-VIGO DAG, and perfbench deep_dag_catalog's 64-node shape);
+// their bytes field is the DAG's XML size.
 // CI's bench-gate job feeds these to tools/bench_gate.py against
 // bench/baselines/micro_core.json, which enforces the binary codec's >= 3x
 // advantage over XML on descriptors (this PR's acceptance bar) plus
@@ -325,6 +328,28 @@ int run_codec_rows() {
     return history_bytes;
   });
 
+  // The plant's DAG build from a parsed request (paper §4.1): dag::from_xml
+  // over an already-parsed <dag> element, for the 9-node In-VIGO DAG and
+  // for perfbench deep_dag_catalog's 64-node shape.
+  const auto time_from_xml = [&](const dag::ConfigDag& d, int iters) {
+    const std::string text = dag::to_xml_string(d);
+    auto doc = xml::parse(text);
+    if (!doc.ok()) {
+      ok = false;
+      return CodecRow{};
+    }
+    return time_codec(iters, [&] {
+      auto parsed = dag::from_xml(*doc.value());
+      if (!parsed.ok()) ok = false;
+      benchmark::DoNotOptimize(parsed);
+      return text.size();
+    });
+  };
+  const CodecRow from_xml_invigo =
+      time_from_xml(workload::invigo_workspace_dag({}), kIters);
+  const CodecRow from_xml_64 = time_from_xml(
+      workload::random_layered_dag(20040621, 8, 8, 0.25), kIters / 4);
+
   report_codec("codec.descriptor.xml", desc_xml);
   report_codec("codec.descriptor.binary", desc_bin);
   report_codec("codec.message.xml", msg_xml);
@@ -332,6 +357,8 @@ int run_codec_rows() {
   report_codec("request.to_xml", request_build);
   report_codec("bid.leg.xml", bid_leg);
   report_codec("dag.match.256", match_256);
+  report_codec("dag.from_xml.invigo", from_xml_invigo);
+  report_codec("dag.from_xml.64", from_xml_64);
   const double desc_speedup =
       desc_bin.ns_per_op > 0.0 ? desc_xml.ns_per_op / desc_bin.ns_per_op : 0.0;
   std::printf("BENCH_JSON {\"name\": \"codec.descriptor.speedup\", "

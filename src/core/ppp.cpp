@@ -66,9 +66,9 @@ Result<ProductionPlan> ProductionProcessPlanner::plan(
   std::uint64_t request_mask = ~0ull;
   std::uint64_t request_fingerprint = 0;
   if (index.ok()) {
-    request_mask = warehouse::action_mask(index.value().signatures());
+    request_mask = warehouse::action_mask(request.config.signatures());
     request_fingerprint =
-        warehouse::action_fingerprint(index.value().signatures());
+        warehouse::action_fingerprint(request.config.signatures());
   }
 
   // Hardware filter first (memory / disk / OS, counted for diagnostics),
@@ -131,7 +131,7 @@ Result<ProductionPlan> ProductionProcessPlanner::plan(
     dag::MatchEvaluation eval = index.value().evaluate(candidates[i].performed);
     if (eval.matches()) {
       metrics.match_hit->add();
-      const bool full = eval.satisfied_nodes.size() == total_nodes;
+      const bool full = eval.satisfied.size() == total_nodes;
       matching.push_back(Scored{i, std::move(eval)});
       if (full) {
         full_match = true;
@@ -170,8 +170,8 @@ Result<ProductionPlan> ProductionProcessPlanner::plan(
                      });
     std::stable_sort(matching.begin(), matching.end(),
                      [](const Scored& a, const Scored& b) {
-                       return a.eval.satisfied_nodes.size() >
-                              b.eval.satisfied_nodes.size();
+                       return a.eval.satisfied.size() >
+                              b.eval.satisfied.size();
                      });
     best = &matching.front();
   }
@@ -191,8 +191,9 @@ Result<ProductionPlan> ProductionProcessPlanner::plan(
   }
   ProductionPlan plan;
   plan.golden = std::move(golden).value();
-  plan.satisfied_nodes = std::move(best->eval.satisfied_nodes);
-  plan.remaining_plan = std::move(best->eval.remaining_plan);
+  // Only the winning evaluation's node indices become id strings.
+  plan.satisfied_nodes = request.config.ids_at(best->eval.satisfied);
+  plan.remaining_plan = request.config.ids_at(best->eval.remaining);
   plan.hardware_candidates = scan.hardware_candidates;
 
   metrics.plan_hit->add();

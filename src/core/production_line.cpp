@@ -1,6 +1,7 @@
 #include "core/production_line.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -236,13 +237,14 @@ Status ProductionLine::run_action(const dag::ConfigDag& config,
     return outcome;
   };
 
-  // Phase 1: direct attempts (1 + retries when the policy allows).
-  const int attempts =
+  // Phase 1: direct attempts (1 + retries when the policy allows), counted
+  // in 64 bits so max_retries = INT_MAX cannot overflow.
+  const std::int64_t attempts =
       1 + (action->error_policy() == dag::ErrorPolicy::kRetry
-               ? std::max(0, action->max_retries())
+               ? std::max<std::int64_t>(0, action->max_retries())
                : 0);
   Status last;
-  for (int i = 0; i < attempts; ++i) {
+  for (std::int64_t i = 0; i < attempts; ++i) {
     last = attempt_action(*action, vm_id, network_name, result);
     if (last.ok()) return record(last);
     kLog.debug() << vm_id << ": action " << action_id << " attempt "

@@ -45,18 +45,16 @@ const std::string& Action::param(const std::string& key) const {
 }
 
 std::string Action::signature() const {
-  std::string sig = operation_;
-  sig += '{';
-  bool first = true;
-  for (const auto& [key, value] : params_) {
-    if (!first) sig += ',';
-    first = false;
-    sig += key;
-    sig += '=';
-    sig += value;
+  std::size_t size = operation_.size() + 2;
+  for (const auto& [key, value] : params_) size += key.size() + value.size() + 2;
+  std::string sig;
+  sig.reserve(size);  // one allocation
+  sig.append(operation_).append(1, '{');
+  for (auto it = params_.begin(); it != params_.end(); ++it) {
+    if (it != params_.begin()) sig += ',';
+    sig.append(it->first).append(1, '=').append(it->second);
   }
-  sig += '}';
-  return sig;
+  return sig += '}';
 }
 
 }  // namespace vmp::dag

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <deque>
 #include <functional>
-#include <string_view>
 
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace vmp::dag {
 
@@ -17,23 +14,78 @@ using util::ErrorCode;
 using util::Result;
 using util::Status;
 
-ConfigDag::ConfigDag(const ConfigDag& other) { *this = other; }
-
-ConfigDag& ConfigDag::operator=(const ConfigDag& other) {
-  if (this == &other) return *this;
-  nodes_.clear();
-  order_ = other.order_;
-  for (const auto& [id, node] : other.nodes_) {
-    Node copy;
-    copy.action = node.action;
-    copy.successors = node.successors;
-    copy.predecessors = node.predecessors;
-    if (node.error_subgraph) {
-      copy.error_subgraph = std::make_unique<ConfigDag>(*node.error_subgraph);
-    }
-    nodes_.emplace(id, std::move(copy));
+namespace {
+// Open-addressed key -> index maps over the DAG's ids or signatures: a slot
+// holds index + 1 (0 is empty), so appending keys never invalidates a map.
+std::size_t probe(const std::vector<std::uint32_t>& slots,
+                  const std::vector<std::string>& keys, std::string_view key) {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t slot = std::hash<std::string_view>{}(key) & mask;
+  while (slots[slot] != 0 && keys[slots[slot] - 1] != key) {
+    slot = (slot + 1) & mask;
   }
-  return *this;
+  return slot;
+}
+
+std::size_t find_key(const std::vector<std::uint32_t>& slots,
+                     const std::vector<std::string>& keys, std::string_view key) {
+  const std::uint32_t entry = slots.empty() ? 0 : slots[probe(slots, keys, key)];
+  return entry == 0 ? ConfigDag::npos : entry - 1;
+}
+
+void reserve_keys(std::vector<std::uint32_t>* slots,
+                  const std::vector<std::string>& keys, std::size_t size) {
+  if (2 * size < slots->size()) return;
+  std::vector<std::uint32_t> old = std::move(*slots);
+  slots->assign(std::bit_ceil(std::max<std::size_t>(16, 4 * size)), 0);
+  for (const std::uint32_t entry : old) {
+    if (entry != 0) (*slots)[probe(*slots, keys, keys[entry - 1])] = entry;
+  }
+}
+
+/// Index keys.back(), unless an equal key is indexed already: then return
+/// that key's index and leave the map unchanged (else npos).
+std::size_t insert_key(std::vector<std::uint32_t>* slots,
+                       const std::vector<std::string>& keys) {
+  reserve_keys(slots, keys, keys.size());
+  const std::size_t slot = probe(*slots, keys, keys.back());
+  if ((*slots)[slot] != 0) return (*slots)[slot] - 1;
+  (*slots)[slot] = keys.size();
+  return ConfigDag::npos;
+}
+}  // namespace
+
+bool ConfigDag::insert_by_id(EdgeList* list, std::size_t node) {
+  const auto by_id = [this](std::size_t a, std::size_t b) {
+    return ids_[a] < ids_[b];
+  };
+  std::size_t* first = edges_.data() + list->begin;
+  const auto at = static_cast<std::size_t>(
+      std::lower_bound(first, first + list->size, node, by_id) - first);
+  if (at < list->size && first[at] == node) return false;
+  if (list->size == list->capacity) {
+    // Full: move the list to the end of the pool with twice the room.  Its
+    // old slots stay unused, so the pool holds under 4 slots per entry.
+    const std::size_t begin = edges_.size();
+    list->capacity = std::max<std::size_t>(2, 2 * list->capacity);
+    edges_.resize(begin + list->capacity);
+    std::copy_n(edges_.data() + list->begin, list->size, edges_.data() + begin);
+    list->begin = begin;
+  }
+  first = edges_.data() + list->begin;
+  std::copy_backward(first + at, first + list->size, first + list->size + 1);
+  first[at] = node;
+  ++list->size;
+  return true;
+}
+
+void ConfigDag::reserve(std::size_t nodes, std::size_t edges) {
+  nodes_.reserve(nodes);
+  edges_.reserve(4 * edges);
+  ids_.reserve(nodes);
+  signatures_.reserve(nodes);
+  reserve_keys(&id_slots_, ids_, nodes);
+  reserve_keys(&signature_slots_, signatures_, nodes);
 }
 
 Status ConfigDag::add_action(Action action) {
@@ -48,14 +100,18 @@ Status ConfigDag::add_action(Action action) {
     return Status(ErrorCode::kInvalidArgument,
                   "START/FINISH are reserved node ids");
   }
-  if (nodes_.count(action.id())) {
+  ids_.push_back(action.id());
+  if (insert_key(&id_slots_, ids_) != npos) {
+    ids_.pop_back();
     return Status(ErrorCode::kAlreadyExists,
                   "duplicate action id: " + action.id());
   }
-  order_.push_back(action.id());
-  Node node;
-  node.action = std::move(action);
-  nodes_.emplace(order_.back(), std::move(node));
+  signatures_.push_back(action.signature());
+  if (insert_key(&signature_slots_, signatures_) != npos &&
+      duplicate_signature_ == npos) {
+    duplicate_signature_ = nodes_.size();
+  }
+  nodes_.emplace_back().action = std::move(action);
   return Status();
 }
 
@@ -63,168 +119,109 @@ Status ConfigDag::add_edge(const std::string& from, const std::string& to) {
   if (from == to) {
     return Status(ErrorCode::kInvalidArgument, "self-loop on " + from);
   }
-  auto from_it = nodes_.find(from);
-  auto to_it = nodes_.find(to);
-  if (from_it == nodes_.end()) {
+  const std::size_t f = index_of(from);
+  const std::size_t t = index_of(to);
+  if (f == npos) {
     return Status(ErrorCode::kNotFound, "edge source not found: " + from);
   }
-  if (to_it == nodes_.end()) {
+  if (t == npos) {
     return Status(ErrorCode::kNotFound, "edge target not found: " + to);
   }
-  if (from_it->second.successors.count(to)) {
+  if (!insert_by_id(&nodes_[f].successors, t)) {
     return Status(ErrorCode::kAlreadyExists,
                   "duplicate edge " + from + " -> " + to);
   }
-  from_it->second.successors.insert(to);
-  to_it->second.predecessors.insert(from);
+  insert_by_id(&nodes_[t].predecessors, f);
+  ++edge_count_;
   return Status();
 }
 
 Status ConfigDag::set_error_subgraph(const std::string& action_id,
                                      ConfigDag subgraph) {
-  auto it = nodes_.find(action_id);
-  if (it == nodes_.end()) {
+  const std::size_t i = index_of(action_id);
+  if (i == npos) {
     return Status(ErrorCode::kNotFound,
                   "no action for error sub-graph: " + action_id);
   }
   VMP_RETURN_IF_ERROR(subgraph.validate());
-  it->second.error_subgraph = std::make_unique<ConfigDag>(std::move(subgraph));
+  if (nodes_[i].error_subgraph == npos) {
+    nodes_[i].error_subgraph = subgraphs_.size();
+    subgraphs_.push_back(std::move(subgraph));
+  } else {
+    subgraphs_[nodes_[i].error_subgraph] = std::move(subgraph);
+  }
   return Status();
 }
 
-bool ConfigDag::has_action(const std::string& id) const {
-  return nodes_.count(id) != 0;
+std::size_t ConfigDag::index_of(std::string_view id) const {
+  return find_key(id_slots_, ids_, id);
+}
+
+std::size_t ConfigDag::index_of_signature(std::string_view signature) const {
+  return find_key(signature_slots_, signatures_, signature);
+}
+
+std::vector<std::string> ConfigDag::ids_at(
+    std::span<const std::size_t> nodes) const {
+  const IdRange ids(nodes, {ids_.data()});
+  return {ids.begin(), ids.end()};
 }
 
 const Action* ConfigDag::action(const std::string& id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : &it->second.action;
+  const std::size_t i = index_of(id);
+  return i == npos ? nullptr : &nodes_[i].action;
 }
 
-const std::set<std::string>& ConfigDag::successors(const std::string& id) const {
-  static const std::set<std::string> kEmpty;
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? kEmpty : it->second.successors;
-}
-
-const std::set<std::string>& ConfigDag::predecessors(
-    const std::string& id) const {
-  static const std::set<std::string> kEmpty;
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? kEmpty : it->second.predecessors;
-}
-
-std::size_t ConfigDag::edge_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, node] : nodes_) n += node.successors.size();
-  return n;
+ConfigDag::IdRange ConfigDag::id_range(const std::string& id,
+                                       EdgeList Node::*list) const {
+  const std::size_t i = index_of(id);
+  return i == npos ? IdRange() : IdRange(edges(nodes_[i].*list), {ids_.data()});
 }
 
 const ConfigDag* ConfigDag::error_subgraph(const std::string& action_id) const {
-  auto it = nodes_.find(action_id);
-  return it == nodes_.end() ? nullptr : it->second.error_subgraph.get();
-}
-
-namespace {
-/// Node id -> position in the insertion order: open addressing over views
-/// of the ids, in one allocation (the ids must outlive the index).
-class IdIndex {
- public:
-  explicit IdIndex(const std::vector<std::string>& order)
-      : slots_(std::bit_ceil(2 * order.size() + 1)) {
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      slots_[probe(order[i])] = {order[i], i};
-    }
-  }
-
-  /// Position of an id that is in the index.
-  std::size_t at(std::string_view id) const { return slots_[probe(id)].second; }
-
- private:
-  std::size_t probe(std::string_view id) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t slot = std::hash<std::string_view>{}(id) & mask;
-    while (slots_[slot].first.data() != nullptr && slots_[slot].first != id) {
-      slot = (slot + 1) & mask;
-    }
-    return slot;
-  }
-
-  std::vector<std::pair<std::string_view, std::size_t>> slots_;
-};
-}  // namespace
-
-std::vector<std::vector<std::size_t>> ConfigDag::predecessor_indices() const {
-  const IdIndex index(order_);
-  std::vector<std::vector<std::size_t>> preds(order_.size());
-  for (const auto& [id, node] : nodes_) {
-    std::vector<std::size_t>& out = preds[index.at(id)];
-    out.reserve(node.predecessors.size());
-    for (const std::string& pred : node.predecessors) {
-      out.push_back(index.at(pred));
-    }
-  }
-  return preds;
+  const std::size_t i = index_of(action_id);
+  if (i == npos || nodes_[i].error_subgraph == npos) return nullptr;
+  return &subgraphs_[nodes_[i].error_subgraph];
 }
 
 Result<std::vector<std::size_t>> ConfigDag::topological_indices() const {
   // Kahn's algorithm in any order computes each node's pass (see dag.h);
-  // a counting sort by pass over insertion order then yields the order
-  // the repeated-pass scan would emit.  Successors are held in compressed
-  // rows: node i's are succs[row[i] .. row[i + 1]).
-  const IdIndex index(order_);
-  const std::size_t n = order_.size();
-  std::vector<std::size_t> row(n + 1, 0);
-  std::vector<std::size_t> in_degree(n);
-  for (const auto& [id, node] : nodes_) {
-    const std::size_t i = index.at(id);
-    row[i + 1] = node.successors.size();
-    in_degree[i] = node.predecessors.size();
-  }
-  for (std::size_t i = 0; i < n; ++i) row[i + 1] += row[i];
-  std::vector<std::size_t> succs(row[n]);
-  for (const auto& [id, node] : nodes_) {
-    std::size_t next = row[index.at(id)];
-    for (const std::string& succ : node.successors) {
-      succs[next++] = index.at(succ);
-    }
-  }
-
-  std::vector<std::size_t> ready;
+  // a counting sort by pass over insertion order then yields the order the
+  // repeated-pass scan would emit.  `order` doubles as the ready stack, and
+  // the in-degrees (all zero once every node is out) as the pass buckets.
+  const std::size_t n = nodes_.size();
+  std::vector<std::size_t> scratch(2 * n + 2, 0);
+  const std::span<std::size_t> pass(scratch.data(), n);
+  const std::span<std::size_t> in_degree(scratch.data() + n, n + 2);
+  std::vector<std::size_t> order(n);
+  std::size_t ready = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (in_degree[i] == 0) ready.push_back(i);
+    in_degree[i] = nodes_[i].predecessors.size;
+    if (in_degree[i] == 0) order[ready++] = i;
   }
-  std::vector<std::size_t> pass(n, 0);
-  std::size_t emitted = 0;
   std::size_t max_pass = 0;
-  while (!ready.empty()) {
-    const std::size_t node = ready.back();
-    ready.pop_back();
-    ++emitted;
+  while (ready > 0) {
+    const std::size_t node = order[--ready];
     max_pass = std::max(max_pass, pass[node]);
-    for (std::size_t k = row[node]; k < row[node + 1]; ++k) {
-      const std::size_t succ = succs[k];
+    for (const std::size_t succ : edges(nodes_[node].successors)) {
       pass[succ] = std::max(pass[succ], pass[node] + (node > succ ? 1 : 0));
-      if (--in_degree[succ] == 0) ready.push_back(succ);
+      if (--in_degree[succ] == 0) order[ready++] = succ;
     }
   }
-  if (emitted < n) {
-    // Cycle members never reach in-degree 0.  Name the first in order.
-    const std::size_t member = static_cast<std::size_t>(
-        std::find_if(in_degree.begin(), in_degree.end(),
-                     [](std::size_t d) { return d != 0; }) -
-        in_degree.begin());
-    return Result<std::vector<std::size_t>>(
-        Error(ErrorCode::kInvalidArgument,
-              "configuration DAG contains a cycle through '" +
-                  order_[member] + "'"));
+  // Cycle members never reach in-degree 0.  Name the first in order.
+  const auto member = std::ranges::find_if(in_degree, [](std::size_t d) {
+    return d != 0;
+  }) - in_degree.begin();
+  if (member < static_cast<std::ptrdiff_t>(n)) {
+    return Result<std::vector<std::size_t>>(Error(
+        ErrorCode::kInvalidArgument,
+        "configuration DAG contains a cycle through '" + ids_[member] + "'"));
   }
-  std::vector<std::size_t> bucket_start(max_pass + 2, 0);
+  const std::span<std::size_t> bucket_start = in_degree.first(max_pass + 2);
   for (std::size_t i = 0; i < n; ++i) ++bucket_start[pass[i] + 1];
   for (std::size_t p = 1; p < bucket_start.size(); ++p) {
     bucket_start[p] += bucket_start[p - 1];
   }
-  std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[bucket_start[pass[i]]++] = i;
   return order;
 }
@@ -232,102 +229,53 @@ Result<std::vector<std::size_t>> ConfigDag::topological_indices() const {
 Result<std::vector<std::string>> ConfigDag::topological_sort() const {
   auto indices = topological_indices();
   if (!indices.ok()) return indices.propagate<std::vector<std::string>>();
-  std::vector<std::string> result;
-  result.reserve(indices.value().size());
-  for (const std::size_t i : indices.value()) result.push_back(order_[i]);
-  return result;
+  return ids_at(indices.value());
 }
 
 Status ConfigDag::validate() const {
-  auto sorted = topological_sort();
-  if (!sorted.ok()) return sorted.error();
-  // Validate error sub-graphs recursively.
-  for (const auto& [id, node] : nodes_) {
-    if (node.error_subgraph) {
-      Status s = node.error_subgraph->validate();
-      if (!s.ok()) {
-        return Status(s.error().code(),
-                      "error sub-graph of '" + id + "': " + s.error().message());
-      }
-    }
-  }
-  return Status();
+  // Error sub-graphs were validated when attached, and are immutable.
+  auto sorted = topological_indices();
+  return sorted.ok() ? Status() : Status(sorted.error());
 }
 
-std::set<std::string> ConfigDag::ancestors(const std::string& id) const {
-  std::set<std::string> out;
-  std::deque<std::string> frontier(predecessors(id).begin(),
-                                   predecessors(id).end());
-  while (!frontier.empty()) {
-    const std::string current = frontier.front();
-    frontier.pop_front();
-    if (!out.insert(current).second) continue;
-    for (const std::string& pred : predecessors(current)) {
-      if (!out.count(pred)) frontier.push_back(pred);
-    }
-  }
-  return out;
-}
-
-std::set<std::string> ConfigDag::descendants(const std::string& id) const {
-  std::set<std::string> out;
-  std::deque<std::string> frontier(successors(id).begin(),
-                                   successors(id).end());
-  while (!frontier.empty()) {
-    const std::string current = frontier.front();
-    frontier.pop_front();
-    if (!out.insert(current).second) continue;
-    for (const std::string& succ : successors(current)) {
-      if (!out.count(succ)) frontier.push_back(succ);
-    }
-  }
-  return out;
-}
-
-bool ConfigDag::orders_before(const std::string& before,
-                              const std::string& after) const {
-  return ancestors(after).count(before) != 0;
+Status ConfigDag::check_unique_signatures() const {
+  if (duplicate_signature_ >= nodes_.size()) return Status();  // or moved-from
+  const std::string& sig = signatures_[duplicate_signature_];
+  return Status(ErrorCode::kInvalidArgument,
+                "duplicate action signature '" + sig + "' (nodes '" +
+                    ids_[index_of_signature(sig)] + "' and '" +
+                    ids_[duplicate_signature_] +
+                    "'); matching requires unique signatures");
 }
 
 Result<std::map<std::string, std::string>> ConfigDag::signature_index() const {
-  std::map<std::string, std::string> index;
-  for (const std::string& id : order_) {
-    const std::string sig = nodes_.at(id).action.signature();
-    auto [it, inserted] = index.emplace(sig, id);
-    if (!inserted) {
-      return Result<std::map<std::string, std::string>>(Error(
-          ErrorCode::kInvalidArgument,
-          "duplicate action signature '" + sig + "' (nodes '" + it->second +
-              "' and '" + id + "'); matching requires unique signatures"));
-    }
-  }
+  using Index = std::map<std::string, std::string>;
+  VMP_RETURN_IF_ERROR_AS(check_unique_signatures(), Index);
+  Index index;
+  for (std::size_t i = 0; i < ids_.size(); ++i) index.emplace(signatures_[i], ids_[i]);
   return index;
 }
 
 std::size_t ConfigDag::total_nodes_with_subgraphs() const {
   std::size_t n = nodes_.size();
-  for (const auto& [id, node] : nodes_) {
-    if (node.error_subgraph) n += node.error_subgraph->total_nodes_with_subgraphs();
-  }
+  for (const ConfigDag& sub : subgraphs_) n += sub.total_nodes_with_subgraphs();
   return n;
 }
 
 bool ConfigDag::operator==(const ConfigDag& other) const {
-  if (order_ != other.order_) return false;
-  for (const auto& [id, node] : nodes_) {
-    auto it = other.nodes_.find(id);
-    if (it == other.nodes_.end()) return false;
-    const Node& theirs = it->second;
-    if (node.action.signature() != theirs.action.signature() ||
-        node.action.scope() != theirs.action.scope() ||
-        node.action.script() != theirs.action.script() ||
-        node.successors != theirs.successors) {
-      return false;
-    }
-    const bool mine_has = node.error_subgraph != nullptr;
-    const bool theirs_has = theirs.error_subgraph != nullptr;
-    if (mine_has != theirs_has) return false;
-    if (mine_has && !(*node.error_subgraph == *theirs.error_subgraph)) {
+  // Equal id orders make equal indices name equal nodes.
+  if (ids_ != other.ids_ || signatures_ != other.signatures_) return false;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& mine = nodes_[i];
+    const Node& theirs = other.nodes_[i];
+    if (mine.action.scope() != theirs.action.scope() ||
+        mine.action.script() != theirs.action.script() ||
+        !std::ranges::equal(edges(mine.successors),
+                            other.edges(theirs.successors)) ||
+        (mine.error_subgraph == npos) != (theirs.error_subgraph == npos) ||
+        (mine.error_subgraph != npos &&
+         !(subgraphs_[mine.error_subgraph] ==
+           other.subgraphs_[theirs.error_subgraph]))) {
       return false;
     }
   }

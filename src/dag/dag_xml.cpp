@@ -1,5 +1,8 @@
 #include "dag/dag_xml.h"
 
+#include <limits>
+
+#include "util/strings.h"
 #include "xml/xml.h"
 
 namespace vmp::dag {
@@ -7,7 +10,16 @@ namespace vmp::dag {
 using util::Error;
 using util::ErrorCode;
 using util::Result;
-using util::Status;
+
+namespace {
+/// The attribute's value, or nullptr when absent, in one scan.
+const std::string* find_attr(const xml::Element& element, std::string_view key) {
+  for (const auto& [name, value] : element.attrs()) {
+    if (name == key) return &value;
+  }
+  return nullptr;
+}
+}  // namespace
 
 void to_xml(const ConfigDag& dag, xml::Element* parent) {
   xml::Element& root = parent->add_child("dag");
@@ -51,66 +63,73 @@ std::string to_xml_string(const ConfigDag& dag) {
 }
 
 Result<ConfigDag> from_xml(const xml::Element& dag_element) {
+  const auto fail = [](std::string message) {
+    return Result<ConfigDag>(Error(ErrorCode::kParseError, std::move(message)));
+  };
   if (dag_element.name() != "dag") {
-    return Result<ConfigDag>(Error(
-        ErrorCode::kParseError,
-        "expected <dag> element, found <" + dag_element.name() + ">"));
+    return fail("expected <dag> element, found <" + dag_element.name() + ">");
   }
+  // Every node first, then the edges between them.  Each child is an
+  // action or an edge, so the child count bounds both.
   ConfigDag dag;
-  for (const xml::Element* node : dag_element.children_named("action")) {
-    if (!node->has_attr("id") || !node->has_attr("op")) {
-      return Result<ConfigDag>(Error(ErrorCode::kParseError,
-                                     "<action> requires id and op attributes"));
+  dag.reserve(dag_element.children().size(), dag_element.children().size());
+  for (const auto& child : dag_element.children()) {
+    if (child->name() != "action") continue;
+    const std::string* id = find_attr(*child, "id");
+    const std::string* op = find_attr(*child, "op");
+    if (id == nullptr || op == nullptr) {
+      return fail("<action> requires id and op attributes");
     }
-    Action a(node->attr("id"), node->attr("op"));
-    if (node->has_attr("scope")) {
-      auto scope = parse_action_scope(node->attr("scope"));
-      if (!scope.ok()) return scope.propagate<ConfigDag>();
-      a.set_scope(scope.value());
+    Action a(*id, *op);
+    if (const std::string* scope = find_attr(*child, "scope")) {
+      auto parsed = parse_action_scope(*scope);
+      if (!parsed.ok()) return parsed.propagate<ConfigDag>();
+      a.set_scope(parsed.value());
     }
-    if (node->has_attr("on-error")) {
-      auto policy = parse_error_policy(node->attr("on-error"));
+    if (const std::string* on_error = find_attr(*child, "on-error")) {
+      auto policy = parse_error_policy(*on_error);
       if (!policy.ok()) return policy.propagate<ConfigDag>();
       a.set_error_policy(policy.value());
     }
-    if (node->has_attr("max-retries")) {
-      a.set_max_retries(static_cast<int>(node->attr_int("max-retries", 0)));
-    }
-    for (const xml::Element* p : node->children_named("param")) {
-      if (!p->has_attr("name")) {
-        return Result<ConfigDag>(
-            Error(ErrorCode::kParseError, "<param> requires a name attribute"));
+    if (const std::string* retries = find_attr(*child, "max-retries")) {
+      long long n = 0;
+      if (!util::parse_int64(*retries, &n) || n < 0 ||
+          n > std::numeric_limits<int>::max()) {
+        return fail("<action id=\"" + *id + "\"> max-retries must be an " +
+                    "integer in [0, 2147483647], got '" + *retries + "'");
       }
-      a.set_param(p->attr("name"), p->text());
+      a.set_max_retries(static_cast<int>(n));
     }
-    if (const xml::Element* script = node->child("script")) {
+    for (const auto& part : child->children()) {
+      if (part->name() != "param") continue;
+      const std::string* name = find_attr(*part, "name");
+      if (name == nullptr) return fail("<param> requires a name attribute");
+      a.set_param(*name, part->text());
+    }
+    if (const xml::Element* script = child->child("script")) {
       a.set_script(script->text());
     }
-    Status s = dag.add_action(std::move(a));
-    if (!s.ok()) return s.propagate<ConfigDag>();
+    VMP_RETURN_IF_ERROR_AS(dag.add_action(std::move(a)), ConfigDag);
 
-    if (const xml::Element* error_wrapper = node->child("error-dag")) {
+    if (const xml::Element* error_wrapper = child->child("error-dag")) {
       const xml::Element* inner = error_wrapper->child("dag");
-      if (inner == nullptr) {
-        return Result<ConfigDag>(Error(ErrorCode::kParseError,
-                                       "<error-dag> must contain a <dag>"));
-      }
+      if (inner == nullptr) return fail("<error-dag> must contain a <dag>");
       auto sub = from_xml(*inner);
       if (!sub.ok()) return sub;
-      s = dag.set_error_subgraph(node->attr("id"), std::move(sub).value());
-      if (!s.ok()) return s.propagate<ConfigDag>();
+      VMP_RETURN_IF_ERROR_AS(
+          dag.set_error_subgraph(*id, std::move(sub).value()), ConfigDag);
     }
   }
-  for (const xml::Element* edge : dag_element.children_named("edge")) {
-    if (!edge->has_attr("from") || !edge->has_attr("to")) {
-      return Result<ConfigDag>(Error(ErrorCode::kParseError,
-                                     "<edge> requires from and to attributes"));
+  for (const auto& edge : dag_element.children()) {
+    if (edge->name() != "edge") continue;
+    const std::string* from = find_attr(*edge, "from");
+    const std::string* to = find_attr(*edge, "to");
+    if (from == nullptr || to == nullptr) {
+      return fail("<edge> requires from and to attributes");
     }
-    Status s = dag.add_edge(edge->attr("from"), edge->attr("to"));
-    if (!s.ok()) return s.propagate<ConfigDag>();
+    VMP_RETURN_IF_ERROR_AS(dag.add_edge(*from, *to), ConfigDag);
   }
-  Status valid = dag.validate();
-  if (!valid.ok()) return valid.propagate<ConfigDag>();
+  VMP_RETURN_IF_ERROR_AS(dag.validate(), ConfigDag);
   return dag;
 }
 

@@ -12,25 +12,17 @@ constexpr std::size_t kNotPerformed = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
 Result<MatchIndex> MatchIndex::build(const ConfigDag& request) {
-  MatchIndex index;
-  index.ids_ = request.node_ids();
-  index.signatures_.reserve(index.ids_.size());
-  index.by_signature_.reserve(index.ids_.size());
-  for (std::size_t i = 0; i < index.ids_.size(); ++i) {
-    index.signatures_.push_back(request.action(index.ids_[i])->signature());
-    if (!index.by_signature_.emplace(index.signatures_.back(), i).second) {
-      return request.signature_index().propagate<MatchIndex>();
-    }
-  }
-  index.predecessors_ = request.predecessor_indices();
+  VMP_RETURN_IF_ERROR_AS(request.check_unique_signatures(), MatchIndex);
   auto topo = request.topological_indices();
   if (!topo.ok()) return topo.propagate<MatchIndex>();
+  MatchIndex index(&request);
   index.topological_order_ = std::move(topo).value();
   return index;
 }
 
 MatchEvaluation MatchIndex::evaluate(
-    const std::vector<std::string>& performed_signatures) const {
+    std::span<const std::string> performed_signatures) const {
+  const std::vector<std::string>& ids = dag_->node_ids();
   MatchEvaluation eval;
 
   // -- Subset Test ----------------------------------------------------------
@@ -40,21 +32,21 @@ MatchEvaluation MatchIndex::evaluate(
   // node's place in the history.
   std::vector<std::size_t> performed_nodes;  // node indices, history order
   performed_nodes.reserve(performed_signatures.size());
-  std::vector<std::size_t> position(ids_.size(), kNotPerformed);
+  std::vector<std::size_t> position(ids.size(), kNotPerformed);
   for (const std::string& sig : performed_signatures) {
-    auto it = by_signature_.find(sig);
-    if (it == by_signature_.end()) {
+    const std::size_t node = dag_->index_of_signature(sig);
+    if (node == ConfigDag::npos) {
       eval.failure_reason =
           "subset test failed: image performed unrequested action '" + sig + "'";
       return eval;
     }
-    if (position[it->second] != kNotPerformed) {
+    if (position[node] != kNotPerformed) {
       eval.failure_reason =
           "subset test failed: image performed action '" + sig + "' twice";
       return eval;
     }
-    position[it->second] = performed_nodes.size();
-    performed_nodes.push_back(it->second);
+    position[node] = performed_nodes.size();
+    performed_nodes.push_back(node);
   }
   eval.subset_ok = true;
 
@@ -62,11 +54,11 @@ MatchEvaluation MatchIndex::evaluate(
   // The performed set must be downward-closed: every direct predecessor of
   // a performed node is performed.
   for (const std::size_t node : performed_nodes) {
-    for (const std::size_t pred : predecessors_[node]) {
+    for (const std::size_t pred : dag_->predecessor_indices(node)) {
       if (position[pred] == kNotPerformed) {
         eval.failure_reason = "prefix test failed: image performed '" +
-                              ids_[node] + "' without its predecessor '" +
-                              ids_[pred] + "'";
+                              ids[node] + "' without its predecessor '" +
+                              ids[pred] + "'";
         return eval;
       }
     }
@@ -77,11 +69,11 @@ MatchEvaluation MatchIndex::evaluate(
   // History order must refine the DAG partial order: every direct edge
   // between performed nodes points forward in the history.
   for (const std::size_t node : performed_nodes) {
-    for (const std::size_t pred : predecessors_[node]) {
+    for (const std::size_t pred : dag_->predecessor_indices(node)) {
       if (position[pred] > position[node]) {
         eval.failure_reason = "partial order test failed: image performed '" +
-                              ids_[node] + "' before its predecessor '" +
-                              ids_[pred] + "'";
+                              ids[node] + "' before its predecessor '" +
+                              ids[pred] + "'";
         return eval;
       }
     }
@@ -89,20 +81,17 @@ MatchEvaluation MatchIndex::evaluate(
   eval.partial_order_ok = true;
 
   // -- Plan the remaining suffix ---------------------------------------------
-  eval.satisfied_nodes.reserve(performed_nodes.size());
-  for (const std::size_t node : performed_nodes) {
-    eval.satisfied_nodes.push_back(ids_[node]);
-  }
-  eval.remaining_plan.reserve(ids_.size() - performed_nodes.size());
+  eval.remaining.reserve(ids.size() - performed_nodes.size());
   for (const std::size_t node : topological_order_) {
-    if (position[node] == kNotPerformed) eval.remaining_plan.push_back(ids_[node]);
+    if (position[node] == kNotPerformed) eval.remaining.push_back(node);
   }
+  eval.satisfied = std::move(performed_nodes);
   return eval;
 }
 
 Result<MatchEvaluation> evaluate_match(
     const ConfigDag& request,
-    const std::vector<std::string>& performed_signatures) {
+    std::span<const std::string> performed_signatures) {
   auto index = MatchIndex::build(request);
   if (!index.ok()) return index.propagate<MatchEvaluation>();
   return index.value().evaluate(performed_signatures);
@@ -119,8 +108,8 @@ Result<std::vector<RankedMatch>> rank_matches(
   for (std::size_t i = 0; i < image_histories.size(); ++i) {
     MatchEvaluation eval = index.value().evaluate(image_histories[i]);
     if (!eval.matches()) continue;
-    ranked.push_back(RankedMatch{i, eval.satisfied_nodes.size(),
-                                 eval.remaining_plan.size()});
+    ranked.push_back(
+        RankedMatch{i, eval.satisfied.size(), eval.remaining.size()});
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const RankedMatch& a, const RankedMatch& b) {

@@ -27,8 +27,9 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dag/dag.h"
@@ -37,6 +38,8 @@
 namespace vmp::dag {
 
 /// Outcome of testing one cached image description against a request DAG.
+/// Nodes are request-DAG indices (positions in ConfigDag::node_ids());
+/// ConfigDag::ids_at names them.
 struct MatchEvaluation {
   bool subset_ok = false;
   bool prefix_ok = false;
@@ -45,20 +48,22 @@ struct MatchEvaluation {
   /// All three tests passed.
   bool matches() const { return subset_ok && prefix_ok && partial_order_ok; }
 
-  /// Node ids (in the request DAG) already satisfied by the image.
-  std::vector<std::string> satisfied_nodes;
+  /// Nodes already satisfied by the image, history order (empty unless
+  /// matches()).
+  std::vector<std::size_t> satisfied;
 
-  /// Node ids still to be executed, in a valid topological order of the
+  /// Nodes still to be executed, in a valid topological order of the
   /// remaining sub-graph (empty unless matches()).
-  std::vector<std::string> remaining_plan;
+  std::vector<std::size_t> remaining;
 
   /// Diagnostic for the first failed test ("" when matches()).
   std::string failure_reason;
 };
 
-/// A request DAG compiled once for matching many images against it: dense
-/// node indices (insertion order), a signature -> index map, direct
-/// predecessor lists and one topological order, all as indices.
+/// A request DAG prepared once for matching many images against it.  It is
+/// a view: it borrows the DAG's ids, signatures, signature map and
+/// predecessor lists and owns only one topological order.  The DAG must
+/// outlive the index and must not be modified while the index is in use.
 class MatchIndex {
  public:
   /// Fails if two nodes share a signature (the ConfigDag::signature_index
@@ -68,16 +73,12 @@ class MatchIndex {
   /// The three tests for one image history, oldest action first, in
   /// O(V+E).  Unknown signatures fail the Subset test; they are not errors.
   MatchEvaluation evaluate(
-      const std::vector<std::string>& performed_signatures) const;
-
-  /// Node signatures in insertion order.
-  const std::vector<std::string>& signatures() const { return signatures_; }
+      std::span<const std::string> performed_signatures) const;
 
  private:
-  std::vector<std::string> ids_;
-  std::vector<std::string> signatures_;
-  std::unordered_map<std::string, std::size_t> by_signature_;
-  std::vector<std::vector<std::size_t>> predecessors_;
+  explicit MatchIndex(const ConfigDag* dag) : dag_(dag) {}
+
+  const ConfigDag* dag_;
   std::vector<std::size_t> topological_order_;
 };
 
@@ -89,8 +90,13 @@ class MatchIndex {
 /// signatures in the history are not an error — they simply fail the Subset
 /// test, because the image has an operation the request does not want.
 util::Result<MatchEvaluation> evaluate_match(
-    const ConfigDag& request,
-    const std::vector<std::string>& performed_signatures);
+    const ConfigDag& request, std::span<const std::string> performed_signatures);
+
+/// evaluate_match over a literal history.
+inline util::Result<MatchEvaluation> evaluate_match(
+    const ConfigDag& request, std::initializer_list<std::string> performed) {
+  return evaluate_match(request, std::span(performed.begin(), performed.size()));
+}
 
 /// A scored candidate (index into the caller's image list).
 struct RankedMatch {

@@ -146,8 +146,17 @@ Warehouse::IndexedImage Warehouse::index_image(GoldenImage image) {
   IndexedImage indexed;
   indexed.mask = action_mask(image.performed);
   indexed.fingerprint = action_fingerprint(image.performed);
+  indexed.performed = std::make_shared<const std::vector<std::string>>(
+      std::move(image.performed));
+  image.performed.clear();
   indexed.image = std::move(image);
   return indexed;
+}
+
+GoldenImage Warehouse::IndexedImage::full() const {
+  GoldenImage out = image;
+  if (performed) out.performed = *performed;  // a placeholder has none
+  return out;
 }
 
 Status Warehouse::publish(const GoldenImage& image) {
@@ -229,7 +238,7 @@ Result<GoldenImage> Warehouse::lookup(const std::string& id) const {
         Error(ErrorCode::kNotFound, "no golden image: " + id));
   }
   WarehouseMetrics::get().lookup_hits->add();
-  return it->second.image;
+  return it->second.full();
 }
 
 bool Warehouse::contains(const std::string& id) const {
@@ -264,6 +273,7 @@ Result<GoldenImage> Warehouse::detach(const std::string& id) {
         Error(ErrorCode::kNotFound, "no golden image: " + id));
   }
   GoldenImage detached = std::move(it->second.image);
+  detached.performed = *it->second.performed;
   images_.erase(it);
   WarehouseMetrics::get().images->set(static_cast<std::int64_t>(images_.size()));
   return detached;
@@ -290,7 +300,7 @@ std::vector<GoldenImage> Warehouse::list() const {
   std::vector<GoldenImage> out;
   out.reserve(images_.size());
   for (const auto& [id, indexed] : images_) {
-    if (!indexed.image.id.empty()) out.push_back(indexed.image);
+    if (!indexed.image.id.empty()) out.push_back(indexed.full());
   }
   return out;
 }
@@ -300,7 +310,7 @@ std::vector<GoldenImage> Warehouse::list_backend(
   std::shared_lock<std::shared_mutex> lock(mutex_);
   std::vector<GoldenImage> out;
   for (const auto& [id, indexed] : images_) {
-    if (indexed.image.backend == backend) out.push_back(indexed.image);
+    if (indexed.image.backend == backend) out.push_back(indexed.full());
   }
   return out;
 }
@@ -312,7 +322,8 @@ CandidateSet Warehouse::match_candidates(
   std::shared_lock<std::shared_mutex> lock(mutex_);
   CandidateSet out;
   for (const auto& [id, indexed] : images_) {
-    if (indexed.image.backend != backend) continue;
+    // A mid-publish placeholder claim (empty id) is not servable yet.
+    if (indexed.image.id.empty() || indexed.image.backend != backend) continue;
     if (!hardware_ok(indexed.image)) continue;
     ++out.hardware_candidates;
     if ((indexed.mask & ~request_mask) != 0) {
@@ -321,8 +332,8 @@ CandidateSet Warehouse::match_candidates(
       ++out.mask_rejected;
       continue;
     }
-    out.candidates.push_back(CandidateView{indexed.image.id,
-                                           indexed.image.performed,
+    out.candidates.push_back(CandidateView{indexed.image.id, indexed.performed,
+                                           *indexed.performed,
                                            indexed.fingerprint});
   }
   return out;

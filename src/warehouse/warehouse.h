@@ -20,7 +20,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,10 +70,15 @@ std::uint64_t action_fingerprint(const std::vector<std::string>& signatures);
 /// the PPP's DAG tests consume.  The scan used to copy full GoldenImage
 /// objects (layout + spec + guest state) per candidate on every production
 /// order; only the winning image is fetched in full, by id, after ranking.
+/// The history is shared with the warehouse index, never copied: `history`
+/// keeps it alive, so a view stays valid after its image is detached,
+/// removed or replaced.
 struct CandidateView {
   std::string id;
-  /// Action signatures already performed (the DAG tests' input).
-  std::vector<std::string> performed;
+  /// The indexed image's immutable history.
+  std::shared_ptr<const std::vector<std::string>> history;
+  /// Action signatures already performed (the DAG tests' input): *history.
+  std::span<const std::string> performed;
   /// Precomputed performed-multiset fingerprint.
   std::uint64_t fingerprint = 0;
 };
@@ -130,6 +137,8 @@ class Warehouse {
 
   /// One-pass candidate scan for the PPP: backend filter, then the caller's
   /// hardware predicate (counted), then the precomputed action-mask prune.
+  /// The predicate sees the image without its history (`performed` is
+  /// empty); the history reaches the caller through CandidateView.
   /// Runs under a shared lock, so concurrent production orders scan in
   /// parallel and only publish/remove/rescan serialize them.
   /// `request_mask` of ~0 disables mask pruning (every image passes).
@@ -157,11 +166,17 @@ class Warehouse {
 
  private:
   /// An image plus its precomputed digests, kept in lockstep by every
-  /// mutation path (publish / remove / rescan).
+  /// mutation path (publish / remove / rescan).  The history is held once,
+  /// shared and immutable, so candidate scans hand it out without a copy;
+  /// `image.performed` stays empty.
   struct IndexedImage {
     GoldenImage image;
+    std::shared_ptr<const std::vector<std::string>> performed;
     std::uint64_t mask = 0;
     std::uint64_t fingerprint = 0;
+
+    /// The image with its history.
+    GoldenImage full() const;
   };
   static IndexedImage index_image(GoldenImage image);
 

@@ -18,7 +18,9 @@
 #include "core/admission.h"
 #include "core/plant.h"
 #include "core/shop.h"
+#include "dag/matching.h"
 #include "util/thread_pool.h"
+#include "workload/dag_library.h"
 #include "workload/request_gen.h"
 
 namespace vmp::core {
@@ -232,6 +234,56 @@ TEST_F(ConcurrencyTest, WarehousePublishDuringMatchStaysConsistent) {
   for (std::size_t i = 0; i < kPublishes; ++i) {
     EXPECT_TRUE(warehouse_->contains("golden-extra-" + std::to_string(i)));
   }
+}
+
+// Planners keep evaluating the views of one scan while the lifecycle
+// detaches, re-attaches and replaces the scanned images: each view holds
+// the shared history it was handed, so every evaluation still matches.
+TEST_F(ConcurrencyTest, CandidateViewsSurviveConcurrentEviction) {
+  workload::WorkspaceParams params;
+  const dag::ConfigDag request = workload::invigo_workspace_dag(params);
+  const auto any = [](const warehouse::GoldenImage&) { return true; };
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> evaluated{0};
+  std::atomic<std::size_t> bad{0};
+
+  std::vector<std::thread> planners;
+  for (int r = 0; r < 3; ++r) {
+    planners.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const auto scan = warehouse_->match_candidates("vmware-gsx", any, ~0ull);
+        std::this_thread::yield();  // let the evictor run between scan and use
+        for (const auto& view : scan.candidates) {
+          auto eval = dag::evaluate_match(request, view.performed);
+          if (!eval.ok() || !eval.value().matches() ||
+              eval.value().satisfied.size() != 3) {
+            bad.fetch_add(1);
+          }
+          evaluated.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  std::thread evictor([&] {
+    for (int i = 0; i < 50; ++i) {
+      auto detached = warehouse_->detach("golden-32mb");
+      EXPECT_TRUE(detached.ok());
+      if (detached.ok()) {
+        EXPECT_TRUE(warehouse_->attach(detached.value()).ok());
+      }
+    }
+    // Wait for some evaluations, bounded so a starved reader cannot hang.
+    for (int spin = 0; spin < 10000 && evaluated.load() < 20; ++spin) {
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+  });
+
+  evictor.join();
+  for (auto& t : planners) t.join();
+  EXPECT_EQ(bad.load(), 0u) << "a view lost its history to an eviction";
+  EXPECT_TRUE(warehouse_->contains("golden-32mb"));
 }
 
 // submit() after shutdown has begun must not throw: the task is never run

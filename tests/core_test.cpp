@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "core/cost.h"
 #include "core/info_system.h"
@@ -99,6 +100,25 @@ TEST(RequestTest, FromXmlRejectsMissingDag) {
                    "<create-request id=\"r\" domain=\"d\">"
                    "<hardware memory-bytes=\"1\"/></create-request>")
                    .ok());
+}
+
+TEST(RequestTest, FromXmlRejectsOutOfRangeMaxRetries) {
+  // An untrusted request cannot smuggle a truncated or wrapping retry
+  // count into the production line.
+  CreateRequest r = workload::workspace_request(64, 7, "ufl.edu");
+  const std::string wire = r.to_xml_string();
+  const std::string anchor = "<action id=\"I\"";
+  const std::size_t at = wire.find(anchor);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"2147483648", "-2", "many"}) {
+    std::string tampered = wire;
+    tampered.insert(at + anchor.size(),
+                    std::string(" on-error=\"retry\" max-retries=\"") + bad +
+                        "\"");
+    auto parsed = CreateRequest::from_xml_string(tampered);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error().code(), util::ErrorCode::kParseError) << bad;
+  }
 }
 
 // -- Cost models ----------------------------------------------------------------
@@ -415,6 +435,23 @@ TEST_F(PlantTest, RetryPolicySurvivesTransientFailures) {
   flaky.set_param("count", "2");
   flaky.set_error_policy(dag::ErrorPolicy::kRetry);
   flaky.set_max_retries(2);
+  ASSERT_TRUE(request.config.add_action(flaky).ok());
+  ASSERT_TRUE(request.config.add_edge("I", "Z").ok());
+
+  auto ad = plant_->create(request);
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  EXPECT_EQ(ad.value().get_integer(attrs::kActionFailures).value(), 0);
+}
+
+TEST_F(PlantTest, MaxRetriesAtIntMaxDoesNotOverflow) {
+  // 1 + INT_MAX attempts must not wrap to a negative count (which would
+  // skip the action's attempts altogether).
+  CreateRequest request = workload::workspace_request(64, 0, "ufl.edu");
+  dag::Action flaky("Z", "inject-flaky");
+  flaky.set_param("token", "int-max-glitch");
+  flaky.set_param("count", "2");
+  flaky.set_error_policy(dag::ErrorPolicy::kRetry);
+  flaky.set_max_retries(std::numeric_limits<int>::max());
   ASSERT_TRUE(request.config.add_action(flaky).ok());
   ASSERT_TRUE(request.config.add_edge("I", "Z").ok());
 

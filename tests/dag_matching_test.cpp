@@ -43,8 +43,8 @@ TEST(SubsetTest, EmptyHistoryAlwaysMatches) {
   auto eval = evaluate_match(chain_dag(), {});
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval.value().matches());
-  EXPECT_TRUE(eval.value().satisfied_nodes.empty());
-  EXPECT_EQ(eval.value().remaining_plan.size(), 3u);
+  EXPECT_TRUE(eval.value().satisfied.empty());
+  EXPECT_EQ(eval.value().remaining.size(), 3u);
 }
 
 TEST(SubsetTest, UnrequestedActionFails) {
@@ -68,7 +68,7 @@ TEST(SubsetTest, FullHistoryMatchesWithEmptyPlan) {
   auto eval = evaluate_match(d, {sig(d, "A"), sig(d, "B"), sig(d, "C")});
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval.value().matches());
-  EXPECT_TRUE(eval.value().remaining_plan.empty());
+  EXPECT_TRUE(eval.value().remaining.empty());
 }
 
 // -- Prefix test ----------------------------------------------------------------
@@ -89,7 +89,7 @@ TEST(PrefixTest, IncomparableBranchAloneIsFine) {
   auto eval = evaluate_match(d, {sig(d, "A"), sig(d, "C")});
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval.value().matches());
-  EXPECT_EQ(eval.value().remaining_plan,
+  EXPECT_EQ(d.ids_at(eval.value().remaining),
             (std::vector<std::string>{"B", "D"}));
 }
 
@@ -131,7 +131,7 @@ TEST(RemainingPlanTest, PlanIsAValidLinearExtension) {
   ConfigDag d = diamond_dag();
   auto eval = evaluate_match(d, {sig(d, "A")});
   ASSERT_TRUE(eval.ok());
-  const auto& plan = eval.value().remaining_plan;
+  const std::vector<std::string> plan = d.ids_at(eval.value().remaining);
   ASSERT_EQ(plan.size(), 3u);
   // D must come after both B and C in the plan.
   EXPECT_EQ(plan.back(), "D");
@@ -141,13 +141,12 @@ TEST(RemainingPlanTest, PlanDisjointFromSatisfied) {
   ConfigDag d = diamond_dag();
   auto eval = evaluate_match(d, {sig(d, "A"), sig(d, "B")});
   ASSERT_TRUE(eval.ok());
-  for (const auto& id : eval.value().remaining_plan) {
-    for (const auto& done : eval.value().satisfied_nodes) {
+  for (const auto& id : d.ids_at(eval.value().remaining)) {
+    for (const auto& done : d.ids_at(eval.value().satisfied)) {
       EXPECT_NE(id, done);
     }
   }
-  EXPECT_EQ(eval.value().satisfied_nodes.size() +
-                eval.value().remaining_plan.size(),
+  EXPECT_EQ(eval.value().satisfied.size() + eval.value().remaining.size(),
             d.size());
 }
 
@@ -199,11 +198,11 @@ TEST(Figure3Test, GoldenWorkspaceSatisfiesBasePrefix) {
   auto eval = evaluate_match(request, workload::invigo_golden_history());
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval.value().matches());
-  EXPECT_EQ(eval.value().satisfied_nodes,
+  EXPECT_EQ(request.ids_at(eval.value().satisfied),
             (std::vector<std::string>{"A", "B", "C"}));
   // D..I remain: the paper's per-instance configuration actions.
-  EXPECT_EQ(eval.value().remaining_plan.size(), 6u);
-  EXPECT_EQ(eval.value().remaining_plan.front(), "D");
+  EXPECT_EQ(eval.value().remaining.size(), 6u);
+  EXPECT_EQ(request.ids_at(eval.value().remaining).front(), "D");
 }
 
 TEST(Figure3Test, WorkspaceWithDifferentUserStillMatchesGolden) {

@@ -5,10 +5,17 @@
 
 #include "dag/dag.h"
 #include "dag/dag_xml.h"
+#include "dag/matching.h"
+#include "dag_reference.h"
+#include "util/random.h"
 #include "workload/dag_library.h"
 
 namespace vmp::dag {
 namespace {
+
+using dag_reference::ancestors;
+using dag_reference::descendants;
+using dag_reference::orders_before;
 
 ConfigDag diamond() {
   // A -> {B, C} -> D
@@ -87,8 +94,11 @@ TEST(ConfigDagTest, AddEdgeValidation) {
 
 TEST(ConfigDagTest, PredecessorsAndSuccessors) {
   ConfigDag d = diamond();
-  EXPECT_EQ(d.successors("A"), (std::set<std::string>{"B", "C"}));
-  EXPECT_EQ(d.predecessors("D"), (std::set<std::string>{"B", "C"}));
+  const auto ids = [](ConfigDag::IdRange range) {
+    return std::vector<std::string>(range.begin(), range.end());
+  };
+  EXPECT_EQ(ids(d.successors("A")), (std::vector<std::string>{"B", "C"}));
+  EXPECT_EQ(ids(d.predecessors("D")), (std::vector<std::string>{"B", "C"}));
   EXPECT_TRUE(d.successors("D").empty());
   EXPECT_TRUE(d.predecessors("nonexistent").empty());
 }
@@ -146,18 +156,18 @@ TEST(ConfigDagTest, TopologicalSortIsDeterministic) {
 
 TEST(ConfigDagTest, AncestorsAndDescendants) {
   ConfigDag d = diamond();
-  EXPECT_EQ(d.ancestors("D"), (std::set<std::string>{"A", "B", "C"}));
-  EXPECT_EQ(d.ancestors("A"), (std::set<std::string>{}));
-  EXPECT_EQ(d.descendants("A"), (std::set<std::string>{"B", "C", "D"}));
-  EXPECT_EQ(d.descendants("D"), (std::set<std::string>{}));
+  EXPECT_EQ(ancestors(d, "D"), (std::set<std::string>{"A", "B", "C"}));
+  EXPECT_EQ(ancestors(d, "A"), (std::set<std::string>{}));
+  EXPECT_EQ(descendants(d, "A"), (std::set<std::string>{"B", "C", "D"}));
+  EXPECT_EQ(descendants(d, "D"), (std::set<std::string>{}));
 }
 
 TEST(ConfigDagTest, OrdersBefore) {
   ConfigDag d = diamond();
-  EXPECT_TRUE(d.orders_before("A", "D"));
-  EXPECT_TRUE(d.orders_before("B", "D"));
-  EXPECT_FALSE(d.orders_before("B", "C"));  // incomparable
-  EXPECT_FALSE(d.orders_before("D", "A"));
+  EXPECT_TRUE(orders_before(d, "A", "D"));
+  EXPECT_TRUE(orders_before(d, "B", "D"));
+  EXPECT_FALSE(orders_before(d, "B", "C"));  // incomparable
+  EXPECT_FALSE(orders_before(d, "D", "A"));
 }
 
 // -- Signature index ---------------------------------------------------------------------
@@ -238,7 +248,7 @@ TEST(DagBuilderTest, ChainBuildsLinearOrder) {
                     .guest("C", "op3")
                     .chain({"A", "B", "C"})
                     .build();
-  EXPECT_TRUE(d.orders_before("A", "C"));
+  EXPECT_TRUE(orders_before(d, "A", "C"));
   EXPECT_EQ(d.edge_count(), 2u);
 }
 
@@ -298,6 +308,181 @@ TEST(DagXmlTest, RejectsMalformedDags) {
                    "<dag><action id=\"A\" op=\"x\"/><action id=\"B\" op=\"y\"/>"
                    "<edge from=\"A\" to=\"B\"/><edge from=\"B\" to=\"A\"/></dag>")
                    .ok());
+}
+
+TEST(DagXmlTest, RejectsBadMaxRetries) {
+  const auto parse = [](const std::string& retries) {
+    return from_xml_string(
+        "<dag><action id=\"A\" op=\"x\" on-error=\"retry\" max-retries=\"" +
+        retries + "\"/></dag>");
+  };
+  for (const std::string bad :
+       {"", "x", "3x", "1.5", "-1", "2147483648", "99999999999999999999"}) {
+    auto parsed = parse(bad);
+    ASSERT_FALSE(parsed.ok()) << "max-retries=" << bad;
+    EXPECT_EQ(parsed.error().code(), util::ErrorCode::kParseError) << bad;
+    EXPECT_NE(parsed.error().message().find("max-retries"), std::string::npos);
+  }
+  auto top = parse("2147483647");
+  ASSERT_TRUE(top.ok()) << top.error().to_string();
+  EXPECT_EQ(top.value().action("A")->max_retries(), 2147483647);
+  auto zero = parse("0");
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(zero.value().action("A")->max_retries(), 0);
+}
+
+// -- Dense graph vs the map/set reference ---------------------------------------------------
+
+void expect_same_status(const util::Status& dense, const util::Status& ref) {
+  ASSERT_EQ(dense.ok(), ref.ok())
+      << (dense.ok() ? ref : dense).error().to_string();
+  if (!ref.ok()) {
+    EXPECT_EQ(dense.error().code(), ref.error().code());
+    EXPECT_EQ(dense.error().message(), ref.error().message());
+  }
+}
+
+template <typename T, typename U>
+void expect_same_result(const util::Result<T>& dense,
+                        const util::Result<U>& ref) {
+  expect_same_status(dense.ok() ? util::Status() : util::Status(dense.error()),
+                     ref.ok() ? util::Status() : util::Status(ref.error()));
+}
+
+struct DagPair {
+  ConfigDag dense;
+  dag_reference::MapDag ref;
+};
+
+/// One seeded edit sequence applied to both graphs, each edit's status
+/// compared: duplicate and reserved ids, empty operations, duplicate
+/// signatures, self-loops, duplicate edges, missing endpoints, cycles and
+/// (cyclic or valid) error sub-graphs.
+DagPair random_edits(util::SplitMix64* rng, bool with_subgraphs) {
+  DagPair out;
+  const std::size_t pool = 2 + rng->next_below(10);
+  const auto pick_id = [&] {
+    switch (rng->next_below(12)) {
+      case 0: return std::string("ghost");  // never added
+      case 1: return std::string(rng->bernoulli(0.5) ? "START" : "");
+      default: return "n" + std::to_string(rng->next_below(pool));
+    }
+  };
+  const std::size_t actions = pool + rng->next_below(4);
+  for (std::size_t k = 0; k < actions; ++k) {
+    // One draw per statement, so the sequence is the same on every compiler.
+    const std::string id = pick_id();
+    const std::string op =
+        rng->bernoulli(0.05) ? "" : "op" + std::to_string(rng->next_below(3));
+    const bool host = rng->bernoulli(0.3);
+    Action a(id, op, host ? ActionScope::kHost : ActionScope::kGuest);
+    for (const char* key : {"pkg", "ver"}) {
+      if (rng->bernoulli(0.5)) {
+        a.set_param(key, std::to_string(rng->next_below(3)));
+      }
+    }
+    if (rng->bernoulli(0.2)) {
+      a.set_error_policy(ErrorPolicy::kRetry);
+      a.set_max_retries(static_cast<int>(rng->next_below(4)));
+    }
+    if (rng->bernoulli(0.2)) a.set_script("echo <" + a.id() + "> & done");
+    expect_same_status(out.dense.add_action(a), out.ref.add_action(a));
+  }
+  const std::size_t edges = rng->next_below(3 * pool + 1);
+  for (std::size_t k = 0; k < edges; ++k) {
+    std::string from = pick_id();
+    std::string to = pick_id();
+    // Mostly forward edges, so a good share of the graphs stay acyclic.
+    if (rng->bernoulli(0.85) && to < from) std::swap(from, to);
+    expect_same_status(out.dense.add_edge(from, to), out.ref.add_edge(from, to));
+  }
+  if (with_subgraphs) {
+    for (int k = 0; k < 2; ++k) {
+      DagPair sub = random_edits(rng, false);
+      const std::string id = pick_id();
+      expect_same_status(out.dense.set_error_subgraph(id, std::move(sub.dense)),
+                         out.ref.set_error_subgraph(id, std::move(sub.ref)));
+    }
+  }
+  return out;
+}
+
+TEST(DenseDagDifferential, AgreesWithMapSetReference) {
+  std::size_t acyclic = 0;
+  std::size_t matched = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::SplitMix64 rng(seed);
+    const DagPair g = random_edits(&rng, true);
+    const ConfigDag& d = g.dense;
+
+    expect_same_status(d.validate(), g.ref.validate());
+    const auto order = d.topological_sort();
+    const auto ref_order = g.ref.topological_sort();
+    expect_same_result(order, ref_order);
+    if (order.ok() && ref_order.ok()) {
+      EXPECT_EQ(order.value(), ref_order.value());
+    }
+    const auto index = d.signature_index();
+    const auto ref_index = g.ref.signature_index();
+    expect_same_result(index, ref_index);
+    if (index.ok() && ref_index.ok()) {
+      EXPECT_EQ(index.value(), ref_index.value());
+    }
+
+    const std::string xml = to_xml_string(d);
+    EXPECT_EQ(xml, g.ref.to_xml_string());
+    if (order.ok()) {
+      ++acyclic;
+      auto parsed = from_xml_string(xml);
+      ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+      EXPECT_TRUE(parsed.value() == d);
+    }
+
+    // Histories: prefixes of an order (the topological one when there is
+    // one), shuffled, with a repeat, with an alien action, and random sets.
+    std::vector<std::string> sigs;
+    for (const std::string& id : order.ok() ? order.value() : d.node_ids()) {
+      sigs.push_back(d.action(id)->signature());
+    }
+    std::vector<std::vector<std::string>> histories{{}};
+    for (std::size_t take = 1; take <= sigs.size(); ++take) {
+      std::vector<std::string> prefix(sigs.begin(), sigs.begin() + take);
+      histories.push_back(prefix);
+      std::vector<std::string> shuffled = prefix;
+      const std::size_t i = rng.next_below(take);
+      const std::size_t j = rng.next_below(take);
+      std::swap(shuffled[i], shuffled[j]);
+      histories.push_back(shuffled);
+      prefix.push_back(prefix[rng.next_below(take)]);
+      histories.push_back(prefix);
+      prefix.back() = "alien{}";
+      histories.push_back(prefix);
+      std::vector<std::string> subset;
+      for (const std::string& sig : sigs) {
+        if (rng.bernoulli(0.5)) subset.push_back(sig);
+      }
+      histories.push_back(subset);
+    }
+    for (const auto& history : histories) {
+      const auto got = evaluate_match(d, history);
+      const auto want = g.ref.evaluate(history);
+      expect_same_result(got, want);
+      if (!got.ok() || !want.ok()) continue;
+      const MatchEvaluation& e = got.value();
+      EXPECT_EQ(e.subset_ok, want.value().subset_ok);
+      EXPECT_EQ(e.prefix_ok, want.value().prefix_ok);
+      EXPECT_EQ(e.partial_order_ok, want.value().partial_order_ok);
+      EXPECT_EQ(e.failure_reason, want.value().failure_reason);
+      EXPECT_EQ(d.ids_at(e.satisfied), want.value().satisfied_nodes);
+      EXPECT_EQ(d.ids_at(e.remaining), want.value().remaining_plan);
+      if (e.matches()) ++matched;
+    }
+  }
+  // The generator covers both sides of every check.
+  EXPECT_GT(acyclic, 100u);
+  EXPECT_LT(acyclic, 390u);
+  EXPECT_GT(matched, 200u);
 }
 
 // -- The paper's Figure 3 DAG -------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "core/shop.h"
 #include "dag/dag_xml.h"
 #include "dag/matching.h"
+#include "dag_reference.h"
 #include "fault/fault.h"
 #include "net/bus.h"
 #include "net/registry.h"
@@ -68,14 +69,14 @@ TEST_P(RandomDagProperty, ValidatesAndSortsConsistently) {
 TEST_P(RandomDagProperty, AncestorsAgreeWithEdges) {
   dag::ConfigDag d = make();
   for (const std::string& id : d.node_ids()) {
-    const auto ancestors = d.ancestors(id);
+    const auto ancestors = dag_reference::ancestors(d, id);
     // Direct predecessors are ancestors.
     for (const std::string& pred : d.predecessors(id)) {
       EXPECT_TRUE(ancestors.count(pred));
     }
     // Ancestor-of-ancestor is an ancestor (transitivity).
     for (const std::string& a : ancestors) {
-      for (const std::string& aa : d.ancestors(a)) {
+      for (const std::string& aa : dag_reference::ancestors(d, a)) {
         EXPECT_TRUE(ancestors.count(aa));
       }
     }
@@ -107,8 +108,8 @@ TEST_P(RandomDagProperty, EveryTopoPrefixPassesAllThreeTests) {
     EXPECT_TRUE(eval.value().matches())
         << "prefix of length " << take << ": "
         << eval.value().failure_reason;
-    EXPECT_EQ(eval.value().satisfied_nodes.size(), take);
-    EXPECT_EQ(eval.value().remaining_plan.size(), order.size() - take);
+    EXPECT_EQ(eval.value().satisfied.size(), take);
+    EXPECT_EQ(eval.value().remaining.size(), order.size() - take);
   }
 }
 
@@ -143,8 +144,8 @@ TEST_P(RandomDagProperty, MatchedPlanIsAValidCompletion) {
   // extension of the DAG.
   std::map<std::string, std::size_t> pos;
   std::size_t i = 0;
-  for (const std::string& id : eval.value().satisfied_nodes) pos[id] = i++;
-  for (const std::string& id : eval.value().remaining_plan) pos[id] = i++;
+  for (const std::string& id : d.ids_at(eval.value().satisfied)) pos[id] = i++;
+  for (const std::string& id : d.ids_at(eval.value().remaining)) pos[id] = i++;
   ASSERT_EQ(pos.size(), d.size());
   for (const std::string& id : d.node_ids()) {
     for (const std::string& succ : d.successors(id)) {
@@ -160,7 +161,7 @@ TEST_P(RandomDagProperty, ViolatingHistoriesAreRejected) {
   // Find a node with at least one ancestor; performing it alone must fail
   // the prefix test.
   for (const std::string& id : order) {
-    if (!d.ancestors(id).empty()) {
+    if (!dag_reference::ancestors(d, id).empty()) {
       auto eval = dag::evaluate_match(d, {d.action(id)->signature()});
       ASSERT_TRUE(eval.ok());
       EXPECT_FALSE(eval.value().matches());
@@ -226,12 +227,14 @@ util::Result<std::vector<std::string>> reference_topological_sort(
 
 /// The ancestor-walking matcher MatchIndex replaced: Prefix and Partial
 /// Order check every ancestor of every performed node.
-util::Result<dag::MatchEvaluation> reference_evaluate_match(
+util::Result<dag_reference::IdEvaluation> reference_evaluate_match(
     const dag::ConfigDag& request, const std::vector<std::string>& performed) {
   auto index_result = request.signature_index();
-  if (!index_result.ok()) return index_result.propagate<dag::MatchEvaluation>();
+  if (!index_result.ok()) {
+    return index_result.propagate<dag_reference::IdEvaluation>();
+  }
   const std::map<std::string, std::string>& sig_to_node = index_result.value();
-  dag::MatchEvaluation eval;
+  dag_reference::IdEvaluation eval;
 
   std::vector<std::string> performed_nodes;
   std::set<std::string> performed_set;
@@ -256,7 +259,8 @@ util::Result<dag::MatchEvaluation> reference_evaluate_match(
 
   eval.prefix_ok = true;
   for (const std::string& node : performed_nodes) {
-    for (const std::string& ancestor : request.ancestors(node)) {
+    for (const std::string& ancestor :
+         dag_reference::ancestors(request, node)) {
       if (!performed_set.count(ancestor)) {
         eval.prefix_ok = false;
         eval.failure_reason = "prefix test failed: image performed '" + node +
@@ -274,7 +278,8 @@ util::Result<dag::MatchEvaluation> reference_evaluate_match(
   }
   eval.partial_order_ok = true;
   for (const std::string& node : performed_nodes) {
-    for (const std::string& ancestor : request.ancestors(node)) {
+    for (const std::string& ancestor :
+         dag_reference::ancestors(request, node)) {
       if (history_position.at(ancestor) > history_position.at(node)) {
         eval.partial_order_ok = false;
         eval.failure_reason = "partial order test failed: image performed '" +
@@ -289,7 +294,7 @@ util::Result<dag::MatchEvaluation> reference_evaluate_match(
 
   eval.satisfied_nodes = performed_nodes;
   auto topo = reference_topological_sort(request);
-  if (!topo.ok()) return topo.propagate<dag::MatchEvaluation>();
+  if (!topo.ok()) return topo.propagate<dag_reference::IdEvaluation>();
   for (const std::string& id : topo.value()) {
     if (!performed_set.count(id)) eval.remaining_plan.push_back(id);
   }
@@ -332,13 +337,13 @@ void expect_same_evaluation(const dag::ConfigDag& d,
     EXPECT_EQ(want.error().message(), got.error().message());
     return;
   }
-  const dag::MatchEvaluation& w = want.value();
+  const dag_reference::IdEvaluation& w = want.value();
   const dag::MatchEvaluation& g = got.value();
   EXPECT_EQ(w.subset_ok, g.subset_ok);
   EXPECT_EQ(w.prefix_ok, g.prefix_ok);
   EXPECT_EQ(w.partial_order_ok, g.partial_order_ok);
-  EXPECT_EQ(w.satisfied_nodes, g.satisfied_nodes);
-  EXPECT_EQ(w.remaining_plan, g.remaining_plan);
+  EXPECT_EQ(w.satisfied_nodes, d.ids_at(g.satisfied));
+  EXPECT_EQ(w.remaining_plan, d.ids_at(g.remaining));
   EXPECT_EQ(failure_test(w.failure_reason), failure_test(g.failure_reason))
       << "reference: " << w.failure_reason << "\nindex: " << g.failure_reason;
   if (!w.subset_ok) {
@@ -379,11 +384,12 @@ TEST_P(DifferentialDag, CycleErrorNamesTheSameNode) {
     std::string to;
     for (std::size_t tries = 0; tries < 4 * ids.size() && from.empty(); ++tries) {
       const std::string& candidate = ids[rng.next_below(ids.size())];
-      const std::set<std::string> below = d.descendants(candidate);
+      const std::set<std::string> below =
+          dag_reference::descendants(d, candidate);
       if (below.empty()) continue;
       auto it = below.begin();
       std::advance(it, rng.next_below(below.size()));
-      if (d.successors(*it).count(candidate)) continue;
+      if (std::ranges::count(d.successors(*it), candidate) != 0) continue;
       from = *it;
       to = candidate;
     }
@@ -572,12 +578,12 @@ TEST_P(PppPrefixCatalog, PlanAndMatchCountsEqualTheReference) {
   request.config = config;
 
   std::string want_golden;
-  dag::MatchEvaluation want_eval;
+  dag_reference::IdEvaluation want_eval;
   std::map<std::string, std::uint64_t> want_counts;
   for (const auto& [id, performed] : catalog_) {
     auto eval = reference_evaluate_match(request.config, performed);
     ASSERT_TRUE(eval.ok());
-    const dag::MatchEvaluation& e = eval.value();
+    const dag_reference::IdEvaluation& e = eval.value();
     if (e.matches()) {
       ++want_counts["ppp.match_hit.count"];
       if (want_golden.empty() ||

@@ -3,7 +3,9 @@
 
 #include <filesystem>
 
+#include "dag/matching.h"
 #include "warehouse/warehouse.h"
+#include "workload/dag_library.h"
 #include "workload/request_gen.h"
 
 namespace vmp::warehouse {
@@ -147,6 +149,45 @@ TEST_F(WarehouseTest, AttachRestoresADetachedImage) {
   ASSERT_FALSE(dup.ok());
   EXPECT_EQ(dup.error().code(), util::ErrorCode::kAlreadyExists);
   EXPECT_FALSE(warehouse_->attach(GoldenImage{}).ok());
+}
+
+TEST_F(WarehouseTest, CandidateViewOutlivesEviction) {
+  // A scan's views share each image's history with the index: detaching,
+  // removing or re-publishing the image afterwards leaves a view's history
+  // (and its match) intact.
+  workload::WorkspaceParams params;
+  const dag::ConfigDag request = workload::invigo_workspace_dag(params);
+  const std::vector<std::string> history = workload::invigo_golden_history();
+  for (const char* id : {"g-detach", "g-remove"}) {
+    ASSERT_TRUE(warehouse_
+                    ->publish_new(id, "vmware-gsx", small_spec(),
+                                  hv::GuestState{}, history)
+                    .ok());
+  }
+  const auto any = [](const GoldenImage&) { return true; };
+  const CandidateSet scan = warehouse_->match_candidates("vmware-gsx", any, ~0ull);
+  ASSERT_EQ(scan.candidates.size(), 2u);
+
+  ASSERT_TRUE(warehouse_->detach("g-detach").ok());
+  ASSERT_TRUE(warehouse_->remove("g-remove").ok());
+  EXPECT_TRUE(warehouse_->match_candidates("vmware-gsx", any, ~0ull)
+                  .candidates.empty());
+  ASSERT_TRUE(warehouse_
+                  ->publish_new("g-remove", "vmware-gsx", small_spec(),
+                                hv::GuestState{}, {"other-op{}"})
+                  .ok());
+
+  for (const CandidateView& view : scan.candidates) {
+    SCOPED_TRACE(view.id);
+    EXPECT_EQ(std::vector<std::string>(view.performed.begin(),
+                                       view.performed.end()),
+              history);
+    auto eval = dag::evaluate_match(request, view.performed);
+    ASSERT_TRUE(eval.ok());
+    EXPECT_TRUE(eval.value().matches()) << eval.value().failure_reason;
+    EXPECT_EQ(request.ids_at(eval.value().satisfied),
+              (std::vector<std::string>{"A", "B", "C"}));
+  }
 }
 
 TEST_F(WarehouseTest, DescriptorRoundTrip) {

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "core/info_system.h"
+#include "dag_reference.h"
 #include "hypervisor/gsx.h"
 #include "warehouse/warehouse.h"
 #include "workload/dag_library.h"
@@ -65,7 +66,7 @@ TEST(DagLibraryTest, MinimalConfigDagIsValidAndOrdered) {
   dag::ConfigDag d = minimal_config_dag("alice", "10.0.0.5");
   ASSERT_TRUE(d.validate().ok());
   EXPECT_EQ(d.size(), 2u);
-  EXPECT_TRUE(d.orders_before("net", "user"));
+  EXPECT_TRUE(dag_reference::orders_before(d, "net", "user"));
 }
 
 TEST(DagLibraryTest, RandomLayeredDagRespectsShape) {
