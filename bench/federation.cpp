@@ -84,7 +84,9 @@ void register_stub_plant(net::MessageBus* bus, const std::string& name,
     }
     return response;
   };
-  (void)bus->register_endpoint(name, std::move(handler));
+  // Stateless, so a shop's wide bid fan-out may deliver it in parallel.
+  (void)bus->register_endpoint(name, std::move(handler),
+                               net::Delivery::kParallel);
 }
 
 struct LegResult {

@@ -17,6 +17,11 @@
 // dag.from_xml.64 time dag::from_xml over an already-parsed <dag> element
 // (the 9-node In-VIGO DAG, and perfbench deep_dag_catalog's 64-node shape);
 // their bytes field is the DAG's XML size.
+// bid.fanout.256 times one VmShop::collect_bids over 256 stub plant
+// endpoints (bench/federation's stubs: a cost from the plant index, no
+// plant state), so it measures the shop + bus side of a bid round: the
+// ordered phase and the parallel delivery of 256 XML estimate legs.  Its
+// bytes field is the bus bytes of one round.
 // CI's bench-gate job feeds these to tools/bench_gate.py against
 // bench/baselines/micro_core.json, which enforces the binary codec's >= 3x
 // advantage over XML on descriptors (this PR's acceptance bar) plus
@@ -29,10 +34,13 @@
 
 #include "classad/classad.h"
 #include "classad/matchmaker.h"
+#include "core/shop.h"
 #include "dag/dag_xml.h"
 #include "dag/matching.h"
 #include "net/codec.h"
 #include "net/message.h"
+#include "net/registry.h"
+#include "util/strings.h"
 #include "storage/clone_ops.h"
 #include "warehouse/warehouse.h"
 #include "workload/dag_library.h"
@@ -242,8 +250,41 @@ void report_codec(const char* name, const CodecRow& row) {
   std::printf("%-24s %12.0f ns/op %10.3f Mop/s %8zu bytes\n", name,
               row.ns_per_op, mops, row.wire_bytes);
   std::printf("BENCH_JSON {\"name\": \"%s\", \"ns_per_op\": %.2f, "
-              "\"mops\": %.4f, \"bytes\": %zu}\n",
+              "\"mops\": %.6f, \"bytes\": %zu}\n",
               name, row.ns_per_op, mops, row.wire_bytes);
+}
+
+/// One VmShop::collect_bids round over 256 stub plant endpoints (paper
+/// §3.1, §3.4): bench/federation's stateless stubs, delivered in parallel.
+/// The row's bytes are the bus bytes of one round.
+CodecRow time_bid_fanout(const core::CreateRequest& request, int iters,
+                         bool* ok) {
+  net::MessageBus bus;
+  net::ServiceRegistry registry;
+  for (int i = 0; i < 256; ++i) {
+    const std::string name = "plant" + std::to_string(i);
+    const double cost =
+        10.0 + static_cast<double>((i * 2654435761u) % 9973) / 100.0;
+    (void)bus.register_endpoint(
+        name,
+        [cost](const net::Message& m) {
+          net::Message response = net::Message::response_to(m);
+          response.body().add_child("bid").set_attr(
+              "cost", util::format_double(cost));
+          return response;
+        },
+        net::Delivery::kParallel);
+    registry.publish({"vmplant", name, {}});
+  }
+  core::VmShop shop(core::ShopConfig{}, &bus, &registry);
+  (void)shop.collect_bids(request);  // starts the bus's helper threads
+  return time_codec(iters, [&] {
+    const std::uint64_t bytes_before = bus.bytes_total();
+    auto bids = shop.collect_bids(request);
+    if (bids.size() != 256) *ok = false;
+    benchmark::DoNotOptimize(bids);
+    return static_cast<std::size_t>(bus.bytes_total() - bytes_before);
+  });
 }
 
 int run_codec_rows() {
@@ -350,6 +391,8 @@ int run_codec_rows() {
   const CodecRow from_xml_64 = time_from_xml(
       workload::random_layered_dag(20040621, 8, 8, 0.25), kIters / 4);
 
+  const CodecRow fanout_256 = time_bid_fanout(request, kIters / 100, &ok);
+
   report_codec("codec.descriptor.xml", desc_xml);
   report_codec("codec.descriptor.binary", desc_bin);
   report_codec("codec.message.xml", msg_xml);
@@ -359,6 +402,7 @@ int run_codec_rows() {
   report_codec("dag.match.256", match_256);
   report_codec("dag.from_xml.invigo", from_xml_invigo);
   report_codec("dag.from_xml.64", from_xml_64);
+  report_codec("bid.fanout.256", fanout_256);
   const double desc_speedup =
       desc_bin.ns_per_op > 0.0 ? desc_xml.ns_per_op / desc_bin.ns_per_op : 0.0;
   std::printf("BENCH_JSON {\"name\": \"codec.descriptor.speedup\", "

@@ -540,9 +540,12 @@ std::size_t VmPlant::inflight_creates() const {
 
 Status VmPlant::attach_to_bus(net::MessageBus* bus,
                               net::ServiceRegistry* registry) {
+  // A bid fan-out may deliver here on a helper thread: an estimate is
+  // thread-safe and consults no fault point (DESIGN.md §6).
   VMP_RETURN_IF_ERROR(bus->register_endpoint(
       bus_address(),
-      [this](const net::Message& m) { return handle_message(m); }));
+      [this](const net::Message& m) { return handle_message(m); },
+      net::Delivery::kParallel));
   bus_ = bus;
   registry_ = registry;
   if (registry_ != nullptr) {

@@ -77,73 +77,116 @@ VmShop::~VmShop() { detach_from_bus(); }
 
 std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
   obs::ScopedSpan span("shop.bid", "vmshop", request.request_id);
+  ShopMetrics& metrics = ShopMetrics::get();
   const double start_s = obs::Tracer::instance().now();
   std::vector<Bid> bids;
-  // One request, built once and re-addressed to each plant in turn.  It
-  // carries the header only: a bid never reads the configuration DAG.
+  // One request, built once; the bus re-addresses each envelope to its
+  // plant.  It carries the header only: a bid never reads the
+  // configuration DAG.
   net::Message m = net::Message::request("vmplant.estimate", config_.name, "",
                                          request.request_id);
   request.header_to_xml(&m.body());
-  for (const net::ServiceRecord& plant : registry_->discover("vmplant")) {
+  const auto plants = registry_->addresses("vmplant");
+  const std::vector<std::string>& addresses = *plants;
+
+  // The bus asks every plant at once, but checks each one first, in plant
+  // order.  What became of each plant's bid is noted per plant — by the
+  // check here, by the sink on whichever thread delivered the answer —
+  // and logged and priced below in plant order, as if the plants were
+  // asked one by one.
+  struct Answer {
+    bool vanished = false;
+    Status deadline;           // the shop.bid hook fired
+    Status failure;            // transport failure or refusal
+    bool has_bid = false;
+    double cost = kNan;
+    std::string bad_cost;  // the text of a non-finite cost
+  };
+  std::vector<Answer> answers(addresses.size());
+  const auto check = [&](std::size_t i) {
     // The registry snapshot is a cache (paper §3.1): a plant can detach
-    // between discover() and the bid call.  Probe the bus first so a
+    // between the snapshot and the bid call.  Probe the bus first so a
     // vanished bidder costs one lookup — a skipped bid, never a stall.
-    if (!bus_->has_endpoint(plant.address)) {
-      kLog.warn() << plant.address
+    if (!bus_->has_endpoint(addresses[i])) {
+      answers[i].vanished = true;
+    } else {
+      // Modeled per-bid deadline: the hook stands in for bid_timeout_s
+      // expiring without an answer.  A firing loses THIS bid only.
+      answers[i].deadline =
+          fault::check(fault::points::kShopBid, addresses[i]);
+      if (answers[i].deadline.ok()) return true;
+      metrics.bid_timeouts->add();
+    }
+    bids_skipped_.fetch_add(1, std::memory_order_relaxed);
+    metrics.bids_skipped->add();
+    return false;
+  };
+  // The reply is read (and freed) on the thread that delivered it.
+  const auto sink = [&](std::size_t i, Result<net::Message> response) {
+    Answer& answer = answers[i];
+    if (!response.ok()) {
+      answer.failure = response.error();
+      return;
+    }
+    if (response.value().is_fault()) {
+      answer.failure = response.value().fault_error();
+      return;
+    }
+    const xml::Element* bid = response.value().body().child("bid");
+    if (bid == nullptr) return;
+    answer.has_bid = true;
+    answer.cost = bid->attr_double("cost", kNan);
+    if (!std::isfinite(answer.cost)) answer.bad_cost = bid->attr("cost");
+  };
+  bus_->fan_out(m, addresses, check, sink);
+
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    const std::string& plant = addresses[i];
+    const Answer& answer = answers[i];
+    if (answer.vanished) {
+      kLog.warn() << plant
                   << " vanished before bidding (detached after registry "
                      "snapshot); skipping its bid";
-      bids_skipped_.fetch_add(1, std::memory_order_relaxed);
-      ShopMetrics::get().bids_skipped->add();
       continue;
     }
-    // Modeled per-bid deadline: the hook stands in for bid_timeout_s
-    // expiring without an answer.  A firing loses THIS bid only.
-    if (Status deadline = fault::check(fault::points::kShopBid, plant.address);
-        !deadline.ok()) {
-      kLog.warn() << plant.address << " bid timed out (budget "
+    if (!answer.deadline.ok()) {
+      kLog.warn() << plant << " bid timed out (budget "
                   << config_.bid_timeout_s
-                  << "s): " << deadline.error().to_string();
-      bids_skipped_.fetch_add(1, std::memory_order_relaxed);
-      ShopMetrics::get().bids_skipped->add();
-      ShopMetrics::get().bid_timeouts->add();
+                  << "s): " << answer.deadline.error().to_string();
       continue;
     }
-    m.set_to(plant.address);
-    auto response = net::call_expecting_success(bus_, m);
-    if (!response.ok()) {
-      const ErrorCode code = response.error().code();
+    if (!answer.failure.ok()) {
+      const ErrorCode code = answer.failure.error().code();
       const bool transport = code == ErrorCode::kUnavailable ||
                              code == ErrorCode::kTimeout ||
                              code == ErrorCode::kNotFound;
       if (transport) {
         // Lost/refused at the transport layer — same class as a vanished
         // plant, distinct from an application-level refusal below.
-        kLog.warn() << plant.address << " unreachable during bidding: "
-                    << response.error().to_string() << "; skipping its bid";
+        kLog.warn() << plant << " unreachable during bidding: "
+                    << answer.failure.error().to_string()
+                    << "; skipping its bid";
         bids_skipped_.fetch_add(1, std::memory_order_relaxed);
-        ShopMetrics::get().bids_skipped->add();
-        if (code == ErrorCode::kTimeout) ShopMetrics::get().bid_timeouts->add();
+        metrics.bids_skipped->add();
+        if (code == ErrorCode::kTimeout) metrics.bid_timeouts->add();
       } else {
-        kLog.debug() << plant.address
-                     << " declined to bid: " << response.error().to_string();
+        kLog.debug() << plant << " declined to bid: "
+                     << answer.failure.error().to_string();
       }
       continue;
     }
-    const xml::Element* bid_elem = response.value().body().child("bid");
-    if (bid_elem == nullptr) continue;
+    if (!answer.has_bid) continue;
     // A missing, malformed or non-finite cost would win (or poison) the
     // auction: it counts as a declined bid.
-    const double cost = bid_elem->attr_double("cost", kNan);
-    if (!std::isfinite(cost)) {
-      kLog.debug() << plant.address << " declined to bid: cost \""
-                   << bid_elem->attr("cost") << "\" is not a finite number";
+    if (!std::isfinite(answer.cost)) {
+      kLog.debug() << plant << " declined to bid: cost \"" << answer.bad_cost
+                   << "\" is not a finite number";
       continue;
     }
-    bids.push_back(Bid{plant.address, cost});
+    bids.push_back(Bid{plant, answer.cost});
   }
-  ShopMetrics::get().bids->add(bids.size());
-  ShopMetrics::get().bid_seconds->record(obs::Tracer::instance().now() -
-                                         start_s);
+  metrics.bids->add(bids.size());
+  metrics.bid_seconds->record(obs::Tracer::instance().now() - start_s);
   return bids;
 }
 

@@ -1,11 +1,16 @@
 #include "net/bus.h"
 
 #include <chrono>
+#include <exception>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "fault/fault.h"
 #include "net/codec.h"
+#include "net/parallel_delivery.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace vmp::net {
 
@@ -29,6 +34,16 @@ Result<WireFormat> parse_wire_format(const std::string& name) {
       Error(ErrorCode::kInvalidArgument, "unknown wire format: " + name));
 }
 
+namespace {
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+}  // namespace
+
 MessageBus::MessageBus(std::uint64_t fault_seed)
     : MessageBus(BusConfig{WireFormat::kXml, fault_seed}) {}
 
@@ -42,10 +57,13 @@ MessageBus::MessageBus(BusConfig config)
   obs_latency_ = metrics.timer("bus.call.seconds");
 }
 
-std::string MessageBus::encode_wire(const Message& message) const {
+MessageBus::~MessageBus() = default;
+
+std::string MessageBus::encode_wire(const Message& message,
+                                    const std::string& to) const {
   return config_.wire_format == WireFormat::kBinary
-             ? codec::encode_message(message)
-             : message.serialize();
+             ? codec::encode_message(message, to)
+             : message.serialize(to);
 }
 
 Result<Message> MessageBus::decode_wire(const std::string& wire) const {
@@ -55,18 +73,20 @@ Result<Message> MessageBus::decode_wire(const std::string& wire) const {
 }
 
 Status MessageBus::register_endpoint(const std::string& address,
-                                     Handler handler) {
-  std::lock_guard<std::mutex> lock(mutex_);
+                                     Handler handler, Delivery delivery) {
+  std::unique_lock lock(mutex_);
   if (endpoints_.count(address)) {
     return Status(ErrorCode::kAlreadyExists,
                   "endpoint already registered: " + address);
   }
-  endpoints_.emplace(address, Endpoint{std::move(handler), false, 0.0});
+  endpoints_.emplace(
+      address,
+      Endpoint{std::make_shared<const Handler>(std::move(handler)), delivery});
   return Status();
 }
 
 Status MessageBus::unregister_endpoint(const std::string& address) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock lock(mutex_);
   if (endpoints_.erase(address) == 0) {
     return Status(ErrorCode::kNotFound, "no such endpoint: " + address);
   }
@@ -74,12 +94,12 @@ Status MessageBus::unregister_endpoint(const std::string& address) {
 }
 
 bool MessageBus::has_endpoint(const std::string& address) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   return endpoints_.count(address) != 0;
 }
 
 std::vector<std::string> MessageBus::endpoints() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   std::vector<std::string> out;
   out.reserve(endpoints_.size());
   for (const auto& [address, ep] : endpoints_) out.push_back(address);
@@ -98,11 +118,12 @@ Result<Message> MessageBus::call(const Message& request_msg) {
   obs_inflight_->add(1);
   const auto start = std::chrono::steady_clock::now();
 
-  Result<Message> result = call_impl(request_msg);
+  const Route routed = route(request_msg.to());
+  Result<Message> result =
+      routed.on_wire ? deliver(request_msg, request_msg.to(), routed, {})
+                     : routed.status.propagate<Message>();
 
-  obs_latency_->record(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
+  obs_latency_->record(seconds_since(start));
   obs_inflight_->add(-1);
   if (!result.ok()) {
     obs_errors_->add();
@@ -111,44 +132,172 @@ Result<Message> MessageBus::call(const Message& request_msg) {
   return result;
 }
 
-Result<Message> MessageBus::call_impl(const Message& request_msg) {
+void MessageBus::fan_out(const Message& request,
+                         std::span<const std::string> to,
+                         const FanOutCheck& check, const FanOutSink& sink) {
+  struct Leg {
+    Route route;
+    std::chrono::steady_clock::time_point start;  // of the call
+    std::optional<obs::Span> span;                 // while tracing is armed
+  };
+  std::vector<Leg> legs(to.size());
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const auto context_of = [](const Leg& leg) {
+    return leg.span ? obs::TraceContext{leg.span->trace_id, leg.span->span_id}
+                    : obs::TraceContext{};
+  };
+  // One leg's end, on whichever thread completes it: metrics, its span's
+  // end (the caller records the span), and the result to the sink.
+  const auto finish = [&](std::size_t i, Result<Message> result) {
+    Leg& leg = legs[i];
+    obs_latency_->record(seconds_since(leg.start));
+    obs_inflight_->add(-1);
+    if (!result.ok()) obs_errors_->add();
+    if (leg.span) {
+      leg.span->end_s = tracer.now();
+      if (!result.ok()) {
+        leg.span->status = util::error_code_name(result.error().code());
+      }
+    }
+    sink(i, std::move(result));
+  };
+  // A parallel leg's response bytes count when it commits: once, however
+  // many threads encoded them.
+  const ParallelDelivery::Commit commit = [&](std::size_t i,
+                                              Result<Message> result,
+                                              std::size_t response_bytes) {
+    if (response_bytes != 0) {
+      obs_bytes_->add(response_bytes);
+      bytes_.fetch_add(response_bytes, std::memory_order_relaxed);
+    }
+    finish(i, std::move(result));
+  };
+
+  // Ordered phase, destination by destination on this thread: the
+  // caller's check, the span, the route (fault consults, down/drop draws),
+  // and the whole call for a kSerial endpoint.  A wide fan-out encodes the
+  // request leg of a kParallel delivery here and hands the rest to the
+  // helpers as it goes: their handlers have no order-sensitive effects.
+  const bool wide = to.size() >= kParallelWidth;
+  std::shared_ptr<ParallelDelivery> parallel;
+  // Published legs commit into this frame: join them before any unwinding.
+  const auto join = [&parallel] {
+    return parallel != nullptr ? parallel->close_and_join()
+                               : std::exception_ptr();
+  };
+  try {
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      if (check && !check(i)) continue;
+      Leg& leg = legs[i];
+      if (obs::tracer_armed()) {
+        leg.span = tracer.begin_detached("bus.call", "bus",
+                                         request.service() + "->" + to[i],
+                                         request.trace());
+      }
+      obs_calls_->add();
+      obs_inflight_->add(1);
+      leg.start = std::chrono::steady_clock::now();
+      leg.route = route(to[i]);
+      if (wide && leg.route.handler != nullptr &&
+          leg.route.delivery == Delivery::kParallel) {
+        std::string wire = encode_wire(request, to[i]);
+        bytes_.fetch_add(wire.size(), std::memory_order_relaxed);
+        obs_bytes_->add(wire.size());
+        if (parallel == nullptr) {
+          parallel = std::make_shared<ParallelDelivery>(
+              ParallelDelivery::Wire{
+                  [this](const std::string& bytes) {
+                    return decode_wire(bytes);
+                  },
+                  [this](const Message& message) {
+                    return encode_wire(message, message.to());
+                  }},
+              to.size(), commit);
+          if (util::ThreadPool* pool = helpers()) {
+            for (std::size_t h = 0; h < pool->thread_count(); ++h) {
+              (void)pool->submit([parallel] { parallel->drain(); });
+            }
+          }
+        }
+        parallel->publish(i, std::move(wire), leg.route.handler,
+                          context_of(leg));
+        continue;
+      }
+      finish(i, leg.route.on_wire
+                    ? deliver(request, to[i], leg.route, context_of(leg))
+                    : leg.route.status.propagate<Message>());
+      // Spans land in destination order: one behind a deferred leg waits.
+      if (leg.span && parallel == nullptr) {
+        tracer.finish_detached(std::move(*leg.span));
+        leg.span.reset();
+      }
+    }
+  } catch (...) {
+    (void)join();
+    throw;
+  }
+  if (std::exception_ptr error = join()) std::rethrow_exception(error);
+
+  for (Leg& leg : legs) {
+    if (leg.span) tracer.finish_detached(std::move(*leg.span));
+  }
+}
+
+util::ThreadPool* MessageBus::helpers() {
+  std::call_once(helpers_once_, [this] {
+    if (std::thread::hardware_concurrency() > 1) {
+      helpers_ = std::make_unique<util::ThreadPool>(kHelpers);
+    }
+  });
+  return helpers_.get();
+}
+
+MessageBus::Route MessageBus::route(const std::string& to) {
   // Injected transport faults (message loss, timeouts) surface exactly like
   // the built-in down/drop mechanisms: as transport-level Result errors.
-  if (auto injected = fault::check(fault::points::kBusSend, request_msg.to());
-      !injected.ok()) {
-    return injected.propagate<Message>();
+  Route routed;
+  routed.status = fault::check(fault::points::kBusSend, to);
+  if (routed.status.ok()) {
+    routed.status = fault::check(fault::points::kBusTimeout, to);
   }
-  if (auto injected =
-          fault::check(fault::points::kBusTimeout, request_msg.to());
-      !injected.ok()) {
-    return injected.propagate<Message>();
-  }
+  if (!routed.status.ok()) return routed;
+  routed.on_wire = true;
+  calls_.fetch_add(1, std::memory_order_relaxed);
 
-  // Wire encoding happens outside the lock; routing decisions inside.
-  const std::string wire = encode_wire(request_msg);
-
-  Handler handler;
+  double drop_rate = 0.0;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++calls_;
-    bytes_ += wire.size();
-    auto it = endpoints_.find(request_msg.to());
+    std::shared_lock lock(mutex_);
+    auto it = endpoints_.find(to);
     if (it == endpoints_.end()) {
-      return Result<Message>(Error(
-          ErrorCode::kUnavailable, "no endpoint at " + request_msg.to()));
+      routed.status = Status(ErrorCode::kUnavailable, "no endpoint at " + to);
+      return routed;
     }
     if (it->second.down) {
-      return Result<Message>(Error(
-          ErrorCode::kUnavailable, "endpoint down: " + request_msg.to()));
+      routed.status = Status(ErrorCode::kUnavailable, "endpoint down: " + to);
+      return routed;
     }
-    if (it->second.drop_rate > 0.0 &&
-        fault_rng_.bernoulli(it->second.drop_rate)) {
-      return Result<Message>(Error(
-          ErrorCode::kTimeout, "request to " + request_msg.to() + " timed out"));
-    }
-    handler = it->second.handler;
+    drop_rate = it->second.drop_rate;
+    routed.handler = it->second.handler;
+    routed.delivery = it->second.delivery;
   }
+  if (drop_rate > 0.0) {
+    std::lock_guard<std::mutex> lock(fault_mutex_);
+    if (fault_rng_.bernoulli(drop_rate)) {
+      routed.handler.reset();
+      routed.status =
+          Status(ErrorCode::kTimeout, "request to " + to + " timed out");
+    }
+  }
+  return routed;
+}
 
+Result<Message> MessageBus::deliver(const Message& request_msg,
+                                    const std::string& to, const Route& routed,
+                                    const obs::TraceContext& fallback) {
+  // The request's bytes count once it passed the consults, delivered or not.
+  const std::string wire = encode_wire(request_msg, to);
+  bytes_.fetch_add(wire.size(), std::memory_order_relaxed);
+  if (routed.handler == nullptr) return routed.status.propagate<Message>();
   obs_bytes_->add(wire.size());
 
   // Decode on the "server" side.  The binary path reads the frame in place
@@ -156,44 +305,34 @@ Result<Message> MessageBus::call_impl(const Message& request_msg) {
   auto decoded = decode_wire(wire);
   if (!decoded.ok()) return decoded;
 
-  // Adopt the trace context that actually survived the wire encoding, so
-  // handler-side spans join the caller's trace the way a remote process
-  // would (not via this thread's ambient context).
-  const Message response = [&] {
-    obs::ContextGuard adopt(decoded.value().trace());
-    return handler(decoded.value());
-  }();
+  const Message response =
+      run_handler(*routed.handler, decoded.value(), fallback);
 
   // Encode/decode the response leg too.
-  const std::string response_wire = encode_wire(response);
+  const std::string response_wire = encode_wire(response, response.to());
   obs_bytes_->add(response_wire.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    bytes_ += response_wire.size();
-  }
+  bytes_.fetch_add(response_wire.size(), std::memory_order_relaxed);
   return decode_wire(response_wire);
 }
 
 void MessageBus::set_down(const std::string& address, bool down) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock lock(mutex_);
   auto it = endpoints_.find(address);
   if (it != endpoints_.end()) it->second.down = down;
 }
 
 void MessageBus::set_drop_rate(const std::string& address, double p) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock lock(mutex_);
   auto it = endpoints_.find(address);
   if (it != endpoints_.end()) it->second.drop_rate = p;
 }
 
 std::uint64_t MessageBus::calls_total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return calls_;
+  return calls_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t MessageBus::bytes_total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
+  return bytes_.load(std::memory_order_relaxed);
 }
 
 Result<Message> call_expecting_success(MessageBus* bus,

@@ -215,6 +215,10 @@ std::string encode_body(const xml::Element& body) {
 }  // namespace
 
 std::string encode_message(const Message& message) {
+  return encode_message(message, message.to());
+}
+
+std::string encode_message(const Message& message, std::string_view to) {
   // The body is the payload's tail: a repeat send splices the shared
   // encoded body behind its own envelope, and the checksum still covers
   // the whole payload.
@@ -225,7 +229,7 @@ std::string encode_message(const Message& message) {
   payload.put_u8(static_cast<std::uint8_t>(message.kind()));
   payload.put_string(message.service());
   payload.put_string(message.from());
-  payload.put_string(message.to());
+  payload.put_string(to);
   payload.put_string(message.correlation());
   payload.put_string(message.trace().trace_id);
   payload.put_varint(message.trace().span_id);

@@ -73,6 +73,8 @@ util::Result<std::unique_ptr<xml::Element>> decode_element(
 
 // -- Message envelopes --------------------------------------------------------
 std::string encode_message(const Message& message);
+/// As above, with the envelope addressed to `to` (a fan-out's envelope).
+std::string encode_message(const Message& message, std::string_view to);
 util::Result<Message> decode_message(std::string_view frame);
 
 // -- Warehouse descriptors ----------------------------------------------------

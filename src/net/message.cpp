@@ -1,6 +1,6 @@
 #include "net/message.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <memory>
 
 namespace vmp::net {
@@ -29,7 +29,11 @@ Result<MessageKind> parse_message_kind(const std::string& name) {
 const std::string* SharedBody::get(
     WireFormat wire, const xml::Element& body,
     std::string (*encode)(const xml::Element&)) const {
-  if (!sent_.exchange(true, std::memory_order_relaxed)) return nullptr;
+  // A load first: the sends of a fan-out share the flag across threads.
+  if (!sent_.load(std::memory_order_relaxed) &&
+      !sent_.exchange(true, std::memory_order_relaxed)) {
+    return nullptr;
+  }
   std::atomic<const std::string*>& slot = bytes_[static_cast<int>(wire)];
   const std::string* bytes = slot.load(std::memory_order_acquire);
   if (bytes != nullptr) return bytes;
@@ -112,7 +116,7 @@ Error Message::fault_error() const {
   return Error(ErrorCode::kInternal, fault->text());
 }
 
-std::string Message::serialize() const {
+std::string Message::serialize(std::string_view to) const {
   // The envelope wraps the body without a temporary root: in place on a
   // first send, around the shared rendered body on a repeat one.
   // Attributes go in key order, as an xml::Element would render them, so
@@ -126,7 +130,7 @@ std::string Message::serialize() const {
   attrs[n++] = {"kind", message_kind_name(kind_)};
   attrs[n++] = {"service", service_};
   if (traced) attrs[n++] = {"span", span};
-  attrs[n++] = {"to", to_};
+  attrs[n++] = {"to", to};
   if (traced) attrs[n++] = {"trace", trace_.trace_id};
   return xml::render_wrapped(
       "message", std::span(attrs, n), body_,
@@ -150,10 +154,21 @@ Result<Message> Message::deserialize(const std::string& wire) {
   m.from_ = root.attr("from");
   m.to_ = root.attr("to");
   m.correlation_ = root.attr("correlation");
+  // A span id is all decimal digits and fits 64 bits: no sign, space or
+  // trailing junk, which strtoull would wrap, skip or drop.
+  std::uint64_t span_id = 0;
+  if (root.has_attr("span")) {
+    const std::string& text = root.attr("span");
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, span_id);
+    if (ec != std::errc() || ptr != end) {
+      return Result<Message>(Error(ErrorCode::kParseError,
+                                   "malformed span id \"" + text + "\""));
+    }
+  }
   if (root.has_attr("trace")) {
     m.trace_.trace_id = root.attr("trace");
-    m.trace_.span_id = static_cast<std::uint64_t>(
-        std::strtoull(root.attr("span").c_str(), nullptr, 10));
+    m.trace_.span_id = span_id;
   }
   // The payload moves over; the parsed root keeps the envelope attributes.
   for (auto& child : root.release_children()) {

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.h"
 #include "util/error.h"
@@ -109,7 +110,10 @@ class Message {
   void set_trace(obs::TraceContext ctx) { trace_ = std::move(ctx); }
 
   /// Wire form.
-  std::string serialize() const;
+  std::string serialize() const { return serialize(to_); }
+  /// Wire form with the envelope addressed to `to` (a fan-out's envelope;
+  /// the message itself is not changed).
+  std::string serialize(std::string_view to) const;
   static util::Result<Message> deserialize(const std::string& wire);
 
   Message clone_shallow_header() const;

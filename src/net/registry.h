@@ -9,6 +9,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -34,6 +35,12 @@ class ServiceRegistry {
   /// All records of a type, address-ordered (deterministic).
   std::vector<ServiceRecord> discover(const std::string& type) const;
 
+  /// The addresses discover(type) would list, in the same order, as an
+  /// immutable snapshot shared by every caller until the next publish or
+  /// withdraw: the shop's per-create bid fan-out copies no records.
+  std::shared_ptr<const std::vector<std::string>> addresses(
+      const std::string& type) const;
+
   /// Record at a specific address.
   util::Result<ServiceRecord> bind(const std::string& address) const;
 
@@ -42,6 +49,11 @@ class ServiceRegistry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, ServiceRecord> records_;  // by address
+  /// addresses() snapshots by type, built on demand; publish and withdraw
+  /// drop them all (they happen at attach and detach, not per request).
+  mutable std::map<std::string,
+                   std::shared_ptr<const std::vector<std::string>>>
+      addresses_;
 };
 
 }  // namespace vmp::net

@@ -121,18 +121,6 @@ void LogHistogram::reset() {
   }
 }
 
-std::size_t LogHistogram::bucket_index(double v) {
-  if (!(v >= std::ldexp(1.0, kMinExp))) return 0;  // includes NaN, <= 0
-  if (v >= std::ldexp(1.0, kMaxExp)) return kBucketCount - 1;
-  int exp = 0;
-  const double frac = std::frexp(v, &exp);  // v = frac * 2^exp, frac in [0.5,1)
-  const int octave = exp - 1;               // v in [2^octave, 2^(octave+1))
-  const auto sub = static_cast<std::size_t>(
-      (frac * 2.0 - 1.0) * static_cast<double>(kSubBuckets));
-  return 1 + static_cast<std::size_t>(octave - kMinExp) * kSubBuckets +
-         std::min(sub, kSubBuckets - 1);
-}
-
 double LogHistogram::bucket_lower(std::size_t bucket) {
   if (bucket == 0) return 0.0;
   if (bucket >= kBucketCount - 1) return std::ldexp(1.0, kMaxExp);

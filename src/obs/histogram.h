@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -74,12 +75,28 @@ class LogHistogram {
   void reset();
 
   // -- Bucket geometry (shared with HistogramSnapshot::quantile) ------------
-  static std::size_t bucket_index(double v);
+  /// Read off the IEEE-754 bits: every in-range sample is a normal double,
+  /// so its exponent field is the octave and its top mantissa bits are the
+  /// linear sub-bucket (frexp arithmetic gives the same index, slower).
+  static std::size_t bucket_index(double v) {
+    constexpr int kSubBits = std::countr_zero(kSubBuckets);
+    if (!(v >= bound(kMinExp))) return 0;  // includes NaN, <= 0
+    if (v >= bound(kMaxExp)) return kBucketCount - 1;
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    const int octave = static_cast<int>(bits >> 52) - 1023;
+    const std::size_t sub = (bits >> (52 - kSubBits)) & (kSubBuckets - 1);
+    return 1 + static_cast<std::size_t>(octave - kMinExp) * kSubBuckets + sub;
+  }
   static double bucket_lower(std::size_t bucket);
   static double bucket_upper(std::size_t bucket);
   static double bucket_mid(std::size_t bucket);
 
  private:
+  /// 2^exp, for a normal-range exponent.
+  static constexpr double bound(int exp) {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(exp + 1023) << 52);
+  }
+
   std::atomic<std::uint64_t> counts_[kBucketCount] = {};
 };
 

@@ -1,32 +1,124 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
 namespace vmp::obs {
 
+namespace {
+
+/// Bit i set: owned Timer shard i is leased by a live thread.  The lease
+/// is process-wide (one index for every Timer) and returned at thread
+/// exit; the release/acquire pair hands the shard's last values over to
+/// its next owner.
+std::atomic<std::uint32_t> g_leased_shards{0};
+
+struct ShardLease {
+  explicit ShardLease(std::size_t owned) : index(owned), shared(owned) {
+    const std::uint32_t all = (std::uint32_t{1} << owned) - 1;
+    std::uint32_t leased = g_leased_shards.load(std::memory_order_relaxed);
+    while ((leased & all) != all) {
+      const int bit = std::countr_one(leased);
+      if (g_leased_shards.compare_exchange_weak(
+              leased, leased | (std::uint32_t{1} << bit),
+              std::memory_order_acquire, std::memory_order_relaxed)) {
+        index = static_cast<std::size_t>(bit);
+        return;
+      }
+    }
+  }
+  ~ShardLease() {
+    if (index != shared) {
+      g_leased_shards.fetch_and(~(std::uint32_t{1} << index),
+                                std::memory_order_release);
+    }
+  }
+  ShardLease(const ShardLease&) = delete;
+  ShardLease& operator=(const ShardLease&) = delete;
+
+  std::size_t index;   // this thread's shard
+  std::size_t shared;  // the shared shard's index
+};
+
+void store_min(std::atomic<double>& slot, double x) {
+  double seen = slot.load(std::memory_order_relaxed);
+  while (x < seen &&
+         !slot.compare_exchange_weak(seen, x, std::memory_order_relaxed)) {
+  }
+}
+
+void store_max(std::atomic<double>& slot, double x) {
+  double seen = slot.load(std::memory_order_relaxed);
+  while (x > seen &&
+         !slot.compare_exchange_weak(seen, x, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
+std::size_t Timer::shard_index() {
+  static_assert(kOwnedShards < 32, "leases are bits of one 32-bit word");
+  thread_local const ShardLease lease(kOwnedShards);
+  return lease.index;
+}
+
 void Timer::record(double seconds) {
-  log_hist_.record(seconds);  // lock-free
-  std::lock_guard<std::mutex> lock(mutex_);
-  summary_.add(seconds);
-  if (histogram_) histogram_->add(seconds);
+  log_hist_.record(seconds);
+  const std::size_t index = shard_index();
+  Shard& s = shards_[index];
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  if (index < kOwnedShards) {
+    // The only writer: no read-modify-write needed.
+    s.count.store(s.count.load(kRelaxed) + 1, kRelaxed);
+    s.sum.store(s.sum.load(kRelaxed) + seconds, kRelaxed);
+    s.sum_sq.store(s.sum_sq.load(kRelaxed) + seconds * seconds, kRelaxed);
+    if (seconds < s.min.load(kRelaxed)) s.min.store(seconds, kRelaxed);
+    if (seconds > s.max.load(kRelaxed)) s.max.store(seconds, kRelaxed);
+  } else {
+    s.count.fetch_add(1, kRelaxed);
+    s.sum.fetch_add(seconds, kRelaxed);
+    s.sum_sq.fetch_add(seconds * seconds, kRelaxed);
+    store_min(s.min, seconds);
+    store_max(s.max, seconds);
+  }
+  if (const Bins* bins = bins_.load(std::memory_order_acquire)) {
+    bins->counts[bins->shape.bin_of(seconds)].fetch_add(1, kRelaxed);
+  }
 }
 
 void Timer::set_bins(double lo, double hi, double width) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  histogram_ = std::make_unique<util::Histogram>(lo, hi, width);
+  auto bins = std::make_unique<const Bins>(util::Histogram(lo, hi, width));
+  std::lock_guard<std::mutex> lock(bins_mutex_);
+  bins_.store(bins.get(), std::memory_order_release);
+  bins_kept_.push_back(std::move(bins));
 }
 
 util::Summary Timer::summary() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return summary_;
+  std::uint64_t count = 0;
+  double sum = 0.0, sum_sq = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -min;
+  for (const Shard& s : shards_) {
+    count += s.count.load(std::memory_order_relaxed);
+    sum += s.sum.load(std::memory_order_relaxed);
+    sum_sq += s.sum_sq.load(std::memory_order_relaxed);
+    min = std::min(min, s.min.load(std::memory_order_relaxed));
+    max = std::max(max, s.max.load(std::memory_order_relaxed));
+  }
+  if (count == 0) return util::Summary();
+  return util::Summary::from_moments(count, sum, sum_sq, min, max);
 }
 
 std::optional<util::Histogram> Timer::histogram() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!histogram_) return std::nullopt;
-  return *histogram_;
+  const Bins* bins = bins_.load(std::memory_order_acquire);
+  if (bins == nullptr) return std::nullopt;
+  util::Histogram out = bins->shape;
+  for (std::size_t i = 0; i < out.bin_count(); ++i) {
+    out.add_to_bin(i, bins->counts[i].load(std::memory_order_relaxed));
+  }
+  return out;
 }
 
 namespace {

@@ -8,12 +8,13 @@
 //   * Counter   — monotonically increasing; sharded cache-line-padded
 //                 atomics so concurrent increments do not bounce one line.
 //   * Gauge     — a settable signed level (active VMs, in-flight calls).
-//   * Timer     — latency samples folded into a util::Summary (mutex-
-//                 protected; the paths that record timers already pay far
-//                 more than a lock), an always-on log-linear LogHistogram
-//                 (lock-free) so every latency site answers p50/p90/p99/
-//                 p999, and an optional fixed-bin util::Histogram for the
-//                 paper figures.
+//   * Timer     — latency samples folded into running moments (count,
+//                 sum, sum of squares, min, max) and an always-on
+//                 log-linear LogHistogram so every latency site answers
+//                 p50/p90/p99/p999, plus an optional fixed-bin histogram
+//                 for the paper figures.  Recording is lock-free: the
+//                 moments live in per-thread shards, so threads that
+//                 record at once never wait on each other.
 //
 // Naming scheme (DESIGN.md §8): "component.verb.unit" where unit is one of
 // `count`, `gauge`, `seconds` (e.g. "bus.call.seconds", "vm.active.gauge").
@@ -23,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,13 +78,18 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Latency recorder: Summary + LogHistogram always, fixed-bin Histogram
-/// when bins are configured.
+/// Latency recorder: moments + LogHistogram always, fixed-bin histogram
+/// when bins are configured.  record() takes no lock.
 class Timer {
  public:
+  Timer() = default;
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
   void record(double seconds);
   /// Attach fixed-width bins (replaces any existing histogram; keeps the
-  /// summary).  Width/bounds follow util::Histogram semantics.
+  /// summary).  Width/bounds follow util::Histogram semantics.  A setup
+  /// call: every replaced histogram stays allocated until the timer dies.
   void set_bins(double lo, double hi, double width);
 
   util::Summary summary() const;
@@ -91,10 +98,36 @@ class Timer {
   HistogramSnapshot quantile_histogram() const { return log_hist_.snapshot(); }
 
  private:
-  mutable std::mutex mutex_;
-  util::Summary summary_;
-  std::unique_ptr<util::Histogram> histogram_;
+  /// Threads that lease a shard of their own; any further thread records
+  /// into the one shared shard that follows them.
+  static constexpr std::size_t kOwnedShards = 16;
+  /// One writer's running moments.  An owned shard has a single writer
+  /// (plain load + store); the shared one takes read-modify-writes.
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<double> sum{0.0};
+    std::atomic<double> sum_sq{0.0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
+  };
+  /// Fixed-bin counts beside the bin geometry (whose own counts stay 0).
+  struct Bins {
+    explicit Bins(const util::Histogram& geometry)
+        : shape(geometry),
+          counts(std::make_unique<std::atomic<std::uint64_t>[]>(
+              geometry.bin_count())) {}
+    util::Histogram shape;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> counts;
+  };
+  /// This thread's shard index: leased on its first record, returned when
+  /// the thread exits; kOwnedShards when every owned shard is leased.
+  static std::size_t shard_index();
+
+  Shard shards_[kOwnedShards + 1];
   LogHistogram log_hist_;
+  std::atomic<const Bins*> bins_{nullptr};
+  mutable std::mutex bins_mutex_;  // guards bins_kept_ (set_bins only)
+  std::vector<std::unique_ptr<const Bins>> bins_kept_;
 };
 
 /// Point-in-time copy of one timer.  The mean/min/max fields and their

@@ -90,10 +90,10 @@ double Tracer::now() const {
   return clock_ ? clock_() : wall_seconds();
 }
 
-TraceContext Tracer::begin_span(const std::string& name,
-                                const std::string& component,
-                                const std::string& detail,
-                                const TraceContext& parent) {
+Span Tracer::begin_detached(const std::string& name,
+                            const std::string& component,
+                            const std::string& detail,
+                            const TraceContext& parent) {
   Span span;
   span.name = name;
   span.component = component;
@@ -114,7 +114,14 @@ TraceContext Tracer::begin_span(const std::string& name,
         std::to_string(next_trace_.fetch_add(1, std::memory_order_relaxed));
     span.parent_id = 0;
   }
+  return span;
+}
 
+TraceContext Tracer::begin_span(const std::string& name,
+                                const std::string& component,
+                                const std::string& detail,
+                                const TraceContext& parent) {
+  Span span = begin_detached(name, component, detail, parent);
   TraceContext ctx{span.trace_id, span.span_id};
   tl_context_stack.push_back(ctx);
   tl_open_spans.push_back(std::move(span));
@@ -135,6 +142,10 @@ void Tracer::end_span(const TraceContext& ctx, const std::string& status,
   span.end_s = now();
   span.status = status;
   span.vm_id = vm_id;
+  finish_detached(std::move(span));
+}
+
+void Tracer::finish_detached(Span span) {
   if (log_spans_.load(std::memory_order_relaxed)) {
     util::Logger("trace").debug()
         << span.name << " [" << span.component << "] "

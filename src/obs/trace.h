@@ -106,6 +106,16 @@ class Tracer {
   void end_span(const TraceContext& ctx, const std::string& status,
                 const std::string& vm_id = "");
 
+  /// Open a span that never becomes any thread's current span (parent
+  /// resolution as begin_span).  The bus fan-out opens its calls' spans
+  /// this way in destination order, sets end_s and status on whichever
+  /// thread delivered, and records them in destination order through
+  /// finish_detached.
+  Span begin_detached(const std::string& name, const std::string& component,
+                      const std::string& detail, const TraceContext& parent);
+  /// Land a finished span in the buffer (and in the root sink).
+  void finish_detached(Span span);
+
   /// Record an instantaneous event span (start == end) under the current
   /// span; used for retry/failover markers.
   void instant(const std::string& name, const std::string& component,

@@ -7,6 +7,17 @@
 
 namespace vmp::util {
 
+Summary Summary::from_moments(std::size_t count, double sum, double sum_sq,
+                              double min, double max) {
+  Summary s;
+  s.count_ = count;
+  s.sum_ = sum;
+  s.sum_sq_ = sum_sq;
+  s.min_ = min;
+  s.max_ = max;
+  return s;
+}
+
 void Summary::add(double x) {
   if (count_ == 0) {
     min_ = max_ = x;
@@ -56,15 +67,21 @@ Histogram::Histogram(double lo, double hi, double width) : lo_(lo), width_(width
   counts_.assign(bins, 0);
 }
 
-void Histogram::add(double x) {
+void Histogram::add(double x) { add_to_bin(bin_of(x), 1); }
+
+std::size_t Histogram::bin_of(double x) const {
   double offset = (x - lo_) / width_;
   long bin = static_cast<long>(std::floor(offset));
   if (bin < 0) bin = 0;
   if (bin >= static_cast<long>(counts_.size())) {
     bin = static_cast<long>(counts_.size()) - 1;
   }
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
+  return static_cast<std::size_t>(bin);
+}
+
+void Histogram::add_to_bin(std::size_t bin, std::size_t n) {
+  counts_.at(bin) += n;
+  total_ += n;
 }
 
 double Histogram::normalized(std::size_t bin) const {

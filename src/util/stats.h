@@ -17,6 +17,11 @@ namespace vmp::util {
 /// Running summary of a sample set.
 class Summary {
  public:
+  /// The summary of `count` samples with these running moments, for
+  /// accumulators that keep the moments elsewhere (obs::Timer's atomics).
+  static Summary from_moments(std::size_t count, double sum, double sum_sq,
+                              double min, double max);
+
   void add(double x);
 
   std::size_t count() const { return count_; }
@@ -71,6 +76,10 @@ class Histogram {
   Histogram(double lo, double hi, double width);
 
   void add(double x);
+  /// The bin add(x) counts x in.
+  std::size_t bin_of(double x) const;
+  /// Count n samples in one bin (rebuilding a histogram kept elsewhere).
+  void add_to_bin(std::size_t bin, std::size_t n);
 
   std::size_t bin_count() const { return counts_.size(); }
   std::size_t total() const { return total_; }

@@ -1,9 +1,9 @@
 #include "util/strings.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace vmp::util {
@@ -89,20 +89,34 @@ bool parse_double(std::string_view text, double* out) {
 }
 
 std::string format_double(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
+  // The bytes of printf: "%.0f" for integers below 1e15, else the first
+  // "%.*g" precision that reads back as v ("%.17g" always does).
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Prefer the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char probe[64];
-    std::snprintf(probe, sizeof probe, "%.*g", precision, v);
-    if (std::strtod(probe, nullptr) == v) return probe;
+  char* const end = buf + sizeof buf;
+  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+    return std::string(buf, std::to_chars(buf, end, v,
+                                          std::chars_format::fixed, 0)
+                                .ptr);
   }
-  return buf;
+  // No precision below the digit count of the shortest round-tripping
+  // string can read back as v, so the search starts there.  It may need
+  // one more digit: "%.*g" rounds to nearest, while the shortest string
+  // may round the other way.
+  const char* const shortest =
+      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* c = buf; c != shortest && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
+  }
+  for (precision = std::max(precision, 1); precision < 17; ++precision) {
+    char* const last =
+        std::to_chars(buf, end, v, std::chars_format::general, precision).ptr;
+    double back = 0.0;
+    const auto [ptr, ec] = std::from_chars(buf, last, back);
+    if (ec == std::errc() && back == v) return std::string(buf, last);
+  }
+  return std::string(
+      buf, std::to_chars(buf, end, v, std::chars_format::general, 17).ptr);
 }
 
 }  // namespace vmp::util

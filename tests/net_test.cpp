@@ -1,9 +1,22 @@
 // Unit tests for message envelopes, the in-process bus, and the registry.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <thread>
+
+#include "fault/fault.h"
 #include "net/bus.h"
 #include "net/message.h"
+#include "net/parallel_delivery.h"
 #include "net/registry.h"
+#include "obs/trace.h"
 
 namespace vmp::net {
 namespace {
@@ -57,6 +70,40 @@ TEST(MessageTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(Message::deserialize("not xml").ok());
   EXPECT_FALSE(Message::deserialize("<other/>").ok());
   EXPECT_FALSE(Message::deserialize("<message kind=\"bogus\"/>").ok());
+}
+
+TEST(MessageTest, DeserializeRejectsMalformedSpan) {
+  const auto wire = [](const std::string& span) {
+    return "<message correlation=\"c\" from=\"a\" kind=\"request\" "
+           "service=\"s\" span=\"" +
+           span + "\" to=\"b\" trace=\"trace-1\"/>";
+  };
+  for (const char* bad : {"-1", "+7", " 7", "7 ", "12abc", "", "0x10",
+                          "18446744073709551616", "99999999999999999999"}) {
+    auto parsed = Message::deserialize(wire(bad));
+    ASSERT_FALSE(parsed.ok()) << "span=\"" << bad << "\" decoded";
+    EXPECT_EQ(parsed.error().code(), util::ErrorCode::kParseError) << bad;
+  }
+  // A span without a trace is checked the same way.
+  EXPECT_FALSE(Message::deserialize("<message kind=\"request\" span=\"-1\"/>")
+                   .ok());
+
+  auto max = Message::deserialize(wire("18446744073709551615"));
+  ASSERT_TRUE(max.ok()) << max.error().to_string();
+  EXPECT_EQ(max.value().trace().span_id, 18446744073709551615ull);
+  EXPECT_EQ(max.value().trace().trace_id, "trace-1");
+  auto zero = Message::deserialize(wire("0"));
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(zero.value().trace().span_id, 0u);
+}
+
+TEST(MessageTest, TracedMessageRoundTripsItsSpan) {
+  Message m = Message::request("svc", "a", "b", "c");
+  m.set_trace(obs::TraceContext{"trace-9", 12345});
+  auto parsed = Message::deserialize(m.serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().trace().trace_id, "trace-9");
+  EXPECT_EQ(parsed.value().trace().span_id, 12345u);
 }
 
 TEST(MessageTest, FaultErrorOnNonFaultBody) {
@@ -195,6 +242,532 @@ TEST(BusTest, EndpointsListed) {
   EXPECT_EQ(bus.endpoints(), (std::vector<std::string>{"a", "b"}));
 }
 
+// -- Fan-out -----------------------------------------------------------------
+
+/// `count` stub endpoints ("ep-000", ...) that answer with their index and
+/// the request's payload, delivered in parallel by wide fan-outs.  Every
+/// 11th is down and, when `drops`, every 7th drops calls at p=0.3.
+std::vector<std::string> add_stubs(MessageBus* bus, std::size_t count,
+                                   bool drops = true) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < count; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof name, "ep-%03zu", i);
+    names.emplace_back(name);
+    EXPECT_TRUE(bus->register_endpoint(
+                       name,
+                       [i](const Message& m) {
+                         Message r = Message::response_to(m);
+                         xml::Element& e = r.body().add_child("answer");
+                         e.set_attr("index", std::to_string(i));
+                         e.set_attr("data", m.body().child_text("data"));
+                         return r;
+                       },
+                       Delivery::kParallel)
+                    .ok());
+    if (drops && i % 7 == 3) bus->set_drop_rate(name, 0.3);
+    if (i % 11 == 5) bus->set_down(name, true);
+  }
+  return names;
+}
+
+/// A fan-out's results by destination (nullopt: not sent).
+std::vector<std::optional<util::Result<Message>>> fan_out_all(
+    MessageBus& bus, const Message& m, const std::vector<std::string>& to,
+    const MessageBus::FanOutCheck& check = {}) {
+  std::vector<std::optional<util::Result<Message>>> out(to.size());
+  bus.fan_out(m, to, check, [&out](std::size_t i, util::Result<Message> r) {
+    out[i] = std::move(r);
+  });
+  return out;
+}
+
+/// What one destination's call left behind, comparable across runs.
+std::string outcome(const util::Result<Message>& r) {
+  if (!r.ok()) return "error " + r.error().to_string();
+  const xml::Element* answer = r.value().body().child("answer");
+  return "to=" + r.value().to() + " from=" + r.value().from() +
+         " index=" + (answer ? answer->attr("index") : "-") +
+         " data=" + (answer ? answer->attr("data") : "-");
+}
+
+/// Everything order-sensitive a run produced.
+struct RunRecord {
+  std::vector<std::string> outcomes;
+  std::vector<std::string> firings;
+  std::uint64_t calls = 0;
+  std::uint64_t bytes = 0;
+
+  bool operator==(const RunRecord&) const = default;
+};
+
+/// The caller's per-destination check: a shop.bid consult, like the
+/// shop's bid deadline.
+bool bid_check(const std::string& to) {
+  return fault::check(fault::points::kShopBid, to).ok();
+}
+
+RunRecord fan_out_run(std::uint64_t seed, bool serial_reference) {
+  auto plan = fault::FaultPlan::parse(
+      "shop.bid:p=0.2;bus.send:p=0.2;bus.timeout:after=5,times=3", seed);
+  EXPECT_TRUE(plan.ok());
+  fault::ScopedFaultPlan armed(plan.value());
+  MessageBus bus(seed);
+  const std::vector<std::string> to = add_stubs(&bus, 96);
+  Message m = Message::request("stub.svc", "caller", "", "corr-1");
+  m.body().add_child("data").set_text("payload");
+
+  RunRecord record;
+  if (serial_reference) {
+    // Today's loop: check, then one call per destination, in order.
+    for (const std::string& address : to) {
+      if (!bid_check(address)) {
+        record.outcomes.push_back("skipped");
+        continue;
+      }
+      m.set_to(address);
+      record.outcomes.push_back(outcome(bus.call(m)));
+    }
+  } else {
+    std::vector<char> skipped(to.size(), 0);
+    auto results = fan_out_all(bus, m, to, [&](std::size_t i) {
+      skipped[i] = !bid_check(to[i]);
+      return !skipped[i];
+    });
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].has_value(), !skipped[i]);
+      record.outcomes.push_back(skipped[i] ? "skipped" : outcome(*results[i]));
+    }
+  }
+  record.firings = fault::FaultRegistry::instance().sequence();
+  record.calls = bus.calls_total();
+  record.bytes = bus.bytes_total();
+  return record;
+}
+
+TEST(FanOutTest, WideFanOutUnderFaultsMatchesSerialLoop) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const RunRecord reference = fan_out_run(seed, true);
+    const RunRecord fanned = fan_out_run(seed, false);
+    EXPECT_EQ(fanned.outcomes, reference.outcomes) << "seed " << seed;
+    EXPECT_EQ(fanned.firings, reference.firings) << "seed " << seed;
+    EXPECT_EQ(fanned.calls, reference.calls) << "seed " << seed;
+    EXPECT_EQ(fanned.bytes, reference.bytes) << "seed " << seed;
+    // The plan and the drop rates really did cut into the fan-out.
+    EXPECT_FALSE(reference.firings.empty());
+  }
+}
+
+TEST(FanOutTest, WireBytesMatchSerialLoopOnBothFormats) {
+  for (WireFormat wire : {WireFormat::kXml, WireFormat::kBinary}) {
+    std::uint64_t bytes[2] = {0, 0};
+    for (int fanned = 0; fanned < 2; ++fanned) {
+      MessageBus bus(BusConfig{wire, 3});
+      const std::vector<std::string> to = add_stubs(&bus, 40);
+      Message m = Message::request("stub.svc", "caller", "", "corr-2");
+      m.body().add_child("data").set_text("x<y&z");
+      if (fanned) {
+        (void)fan_out_all(bus, m, to);
+      } else {
+        for (const std::string& address : to) {
+          m.set_to(address);
+          (void)bus.call(m);
+        }
+      }
+      bytes[fanned] = bus.bytes_total();
+    }
+    EXPECT_EQ(bytes[1], bytes[0]) << wire_format_name(wire);
+  }
+}
+
+/// The finished spans of one run, with span and trace ids renumbered from
+/// the first id each run saw (the tracer's counters run on across runs).
+std::vector<std::string> normalized_spans() {
+  std::vector<obs::Span> spans = obs::Tracer::instance().spans();
+  std::uint64_t base = UINT64_MAX;
+  for (const obs::Span& s : spans) base = std::min(base, s.span_id);
+  std::map<std::string, int> traces;
+  std::vector<std::string> out;
+  for (const obs::Span& s : spans) {
+    traces.emplace(s.trace_id, static_cast<int>(traces.size()));
+    out.push_back(std::to_string(s.span_id - base) + " parent=" +
+                  (s.parent_id == 0 ? "root"
+                                    : std::to_string(s.parent_id - base)) +
+                  " trace=" + std::to_string(traces[s.trace_id]) + " " +
+                  s.name + " " + s.detail + " " + s.status);
+  }
+  return out;
+}
+
+TEST(FanOutTest, TracedFanOutOpensTheSerialLoopsSpans) {
+  std::vector<std::string> runs[2];
+  for (int fanned = 0; fanned < 2; ++fanned) {
+    auto plan = fault::FaultPlan::parse("bus.send:p=0.3", 11);
+    ASSERT_TRUE(plan.ok());
+    fault::ScopedFaultPlan armed(plan.value());
+    MessageBus bus(5);
+    const std::vector<std::string> to = add_stubs(&bus, 48);
+    obs::Tracer::instance().arm();
+    {
+      obs::ScopedSpan root("test.root", "test");
+      Message m = Message::request("stub.svc", "caller", "", "corr-3");
+      if (fanned) {
+        (void)fan_out_all(bus, m, to);
+      } else {
+        for (const std::string& address : to) {
+          m.set_to(address);
+          (void)bus.call(m);
+        }
+      }
+    }
+    runs[fanned] = normalized_spans();
+    obs::Tracer::instance().disarm();
+  }
+  EXPECT_EQ(runs[1], runs[0]);
+  EXPECT_EQ(runs[0].size(), 49u);  // 48 bus.call spans + the root
+}
+
+TEST(FanOutTest, FanOutFromInsideAHandlerCompletes) {
+  // Every outer handler fans out again on the same bus while helpers may
+  // all be busy with outer deliveries: caller-runs delivery finishes it.
+  MessageBus bus;
+  const std::vector<std::string> inner = add_stubs(&bus, 32, false);
+  std::vector<std::string> outer;
+  for (int i = 0; i < 32; ++i) {
+    outer.push_back("outer-" + std::to_string(i));
+    ASSERT_TRUE(bus.register_endpoint(
+                       outer.back(),
+                       [&bus, &inner](const Message& m) {
+                         Message probe = Message::request(
+                             "stub.svc", m.to(), "", m.correlation());
+                         probe.body().add_child("data").set_text("inner");
+                         int answered = 0;
+                         for (const auto& r : fan_out_all(bus, probe, inner)) {
+                           answered += r.has_value() && r->ok() ? 1 : 0;
+                         }
+                         Message reply = Message::response_to(m);
+                         reply.body().add_child("answered").set_text(
+                             std::to_string(answered));
+                         return reply;
+                       },
+                       Delivery::kParallel)
+                    .ok());
+  }
+  // Endpoints 5, 16 and 27 of the inner set are down (i % 11 == 5): 29
+  // answer.
+  Message m = Message::request("outer.svc", "caller", "", "corr-4");
+  for (const auto& r : fan_out_all(bus, m, outer)) {
+    ASSERT_TRUE(r.has_value());
+    ASSERT_TRUE(r->ok()) << r->error().to_string();
+    EXPECT_EQ(r->value().body().child_text("answered"), "29");
+  }
+}
+
+TEST(FanOutTest, EndpointUnregisteredMidFanOutIsUnavailable) {
+  // The bus.timeout consult of ep-050 runs after the caller's check for it
+  // passed: the decider pulls the endpoint right then, and lets it through.
+  std::string outcomes[2];
+  for (int fanned = 0; fanned < 2; ++fanned) {
+    auto plan = fault::FaultPlan::parse("bus.timeout:target=ep-050", 1);
+    ASSERT_TRUE(plan.ok());
+    fault::ScopedFaultPlan armed(plan.value());
+    MessageBus bus;
+    const std::vector<std::string> to = add_stubs(&bus, 64);
+    fault::FaultRegistry::instance().set_decider(
+        [&bus](const std::string&, const std::string& detail) {
+          (void)bus.unregister_endpoint(detail);
+          return false;
+        });
+    Message m = Message::request("stub.svc", "caller", "", "corr-5");
+    std::vector<std::string> got;
+    if (fanned) {
+      for (const auto& r : fan_out_all(bus, m, to)) got.push_back(outcome(*r));
+    } else {
+      for (const std::string& address : to) {
+        m.set_to(address);
+        got.push_back(outcome(bus.call(m)));
+      }
+    }
+    EXPECT_EQ(got[50], "error UNAVAILABLE: no endpoint at ep-050");
+    EXPECT_FALSE(bus.has_endpoint("ep-050"));
+    for (const std::string& o : got) outcomes[fanned] += o + "\n";
+  }
+  EXPECT_EQ(outcomes[1], outcomes[0]);
+}
+
+TEST(FanOutTest, SerialEndpointsStayInTheOrderedLoop) {
+  // A kSerial endpoint's handler runs on the caller, in destination
+  // order, even inside a wide fan-out of kParallel ones.
+  MessageBus bus;
+  std::vector<std::string> to = add_stubs(&bus, 32);
+  std::vector<int> order;
+  const auto caller = std::this_thread::get_id();
+  for (int i = 0; i < 3; ++i) {
+    const std::string name = "serial-" + std::to_string(i);
+    ASSERT_TRUE(bus.register_endpoint(name, [&order, i, caller](
+                                                const Message& m) {
+                     EXPECT_EQ(std::this_thread::get_id(), caller);
+                     order.push_back(i);
+                     return Message::response_to(m);
+                   }).ok());
+    to.insert(to.begin() + 10 * i, name);
+  }
+  const auto results =
+      fan_out_all(bus, Message::request("s", "c", "", "x"), to);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(results[0]->ok());
+  EXPECT_TRUE(results[10]->ok());
+  EXPECT_TRUE(results[20]->ok());
+}
+
+TEST(FanOutTest, AHandlerThrowOnAHelperReachesTheCaller) {
+  MessageBus bus;
+  std::vector<std::string> to = add_stubs(&bus, 40, false);
+  ASSERT_TRUE(bus.register_endpoint(
+                     "thrower",
+                     [](const Message&) -> Message {
+                       throw std::runtime_error("handler bug");
+                     },
+                     Delivery::kParallel)
+                  .ok());
+  to.push_back("thrower");
+  EXPECT_THROW(
+      (void)fan_out_all(bus, Message::request("s", "c", "", "x"), to),
+      std::runtime_error);
+  // A kSerial handler throwing on the caller, after parallel legs went
+  // out: the fan-out joins them before the throw leaves it.
+  ASSERT_TRUE(bus.register_endpoint("serial-thrower", [](const Message&)
+                                                          -> Message {
+                   throw std::runtime_error("serial handler bug");
+                 }).ok());
+  to.back() = "serial-thrower";
+  EXPECT_THROW(
+      (void)fan_out_all(bus, Message::request("s", "c", "", "x"), to),
+      std::runtime_error);
+  // The bus is still usable.
+  EXPECT_TRUE(bus.call(Message::request("s", "c", "ep-000", "x")).ok());
+}
+
+TEST(FanOutTest, SlowWireLegsAreTakenOverAndHandledOnce) {
+  // Large bodies make each leg's decode and encode outlast the caller's
+  // stall timeout, so the caller takes over legs the helper still holds:
+  // both threads decode (or encode), one runs the handler (or commit).
+  // Each handler still runs once per call, and every result and total
+  // equals a serial loop's.
+  constexpr std::size_t kEndpoints = MessageBus::kParallelWidth;
+  constexpr int kRounds = 6;
+  const std::string payload(48 * 1024, 'p');
+  std::vector<std::string> outcomes[2];
+  std::uint64_t calls[2] = {0, 0};
+  std::uint64_t bytes[2] = {0, 0};
+  for (int fanned = 0; fanned < 2; ++fanned) {
+    std::vector<std::atomic<int>> handled(kEndpoints);
+    MessageBus bus;
+    std::vector<std::string> to;
+    for (std::size_t i = 0; i < kEndpoints; ++i) {
+      to.push_back("slow-" + std::to_string(i));
+      ASSERT_TRUE(bus.register_endpoint(
+                         to.back(),
+                         [&handled, i](const Message& m) {
+                           handled[i].fetch_add(1);
+                           Message r = Message::response_to(m);
+                           r.body().add_child("echo").set_text(
+                               m.body().child_text("data"));
+                           return r;
+                         },
+                         Delivery::kParallel)
+                      .ok());
+    }
+    Message m = Message::request("slow.svc", "caller", "", "corr-6");
+    m.body().add_child("data").set_text(payload);
+    const auto record = [&](const util::Result<Message>& r) {
+      outcomes[fanned].push_back(
+          r.ok() ? r.value().from() + " " +
+                       std::to_string(
+                           r.value().body().child_text("echo").size())
+                 : "error " + r.error().to_string());
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      if (fanned) {
+        for (const auto& r : fan_out_all(bus, m, to)) record(*r);
+      } else {
+        for (const std::string& address : to) {
+          m.set_to(address);
+          record(bus.call(m));
+        }
+      }
+    }
+    for (const auto& count : handled) EXPECT_EQ(count.load(), kRounds);
+    calls[fanned] = bus.calls_total();
+    bytes[fanned] = bus.bytes_total();
+  }
+  EXPECT_EQ(outcomes[1], outcomes[0]);
+  EXPECT_EQ(outcomes[0].front(), "slow-0 " + std::to_string(payload.size()));
+  EXPECT_EQ(calls[1], calls[0]);
+  EXPECT_EQ(bytes[1], bytes[0]);
+}
+
+TEST(FanOutTest, NarrowFanOutStaysOnTheCaller) {
+  // Below kParallelWidth a fan-out is the serial loop: every handler runs
+  // on the caller's thread, kParallel or not.
+  MessageBus bus;
+  std::vector<std::string> to;
+  std::vector<std::thread::id> ran_on;
+  for (std::size_t i = 0; i + 1 < MessageBus::kParallelWidth; ++i) {
+    to.push_back("narrow-" + std::to_string(i));
+    ASSERT_TRUE(bus.register_endpoint(
+                       to.back(),
+                       [&ran_on](const Message& m) {
+                         ran_on.push_back(std::this_thread::get_id());
+                         return Message::response_to(m);
+                       },
+                       Delivery::kParallel)
+                    .ok());
+  }
+  for (const auto& r : fan_out_all(bus, Message::request("s", "c", "", "x"), to)) {
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(r->ok());
+  }
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(
+                        to.size(), std::this_thread::get_id()));
+}
+
+TEST(FanOutTest, DeclinedDestinationsAreNotSent) {
+  MessageBus bus;
+  const std::vector<std::string> to = add_stubs(&bus, 40);
+  const auto results =
+      fan_out_all(bus, Message::request("s", "c", "", "x"), to,
+                  [](std::size_t i) { return i % 2 == 0; });
+  EXPECT_EQ(bus.calls_total(), 20u);
+  EXPECT_FALSE(results[1].has_value());
+  ASSERT_TRUE(results[0].has_value());
+  EXPECT_TRUE(results[0]->ok());
+}
+
+// -- ParallelDelivery: a stalled helper's leg -------------------------------
+
+/// Parks one thread at one point of a leg until released: a helper whose
+/// thread or vCPU stops mid-leg.
+class Parking {
+ public:
+  /// Parks the calling thread if it is the chosen one (once).
+  void maybe_park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (std::this_thread::get_id() != chosen_ || parked_) return;
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+  void choose(std::thread::id id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    chosen_ = id;
+  }
+  void wait_parked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::thread::id chosen_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+enum class ParkAt { kDecode, kHandler, kEncode };
+
+/// One leg delivered by a helper thread that parks at `at`, while this
+/// thread closes the job.  Returns the handler runs and commits seen
+/// (1 and 1 when the leg was delivered exactly once).
+struct StallRun {
+  int handled = 0;
+  std::vector<std::string> commits;
+  bool joined_while_parked = false;
+};
+
+StallRun run_with_stalled_helper(ParkAt at) {
+  Parking parking;
+  std::atomic<int> handled{0};
+  std::mutex commits_mu;
+  StallRun out;
+  const ParallelDelivery::Wire wire{
+      [&](const std::string& bytes) {
+        if (at == ParkAt::kDecode) parking.maybe_park();
+        return Message::deserialize(bytes);
+      },
+      [&](const Message& message) {
+        if (at == ParkAt::kEncode) parking.maybe_park();
+        return message.serialize();
+      }};
+  const ParallelDelivery::Commit commit =
+      [&](std::size_t index, util::Result<Message> result, std::size_t bytes) {
+        std::lock_guard<std::mutex> lock(commits_mu);
+        out.commits.push_back(std::to_string(index) + " " + outcome(result) +
+                              " bytes=" + std::to_string(bytes > 0));
+      };
+  const auto handler = std::make_shared<const Handler>([&](const Message& m) {
+    handled.fetch_add(1);
+    if (at == ParkAt::kHandler) parking.maybe_park();
+    Message r = Message::response_to(m);
+    r.body().add_child("answer").set_attr("index", "7");
+    return r;
+  });
+  ParallelDelivery job(wire, 1, commit);
+  Message request = Message::request("stall.svc", "caller", "ep-7", "corr-7");
+  request.body().add_child("data").set_text("payload");
+
+  std::thread helper([&] {
+    parking.choose(std::this_thread::get_id());
+    job.drain();
+  });
+  job.publish(0, request.serialize(), handler, {});
+  parking.wait_parked();
+  std::atomic<bool> joined{false};
+  std::thread caller([&] {
+    EXPECT_EQ(job.close_and_join(), nullptr);
+    joined = true;
+  });
+  // Far past the stall timeout: the caller has taken the leg over unless
+  // the helper is inside the handler.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  out.joined_while_parked = joined.load();
+  parking.release();
+  caller.join();
+  helper.join();
+  out.handled = handled.load();
+  return out;
+}
+
+TEST(ParallelDeliveryTest, CallerTakesOverALegStalledInItsDecode) {
+  const StallRun run = run_with_stalled_helper(ParkAt::kDecode);
+  EXPECT_TRUE(run.joined_while_parked);
+  EXPECT_EQ(run.handled, 1);
+  EXPECT_EQ(run.commits, (std::vector<std::string>{
+                             "0 to=caller from=ep-7 index=7 data= bytes=1"}));
+}
+
+TEST(ParallelDeliveryTest, CallerTakesOverALegStalledInItsResponse) {
+  const StallRun run = run_with_stalled_helper(ParkAt::kEncode);
+  EXPECT_TRUE(run.joined_while_parked);
+  EXPECT_EQ(run.handled, 1);
+  EXPECT_EQ(run.commits, (std::vector<std::string>{
+                             "0 to=caller from=ep-7 index=7 data= bytes=1"}));
+}
+
+TEST(ParallelDeliveryTest, CallerWaitsForARunningHandler) {
+  const StallRun run = run_with_stalled_helper(ParkAt::kHandler);
+  EXPECT_FALSE(run.joined_while_parked);
+  EXPECT_EQ(run.handled, 1);
+  EXPECT_EQ(run.commits, (std::vector<std::string>{
+                             "0 to=caller from=ep-7 index=7 data= bytes=1"}));
+}
+
 // -- ServiceRegistry -------------------------------------------------------------------
 
 TEST(RegistryTest, PublishDiscoverBind) {
@@ -222,6 +795,31 @@ TEST(RegistryTest, RepublishReplaces) {
   registry.publish({"vmplant", "plant0", {{"v", "2"}}});
   EXPECT_EQ(registry.size(), 1u);
   EXPECT_EQ(registry.bind("plant0").value().properties.at("v"), "2");
+}
+
+TEST(RegistryTest, AddressSnapshotFollowsPublishAndWithdraw) {
+  ServiceRegistry registry;
+  registry.publish({"vmplant", "plant1", {}});
+  registry.publish({"vmshop", "shop", {}});
+  registry.publish({"vmplant", "plant0", {}});
+  const auto first = registry.addresses("vmplant");
+  EXPECT_EQ(*first, (std::vector<std::string>{"plant0", "plant1"}));
+  EXPECT_EQ(registry.addresses("vmplant"), first);  // shared, not copied
+  EXPECT_TRUE(registry.addresses("nothing")->empty());
+
+  registry.publish({"vmplant", "plant2", {}});
+  EXPECT_EQ(*registry.addresses("vmplant"),
+            (std::vector<std::string>{"plant0", "plant1", "plant2"}));
+  EXPECT_EQ(*first, (std::vector<std::string>{"plant0", "plant1"}));
+  EXPECT_TRUE(registry.withdraw("plant1"));
+  EXPECT_EQ(*registry.addresses("vmplant"),
+            (std::vector<std::string>{"plant0", "plant2"}));
+  // A record republished under another type moves between snapshots.
+  registry.publish({"vmshop", "plant0", {}});
+  EXPECT_EQ(*registry.addresses("vmplant"),
+            (std::vector<std::string>{"plant2"}));
+  EXPECT_EQ(*registry.addresses("vmshop"),
+            (std::vector<std::string>{"plant0", "shop"}));
 }
 
 TEST(RegistryTest, WithdrawRemoves) {

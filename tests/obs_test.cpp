@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -22,6 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "warehouse/warehouse.h"
 #include "workload/request_gen.h"
 
@@ -64,6 +67,84 @@ TEST(MetricsTest, TimerFoldsSummaryAndOptionalHistogram) {
   t.record(0.5);
   ASSERT_TRUE(t.histogram().has_value());
   EXPECT_EQ(t.summary().count(), 3u);
+}
+
+TEST(MetricsTest, TimerRecordsFromManyThreadsWithoutLoss) {
+  // More recording threads than owned shards: the late ones share one.
+  obs::Timer t;
+  t.set_bins(0.0, 64.0, 1.0);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 24; ++k) {
+    threads.emplace_back([&t, k] {
+      for (int i = 0; i < 2000; ++i) t.record(static_cast<double>(k) + 0.5);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const util::Summary s = t.summary();
+  EXPECT_EQ(s.count(), 48'000u);
+  // Every sample is a multiple of 0.5 below 24: all sums are exact.
+  EXPECT_DOUBLE_EQ(s.sum(), 2000.0 * (23.0 * 24.0 / 2.0 + 12.0));
+  EXPECT_DOUBLE_EQ(s.min(), 0.5);
+  EXPECT_DOUBLE_EQ(s.max(), 23.5);
+  EXPECT_EQ(t.quantile_histogram().total, 48'000u);
+  const std::optional<util::Histogram> bins = t.histogram();
+  ASSERT_TRUE(bins.has_value());
+  EXPECT_EQ(bins->total(), 48'000u);
+  for (std::size_t b = 0; b < 24; ++b) EXPECT_EQ(bins->count_at(b), 2000u);
+}
+
+TEST(MetricsTest, TimerSummaryMatchesUtilSummary) {
+  obs::Timer t;
+  util::Summary expected;
+  EXPECT_EQ(t.summary().count(), 0u);
+  EXPECT_EQ(t.summary().min(), 0.0);
+  for (double v : {0.25, 3.0, 1e-6, 7.5, 0.125}) {
+    t.record(v);
+    expected.add(v);
+  }
+  const util::Summary got = t.summary();
+  EXPECT_EQ(got.count(), expected.count());
+  EXPECT_EQ(got.sum(), expected.sum());
+  EXPECT_EQ(got.min(), expected.min());
+  EXPECT_EQ(got.max(), expected.max());
+  EXPECT_EQ(got.variance(), expected.variance());
+}
+
+TEST(LogHistogramTest, BucketIndexMatchesFrexpArithmetic) {
+  // The bucket index read off the IEEE-754 bits equals the frexp form.
+  using obs::LogHistogram;
+  const auto frexp_index = [](double v) -> std::size_t {
+    if (!(v >= std::ldexp(1.0, LogHistogram::kMinExp))) return 0;
+    if (v >= std::ldexp(1.0, LogHistogram::kMaxExp)) {
+      return LogHistogram::kBucketCount - 1;
+    }
+    int exp = 0;
+    const double frac = std::frexp(v, &exp);
+    const auto sub = static_cast<std::size_t>(
+        (frac * 2.0 - 1.0) * static_cast<double>(LogHistogram::kSubBuckets));
+    return 1 +
+           static_cast<std::size_t>(exp - 1 - LogHistogram::kMinExp) *
+               LogHistogram::kSubBuckets +
+           std::min(sub, LogHistogram::kSubBuckets - 1);
+  };
+  std::vector<double> cases = {0.0, -1.0, 1e-300, 1.0, 1e300,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+  for (int e = LogHistogram::kMinExp - 2; e <= LogHistogram::kMaxExp + 2;
+       ++e) {
+    const double p = std::ldexp(1.0, e);
+    cases.insert(cases.end(), {p, std::nextafter(p, 0.0),
+                               std::nextafter(p, HUGE_VAL), p * 1.03125,
+                               p * 1.96875, p * 1.999999});
+  }
+  util::SplitMix64 rng(99);
+  for (int i = 0; i < 100'000; ++i) {
+    cases.push_back(std::ldexp(rng.next_double() + 0.5,
+                               static_cast<int>(rng.next_below(60)) - 35));
+  }
+  for (double v : cases) {
+    ASSERT_EQ(LogHistogram::bucket_index(v), frexp_index(v)) << v;
+  }
 }
 
 TEST(MetricsTest, RegistryHandsOutStablePointersAndSnapshots) {

@@ -2,13 +2,18 @@
 // query/destroy, and failure handling over the message bus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <optional>
 
 #include "core/plant.h"
 #include "core/shop.h"
+#include "fault/fault.h"
 #include "lifecycle/lifecycle.h"
+#include "obs/trace.h"
+#include "util/logging.h"
 #include "util/strings.h"
 #include "workload/request_gen.h"
 
@@ -521,6 +526,205 @@ TEST_F(ShopTest, CyclicDagGetsABidButNoCreate) {
                 "configuration DAG contains a cycle through '", 0),
             0u);
   EXPECT_EQ(bus_.calls_total(), calls_before);
+}
+
+// -- The wide bid fan-out against a serial reference -------------------------
+
+/// `count` stub plants ("sp-000", ...) that price every estimate from their
+/// index alone, with many ties so the seeded tie draw decides.  Delivered
+/// in parallel, like a real plant; every 9th drops calls at `drop_rate`.
+void add_stub_plants(net::MessageBus* bus, net::ServiceRegistry* registry,
+                     std::size_t count, double drop_rate) {
+  for (std::size_t i = 0; i < count; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof name, "sp-%03zu", i);
+    const double cost = 10.0 + static_cast<double>((i * 7) % 5) * 0.5;
+    ASSERT_TRUE(bus->register_endpoint(
+                       name,
+                       [cost](const net::Message& m) {
+                         net::Message response = net::Message::response_to(m);
+                         response.body().add_child("bid").set_attr(
+                             "cost", util::format_double(cost));
+                         return response;
+                       },
+                       net::Delivery::kParallel)
+                    .ok());
+    if (i % 9 == 4) bus->set_drop_rate(name, drop_rate);
+    registry->publish(net::ServiceRecord{"vmplant", name, {}});
+  }
+}
+
+/// Everything order-sensitive one bid round left behind.
+struct BidRound {
+  std::vector<std::pair<std::string, double>> bids;
+  std::vector<std::string> firings;
+  std::vector<std::string> warned;  // plant named by each vmshop WARN line
+  std::uint64_t calls = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t skipped = 0;
+  std::string chosen;
+};
+
+/// The shop's bid loop as it was before the fan-out: probe, shop.bid
+/// consult and one bus call per plant, in registry order; then the
+/// auction (stable sort, seeded draw among the cheapest).
+void reference_bids(const CreateRequest& request, net::MessageBus* bus,
+                    net::ServiceRegistry* registry, BidRound* round) {
+  net::Message m = net::Message::request("vmplant.estimate", "vmshop", "",
+                                         request.request_id);
+  request.header_to_xml(&m.body());
+  std::vector<Bid> bids;
+  for (const net::ServiceRecord& plant : registry->discover("vmplant")) {
+    if (!bus->has_endpoint(plant.address) ||
+        !fault::check(fault::points::kShopBid, plant.address).ok()) {
+      ++round->skipped;
+      round->warned.push_back(plant.address);
+      continue;
+    }
+    m.set_to(plant.address);
+    auto response = net::call_expecting_success(bus, m);
+    if (!response.ok()) {
+      const ErrorCode code = response.error().code();
+      if (code == ErrorCode::kUnavailable || code == ErrorCode::kTimeout ||
+          code == ErrorCode::kNotFound) {
+        ++round->skipped;
+        round->warned.push_back(plant.address);
+      }
+      continue;
+    }
+    bids.push_back(Bid{plant.address,
+                       response.value().body().child("bid")->attr_double(
+                           "cost", 0.0)});
+  }
+  for (const Bid& b : bids) round->bids.emplace_back(b.plant_address, b.cost);
+  std::stable_sort(bids.begin(), bids.end(), [](const Bid& a, const Bid& b) {
+    return a.cost < b.cost;
+  });
+  std::vector<const Bid*> cheapest;
+  for (const Bid& b : bids) {
+    if (b.cost <= bids.front().cost) cheapest.push_back(&b);
+  }
+  util::SplitMix64 tie_rng(ShopConfig{}.tie_break_seed);
+  round->chosen = cheapest[tie_rng.next_below(cheapest.size())]->plant_address;
+}
+
+BidRound bid_round(std::uint64_t seed, bool reference) {
+  auto plan = fault::FaultPlan::parse(
+      "shop.bid:p=0.2;bus.send:p=0.2;bus.timeout:after=5,times=3", seed);
+  EXPECT_TRUE(plan.ok());
+  fault::ScopedFaultPlan armed(plan.value());
+  net::MessageBus bus(seed);
+  net::ServiceRegistry registry;
+  add_stub_plants(&bus, &registry, 128, 0.3);
+  VmShop shop(ShopConfig{}, &bus, &registry);
+  const CreateRequest request = workload::workspace_request(64, 0, "d1");
+
+  BidRound round;
+  if (reference) {
+    reference_bids(request, &bus, &registry, &round);
+  } else {
+    util::set_log_sink([&round](const util::LogRecord& record) {
+      if (record.component == "vmshop" &&
+          record.level == util::LogLevel::kWarn) {
+        round.warned.push_back(
+            record.message.substr(0, record.message.find(' ')));
+      }
+    });
+    std::vector<Bid> bids = shop.collect_bids(request);
+    util::set_log_sink(nullptr);
+    for (const Bid& b : bids) round.bids.emplace_back(b.plant_address, b.cost);
+    std::stable_sort(bids.begin(), bids.end(), [](const Bid& a, const Bid& b) {
+      return a.cost < b.cost;
+    });
+    round.chosen = shop.select_bid(bids)->plant_address;
+    round.skipped = shop.bids_skipped();
+  }
+  round.firings = fault::FaultRegistry::instance().sequence();
+  round.calls = bus.calls_total();
+  round.bytes = bus.bytes_total();
+  return round;
+}
+
+TEST(ShopFanOutTest, WideBidRoundUnderFaultsMatchesSerialReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const BidRound expected = bid_round(seed, true);
+    const BidRound got = bid_round(seed, false);
+    EXPECT_EQ(got.bids, expected.bids) << "seed " << seed;
+    EXPECT_EQ(got.firings, expected.firings) << "seed " << seed;
+    EXPECT_EQ(got.warned, expected.warned) << "seed " << seed;
+    EXPECT_EQ(got.calls, expected.calls) << "seed " << seed;
+    EXPECT_EQ(got.bytes, expected.bytes) << "seed " << seed;
+    EXPECT_EQ(got.skipped, expected.skipped) << "seed " << seed;
+    EXPECT_EQ(got.chosen, expected.chosen) << "seed " << seed;
+    EXPECT_GT(expected.skipped, 0u);
+    EXPECT_GT(expected.bids.size(), 64u);
+  }
+}
+
+/// Finished spans with ids renumbered from the run's first span id.
+std::vector<std::string> normalized_spans() {
+  const std::vector<obs::Span> spans = obs::Tracer::instance().spans();
+  std::uint64_t base = UINT64_MAX;
+  for (const obs::Span& s : spans) base = std::min(base, s.span_id);
+  std::vector<std::string> out;
+  for (const obs::Span& s : spans) {
+    out.push_back(std::to_string(s.span_id - base) + " parent=" +
+                  (s.parent_id == 0 ? "root"
+                                    : std::to_string(s.parent_id - base)) +
+                  " " + s.name + " " + s.detail + " " + s.status);
+  }
+  return out;
+}
+
+TEST(ShopFanOutTest, TracedBidRoundOpensTheReferenceSpans) {
+  std::vector<std::string> runs[2];
+  for (int reference = 0; reference < 2; ++reference) {
+    auto plan = fault::FaultPlan::parse("shop.bid:p=0.1;bus.send:p=0.2", 4);
+    ASSERT_TRUE(plan.ok());
+    fault::ScopedFaultPlan armed(plan.value());
+    net::MessageBus bus(4);
+    net::ServiceRegistry registry;
+    add_stub_plants(&bus, &registry, 96, 0.3);
+    VmShop shop(ShopConfig{}, &bus, &registry);
+    const CreateRequest request = workload::workspace_request(64, 0, "d1");
+    obs::Tracer::instance().arm();
+    if (reference) {
+      obs::ScopedSpan span("shop.bid", "vmshop", request.request_id);
+      BidRound round;
+      reference_bids(request, &bus, &registry, &round);
+    } else {
+      (void)shop.collect_bids(request);
+    }
+    runs[reference] = normalized_spans();
+    obs::Tracer::instance().disarm();
+  }
+  EXPECT_EQ(runs[0], runs[1]);
+  EXPECT_GT(runs[0].size(), 64u);
+}
+
+TEST(ShopFanOutTest, PlantUnregisteredMidFanOutIsASkippedBid) {
+  // sp-050 passes the shop's probe, then leaves while the bus consults
+  // bus.timeout for it: the decider pulls the endpoint and lets it through.
+  auto plan = fault::FaultPlan::parse("bus.timeout:target=sp-050", 1);
+  ASSERT_TRUE(plan.ok());
+  fault::ScopedFaultPlan armed(plan.value());
+  net::MessageBus bus;
+  net::ServiceRegistry registry;
+  add_stub_plants(&bus, &registry, 96, 0.0);
+  fault::FaultRegistry::instance().set_decider(
+      [&bus](const std::string&, const std::string& detail) {
+        (void)bus.unregister_endpoint(detail);
+        return false;
+      });
+  VmShop shop(ShopConfig{}, &bus, &registry);
+  const auto bids = shop.collect_bids(workload::workspace_request(64, 0, "d1"));
+  EXPECT_EQ(bids.size(), 95u);
+  EXPECT_EQ(shop.bids_skipped(), 1u);
+  for (const Bid& b : bids) EXPECT_NE(b.plant_address, "sp-050");
+  // The next round finds it gone before it asks: still one skip each.
+  EXPECT_EQ(shop.collect_bids(workload::workspace_request(64, 1, "d1")).size(),
+            95u);
+  EXPECT_EQ(shop.bids_skipped(), 2u);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -309,6 +313,68 @@ TEST(StringsTest, FormatDoubleRoundTrips) {
     double parsed = 0;
     ASSERT_TRUE(parse_double(format_double(v), &parsed)) << format_double(v);
     EXPECT_DOUBLE_EQ(parsed, v);
+  }
+}
+
+/// format_double as it was written on snprintf/strtod: the reference the
+/// to_chars rewrite must match byte for byte.
+std::string snprintf_format_double(double v) {
+  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  for (int precision = 1; precision < 17; ++precision) {
+    char probe[64];
+    std::snprintf(probe, sizeof probe, "%.*g", precision, v);
+    if (std::strtod(probe, nullptr) == v) return probe;
+  }
+  return buf;
+}
+
+TEST(StringsTest, FormatDoubleMatchesSnprintfSearch) {
+  std::vector<double> cases = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 2.0 / 3.0, 50.0, 4.5,
+      1e15, -1e15, 1e15 - 1, 999999999999999.5, 1e16, 1e17, 1e21, 1e22,
+      1e23, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+      1.7976931348623157e308, -1.7976931348623157e308, 9007199254740993.0,
+      0.30000000000000004, 123456789012345678.0, 1e-7, 1e-5, 1e-4, 1e-3,
+      std::ldexp(1.0, 1023), std::ldexp(1.0, -1022), std::ldexp(1.0, -1074),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  // Powers of two (the shortest string and "%.*g" can round apart there)
+  // and their neighbours.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    cases.push_back(p);
+    cases.push_back(std::nextafter(p, 0.0));
+    cases.push_back(std::nextafter(p, HUGE_VAL));
+  }
+  SplitMix64 rng(20261017);
+  for (int i = 0; i < 40'000; ++i) {
+    // Any bit pattern: every exponent, subnormals, inf and NaN payloads.
+    cases.push_back(std::bit_cast<double>(rng.next_u64()));
+  }
+  for (int i = 0; i < 30'000; ++i) {
+    // Integers, large and small, of either sign.
+    const auto magnitude = static_cast<std::int64_t>(
+        rng.next_u64() >> (rng.next_below(64)));
+    cases.push_back(static_cast<double>(i % 2 ? -magnitude : magnitude));
+  }
+  for (int i = 0; i < 30'000; ++i) {
+    // Bid-like costs: short decimals and their float noise.
+    cases.push_back(rng.uniform(-1e6, 1e6) / std::pow(10.0, rng.next_below(8)));
+    cases.push_back(static_cast<double>(rng.next_below(100000)) / 100.0 +
+                    10.0);
+  }
+  ASSERT_GE(cases.size(), 100'000u);
+  for (double v : cases) {
+    ASSERT_EQ(format_double(v), snprintf_format_double(v))
+        << std::hexfloat << v;
   }
 }
 
