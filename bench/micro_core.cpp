@@ -22,6 +22,11 @@
 // plant state), so it measures the shop + bus side of a bid round: the
 // ordered phase and the parallel delivery of 256 XML estimate legs.  Its
 // bytes field is the bus bytes of one round.
+// storage.clone_cycle.4m times one linked clone_image + destroy_clone of a
+// golden with a 4 MiB non-sparse memory checkpoint and 16 disk spans (the
+// perfbench clone_pipeline image), so it carries the §4.3 checkpoint copy
+// and the spare-checkpoint reuse (the fastest of five batches); its bytes
+// field is the clone's bytes written.
 // CI's bench-gate job feeds these to tools/bench_gate.py against
 // bench/baselines/micro_core.json, which enforces the binary codec's >= 3x
 // advantage over XML on descriptors (this PR's acceptance bar) plus
@@ -287,6 +292,50 @@ CodecRow time_bid_fanout(const core::CreateRequest& request, int iters,
   });
 }
 
+/// One linked clone + destroy of a golden with a 4 MiB non-sparse memory
+/// checkpoint (paper §4.3: the checkpoint copy is the clone's
+/// size-proportional cost).  Every destroy retires the checkpoint, so every
+/// clone after the first overwrites a spare.
+CodecRow time_clone_cycle(int iters, bool* ok) {
+  const auto sandbox =
+      std::filesystem::temp_directory_path() / "vmplants-microbench-cycle";
+  std::filesystem::remove_all(sandbox);
+  CodecRow row;
+  {
+    storage::ArtifactStore store(sandbox);
+    storage::MachineSpec spec;
+    spec.os = "linux";
+    spec.memory_bytes = 4ull << 20;
+    spec.suspended = true;
+    spec.disk = {"disk0", 2048ull << 20, 16,
+                 storage::DiskMode::kNonPersistent};
+    const storage::ImageLayout golden{"golden"};
+    if (!storage::materialize_image(&store, golden, spec).ok() ||
+        !store.write_file(golden.memory_path(),
+                          std::string(spec.memory_bytes, 'm'))
+             .ok()) {
+      *ok = false;
+      return row;
+    }
+    // The fastest of five batches: on a disk-backed temp directory, the
+    // host's writeback and I/O load can slow one batch several-fold.
+    for (int batch = 0; batch < 5; ++batch) {
+      const CodecRow timed = time_codec(iters / 5, [&] {
+        auto report = storage::clone_image(&store, golden, spec, "clones/c",
+                                           storage::CloneStrategy::kLinked);
+        if (!report.ok() || !storage::destroy_clone(&store, "clones/c").ok()) {
+          *ok = false;
+          return std::size_t{0};
+        }
+        return static_cast<std::size_t>(report.value().total().bytes_written);
+      });
+      if (batch == 0 || timed.ns_per_op < row.ns_per_op) row = timed;
+    }
+  }
+  std::filesystem::remove_all(sandbox);
+  return row;
+}
+
 int run_codec_rows() {
   constexpr int kIters = 20'000;
   const warehouse::GoldenImage image = make_codec_descriptor();
@@ -392,6 +441,7 @@ int run_codec_rows() {
       workload::random_layered_dag(20040621, 8, 8, 0.25), kIters / 4);
 
   const CodecRow fanout_256 = time_bid_fanout(request, kIters / 100, &ok);
+  const CodecRow clone_cycle = time_clone_cycle(kIters / 20, &ok);
 
   report_codec("codec.descriptor.xml", desc_xml);
   report_codec("codec.descriptor.binary", desc_bin);
@@ -403,6 +453,7 @@ int run_codec_rows() {
   report_codec("dag.from_xml.invigo", from_xml_invigo);
   report_codec("dag.from_xml.64", from_xml_64);
   report_codec("bid.fanout.256", fanout_256);
+  report_codec("storage.clone_cycle.4m", clone_cycle);
   const double desc_speedup =
       desc_bin.ns_per_op > 0.0 ? desc_xml.ns_per_op / desc_bin.ns_per_op : 0.0;
   std::printf("BENCH_JSON {\"name\": \"codec.descriptor.speedup\", "
@@ -410,7 +461,9 @@ int run_codec_rows() {
               desc_speedup);
 
   if (!ok) {
-    std::printf("FAILED: a codec round trip or the match returned an error\n");
+    std::printf(
+        "FAILED: a codec round trip, the match or a clone cycle returned an "
+        "error\n");
     return 1;
   }
   return 0;

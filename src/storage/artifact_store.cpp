@@ -1,7 +1,9 @@
 #include "storage/artifact_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string_view>
@@ -103,31 +105,60 @@ int open_copy_target(const fs::path& path, const struct stat& source) {
 
 /// Copies `size` bytes in the kernel with copy_file_range; falls back to a
 /// read/write loop where the kernel or file system cannot (cross-device,
-/// old kernels, special files).  Stops early if the source shrinks.
-bool copy_bytes(int in, int out, std::uint64_t size) {
+/// old kernels, special files).  Returns the bytes copied: fewer than
+/// `size` means a call failed (errno set) or the source ended early
+/// (errno 0).
+std::uint64_t copy_bytes(int in, int out, std::uint64_t size) {
   std::unique_ptr<char[]> buffer;
   constexpr std::size_t kChunk = 1 << 16;
-  while (size > 0) {
+  std::uint64_t copied = 0;
+  while (copied < size) {
+    const std::uint64_t left = size - copied;
     ssize_t n = 0;
     if (!buffer) {
-      n = ::copy_file_range(in, nullptr, out, nullptr, size, 0);
+      n = ::copy_file_range(in, nullptr, out, nullptr, left, 0);
       if (n < 0 && (errno == EXDEV || errno == ENOSYS ||
                     errno == EOPNOTSUPP || errno == EINVAL)) {
         buffer = std::make_unique<char[]>(kChunk);
         continue;
       }
     } else {
-      n = ::read(in, buffer.get(), std::min<std::uint64_t>(size, kChunk));
+      n = ::read(in, buffer.get(), std::min<std::uint64_t>(left, kChunk));
       if (n > 0 && !write_all(out, buffer.get(), static_cast<std::size_t>(n))) {
-        return false;
+        return copied;
       }
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0) return false;
-    if (n == 0) break;
-    size -= static_cast<std::uint64_t>(n);
+    if (n < 0) return copied;
+    if (n == 0) {
+      errno = 0;
+      return copied;
+    }
+    copied += static_cast<std::uint64_t>(n);
   }
-  return true;
+  return copied;
+}
+
+/// The process's file mode creation mask, read from /proc without changing
+/// it: umask() sets the mask, so reading it that way briefly clears it for
+/// every other thread.
+mode_t process_umask() {
+  static const mode_t mask = [] {
+    if (FILE* status = std::fopen("/proc/self/status", "re")) {
+      char line[128];
+      unsigned value = 0;
+      bool found = false;
+      while (!found && std::fgets(line, sizeof line, status) != nullptr) {
+        found = std::sscanf(line, "Umask: %o", &value) == 1;
+      }
+      std::fclose(status);
+      if (found) return static_cast<mode_t>(value);
+    }
+    const mode_t old = ::umask(022);
+    ::umask(old);
+    return old;
+  }();
+  return mask;
 }
 
 /// Measures and deletes everything under the open directory `dir` (taken
@@ -203,6 +234,61 @@ IoAccounting& IoAccounting::operator+=(const IoAccounting& other) {
 ArtifactStore::ArtifactStore(fs::path root) : root_(std::move(root)) {
   fs::create_directories(root_);
   absolute_root_ = fs::absolute(root_);
+  umask_ = process_umask();
+  std::error_code ec;
+  fs::remove_all(root_ / kSpareDir, ec);
+  spare_prefix_ =
+      (root_ / kSpareDir / std::to_string(::getpid())).string() + "-";
+}
+
+ArtifactStore::~ArtifactStore() {
+  for (const Spare& spare : spares_) ::unlink(spare.path.c_str());
+  // Fails, harmlessly, while another store over this root holds spares.
+  ::rmdir((root_ / kSpareDir).c_str());
+}
+
+std::uint64_t ArtifactStore::retire_spare(int dir, const std::string& name) {
+  struct stat st {};
+  if (::fstatat(dir, name.c_str(), &st, AT_SYMLINK_NOFOLLOW) != 0 ||
+      !S_ISREG(st.st_mode) || st.st_nlink != 1) {
+    return 0;
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  if (size < kSpareMinBytes ||
+      static_cast<std::uint64_t>(st.st_blocks) * 512 < size) {
+    return 0;
+  }
+  {
+    std::lock_guard<std::mutex> lock(spare_mutex_);
+    if (spare_bytes_ + size > kSpareMaxBytes) return 0;
+    spare_bytes_ += size;  // reserved until the rename settles
+  }
+  static std::atomic<std::uint64_t> next_spare{0};
+  const fs::path spare =
+      spare_prefix_ + std::to_string(next_spare.fetch_add(1));
+  const bool moved = with_parent_dirs(spare, [&] {
+                       return ::renameat2(dir, name.c_str(), AT_FDCWD,
+                                          spare.c_str(), RENAME_NOREPLACE);
+                     }) == 0;
+  std::lock_guard<std::mutex> lock(spare_mutex_);
+  if (!moved) {
+    spare_bytes_ -= size;
+    return 0;
+  }
+  spares_.push_back({size, spare.string()});
+  return size;
+}
+
+std::string ArtifactStore::take_spare(std::uint64_t size) {
+  std::lock_guard<std::mutex> lock(spare_mutex_);
+  for (auto it = spares_.rbegin(); it != spares_.rend(); ++it) {
+    if (it->size != size) continue;
+    std::string path = std::move(it->path);
+    spares_.erase(std::next(it).base());
+    spare_bytes_ -= size;
+    return path;
+  }
+  return {};
 }
 
 Result<fs::path> ArtifactStore::resolve(const std::string& relative) const {
@@ -458,9 +544,9 @@ Result<IoAccounting> ArtifactStore::copy_file(const std::string& from,
   if (!from_p.ok()) return from_p.propagate<IoAccounting>();
   auto to_p = resolve(to);
   if (!to_p.ok()) return to_p.propagate<IoAccounting>();
-  auto copy_error = [&] {
+  auto copy_error = [&](const std::string& detail) {
     return Result<IoAccounting>(Error(
-        ErrorCode::kInternal, "copy " + from + " -> " + to + ": " + errno_text()));
+        ErrorCode::kInternal, "copy " + from + " -> " + to + ": " + detail));
   };
 
   // One open + fstat yields the logical size (through a symlink, like cp),
@@ -474,7 +560,7 @@ Result<IoAccounting> ArtifactStore::copy_file(const std::string& from,
     auto size = logical_size(from);
     if (!size.ok()) return size.propagate<IoAccounting>();
     errno = saved;
-    return copy_error();
+    return copy_error(errno_text());
   }
   const auto size = static_cast<std::uint64_t>(st.st_size);
 
@@ -486,21 +572,55 @@ Result<IoAccounting> ArtifactStore::copy_file(const std::string& from,
   // testbed would.
   const bool sparse = size >= 1 << 20 &&
                       static_cast<std::uint64_t>(st.st_blocks) * 512 < size / 2;
-  Fd out(open_copy_target(to_p.value(), st));
+  // Recycled target: a spare of the source's exact size (a destroyed
+  // clone's checkpoint) is renamed onto the target, never over an existing
+  // file, and every byte of it is overwritten, so its pages are reused
+  // instead of freed and allocated again.  A spare that cannot be opened or
+  // renamed is dropped and the copy takes a fresh target.
+  int recycled = -1;
+  if (!sparse && size >= kSpareMinBytes) {
+    const std::string spare = take_spare(size);
+    if (!spare.empty()) {
+      recycled = ::open(spare.c_str(), O_WRONLY | O_CLOEXEC);
+      if (recycled >= 0 &&
+          ::renameat2(AT_FDCWD, spare.c_str(), AT_FDCWD, to_p.value().c_str(),
+                      RENAME_NOREPLACE) != 0) {
+        ::close(recycled);
+        recycled = -1;
+      }
+      if (recycled < 0) ::unlink(spare.c_str());
+    }
+  }
+  Fd out(recycled >= 0 ? recycled : open_copy_target(to_p.value(), st));
   if (!out.ok()) {
     if (sparse) {
       return Result<IoAccounting>(
           Error(ErrorCode::kInternal, "cannot create " + to));
     }
-    return copy_error();
+    return copy_error(errno_text());
   }
   if (sparse) {
     if (::pwrite(out.get(), "", 1, static_cast<off_t>(size - 1)) != 1) {
       return Result<IoAccounting>(
           Error(ErrorCode::kInternal, "cannot size " + to));
     }
-  } else if (!copy_bytes(in.get(), out.get(), size)) {
-    return copy_error();
+  } else {
+    errno = 0;
+    std::uint64_t copied = 0;
+    if (recycled < 0 ||
+        ::fchmod(out.get(), st.st_mode & 07777 & ~umask_) == 0) {
+      copied = copy_bytes(in.get(), out.get(), size);
+    }
+    if (copied != size) {
+      auto failed = copy_error(
+          errno != 0 ? errno_text()
+                     : "source ended after " + std::to_string(copied) +
+                           " of " + std::to_string(size) + " bytes");
+      // A recycled target may still hold a destroyed VM's bytes: it goes,
+      // and never back to the pool.
+      if (recycled >= 0) ::unlink(to_p.value().c_str());
+      return failed;
+    }
   }
   IoAccounting acct;
   acct.bytes_read = size;
@@ -609,7 +729,8 @@ Status ArtifactStore::remove(const std::string& relative) {
   return Status();
 }
 
-Result<IoAccounting> ArtifactStore::remove_tree(const std::string& relative) {
+Result<IoAccounting> ArtifactStore::remove_tree(const std::string& relative,
+                                                std::string_view spare) {
   if (auto injected = fault::check(fault::points::kStoreRemove, relative);
       !injected.ok()) {
     return injected.error();
@@ -624,6 +745,13 @@ Result<IoAccounting> ArtifactStore::remove_tree(const std::string& relative) {
   bool ok = true;
   const int dir = ::open(path, O_RDONLY | O_DIRECTORY | O_NOFOLLOW | O_CLOEXEC);
   if (dir >= 0) {
+    // A retired spare is freed as far as the caller can tell.
+    if (const std::uint64_t retired =
+            spare.empty() ? 0 : retire_spare(dir, std::string(spare));
+        retired > 0) {
+      ++freed.files;
+      freed.physical_bytes += retired;
+    }
     ok = drain_directory(dir, freed) && ::rmdir(path) == 0;
   } else if (errno == ENOTDIR || errno == ELOOP) {
     // A single file, or a symlink (O_NOFOLLOW refused it): the entry itself.

@@ -8,6 +8,11 @@
 // removal (collecting a VM) — and accounts bytes moved so the simulated
 // cluster can charge transfer time for them.
 //
+// A destroyed clone's private memory checkpoint is not freed: it retires
+// into a small pool of spare files, and the next copy of a source of the
+// same size overwrites a spare's pages instead of allocating new ones
+// (DESIGN.md §17).  The bytes and the accounting are those of a fresh copy.
+//
 // Paths are always relative to the root; ".." traversal and absolute paths
 // are rejected, so a misbehaving test or plant cannot escape the sandbox.
 #pragma once
@@ -16,7 +21,10 @@
 #include <filesystem>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include <sys/types.h>
 
 #include "util/error.h"
 
@@ -49,8 +57,23 @@ struct TreeFootprint {
 
 class ArtifactStore {
  public:
-  /// Creates the root directory if needed.
+  /// Spare checkpoints live in this store-private directory under the root,
+  /// outside every clone and warehouse tree.
+  static constexpr const char* kSpareDir = ".spare";
+  /// Smallest file retired: memory checkpoints are megabytes, while the
+  /// small per-clone artefacts (config, redo log) are not worth a slot.
+  static constexpr std::uint64_t kSpareMinBytes = 1ull << 20;
+  /// Bound on the bytes held by spares: at most 32 MiB of tmpfs memory (or
+  /// page cache on a disk file system), eight 4 MiB checkpoints.
+  static constexpr std::uint64_t kSpareMaxBytes = 32ull << 20;
+
+  /// Creates the root directory if needed and sweeps spares left by an
+  /// earlier store over the same root.
   explicit ArtifactStore(std::filesystem::path root);
+  /// Removes this store's spares.
+  ~ArtifactStore();
+  ArtifactStore(const ArtifactStore&) = delete;
+  ArtifactStore& operator=(const ArtifactStore&) = delete;
 
   const std::filesystem::path& root() const { return root_; }
 
@@ -91,7 +114,9 @@ class ArtifactStore {
                                          const std::string& content);
 
   /// Copy a file; the accounting reports its logical size as read+written
-  /// (a copy of a symlinked disk reads through the link, like cp does).
+  /// (a copy of a symlinked disk reads through the link, like cp does).  A
+  /// non-sparse source of a spare's exact size is copied into that spare,
+  /// renamed onto `to`.  A source that ends before its size fails.
   util::Result<IoAccounting> copy_file(const std::string& from,
                                        const std::string& to);
 
@@ -114,7 +139,18 @@ class ArtifactStore {
   /// succeeds and frees nothing, so cleanup paths stay idempotent.  The
   /// walk measures and deletes in one pass and never follows a symlink, so
   /// removing a linked clone cannot reach into its golden image.
-  util::Result<IoAccounting> remove_tree(const std::string& relative);
+  /// `spare`, if given, names one file directly under `relative` that
+  /// retires into the spare pool instead of being unlinked when it
+  /// qualifies (a regular, fully allocated, unshared file of at least
+  /// kSpareMinBytes, within the pool bound); it is accounted as freed.
+  util::Result<IoAccounting> remove_tree(const std::string& relative,
+                                         std::string_view spare = {});
+
+  /// Spare checkpoints held now.
+  std::size_t spare_count() const {
+    std::lock_guard<std::mutex> lock(spare_mutex_);
+    return spares_.size();
+  }
 
   // -- Aggregate accounting ---------------------------------------------------
   /// Snapshot (by value: concurrent operations keep accumulating while the
@@ -130,12 +166,32 @@ class ArtifactStore {
     lifetime_ += acct;
   }
 
+  struct Spare {
+    std::uint64_t size;
+    std::string path;
+  };
+  /// Moves file `name` of the open directory `dir` into the pool if it
+  /// qualifies and fits; returns its size, or 0 when it stays where it is.
+  std::uint64_t retire_spare(int dir, const std::string& name);
+  /// Takes a spare of exactly `size` bytes out of the pool; empty if none.
+  std::string take_spare(std::uint64_t size);
+
   std::filesystem::path root_;
   /// absolute(root_), computed once: link targets are stored absolute, and
   /// nothing in the process changes its working directory.
   std::filesystem::path absolute_root_;
+  /// Permission bits an O_CREAT target would not get: a recycled target is
+  /// fchmod-ed to the source's bits minus these, as a new file would be.
+  mode_t umask_ = 022;
+  /// "<root>/.spare/<pid>-": a spare's name adds a process-wide sequence
+  /// number, so stores of two processes never pick the same name.
+  std::string spare_prefix_;
   mutable std::mutex lifetime_mutex_;
   IoAccounting lifetime_;
+  mutable std::mutex spare_mutex_;
+  std::vector<Spare> spares_;
+  /// Bytes of the spares held plus those being retired right now.
+  std::uint64_t spare_bytes_ = 0;
 };
 
 }  // namespace vmp::storage

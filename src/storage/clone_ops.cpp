@@ -155,7 +155,7 @@ Result<IoAccounting> destroy_clone(ArtifactStore* store,
     return Result<IoAccounting>(
         Error(ErrorCode::kNotFound, "clone dir missing: " + clone_dir));
   }
-  return store->remove_tree(clone_dir);
+  return store->remove_tree(clone_dir, ImageLayout::kMemoryFile);
 }
 
 }  // namespace vmp::storage

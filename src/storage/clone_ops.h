@@ -49,6 +49,8 @@ util::Result<CloneReport> clone_image(ArtifactStore* store,
 /// private replicas, never the golden spans its links point at).  Whether a
 /// directory contains non-symlink disk spans that other clones link to is
 /// not tracked here; plants only ever pass their own clone directories.
+/// The clone's private memory.vmss retires into the store's spare pool
+/// when it qualifies (ArtifactStore::remove_tree); it counts as freed.
 util::Result<IoAccounting> destroy_clone(ArtifactStore* store,
                                          const std::string& clone_dir);
 

@@ -39,10 +39,13 @@ struct MachineSpec {
 
 /// Artefact paths of one image directory (all relative to an ArtifactStore).
 struct ImageLayout {
+  /// File name of the suspended memory state inside an image directory.
+  static constexpr const char* kMemoryFile = "memory.vmss";
+
   std::string dir;  // e.g. "warehouse/golden-32mb"
 
   std::string config_path() const { return dir + "/machine.cfg"; }
-  std::string memory_path() const { return dir + "/memory.vmss"; }
+  std::string memory_path() const { return dir + "/" + kMemoryFile; }
   std::string base_redo_path(const DiskSpec& disk) const {
     return dir + "/" + disk.redo_file_name();
   }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 #include <utility>
+
+#include <sys/stat.h>
 
 #include "fault/fault.h"
 #include "hypervisor/gsx.h"
@@ -471,6 +474,51 @@ TEST_F(HypervisorTest, LoadCountersMatchFullScanOverRandomTransitions) {
     }
   }
   EXPECT_GT(rollbacks, 0u);
+}
+
+
+// A destroy that an injected store.remove fault fails leaves the clone dir
+// whole, its private checkpoint included, so the rolled-back VM resumes;
+// the fault is consulted once, on the clone dir, before anything moves.
+// The destroy that then succeeds retires the checkpoint into the store's
+// spare pool, and the next clone reuses it.
+TEST_F(HypervisorTest, FailedDestroyKeepsCheckpointForResume) {
+  GsxHypervisor gsx(store_.get());
+  const CloneSource golden = make_golden(/*suspended=*/true, /*mem_mb=*/4);
+  ASSERT_TRUE(store_->write_file(golden.layout.memory_path(),
+                                 std::string(4u << 20, 'g'))
+                  .ok());
+  ASSERT_TRUE(gsx.clone_vm(golden, "clones/vm1", "vm1").ok());
+  struct stat before {};
+  ASSERT_EQ(::stat((root_ / "clones/vm1/memory.vmss").c_str(), &before), 0);
+  {
+    fault::ScopedFaultPlan fail_removal(
+        fault::FaultPlan::parse("store.remove:times=1").value());
+    EXPECT_FALSE(gsx.destroy_vm("vm1").ok());
+    EXPECT_EQ(fault::FaultRegistry::instance().checks(), 1u);
+    EXPECT_EQ(fault::FaultRegistry::instance().sequence(),
+              std::vector<std::string>{"store.remove@clones/vm1"});
+  }
+  struct stat after {};
+  ASSERT_EQ(::stat((root_ / "clones/vm1/memory.vmss").c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_size, before.st_size);
+  EXPECT_EQ(store_->spare_count(), 0u);
+  EXPECT_EQ(gsx.find("vm1")->power, PowerState::kStopped);
+  ASSERT_TRUE(gsx.start_vm("vm1").ok());
+  EXPECT_EQ(gsx.find("vm1")->power, PowerState::kRunning);
+  ASSERT_TRUE(gsx.power_off("vm1").ok());
+
+  ASSERT_TRUE(gsx.destroy_vm("vm1").ok());
+  EXPECT_FALSE(store_->exists("clones/vm1"));
+  EXPECT_EQ(store_->spare_count(), 1u);
+  ASSERT_TRUE(gsx.clone_vm(golden, "clones/vm2", "vm2").ok());
+  EXPECT_EQ(store_->spare_count(), 0u);
+  struct stat reused {};
+  ASSERT_EQ(::stat((root_ / "clones/vm2/memory.vmss").c_str(), &reused), 0);
+  EXPECT_EQ(reused.st_ino, before.st_ino);
+  EXPECT_EQ(store_->read_file("clones/vm2/memory.vmss").value(),
+            std::string(4u << 20, 'g'));
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 // link-vs-copy cloning mechanics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <thread>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "fault/fault.h"
@@ -596,6 +600,320 @@ TEST_F(CloneTest, NoFdLeakAcrossCloneDestroyCyclesWithFaults) {
   EXPECT_GT(cloned, 0u);
   EXPECT_LT(cloned, 500u);
   EXPECT_EQ(open_fd_count(), fds_before);
+}
+
+
+// -- Short copies ------------------------------------------------------------------
+
+/// A sysfs attribute: a regular file whose st_size (4096) promises more
+/// than it yields.  Empty when none is readable.
+std::string short_sysfs_file() {
+  for (const char* candidate :
+       {"/sys/kernel/mm/transparent_hugepage/enabled", "/sys/power/state",
+        "/sys/devices/system/cpu/online", "/sys/devices/system/cpu/possible",
+        "/sys/kernel/uevent_seqnum"}) {
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(candidate, ec) ||
+        std::filesystem::file_size(candidate, ec) != 4096 || ec) {
+      continue;
+    }
+    std::ifstream in(candidate);
+    const std::string content((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    if (!content.empty() && content.size() < 4096) return candidate;
+  }
+  return {};
+}
+
+// A source that ends before the size fstat reported is a failed copy, not
+// a silently truncated one; a clone reading it aborts and leaves no dir.
+TEST_F(CloneTest, ShortCopyFailsAndAbortsClone) {
+  const std::string sysfs = short_sysfs_file();
+  if (sysfs.empty()) GTEST_SKIP() << "no short sysfs attribute readable";
+  ASSERT_EQ(::symlink(sysfs.c_str(), (root_ / "short").c_str()), 0);
+  const IoAccounting before = store_->lifetime_accounting();
+  auto copied = store_->copy_file("short", "dst");
+  ASSERT_FALSE(copied.ok());
+  EXPECT_EQ(copied.error().code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(copied.error().message().rfind("copy short -> dst: source ended after ", 0),
+            0u)
+      << copied.error().message();
+  EXPECT_NE(copied.error().message().find(" of 4096 bytes"), std::string::npos);
+  EXPECT_EQ(store_->lifetime_accounting().bytes_written, before.bytes_written);
+
+  ASSERT_TRUE(store_->remove(golden_.config_path()).ok());
+  ASSERT_EQ(::symlink(sysfs.c_str(), (root_ / golden_.config_path()).c_str()),
+            0);
+  auto report = clone_image(store_.get(), golden_, spec_, "clones/short",
+                            CloneStrategy::kLinked);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.error().code(), util::ErrorCode::kInternal);
+  EXPECT_FALSE(store_->exists("clones/short"));
+}
+
+// -- Spare checkpoints -------------------------------------------------------------
+
+/// Goldens with a non-sparse memory checkpoint of random bytes: the clone
+/// copies them for real, and destroying the clone retires its copy.
+class RecycleTest : public StorageTest {
+ protected:
+  static constexpr std::uint64_t kCheckpoint = 4ull << 20;
+
+  void SetUp() override {
+    StorageTest::SetUp();
+    spec_ = paper_spec(0);
+    spec_.memory_bytes = kCheckpoint;
+    spec_.disk = DiskSpec{"disk0", 64ull << 20, 2, DiskMode::kNonPersistent};
+  }
+
+  /// Materializes golden `dir` whose checkpoint holds `size` seeded bytes.
+  std::string make_golden(const std::string& dir, std::uint64_t seed,
+                          std::uint64_t size = kCheckpoint) {
+    MachineSpec spec = spec_;
+    spec.memory_bytes = size;
+    const ImageLayout layout{dir};
+    EXPECT_TRUE(materialize_image(store_.get(), layout, spec).ok());
+    util::SplitMix64 rng(seed);
+    std::string bytes(size, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.next_u64());
+    EXPECT_TRUE(store_->write_file(layout.memory_path(), bytes).ok());
+    return bytes;
+  }
+
+  util::Result<CloneReport> clone(const std::string& golden, const std::string& dir) {
+    return clone_image(store_.get(), ImageLayout{golden}, spec_, dir,
+                       CloneStrategy::kLinked);
+  }
+
+  struct stat stat_of(const std::string& relative) const {
+    struct stat st {};
+    EXPECT_EQ(::lstat((root_ / relative).c_str(), &st), 0) << relative;
+    return st;
+  }
+
+  std::size_t spare_files() const {
+    std::error_code ec;
+    std::size_t n = 0;
+    for (auto it = std::filesystem::directory_iterator(
+             root_ / ArtifactStore::kSpareDir, ec);
+         !ec && it != std::filesystem::directory_iterator(); ++it) {
+      ++n;
+    }
+    return n;
+  }
+
+  MachineSpec spec_;
+};
+
+// The deterministic guard on the optimisation: a clone after a destroy
+// writes into the destroyed clone's checkpoint inode, and both operations
+// account exactly as a fresh copy and a plain removal would.
+TEST_F(RecycleTest, CloneAfterDestroyReusesRetiredInode) {
+  const std::string bytes = make_golden("warehouse/a", 1);
+  auto first = clone("warehouse/a", "clones/vm1");
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  const ino_t inode = stat_of("clones/vm1/memory.vmss").st_ino;
+  const TreeFootprint footprint = store_->tree_footprint("clones/vm1").value();
+
+  auto destroyed = destroy_clone(store_.get(), "clones/vm1");
+  ASSERT_TRUE(destroyed.ok());
+  EXPECT_EQ(destroyed.value().bytes_freed, footprint.physical_bytes);
+  EXPECT_EQ(destroyed.value().files_touched, footprint.files + footprint.links);
+  EXPECT_FALSE(store_->exists("clones/vm1"));
+  EXPECT_EQ(store_->spare_count(), 1u);
+  EXPECT_EQ(spare_files(), 1u);
+
+  auto second = clone("warehouse/a", "clones/vm2");
+  ASSERT_TRUE(second.ok()) << second.error().to_string();
+  EXPECT_EQ(stat_of("clones/vm2/memory.vmss").st_ino, inode);
+  EXPECT_EQ(store_->spare_count(), 0u);
+  EXPECT_EQ(spare_files(), 0u);
+  const IoAccounting a = first.value().memory;
+  const IoAccounting b = second.value().memory;
+  EXPECT_EQ(b.bytes_read, a.bytes_read);
+  EXPECT_EQ(b.bytes_written, a.bytes_written);
+  EXPECT_EQ(b.files_touched, a.files_touched);
+  EXPECT_EQ(b.bytes_written, kCheckpoint);
+  EXPECT_TRUE(store_->read_file("clones/vm2/memory.vmss").value() == bytes);
+}
+
+// A recycled checkpoint holds the new golden's bytes and nothing of the
+// destroyed VM's.
+TEST_F(RecycleTest, RecycledCheckpointLeaksNoStaleByte) {
+  make_golden("warehouse/a", 1);
+  const std::string b = make_golden("warehouse/b", 2);
+  ASSERT_TRUE(clone("warehouse/a", "clones/vm1").ok());
+  const ino_t inode = stat_of("clones/vm1/memory.vmss").st_ino;
+  ASSERT_TRUE(destroy_clone(store_.get(), "clones/vm1").ok());
+  ASSERT_TRUE(clone("warehouse/b", "clones/vm2").ok());
+  EXPECT_EQ(stat_of("clones/vm2/memory.vmss").st_ino, inode);
+  EXPECT_EQ(store_->file_size("clones/vm2/memory.vmss").value(), kCheckpoint);
+  EXPECT_TRUE(store_->read_file("clones/vm2/memory.vmss").value() == b);
+}
+
+// A clone that fails after its checkpoint landed in a spare removes that
+// file with the rest of the partial clone: it never returns to the pool.
+// A fault on the checkpoint itself fails before any spare is taken.
+TEST_F(RecycleTest, FailedCloneNeverReturnsSpareToPool) {
+  make_golden("warehouse/a", 1);
+  ASSERT_TRUE(clone("warehouse/a", "clones/vm1").ok());
+  ASSERT_TRUE(destroy_clone(store_.get(), "clones/vm1").ok());
+  ASSERT_EQ(store_->spare_count(), 1u);
+  {
+    fault::ScopedFaultPlan faults(
+        fault::FaultPlan::parse("store.write:target=vm2/memory.vmss,times=1")
+            .value());
+    EXPECT_FALSE(clone("warehouse/a", "clones/vm2").ok());
+  }
+  EXPECT_FALSE(store_->exists("clones/vm2"));
+  EXPECT_EQ(store_->spare_count(), 1u);
+  {
+    fault::ScopedFaultPlan faults(
+        fault::FaultPlan::parse("store.write:target=vm3/disk0.redo,times=1")
+            .value());
+    EXPECT_FALSE(clone("warehouse/a", "clones/vm3").ok());
+  }
+  EXPECT_FALSE(store_->exists("clones/vm3"));
+  EXPECT_EQ(store_->spare_count(), 0u);
+  EXPECT_EQ(spare_files(), 0u);
+}
+
+// Only a regular, fully allocated, unshared file of at least 1 MiB is
+// retired; everything else is removed as before, with the same accounting.
+TEST_F(RecycleTest, OnlyPlainLargeAllocatedCheckpointsRetire) {
+  make_golden("warehouse/a", 1);
+  const std::string small(512u << 10, 's');
+  ASSERT_TRUE(store_->write_file("kinds/small/memory.vmss", small).ok());
+  ASSERT_TRUE(
+      store_->create_sparse_file("kinds/sparse/memory.vmss", kCheckpoint).ok());
+  ASSERT_TRUE(
+      store_->link_file("warehouse/a/memory.vmss", "kinds/link/memory.vmss")
+          .ok());
+  ASSERT_TRUE(store_->copy_file("warehouse/a/memory.vmss",
+                                "kinds/hard/memory.vmss")
+                  .ok());
+  ASSERT_EQ(::link((root_ / "kinds/hard/memory.vmss").c_str(),
+                   (root_ / "kinds/hard-alias").c_str()),
+            0);
+  ASSERT_TRUE(store_->make_dir("kinds/dir/memory.vmss").ok());
+  for (const char* kind : {"small", "sparse", "link", "hard", "dir"}) {
+    SCOPED_TRACE(kind);
+    const std::string dir = std::string("kinds/") + kind;
+    const TreeFootprint footprint = store_->tree_footprint(dir).value();
+    auto destroyed = destroy_clone(store_.get(), dir);
+    ASSERT_TRUE(destroyed.ok()) << destroyed.error().to_string();
+    EXPECT_EQ(destroyed.value().bytes_freed, footprint.physical_bytes);
+    EXPECT_EQ(destroyed.value().files_touched,
+              footprint.files + footprint.links);
+    EXPECT_FALSE(store_->exists(dir));
+    EXPECT_EQ(store_->spare_count(), 0u);
+  }
+  EXPECT_EQ(store_->file_size("kinds/hard-alias").value(), kCheckpoint);
+  EXPECT_EQ(store_->file_size("warehouse/a/memory.vmss").value(), kCheckpoint);
+  EXPECT_EQ(spare_files(), 0u);
+
+  // A plain remove_tree (a warehouse eviction, say) retires nothing.
+  ASSERT_TRUE(clone("warehouse/a", "clones/vm1").ok());
+  ASSERT_TRUE(store_->remove_tree("clones/vm1").ok());
+  EXPECT_EQ(store_->spare_count(), 0u);
+}
+
+// The pool holds at most kSpareMaxBytes; retirements past it are unlinked.
+TEST_F(RecycleTest, PoolBoundHolds) {
+  make_golden("warehouse/a", 1);
+  constexpr std::size_t kHeld = ArtifactStore::kSpareMaxBytes / kCheckpoint;
+  static_assert(kHeld >= 1);
+  for (std::size_t i = 0; i < kHeld + 2; ++i) {
+    ASSERT_TRUE(clone("warehouse/a", "clones/vm" + std::to_string(i)).ok());
+  }
+  for (std::size_t i = 0; i < kHeld + 2; ++i) {
+    auto destroyed =
+        destroy_clone(store_.get(), "clones/vm" + std::to_string(i));
+    ASSERT_TRUE(destroyed.ok());
+    EXPECT_GE(destroyed.value().bytes_freed, kCheckpoint);
+  }
+  EXPECT_EQ(store_->spare_count(), kHeld);
+  EXPECT_EQ(spare_files(), kHeld);
+}
+
+// A recycled target takes the source's permission bits, exactly as a
+// fresh O_CREAT target (which the process umask filters) would.
+TEST_F(RecycleTest, RecycledTargetTakesSourcePermissions) {
+  make_golden("warehouse/a", 1);
+  make_golden("warehouse/b", 2);
+  for (const mode_t mode : {0600, 0640, 0666, 0604}) {
+    SCOPED_TRACE(mode);
+    ASSERT_EQ(::chmod((root_ / "warehouse/a/memory.vmss").c_str(), mode), 0);
+    ASSERT_EQ(::chmod((root_ / "warehouse/b/memory.vmss").c_str(), mode), 0);
+    ASSERT_TRUE(store_->copy_file("warehouse/a/memory.vmss", "fresh").ok());
+    const mode_t fresh = stat_of("fresh").st_mode & 07777;
+    ASSERT_TRUE(store_->remove("fresh").ok());
+    ASSERT_TRUE(clone("warehouse/b", "clones/old").ok());
+    ASSERT_EQ(::chmod((root_ / "clones/old/memory.vmss").c_str(), 0400), 0);
+    ASSERT_TRUE(destroy_clone(store_.get(), "clones/old").ok());
+    ASSERT_EQ(store_->spare_count(), 1u);
+    ASSERT_TRUE(clone("warehouse/a", "clones/new").ok());
+    EXPECT_EQ(store_->spare_count(), 0u);
+    EXPECT_EQ(stat_of("clones/new/memory.vmss").st_mode & 07777, fresh);
+    ASSERT_TRUE(store_->remove_tree("clones/new").ok());
+  }
+}
+
+// Spares left by an earlier store over the same root are swept when the
+// next one opens it; a store removes its own spares when it goes.
+TEST_F(RecycleTest, SparesSweptAtOpenAndRemovedAtClose) {
+  make_golden("warehouse/a", 1);
+  ASSERT_TRUE(clone("warehouse/a", "clones/vm1").ok());
+  ASSERT_TRUE(destroy_clone(store_.get(), "clones/vm1").ok());
+  ASSERT_EQ(spare_files(), 1u);
+  store_.reset();
+  EXPECT_FALSE(std::filesystem::exists(root_ / ArtifactStore::kSpareDir));
+
+  // A crashed store leaves its spares behind.
+  std::filesystem::create_directories(root_ / ArtifactStore::kSpareDir);
+  std::ofstream(root_ / ArtifactStore::kSpareDir / "stale") << "stale";
+  store_ = std::make_unique<ArtifactStore>(root_);
+  EXPECT_FALSE(std::filesystem::exists(root_ / ArtifactStore::kSpareDir));
+  EXPECT_EQ(store_->spare_count(), 0u);
+  ASSERT_TRUE(clone("warehouse/a", "clones/vm2").ok());
+}
+
+// Clones and destroys from several threads over one store: every clone
+// holds exactly its golden's bytes, the pool stays within its bound, and
+// nothing is left behind.
+TEST_F(RecycleTest, ConcurrentCloneDestroyStorm) {
+  constexpr std::uint64_t kSize = ArtifactStore::kSpareMinBytes;
+  const std::string goldens[] = {make_golden("warehouse/a", 1, kSize),
+                                 make_golden("warehouse/b", 2, kSize)};
+  spec_.memory_bytes = kSize;
+  constexpr int kThreads = 4;
+  constexpr int kCycles = 25;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCycles; ++i) {
+        const int g = (t + i) % 2;
+        const std::string dir =
+            "clones/t" + std::to_string(t) + "-" + std::to_string(i);
+        if (!clone(g == 0 ? "warehouse/a" : "warehouse/b", dir).ok()) {
+          ++failures;
+          continue;
+        }
+        if (store_->read_file(dir + "/memory.vmss").value() != goldens[g]) {
+          ++mismatches;
+        }
+        if (!destroy_clone(store_.get(), dir).ok()) ++failures;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(store_->spare_count(), ArtifactStore::kSpareMaxBytes / kSize);
+  EXPECT_EQ(spare_files(), store_->spare_count());
+  EXPECT_TRUE(store_->list_dir("clones").value().empty());
 }
 
 }  // namespace
