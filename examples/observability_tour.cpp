@@ -5,7 +5,7 @@
 //   * the metrics registry dump (counters / gauges / timers),
 //   * the obs:// classads a monitor sweep publishes into the VM
 //     Information System,
-//   * a JSONL trace file for tools/trace_summarize.py.
+//   * a JSONL trace file for `vmp_inspect trace`.
 //
 // Build & run:  ./build/examples/observability_tour
 #include <cstdio>
@@ -116,7 +116,7 @@ int main() {
   }
 
   // 5. Drain the trace to JSONL for offline analysis:
-  //    python3 tools/trace_summarize.py /tmp/vmplants-obs-tour-trace.jsonl
+  //    build/tools/vmp_inspect trace /tmp/vmplants-obs-tour-trace.jsonl
   const auto jsonl = std::filesystem::temp_directory_path() /
                      "vmplants-obs-tour-trace.jsonl";
   std::filesystem::remove(jsonl);

@@ -5,11 +5,13 @@
 #include <fstream>
 
 #include "obs/export.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
 namespace vmp::core {
 
+using obs::json_escape;
 using util::Error;
 using util::ErrorCode;
 using util::Result;
@@ -31,29 +33,6 @@ struct FleetMetrics {
     return m;
   }
 };
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 2);
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// {"id": "...", "attrs": {...}} on one line (the fleet_report.py format).
 std::string ad_to_json_line(const std::string& id, const classad::ClassAd& ad) {

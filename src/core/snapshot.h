@@ -44,7 +44,7 @@ namespace vmp::core {
 /// subsystem.  encode_snapshot/decode_snapshot convert between this and the
 /// framed bytes; capture_snapshot/restore_snapshot bridge to live objects.
 /// Keeping the pure form public is what makes deterministic golden fixtures
-/// (tests/fixtures/wire/) and the Python inspector possible.
+/// (tests/fixtures/wire/) and `vmp_inspect snapshot` possible.
 struct SnapshotData {
   /// Store-relative warehouse root the images were indexed under.
   std::string warehouse_base_dir;

@@ -8,8 +8,7 @@ namespace vmp::obs {
 
 namespace {
 
-/// Longest span in a non-empty list; the FIRST longest wins a tie, exactly
-/// like Python's max() in trace_summarize.py.
+/// Longest span in a non-empty list; the FIRST longest wins a tie.
 const Span* longest(const std::vector<const Span*>& list) {
   return *std::max_element(
       list.begin(), list.end(), [](const Span* a, const Span* b) {

@@ -1,19 +1,19 @@
-// In-engine critical-path attribution for retained span trees.
+// Critical-path attribution for span trees.
 //
-// tools/trace_summarize.py --critical-path walks a trace from its root down
-// the longest child at every level and prints per-span SELF time — the time
-// a span spent in its own code rather than anything it delegated to.  That
-// is exactly the attribution the tail sampler (obs/tail.h, DESIGN.md §14)
-// needs at retention time: WHICH stage (queue wait, admission, bid, clone,
-// configure, publish-stall) made this create land in the tail.  This header
-// promotes the tool's algorithm into the engine so retained exemplars carry
-// their critical path and per-stage self times feed the MetricsRegistry
-// (tail.self.<stage>.seconds) and, via the fleet aggregator, the
-// obs://fleet/metrics rollup.
+// The critical path walks a trace from its root down the longest child at
+// every level and gives each hop its SELF time — the time a span spent in
+// its own code rather than anything it delegated to.  That is exactly the
+// attribution the tail sampler (obs/tail.h, DESIGN.md §14) needs at
+// retention time: WHICH stage (queue wait, admission, bid, clone,
+// configure, publish-stall) made this create land in the tail.  Retained
+// exemplars carry their critical path, per-stage self times feed the
+// MetricsRegistry (tail.self.<stage>.seconds) and, via the fleet
+// aggregator, the obs://fleet/metrics rollup, and `vmp_inspect trace
+// --critical-path` prints the same walk for a JSONL dump offline (the
+// golden fixture tests/traces/tail_golden.jsonl is pinned both ways in
+// tests/tail_test.cpp).
 //
-// Semantics match the Python tool line for line (a golden fixture is
-// asserted equal from both sides in tests/tail_test.cpp and
-// tools/test_trace_summarize.py):
+// Semantics:
 //
 //   * children are indexed by parent span id, in completion order;
 //   * a span whose parent never finished (open or crashed trace) is

@@ -119,28 +119,6 @@ std::vector<std::filesystem::path> list_segments(
   return out;
 }
 
-std::string json_escape(std::string_view in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* journal_event_name(JournalEvent kind) noexcept {
@@ -513,6 +491,7 @@ Result<JournalReplay> Journal::replay(const std::filesystem::path& dir) {
     std::fclose(f);
 
     std::size_t offset = 0;
+    const std::size_t first = out.records.size();
     while (offset < bytes.size()) {
       JournalRecord record;
       const std::size_t consumed =
@@ -523,7 +502,9 @@ Result<JournalReplay> Journal::replay(const std::filesystem::path& dir) {
         // are clean resync points — and open_durable() leaves a torn
         // segment in place and writes post-crash history into FRESH
         // segments, so later segments must still be read.
-        out.torn_tail = true;
+        out.tears.push_back({path.filename().string(), offset,
+                             bytes.size() - offset,
+                             out.records.size() - first});
         break;
       }
       offset += consumed;

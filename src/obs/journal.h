@@ -114,15 +114,24 @@ struct JournalDurableConfig {
   bool flush_each_append = false;
 };
 
+/// One segment whose replay stopped at a torn or corrupt record (a crash
+/// tail).  The bad tail is dropped; everything before it and every later
+/// segment is replayed.
+struct JournalTear {
+  std::string segment;              // file name, e.g. "seg-000002.vmj"
+  std::uint64_t offset = 0;         // where the bad record starts
+  std::uint64_t bytes_dropped = 0;  // segment bytes from `offset` to its end
+  std::size_t records_kept = 0;     // records replayed from that segment
+};
+
 /// What replay() recovered from a journal directory.
 struct JournalReplay {
   std::vector<JournalRecord> records;  // valid records, write order
   std::size_t segments = 0;            // segment files visited
   std::uint64_t last_seq = 0;          // highest sequence recovered
-  /// True when at least one segment ended in a torn or corrupt record (a
-  /// crash tail).  The bad tail is dropped; everything before it and every
-  /// later segment is in `records`.
-  bool torn_tail = false;
+  std::vector<JournalTear> tears;      // segment order
+  /// True when at least one segment ended in a torn or corrupt record.
+  bool torn_tail() const { return !tears.empty(); }
 };
 
 class Journal {
@@ -192,13 +201,13 @@ class Journal {
   // -- Replay (static: no Journal instance required) --------------------------
   /// Read every segment under `dir` in name order.  Torn-tail tolerant:
   /// a short, oversized or checksum-failing record ends THAT SEGMENT's
-  /// replay cleanly (torn_tail = true) and resumes at the next segment
+  /// replay cleanly (recorded in `tears`) and resumes at the next segment
   /// boundary instead of erroring — a crash tears at most one segment's
   /// tail, and post-crash reopens write into fresh segments that must
   /// still be read.  A missing or empty directory replays to zero records.
   static util::Result<JournalReplay> replay(const std::filesystem::path& dir);
 
-  // -- Codec (exposed for tests and the Python report tool's fixtures) --------
+  // -- Codec (exposed for tests) ----------------------------------------------
   static void encode(const JournalRecord& record, std::string* out);
   /// Decode one record at `data`; returns bytes consumed, 0 on a torn or
   /// corrupt record.

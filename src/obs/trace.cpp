@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -7,6 +9,9 @@
 #include "util/logging.h"
 
 namespace vmp::obs {
+
+using util::ErrorCode;
+using util::Result;
 
 namespace detail {
 std::atomic<bool> g_armed{false};
@@ -28,7 +33,83 @@ double wall_seconds() {
 thread_local std::vector<TraceContext> tl_context_stack;
 thread_local std::vector<Span> tl_open_spans;
 
-std::string json_escape(const std::string& s) {
+void skip_ws(std::string_view& in) {
+  const std::size_t n = in.find_first_not_of(" \t\r\n");
+  in.remove_prefix(n == std::string_view::npos ? in.size() : n);
+}
+
+bool eat(std::string_view& in, char c) {
+  skip_ws(in);
+  if (in.empty() || in[0] != c) return false;
+  in.remove_prefix(1);
+  return true;
+}
+
+/// One JSON string literal.  False on a missing quote, a raw control
+/// character, or an escape JSON does not define (surrogates included).
+bool read_string(std::string_view& in, std::string* out) {
+  if (!eat(in, '"')) return false;
+  out->clear();
+  while (!in.empty()) {
+    char c = in[0];
+    in.remove_prefix(1);
+    if (c == '"') return true;
+    if (static_cast<unsigned char>(c) < 0x20) return false;
+    if (c != '\\') {
+      *out += c;
+      continue;
+    }
+    if (in.empty()) return false;
+    c = in[0];
+    in.remove_prefix(1);
+    static constexpr std::string_view kEscaped = "\"\\/bfnrt";
+    static constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
+    if (const std::size_t at = kEscaped.find(c); at != kEscaped.npos) {
+      *out += kDecoded[at];
+      continue;
+    }
+    unsigned code = 0;
+    if (c != 'u' || in.size() < 4 ||
+        std::from_chars(in.data(), in.data() + 4, code, 16).ptr !=
+            in.data() + 4 ||
+        (code >= 0xD800 && code < 0xE000)) {
+      return false;
+    }
+    in.remove_prefix(4);
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xC0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      *out += static_cast<char>(0xE0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+  return false;
+}
+
+/// One JSON number into `out` (an unsigned integer or a double); the whole
+/// token must parse.
+template <typename T>
+bool read_number(std::string_view& in, T* out) {
+  skip_ws(in);
+  const std::size_t len = in.find_first_not_of("0123456789+-.eE");
+  const std::string_view token = in.substr(0, len);
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), *out);
+  if (token.empty() || ec != std::errc() ||
+      ptr != token.data() + token.size()) {
+    return false;
+  }
+  in.remove_prefix(token.size());
+  return true;
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
@@ -51,8 +132,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
 std::string Span::to_json() const {
   std::ostringstream out;
   out << "{\"trace\":\"" << json_escape(trace_id) << "\""
@@ -64,6 +143,49 @@ std::string Span::to_json() const {
   out << ",\"start\":" << start_s << ",\"end\":" << end_s
       << ",\"status\":\"" << json_escape(status) << "\"}";
   return out.str();
+}
+
+Result<Span> Span::from_json(std::string_view line) {
+  const auto bad = [](const std::string& what) {
+    return Result<Span>(ErrorCode::kParseError, "span json: " + what);
+  };
+  Span s;
+  std::vector<std::string> seen;
+  std::string key;
+  if (!eat(line, '{')) return bad("not an object");
+  do {
+    if (!read_string(line, &key) || !eat(line, ':')) return bad("bad key");
+    std::string* const text =
+        key == "trace" ? &s.trace_id : key == "name" ? &s.name
+        : key == "component" ? &s.component : key == "detail" ? &s.detail
+        : key == "vm" ? &s.vm_id : key == "status" ? &s.status : nullptr;
+    bool ok;
+    if (text != nullptr) {
+      ok = read_string(line, text);
+    } else if (key == "span" || key == "parent") {
+      ok = read_number(line, key == "span" ? &s.span_id : &s.parent_id);
+    } else if (key == "start" || key == "end") {
+      ok = read_number(line, key == "start" ? &s.start_s : &s.end_s);
+    } else {
+      return bad("unknown key \"" + json_escape(key) + "\"");
+    }
+    if (!ok) return bad("bad value for \"" + key + "\"");
+    seen.push_back(key);
+  } while (eat(line, ','));
+  if (!eat(line, '}')) return bad("unterminated object");
+  skip_ws(line);
+  if (!line.empty()) return bad("trailing bytes after the object");
+  const auto has = [&seen](std::string_view k) {
+    return std::find(seen.begin(), seen.end(), k) != seen.end();
+  };
+  for (std::string_view required :
+       {"trace", "span", "parent", "name", "component", "start", "status"}) {
+    if (!has(required)) {
+      return bad("missing key \"" + std::string(required) + "\"");
+    }
+  }
+  if (!has("end")) s.end_s = s.start_s;
+  return s;
 }
 
 Tracer& Tracer::instance() {

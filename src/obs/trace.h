@@ -12,9 +12,9 @@
 //     deep in the production line opens child spans without every caller
 //     threading a context through.  Cross-"process" hops restore the
 //     context from the message header instead (ContextGuard).
-//   * offline analysis: finished spans drain to a JSONL sink
-//     (tools/trace_summarize.py turns it into a per-phase latency table in
-//     the spirit of the paper's Figure 6).
+//   * offline analysis: finished spans drain to a JSONL sink, and
+//     Span::from_json reads them back (`vmp_inspect trace` turns a dump into
+//     a per-phase latency table in the spirit of the paper's Figure 6).
 //
 // Time is virtual-friendly: the tracer reads a pluggable clock (install the
 // DES clock via set_clock for sim-time spans); the default is wall seconds
@@ -27,9 +27,16 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/error.h"
+
 namespace vmp::obs {
+
+/// `s` escaped for the inside of a JSON string literal (quotes, backslashes
+/// and control characters); bytes >= 0x80 pass through unchanged.
+std::string json_escape(std::string_view s);
 
 namespace detail {
 /// The tracer's armed flag lives at namespace scope so the disarmed fast
@@ -69,6 +76,13 @@ struct Span {
 
   /// One-line JSON object (the JSONL sink format).
   std::string to_json() const;
+  /// The inverse of to_json, for one line of bytes from outside the
+  /// program.  "detail", "vm" and "end" may be absent; an absent "end" (a
+  /// span open when the dump was cut) reads as end_s == start_s, i.e. zero
+  /// duration.  Any other missing key, unknown key, wrongly typed value,
+  /// bad escape or trailing byte fails the whole line (kParseError): a span
+  /// is never half-read.
+  static util::Result<Span> from_json(std::string_view line);
 };
 
 class Tracer {

@@ -2,10 +2,14 @@
 // bus-level wire-format negotiation, committed-fixture compatibility
 // (the wire-compat CI job), and adversarial robustness sweeps — every
 // truncation offset, every single-bit flip, and oversized length prefixes
-// must fail CLEANLY (error Status, no crash, no giant allocation).
+// must fail CLEANLY (error Status, no crash, no giant allocation) — and
+// `vmp_inspect snapshot` over the same fixtures.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +19,7 @@
 #include "net/bus.h"
 #include "net/codec.h"
 #include "net/message.h"
+#include "inspect_cli.h"
 #include "util/bytebuffer.h"
 #include "wire_fixtures.h"
 #include "workload/request_gen.h"
@@ -648,6 +653,58 @@ TEST(RobustnessTest, HugeElementCountsFailCleanly) {
   const std::string frame =
       codec::seal_frame(codec::FrameTag::kClassAd, payload.take());
   EXPECT_FALSE(codec::decode_classad(frame).ok());
+}
+
+// ---- vmp_inspect snapshot: the CLI over the same decoders ------------------
+
+/// `vmp_inspect snapshot` over `frame` written to a scratch file.
+testing::InspectRun inspect_frame(const std::string& frame) {
+  const std::string path = ::testing::TempDir() + "vmp-inspect-" +
+                           std::to_string(::getpid()) + ".bin";
+  std::ofstream(path, std::ios::binary) << frame;
+  testing::InspectRun run = testing::run_inspect("snapshot " + path);
+  std::filesystem::remove(path);
+  return run;
+}
+
+TEST(InspectSnapshotCliTest, EveryCommittedFrameDecodes) {
+  std::size_t frames = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VMP_WIRE_FIXTURE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("v1-", 0) != 0 || entry.path().extension() != ".bin") {
+      continue;
+    }
+    ++frames;
+    for (const char* flags : {"", " --raw"}) {
+      const auto run =
+          testing::run_inspect("snapshot " + entry.path().string() + flags);
+      EXPECT_EQ(run.exit_code, 0) << name << flags << "\n" << run.output;
+      EXPECT_NE(run.output.find("checksum OK"), std::string::npos) << name;
+    }
+  }
+  EXPECT_EQ(frames, 4u);
+}
+
+TEST(InspectSnapshotCliTest, FlippedByteFailsTheChecksum) {
+  std::string frame = read_fixture("v1-descriptor.bin");
+  ASSERT_GT(frame.size(), 12u);
+  frame[frame.size() / 2] ^= 0x01;  // a payload byte
+  const auto run = inspect_frame(frame);
+  EXPECT_NE(run.exit_code, 0);
+  EXPECT_NE(run.output.find("checksum mismatch"), std::string::npos)
+      << run.output;
+}
+
+TEST(InspectSnapshotCliTest, FaultFrameIsLabelledFault) {
+  // Kind byte 2 is net::MessageKind::kFault; the decoder refuses byte 3.
+  const net::Message fault = net::Message::fault_to(
+      testing::wire_fixture_message(),
+      util::Error(util::ErrorCode::kResourceExhausted, "budget exhausted"));
+  const auto run = inspect_frame(codec::encode_message(fault));
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("kind=\"fault\""), std::string::npos)
+      << run.output;
 }
 
 }  // namespace

@@ -551,32 +551,36 @@ TEST_F(FleetAggregatorTest, ExportJsonlWritesHealthAndRollupLines) {
 // -- Monitor lifecycle: obs:// ads leave no residue --------------------------
 
 TEST(VmMonitorLifecycleTest, StopPeriodicRemovesHealthAndFleetAds) {
-  storage::ArtifactStore store(std::filesystem::temp_directory_path() /
-                               ("vmp-monitor-test-" +
-                                std::to_string(::getpid())));
-  hv::GsxHypervisor hypervisor(&store);
-  core::VmInformationSystem info;
-  core::VmMonitor monitor(&hypervisor, &info);
-  monitor.enable_obs_export();
-  monitor.start_periodic(std::chrono::milliseconds(5));
-  while (monitor.sweeps() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("vmp-monitor-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  {
+    storage::ArtifactStore store(root);
+    hv::GsxHypervisor hypervisor(&store);
+    core::VmInformationSystem info;
+    core::VmMonitor monitor(&hypervisor, &info);
+    monitor.enable_obs_export();
+    monitor.start_periodic(std::chrono::milliseconds(5));
+    while (monitor.sweeps() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(info.contains(core::kObsMetricsId));
+
+    // Health and fleet ads published into the same store (an aggregator
+    // co-located with the monitor) are cleaned up too: the whole obs://
+    // namespace leaves with the monitor.
+    classad::ClassAd health;
+    health.set_real(core::fleet_attrs::kHealth, 0.5);
+    info.store(std::string(core::kObsHealthPrefix) + "plant0", health);
+    info.store(core::kObsFleetMetricsId, classad::ClassAd{});
+
+    monitor.stop_periodic();
+    EXPECT_FALSE(info.contains(core::kObsMetricsId));
+    EXPECT_FALSE(
+        info.contains(std::string(core::kObsHealthPrefix) + "plant0"));
+    EXPECT_FALSE(info.contains(core::kObsFleetMetricsId));
   }
-  EXPECT_TRUE(info.contains(core::kObsMetricsId));
-
-  // Health and fleet ads published into the same store (an aggregator
-  // co-located with the monitor) are cleaned up too: the whole obs://
-  // namespace leaves with the monitor.
-  classad::ClassAd health;
-  health.set_real(core::fleet_attrs::kHealth, 0.5);
-  info.store(std::string(core::kObsHealthPrefix) + "plant0", health);
-  info.store(core::kObsFleetMetricsId, classad::ClassAd{});
-
-  monitor.stop_periodic();
-  EXPECT_FALSE(info.contains(core::kObsMetricsId));
-  EXPECT_FALSE(
-      info.contains(std::string(core::kObsHealthPrefix) + "plant0"));
-  EXPECT_FALSE(info.contains(core::kObsFleetMetricsId));
+  std::filesystem::remove_all(root);
 }
 
 // -- Health-aware bid selection ----------------------------------------------

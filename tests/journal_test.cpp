@@ -1,7 +1,8 @@
 // Event-journal tests: flight-recorder ring semantics, the durable segment
-// codec, torn-tail / mid-rotation crash tolerance on replay, and the
-// lifecycle warm-start fold that brings hit/usage/clock history back after
-// a crash (including the crash-at-every-prefix GDSF property).
+// codec, torn-tail / mid-rotation crash tolerance on replay (also through
+// `vmp_inspect journal`), and the lifecycle warm-start fold that brings
+// hit/usage/clock history back after a crash (including the
+// crash-at-every-prefix GDSF property).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,9 +12,11 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fault/fault.h"
+#include "inspect_cli.h"
 #include "lifecycle/lifecycle.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -199,7 +202,7 @@ TEST_F(JournalTest, DurableRoundTripAndReopenContinuesSeq) {
   }
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok());
-  EXPECT_FALSE(replay.value().torn_tail);
+  EXPECT_FALSE(replay.value().torn_tail());
   ASSERT_EQ(replay.value().records.size(), 2u);
   EXPECT_EQ(replay.value().records[0].kind, JournalEvent::kPublishCommit);
   EXPECT_EQ(replay.value().records[0].bytes_delta, 1000);
@@ -233,7 +236,7 @@ TEST_F(JournalTest, RotationSpreadsRecordsAcrossSegments) {
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok());
   EXPECT_GT(replay.value().segments, 1u);
-  EXPECT_FALSE(replay.value().torn_tail);
+  EXPECT_FALSE(replay.value().torn_tail());
   ASSERT_EQ(replay.value().records.size(), 32u);
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(replay.value().records[i].image_id,
@@ -256,16 +259,24 @@ TEST_F(JournalTest, TornTailIsDroppedOnReplay) {
 
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok()) << replay.error().to_string();
-  EXPECT_TRUE(replay.value().torn_tail);
+  EXPECT_TRUE(replay.value().torn_tail());
   ASSERT_EQ(replay.value().records.size(), 1u);
   EXPECT_EQ(replay.value().records[0].image_id, "g1");
+  // The tear names where replay stopped: the two records are the same
+  // size, so the second starts half way and lost all but 5 of its bytes.
+  ASSERT_EQ(replay.value().tears.size(), 1u);
+  const JournalTear& tear = replay.value().tears[0];
+  EXPECT_EQ(tear.segment, "seg-000001.vmj");
+  EXPECT_EQ(tear.offset, full / 2);
+  EXPECT_EQ(tear.bytes_dropped, full / 2 - 5);
+  EXPECT_EQ(tear.records_kept, 1u);
 
   // A re-opened sink starts a FRESH segment (never appends to the torn
   // tail) and recovers the surviving prefix.
   Journal reopened;
   ASSERT_TRUE(reopened.open_durable(dir_).ok());
   ASSERT_TRUE(reopened.recovered().has_value());
-  EXPECT_TRUE(reopened.recovered()->torn_tail);
+  EXPECT_TRUE(reopened.recovered()->torn_tail());
   EXPECT_EQ(reopened.recovered()->records.size(), 1u);
   reopened.append(JournalEvent::kLeaseAcquire, "g1");
   reopened.close_durable();
@@ -275,7 +286,7 @@ TEST_F(JournalTest, TornTailIsDroppedOnReplay) {
   // post-crash history and segment starts are clean resync points.
   auto after = Journal::replay(dir_);
   ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(after.value().torn_tail);
+  EXPECT_TRUE(after.value().torn_tail());
   ASSERT_EQ(after.value().records.size(), 2u);
   EXPECT_EQ(after.value().records[0].image_id, "g1");
   EXPECT_EQ(after.value().records[1].kind, JournalEvent::kLeaseAcquire);
@@ -368,7 +379,7 @@ TEST_F(JournalTest, ConcurrentAppendWhileSnapshotting) {
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay.value().records.size(),
             static_cast<std::size_t>(kWriters * kAppendsPerWriter));
-  EXPECT_FALSE(replay.value().torn_tail);
+  EXPECT_FALSE(replay.value().torn_tail());
 }
 
 TEST_F(JournalTest, MidRotationCrashLeavesEmptySegment) {
@@ -383,7 +394,7 @@ TEST_F(JournalTest, MidRotationCrashLeavesEmptySegment) {
 
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok());
-  EXPECT_FALSE(replay.value().torn_tail);
+  EXPECT_FALSE(replay.value().torn_tail());
   EXPECT_EQ(replay.value().segments, 2u);
   ASSERT_EQ(replay.value().records.size(), 1u);
 
@@ -419,9 +430,62 @@ TEST_F(JournalTest, CorruptChecksumEndsReplayCleanly) {
   }
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok());
-  EXPECT_TRUE(replay.value().torn_tail);
+  EXPECT_TRUE(replay.value().torn_tail());
   ASSERT_EQ(replay.value().records.size(), 1u);
   EXPECT_EQ(replay.value().records[0].image_id, "g1");
+}
+
+// -- vmp_inspect journal: the CLI over the same replay ----------------------
+
+TEST_F(JournalTest, InspectCliFoldsImagesAndReportsTheTear) {
+  double now = 0.0;
+  {
+    Journal journal;
+    journal.set_clock([&now] { return now; });
+    ASSERT_TRUE(journal.open_durable(dir_).ok());
+    for (const auto& [t, kind, id, bytes] :
+         std::vector<std::tuple<double, JournalEvent, const char*, int>>{
+             {1.0, JournalEvent::kPublishCommit, "g1", 3 << 20},
+             {2.0, JournalEvent::kLeaseAcquire, "g1", 0},
+             {3.0, JournalEvent::kPublishCommit, "g2", 2 << 20},
+             {5.5, JournalEvent::kEvictCommit, "g2", -(2 << 20)},
+             {6.0, JournalEvent::kPublishCommit, "g3", 1 << 20}}) {
+      now = t;
+      journal.append(kind, id, bytes);
+    }
+    journal.close_durable();
+  }
+  // Crash mid-append: g3's record (the fifth of five equal-sized ones)
+  // loses its last 5 bytes.
+  const std::filesystem::path segment = dir_ / "seg-000001.vmj";
+  const auto full = std::filesystem::file_size(segment);
+  std::filesystem::resize_file(segment, full - 5);
+
+  const auto run = testing::run_inspect("journal " + dir_.string());
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  for (const std::string& expected : {
+           std::string("journal: 4 records in 1 segment(s)  [torn tail "
+                       "dropped]\n"),
+           std::string("g1                       resident           1         "
+                       "1        0      3.0           0.0           -\n"
+                       "g2                       evicted            1         "
+                       "0        0      2.0           2.0       2.500\n\n"
+                       "total reclaimed: 2.0 MB  warm starts: 0  fault "
+                       "firings: 0\n"),
+           "warning: seg-000001.vmj: torn record at offset " +
+               std::to_string(full / 5 * 4) + ", dropped " +
+               std::to_string(full / 5 - 5) +
+               " trailing byte(s) after 4 record(s)"}) {
+    EXPECT_NE(run.output.find(expected), std::string::npos)
+        << expected << "\n" << run.output;
+  }
+  EXPECT_EQ(run.output.find("g3"), std::string::npos) << run.output;
+
+  const auto json =
+      testing::run_inspect("journal " + dir_.string() + " --json");
+  EXPECT_EQ(json.exit_code, 0) << json.output;
+  EXPECT_NE(json.output.find("\"torn_tail\": true"), std::string::npos)
+      << json.output;
 }
 
 TEST_F(JournalTest, SecondOpenDurableFails) {
@@ -668,7 +732,7 @@ TEST_F(JournalLifecycleTest, ReplayToleratesTornTailFromLifecycleRun) {
   open_store();
   make_manager(0);
   ASSERT_TRUE(journal_->recovered().has_value());
-  EXPECT_TRUE(journal_->recovered()->torn_tail);
+  EXPECT_TRUE(journal_->recovered()->torn_tail());
   ASSERT_TRUE(lifecycle_->warm_start().ok());
   const std::vector<ImageStats> stats = lifecycle_->stats();
   ASSERT_EQ(stats.size(), 1u);

@@ -251,9 +251,10 @@ std::vector<std::string> add_stubs(MessageBus* bus, std::size_t count,
                                    bool drops = true) {
   std::vector<std::string> names;
   for (std::size_t i = 0; i < count; ++i) {
-    char name[16];
-    std::snprintf(name, sizeof name, "ep-%03zu", i);
-    names.emplace_back(name);
+    std::string name = std::to_string(i);
+    while (name.size() < 3) name.insert(0, 1, '0');
+    name.insert(0, "ep-");
+    names.push_back(name);
     EXPECT_TRUE(bus->register_endpoint(
                        name,
                        [i](const Message& m) {

@@ -536,8 +536,9 @@ TEST_F(ShopTest, CyclicDagGetsABidButNoCreate) {
 void add_stub_plants(net::MessageBus* bus, net::ServiceRegistry* registry,
                      std::size_t count, double drop_rate) {
   for (std::size_t i = 0; i < count; ++i) {
-    char name[16];
-    std::snprintf(name, sizeof name, "sp-%03zu", i);
+    std::string name = std::to_string(i);
+    while (name.size() < 3) name.insert(0, 1, '0');
+    name.insert(0, "sp-");
     const double cost = 10.0 + static_cast<double>((i * 7) % 5) * 0.5;
     ASSERT_TRUE(bus->register_endpoint(
                        name,

@@ -1,19 +1,23 @@
-// Tail-latency forensics tests (DESIGN.md §14): the critical-path analyzer
-// against the golden fixture shared with tools/trace_summarize.py, the
-// tail sampler's quantile/warmup/budget semantics, and the end-to-end
-// acceptance scenario — a create slowed by an injected evict-to-fit stall
-// whose retained exemplar correlates spans, journal records, and the
-// fault firing in causal order.
+// Tail-latency forensics tests (DESIGN.md §14): the span JSON reader, the
+// critical-path analyzer against the golden fixture (read directly and
+// through `vmp_inspect trace`), the tail sampler's quantile/warmup/budget
+// semantics, and the end-to-end acceptance scenario — a create slowed by an
+// injected evict-to-fit stall whose retained exemplar correlates spans,
+// journal records, and the fault firing in causal order.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fault/fault.h"
+#include "inspect_cli.h"
 #include "lifecycle/lifecycle.h"
 #include "obs/critical_path.h"
 #include "obs/journal.h"
@@ -26,23 +30,7 @@
 namespace vmp::obs {
 namespace {
 
-// -- Golden fixture loading (ad-hoc parse of Span::to_json lines) -----------
-
-std::string str_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t start = at + needle.size();
-  return line.substr(start, line.find('"', start) - start);
-}
-
-double num_field(const std::string& line, const std::string& key,
-                 double fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return fallback;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
+// -- Golden fixture loading ---------------------------------------------------
 
 std::vector<Span> load_golden_fixture() {
   const std::filesystem::path path =
@@ -52,17 +40,9 @@ std::vector<Span> load_golden_fixture() {
   std::vector<Span> spans;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    Span s;
-    s.trace_id = str_field(line, "trace");
-    s.span_id = static_cast<std::uint64_t>(num_field(line, "span", 0));
-    s.parent_id = static_cast<std::uint64_t>(num_field(line, "parent", 0));
-    s.name = str_field(line, "name");
-    s.component = str_field(line, "component");
-    s.start_s = num_field(line, "start", 0.0);
-    s.end_s = num_field(line, "end", 0.0);  // missing end -> 0 (open span)
-    s.status = str_field(line, "status");
-    spans.push_back(std::move(s));
+    auto span = Span::from_json(line);
+    EXPECT_TRUE(span.ok()) << line;
+    if (span.ok()) spans.push_back(std::move(span).value());
   }
   return spans;
 }
@@ -82,9 +62,8 @@ Span make_root(const std::string& trace_id, const std::string& name,
 
 // -- Critical path ----------------------------------------------------------
 
-// The expected self-times are hard-coded HERE and in
-// tools/test_trace_summarize.py: both sides agreeing with the same numbers
-// proves the C++ analyzer and the Python --critical-path walk match.
+// The expected self-times are hard-coded HERE and in the vmp_inspect CLI
+// test below, which reads the same fixture through the binary.
 TEST(CriticalPathTest, GoldenFixtureSelfTimes) {
   const std::vector<Span> spans = load_golden_fixture();
   ASSERT_EQ(spans.size(), 7u);
@@ -136,6 +115,107 @@ TEST(CriticalPathTest, RecordsSelfTimeHistograms) {
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->count, 1u);
   EXPECT_NEAR(stats->sum_s, 0.4, 1e-9);
+}
+
+// -- Span JSON reader ---------------------------------------------------------
+
+TEST(SpanJsonTest, ReadsBackWhatToJsonWrites) {
+  Span odd = make_root("trace-\"q\"", "say \"hi\" \\ \x01\x1f\n\t\r end", 0.25,
+                       1.5, "retry");
+  odd.span_id = 18446744073709551615ull;
+  odd.parent_id = 7;
+  odd.component = "back\\slash";
+  odd.detail = "plant0 \xc3\xa9";
+  odd.vm_id = "vm-1";
+  const Span failed = make_root("t", "plant.create", 2.0, 3.0, "UNAVAILABLE");
+  for (const Span& span : {odd, failed}) {
+    const auto back = Span::from_json(span.to_json());
+    ASSERT_TRUE(back.ok()) << span.to_json();
+    // to_json writes every field, so equal lines mean equal fields.
+    EXPECT_EQ(back.value().to_json(), span.to_json());
+    EXPECT_EQ(back.value().name, span.name);
+    EXPECT_EQ(back.value().ok(), span.ok());
+  }
+  // A span open when the dump was cut has no "end": zero duration.
+  const auto open = Span::from_json(
+      R"({"trace":"t","span":2,"parent":1,"name":"open.op",)"
+      R"("component":"c","start":0.8,"status":"ok"})");
+  ASSERT_TRUE(open.ok());
+  EXPECT_EQ(open.value().end_s, 0.8);
+  EXPECT_EQ(attributed_duration(open.value()), 0.0);
+  // \u escapes beyond what to_json writes decode to UTF-8.
+  const auto escaped = Span::from_json(
+      R"({"trace":"t","span":1,"parent":0,"name":"\u00e9\u20ac\/",)"
+      R"("component":"c","start":0,"end":1,"status":"ok"})");
+  ASSERT_TRUE(escaped.ok());
+  EXPECT_EQ(escaped.value().name, "\xc3\xa9\xe2\x82\xac/");
+}
+
+TEST(SpanJsonTest, MalformedLinesFailWhole) {
+  const std::string good = make_root("t", "n", 1.0, 2.0).to_json();
+  ASSERT_TRUE(Span::from_json(good).ok());
+  std::vector<std::string> bad;
+  for (std::size_t cut = 0; cut < good.size(); ++cut) {
+    bad.push_back(good.substr(0, cut));  // truncated at every byte
+  }
+  const std::string head = R"({"trace":"t","span":1,"parent":0,"name":"n",)";
+  const std::string tail = R"(,"end":2,"status":"ok"})";
+  for (const char* field : {
+           R"("component":"c","start":"zero")",   // non-numeric start
+           R"("component":"c","start":1x)",       // trailing junk in number
+           R"("component":"c","start":nan)",
+           R"("component":"c")",                  // missing start
+           R"("component":"c\q","start":1)",      // bad escape
+           R"("component":"c\u12","start":1)",    // short \u escape
+           R"("component":"\ud800","start":1)",   // lone surrogate
+           R"("component":"c","start":1,"x":1)",  // unknown key
+           R"("component":7,"start":1)",          // wrongly typed value
+       }) {
+    bad.push_back(head + field + tail);
+  }
+  bad.push_back(R"({"trace":"t","span":-1,"parent":0,"name":"n",)"
+                R"("component":"c","start":1,"status":"ok"})");
+  bad.push_back(R"({"span":1,"parent":0,"name":"n","component":"c",)"
+                R"("start":1,"status":"ok"})");  // missing trace
+  bad.push_back(good + "x");
+  bad.push_back("[" + good + "]");
+  for (const std::string& line : bad) {
+    const auto span = Span::from_json(line);
+    EXPECT_FALSE(span.ok()) << line;
+    if (!span.ok()) {
+      EXPECT_EQ(span.error().code(), util::ErrorCode::kParseError) << line;
+    }
+  }
+}
+
+// -- vmp_inspect trace: the CLI over the same reader and analyzer ------------
+
+TEST(InspectTraceCliTest, GoldenFixtureWithMalformedLines) {
+  // The golden fixture plus two lines the reader must skip and report.
+  std::ifstream golden(std::filesystem::path(VMP_TRACE_DIR) /
+                       "tail_golden.jsonl");
+  std::ostringstream text;
+  text << golden.rdbuf() << "{\"trace\":\"t\",\"span\":\n"
+       << "not json\n";
+  const std::string path = ::testing::TempDir() + "vmp-inspect-" +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::ofstream(path) << text.str();
+  const auto run =
+      testing::run_inspect("trace " + path + " --by-trace --critical-path");
+  std::filesystem::remove(path);
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("7 spans"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find(":8: skipping bad line"), std::string::npos);
+  EXPECT_NE(run.output.find(":9: skipping bad line"), std::string::npos);
+  EXPECT_NE(run.output.find("trace-golden   shop.create"), std::string::npos);
+  // The self-time column carries the 0.1 / 0.1 / 0.2 / 0.4 s pinned above.
+  const std::string rows =
+      "  shop.create                  vmshop             1000.000    100.000"
+      "   100.0%\n   plant.create                vmplant             900.000"
+      "    100.000    90.0%\n    lifecycle.publish          lifecycle      "
+      "     600.000    200.000    60.0%\n     lifecycle.evict_to_fit    "
+      "lifecycle           400.000    400.000    40.0%\n";
+  EXPECT_NE(run.output.find(rows), std::string::npos) << run.output;
 }
 
 // -- Tail sampler semantics -------------------------------------------------

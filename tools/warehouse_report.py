@@ -10,205 +10,21 @@ Accepts either (auto-detected per line, both may be mixed in one input):
   * metrics-export JSONL (FleetAggregator::export_jsonl, or any file of
     {"id": ..., "attrs": {...}} ads) — the lifecycle_* attributes
     (lifecycle.* metric names in their classad-folded spelling) are
-    rendered as a lease/eviction/reclaim summary per exporting plant;
+    rendered as a lease/eviction/reclaim summary per exporting plant.
 
-  * --journal DIR — decode the binary event-journal segments the lifecycle
-    manager writes (obs::Journal, seg-NNNNNN.vmj; DESIGN.md §13) and
-    reconstruct the publish/eviction timeline: per-image lifespan, acquire
-    count, eviction cause (evicted / zombified / reaped), bytes reclaimed.
-    Replay is torn-tail tolerant, exactly like the C++ side: a record cut
-    mid-write by a crash drops the rest of that segment, replay resumes at
-    the next segment boundary, and the tear is reported as such.
+The binary event journal itself is decoded by `vmp_inspect journal DIR`.
 
 Usage:
     build/bench/warehouse_churn | python3 tools/warehouse_report.py -
     python3 tools/warehouse_report.py fleet.jsonl [--json]
-    python3 tools/warehouse_report.py --journal store/journal [--json]
 """
 
 import argparse
 import json
-import pathlib
 import re
-import struct
 import sys
 
 BENCH_LINE = re.compile(r"^BENCH_JSON\s+(\{.*\})\s*$")
-
-# -- Event-journal decoding (mirrors src/obs/journal.{h,cpp}) -----------------
-
-JOURNAL_EVENTS = {
-    1: "publish_reserve", 2: "publish_commit", 3: "publish_reject",
-    4: "evict_begin", 5: "evict_commit", 6: "evict_rollback",
-    7: "lease_acquire", 8: "lease_release", 9: "zombify", 10: "reap",
-    11: "orphan_reap", 12: "warm_start", 13: "adopt", 14: "fault_fired",
-}
-
-# payload := u8 kind | u64 seq | f64 time_s | f64 wall_s | i64 bytes_delta |
-#            u64 aux | f64 value | u16 id_len | id
-#            [u16 trace_len | trace]     (trace block only when non-empty;
-#            records without it are the pre-trace format, byte-identical)
-JOURNAL_HEAD = struct.Struct("<BQddqQdH")
-JOURNAL_MAX_RECORD = 64 * 1024
-
-
-def fnv1a32(data):
-    acc = 2166136261
-    for byte in data:
-        acc = ((acc ^ byte) * 16777619) & 0xFFFFFFFF
-    return acc
-
-
-def decode_journal_record(buf, offset):
-    """One record at offset -> (record, next_offset); (None, _) when torn."""
-    if offset + 4 > len(buf):
-        return None, offset
-    (length,) = struct.unpack_from("<I", buf, offset)
-    if (length < JOURNAL_HEAD.size or length > JOURNAL_MAX_RECORD
-            or offset + 8 + length > len(buf)):
-        return None, offset
-    payload = buf[offset + 4:offset + 4 + length]
-    (checksum,) = struct.unpack_from("<I", buf, offset + 4 + length)
-    if fnv1a32(payload) != checksum:
-        return None, offset
-    kind, seq, time_s, wall_s, bytes_delta, aux, value, id_len = \
-        JOURNAL_HEAD.unpack_from(payload)
-    base = JOURNAL_HEAD.size
-    trace = ""
-    if base + id_len != length:
-        # Trace-stamped record: u16 trace_len | trace after the id.
-        if length < base + id_len + 2:
-            return None, offset
-        (trace_len,) = struct.unpack_from("<H", payload, base + id_len)
-        if base + id_len + 2 + trace_len != length:
-            return None, offset
-        trace = payload[base + id_len + 2:].decode("utf-8", "replace")
-    return {
-        "seq": seq,
-        "event": JOURNAL_EVENTS.get(kind, "unknown"),
-        "time_s": time_s,
-        "wall_s": wall_s,
-        "bytes_delta": bytes_delta,
-        "aux": aux,
-        "value": value,
-        "image": payload[base:base + id_len].decode("utf-8", "replace"),
-        "trace": trace,
-    }, offset + 8 + length
-
-
-def replay_journal(journal_dir):
-    """All valid records from seg-*.vmj in name order, C++ replay semantics:
-    a torn/corrupt record drops the rest of THAT segment (the crash tail)
-    and replay resumes at the next segment boundary — post-crash reopens
-    write into fresh segments that must still be read.
-
-    Returns (records, segment_count, tears); each tear names the segment,
-    the offset replay resynced at, and how many trailing bytes it dropped,
-    so an operator can tell ONE crash tail from systematic corruption.
-    Raises OSError when the directory or a segment cannot be read."""
-    records = []
-    tears = []
-    segments = sorted(pathlib.Path(journal_dir).glob("seg-*.vmj"))
-    for segment in segments:
-        buf = segment.read_bytes()
-        offset = 0
-        decoded = 0
-        while offset < len(buf):
-            record, offset = decode_journal_record(buf, offset)
-            if record is None:
-                tears.append({
-                    "segment": segment.name,
-                    "offset": offset,
-                    "bytes_dropped": len(buf) - offset,
-                    "records_kept": decoded,
-                })
-                break
-            decoded += 1
-            records.append(record)
-    return records, len(segments), tears
-
-
-def journal_timeline(records):
-    """Fold the event stream into one row per image (latest incarnation
-    wins for publish time; counters accumulate across republishes)."""
-    images = {}
-    totals = {"reclaimed": 0, "fault_firings": 0, "warm_starts": 0}
-
-    def row(image):
-        return images.setdefault(image, {
-            "published_t": None, "end_t": None, "fate": "resident",
-            "publishes": 0, "acquires": 0, "rejects": 0,
-            "bytes": 0, "reclaimed": 0, "lifespan_s": None,
-        })
-
-    for rec in records:
-        event, image = rec["event"], rec["image"]
-        if event == "fault_fired":
-            totals["fault_firings"] += 1
-            continue
-        if event == "warm_start":
-            totals["warm_starts"] += 1
-            continue
-        if event == "orphan_reap":
-            totals["reclaimed"] += -rec["bytes_delta"]
-            continue
-        if not image:
-            continue
-        entry = row(image)
-        if event in ("publish_commit", "adopt"):
-            entry["publishes"] += 1
-            entry["published_t"] = rec["time_s"]
-            entry["end_t"] = None
-            entry["fate"] = "resident"
-            entry["bytes"] = rec["bytes_delta"]
-        elif event == "publish_reject":
-            entry["rejects"] += 1
-        elif event == "lease_acquire":
-            entry["acquires"] += 1
-        elif event == "evict_commit":
-            entry["fate"] = "evicted"
-            entry["end_t"] = rec["time_s"]
-            entry["reclaimed"] += -rec["bytes_delta"]
-            totals["reclaimed"] += -rec["bytes_delta"]
-        elif event == "zombify":
-            entry["fate"] = "zombified"
-            entry["end_t"] = rec["time_s"]
-        elif event == "reap":
-            entry["fate"] = "reaped"
-            entry["end_t"] = rec["time_s"]
-            entry["reclaimed"] += -rec["bytes_delta"]
-            totals["reclaimed"] += -rec["bytes_delta"]
-
-    for entry in images.values():
-        if entry["published_t"] is not None and entry["end_t"] is not None:
-            entry["lifespan_s"] = entry["end_t"] - entry["published_t"]
-    return images, totals
-
-
-def print_journal(images, totals, records, segments, tears):
-    print(f"journal: {len(records)} records in {segments} segment(s)"
-          + ("  [torn tail dropped]" if tears else ""))
-    for tear in tears:
-        print(f"warning: {tear['segment']}: torn record at offset "
-              f"{tear['offset']}, dropped {tear['bytes_dropped']} trailing "
-              f"byte(s) after {tear['records_kept']} record(s); replay "
-              f"resynced at the next segment boundary", file=sys.stderr)
-    header = (f"{'image':<24} {'fate':<10} {'publishes':>9} {'acquires':>9} "
-              f"{'rejects':>8} {'size MB':>8} {'reclaimed MB':>13} "
-              f"{'lifespan s':>11}")
-    print(header)
-    print("-" * len(header))
-    for image in sorted(images):
-        entry = images[image]
-        lifespan = (f"{entry['lifespan_s']:>11.3f}"
-                    if entry["lifespan_s"] is not None else f"{'-':>11}")
-        print(f"{image:<24} {entry['fate']:<10} {entry['publishes']:>9} "
-              f"{entry['acquires']:>9} {entry['rejects']:>8} "
-              f"{entry['bytes'] / 2**20:>8.1f} "
-              f"{entry['reclaimed'] / 2**20:>13.1f} {lifespan}")
-    print(f"\ntotal reclaimed: {totals['reclaimed'] / 2**20:.1f} MB"
-          f"  warm starts: {totals['warm_starts']}"
-          f"  fault firings: {totals['fault_firings']}")
 
 
 def load(stream):
@@ -308,38 +124,11 @@ def print_lifecycle(plants):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("input", nargs="?",
+    parser.add_argument("input",
                         help="BENCH_JSON / metrics-JSONL file, or - for stdin")
-    parser.add_argument("--journal", metavar="DIR",
-                        help="event-journal directory (seg-*.vmj segments) "
-                             "to reconstruct the publish/eviction timeline")
     parser.add_argument("--json", action="store_true",
                         help="emit one machine-readable summary object")
     args = parser.parse_args()
-    if args.input is None and args.journal is None:
-        parser.error("need an input file (or -) and/or --journal DIR")
-
-    if args.journal is not None:
-        if not pathlib.Path(args.journal).is_dir():
-            print(f"--journal: {args.journal} is not a directory",
-                  file=sys.stderr)
-            return 1
-        try:
-            records, segments, tears = replay_journal(args.journal)
-        except OSError as err:
-            print(f"--journal: cannot read {args.journal}: {err}",
-                  file=sys.stderr)
-            return 1
-        images, totals = journal_timeline(records)
-        if args.json:
-            print(json.dumps({"records": len(records), "segments": segments,
-                              "torn_tail": bool(tears), "tears": tears,
-                              "images": images, "totals": totals}, indent=2))
-        else:
-            print_journal(images, totals, records, segments, tears)
-        if args.input is None:
-            return 0
-        print()
 
     if args.input == "-":
         churn, ads = load(sys.stdin)
