@@ -5,10 +5,11 @@
 // can be conceived, but have not yet been investigated."  Two measurements
 // here:
 //
-//   1. The DES projection: a window of concurrent creations shares the
-//      warehouse's NFS uplink (processor sharing) and per-plant resume
-//      serialization, showing throughput gains flattening as the shared
-//      link saturates while individual clones stretch.
+//   1. The DES projection: a burst of real creations through the paper's
+//      8-plant SimulatedDeployment with a window of them in flight.  They
+//      share the warehouse's NFS uplink (processor sharing) and queue for
+//      their plant's resume, showing throughput gains flattening as the
+//      shared link saturates while individual clones stretch.
 //
 //   2. The real thing: N client threads drive shop.create end to end
 //      (bid, clone, resume, configure, destroy) against one plant, once
@@ -31,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/concurrent_sim.h"
+#include "cluster/deployment.h"
 #include "common.h"
 #include "core/plant.h"
 #include "core/shop.h"
@@ -163,44 +164,45 @@ int main() {
       "measure the §10 concurrent create path against the serialized one");
 
   // ---- 1. DES projection ----------------------------------------------------
-  // A burst of 64 MB workspace creations described by their real
-  // accounting profile (memory checkpoint copy + 16 links + 6 actions).
-  cluster::ConcurrentRequest profile;
-  profile.memory_bytes = 64ull << 20;
-  profile.bytes_to_copy = 64ull << 20;
-  profile.links = 16;
-  profile.guest_actions = 6;
-  profile.isos = 6;
-  std::vector<cluster::ConcurrentRequest> burst(64, profile);
+  // A burst of 64 MB workspace creations through the real shop and plants,
+  // timed by the same TimingModel as Figs 4-6; a fresh deployment per
+  // window so every row starts from empty plants.
+  const auto burst = workload::workspace_requests(64, 64, "bench.grid");
 
   std::printf("%-8s %12s %14s %16s %14s\n", "window", "makespan_s",
               "mean_clone_s", "throughput_vm_s", "nfs_util_%");
 
+  std::size_t total_failures = 0;
   double serial_makespan = 0.0;
   double best_makespan = 1e18;
   for (const std::size_t window : {1, 2, 4, 8, 16, 32, 64}) {
-    cluster::ConcurrentCreationSim sim(8, cluster::TimingConfig{}, 11);
-    const auto result = sim.run(burst, window);
+    cluster::DeploymentConfig config;
+    config.seed = 11;
+    cluster::SimulatedDeployment site(config);
+    if (!workload::publish_paper_goldens(&site.warehouse(), {64}).ok()) {
+      total_failures += burst.size();
+      continue;
+    }
+    const auto samples = site.run_sequence(burst, false, window);
+    total_failures += burst.size() - samples.size();
 
     util::Summary clone;
-    for (const auto& sample : result.samples) clone.add(sample.clone_latency());
-    const double throughput = burst.size() / result.makespan_sec;
-    const double nfs_util =
-        result.nfs_bytes_moved /
-        (cluster::TimingConfig{}.nfs_copy_bytes_per_sec * result.makespan_sec);
+    for (const auto& sample : samples) clone.add(sample.timing.clone_sec);
+    const double makespan = site.sim_now();
+    const double throughput = samples.size() / makespan;
+    const double nfs_util = site.nfs_bytes_moved() /
+                            (config.timing.nfs_copy_bytes_per_sec * makespan);
 
-    std::printf("%-8zu %12.0f %14.1f %16.3f %14.1f\n", window,
-                result.makespan_sec, clone.mean(), throughput,
-                nfs_util * 100.0);
-    if (window == 1) serial_makespan = result.makespan_sec;
-    best_makespan = std::min(best_makespan, result.makespan_sec);
+    std::printf("%-8zu %12.0f %14.1f %16.3f %14.1f\n", window, makespan,
+                clone.mean(), throughput, nfs_util * 100.0);
+    if (window == 1) serial_makespan = makespan;
+    best_makespan = std::min(best_makespan, makespan);
   }
 
   // ---- 2. Real pipeline: serialized vs concurrent ---------------------------
   std::printf("\n%-10s %8s %18s %10s\n", "mode", "clients", "throughput_vm_s",
               "failures");
 
-  std::size_t total_failures = 0;
   double serial_c16 = 0.0;
   double pipeline_c16 = 0.0;
   for (const bool serialize : {true, false}) {

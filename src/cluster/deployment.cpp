@@ -2,14 +2,20 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <map>
+#include <optional>
 
 #include "core/request.h"
 #include "core/snapshot.h"
+#include "sim/engine.h"
+#include "sim/resources.h"
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace vmp::cluster {
 
@@ -110,7 +116,7 @@ SimulatedDeployment::~SimulatedDeployment() {
   }
 }
 
-Result<CreationSample> SimulatedDeployment::run_request(
+Result<CreationSample> SimulatedDeployment::launch(
     const core::CreateRequest& request) {
   const std::size_t bidding_plants = registry_.discover("vmplant").size();
 
@@ -144,30 +150,97 @@ Result<CreationSample> SimulatedDeployment::run_request(
   sample.request_id = request.request_id;
   sample.vm_id = ad.value().get_string(core::attrs::kVmId).value_or("");
   sample.plant = ad.value().get_string(core::attrs::kPlant).value_or("");
-  sample.memory_bytes = obs.memory_bytes;
   sample.timing = timing_.time_creation(obs);
-  sim_now_ += sample.timing.total_sec;
-  sample.sim_time_completed = sim_now_;
+  sample.observation = std::move(obs);
 
   created_vm_ids_.push_back(sample.vm_id);
   return sample;
 }
 
-std::vector<CreationSample> SimulatedDeployment::run_sequence(
-    const std::vector<core::CreateRequest>& requests, bool stop_on_error) {
+std::vector<CreationSample> SimulatedDeployment::simulate(
+    const std::vector<core::CreateRequest>& requests, std::size_t window,
+    bool stop_on_error, const FailureHandler& on_failure) {
+  // A wait shorter than the pipe's one-nanosecond completion tolerance is
+  // clock rounding, not contention: a creation that overlapped nothing
+  // keeps the TimingModel's clone_sec bit for bit.
+  const auto queued = [](double wait) { return wait > 1e-9 ? wait : 0.0; };
+
+  sim::Engine engine;
+  sim::SharedBandwidth nfs(&engine, config_.timing.nfs_copy_bytes_per_sec,
+                           "nfs");
+  std::map<std::string, sim::FifoServer> vmm;  // one per plant, by name
   std::vector<CreationSample> out;
-  out.reserve(requests.size());
-  for (const core::CreateRequest& request : requests) {
-    auto sample = run_request(request);
-    if (!sample.ok()) {
-      kLog.warn() << "creation failed for " << request.request_id << ": "
-                  << sample.error().to_string();
-      if (stop_on_error) break;
-      continue;
+  std::size_t next = 0;
+  std::size_t in_flight = 0;
+  bool stopped = false;
+
+  // Fill the window.  Each admitted creation runs the real shop_->create
+  // now, then plays its clone phase: the copied bytes over the NFS pipe,
+  // the rest of clone_sec on its plant's VMM.  Configuration and the
+  // shop's bid round contend for nothing, so the creation completes
+  // config_sec + shop_sec after its clone.
+  std::function<void()> admit = [&] {
+    sim_now_ = engine.now();
+    while (!stopped && in_flight < window && next < requests.size()) {
+      const core::CreateRequest& request = requests[next++];
+      auto launched = launch(request);
+      if (!launched.ok()) {
+        on_failure(request, launched.error());
+        stopped = stop_on_error;
+        continue;
+      }
+      ++in_flight;
+      const std::size_t i = out.size();
+      out.push_back(std::move(launched).value());
+      const double start = engine.now();
+      const double bytes =
+          static_cast<double>(out[i].observation.clone_bytes_copied);
+      const double transfer = bytes / nfs.capacity();
+      nfs.start(bytes, [&, i, start, transfer] {
+        const double copied = engine.now();
+        const double rest = std::max(0.0, out[i].timing.clone_sec - transfer);
+        sim::FifoServer& plant_vmm =
+            vmm.try_emplace(out[i].plant, &engine, 1).first->second;
+        plant_vmm.submit(rest, [&, i, start, transfer, copied, rest] {
+          const double behind = queued(copied - start - transfer) +
+                                queued(engine.now() - copied - rest);
+          CreationTiming& timing = out[i].timing;
+          timing.clone_sec += behind;
+          timing.total_sec += behind;
+          engine.schedule_at(start + timing.total_sec, [&, i] {
+            out[i].sim_time_completed = engine.now();
+            --in_flight;
+            admit();
+          });
+        });
+      });
     }
-    out.push_back(std::move(sample).value());
-  }
+  };
+  engine.schedule_at(sim_now_, admit);
+  engine.run();
+  nfs_bytes_moved_ += nfs.total_transferred();
   return out;
+}
+
+Result<CreationSample> SimulatedDeployment::run_request(
+    const core::CreateRequest& request) {
+  std::optional<Error> failure;
+  auto samples = simulate({request}, 1, true,
+                          [&](const core::CreateRequest&, const Error& error) {
+                            failure = error;
+                          });
+  if (failure) return *failure;
+  return std::move(samples.front());
+}
+
+std::vector<CreationSample> SimulatedDeployment::run_sequence(
+    const std::vector<core::CreateRequest>& requests, bool stop_on_error,
+    std::size_t window) {
+  return simulate(requests, std::max<std::size_t>(window, 1), stop_on_error,
+                  [](const core::CreateRequest& request, const Error& error) {
+                    kLog.warn() << "creation failed for " << request.request_id
+                                << ": " << error.to_string();
+                  });
 }
 
 std::size_t SimulatedDeployment::refresh_federation() {
@@ -189,7 +262,7 @@ Result<std::string> SimulatedDeployment::save_snapshot() const {
   std::map<std::string, std::string> meta;
   meta["deployment.backend"] = config_.backend;
   meta["deployment.plants"] = std::to_string(plants_.size());
-  meta["deployment.sim_now"] = std::to_string(sim_now_);
+  meta["deployment.sim_now"] = util::format_double(sim_now_);
   meta["deployment.sequence"] = std::to_string(sequence_);
   meta["deployment.failures"] = std::to_string(failures_);
   return core::save_snapshot(participants, std::move(meta));
@@ -198,23 +271,36 @@ Result<std::string> SimulatedDeployment::save_snapshot() const {
 util::Status SimulatedDeployment::load_snapshot(std::string_view frame) {
   auto data = core::decode_snapshot(frame);
   if (!data.ok()) return data.error();
+  // Every meta value must parse whole before anything is restored.
+  double sim_now = sim_now_;
+  std::size_t sequence = sequence_;
+  std::size_t failures = failures_;
+  const auto read = [&](const char* key, auto* value) -> util::Status {
+    const auto it = data.value().meta.find(key);
+    if (it == data.value().meta.end()) return util::Status();
+    const std::string& text = it->second;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), *value);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      return Error(ErrorCode::kParseError, "deployment snapshot: malformed " +
+                                               std::string(key) + " \"" +
+                                               text + "\"");
+    }
+    return util::Status();
+  };
+  VMP_RETURN_IF_ERROR(read("deployment.sim_now", &sim_now));
+  VMP_RETURN_IF_ERROR(read("deployment.sequence", &sequence));
+  VMP_RETURN_IF_ERROR(read("deployment.failures", &failures));
+  if (!std::isfinite(sim_now)) {
+    return Error(ErrorCode::kParseError,
+                 "deployment snapshot: non-finite deployment.sim_now");
+  }
   core::SnapshotParticipants participants;
   participants.warehouse = warehouse_.get();
   VMP_RETURN_IF_ERROR(core::restore_snapshot(data.value(), participants));
-  const auto& meta = data.value().meta;
-  auto meta_value = [&](const char* key) -> const std::string* {
-    auto it = meta.find(key);
-    return it == meta.end() ? nullptr : &it->second;
-  };
-  if (const std::string* v = meta_value("deployment.sim_now")) {
-    sim_now_ = std::strtod(v->c_str(), nullptr);
-  }
-  if (const std::string* v = meta_value("deployment.sequence")) {
-    sequence_ = std::strtoull(v->c_str(), nullptr, 10);
-  }
-  if (const std::string* v = meta_value("deployment.failures")) {
-    failures_ = std::strtoull(v->c_str(), nullptr, 10);
-  }
+  sim_now_ = sim_now;
+  sequence_ = sequence;
+  failures_ = failures;
   return util::Status();
 }
 

@@ -2,19 +2,25 @@
 //
 // Owns the full middleware stack — artifact store (sandbox directory),
 // warehouse with the paper's golden machines, N VMPlants, message bus,
-// service registry, and a VMShop — and drives request sequences through the
-// REAL service path (client -> shop -> bidding -> plant -> PPP -> production
-// line -> hypervisor -> storage).  Latency is then attributed per creation
-// by the TimingModel from the accounting the plant returns in each classad,
-// which is valid because the paper's experiments issue requests strictly in
-// sequence (§4.2: "a series of requests, in sequence").
+// service registry, and a VMShop — and drives requests through the REAL
+// service path (client -> shop -> bidding -> plant -> PPP -> production
+// line -> hypervisor -> storage).  Each creation's phase durations come
+// from the TimingModel, fed the accounting the plant returns in its
+// classad.
 //
-// For concurrent workloads (not part of the paper's evaluation; explored in
-// bench/concurrency ablation) see concurrent_sim.h, which uses the DES with
-// shared-bandwidth contention instead of post-hoc attribution.
+// Every run is a sim::Engine timeline.  The paper sends requests strictly
+// in sequence (§4.2: "a series of requests, in sequence"), which is the
+// default window of one: nothing overlaps and each sample keeps the
+// TimingModel's durations exactly.  A wider window (the §4.3/§6 future
+// work, bench/concurrency) lets creations overlap; they contend only for
+// the warehouse's NFS uplink (a processor-sharing pipe carrying each
+// clone's copied bytes) and for their plant's one VMM control process (a
+// FIFO for the rest of the clone, the resume/boot).  Time spent behind
+// other creations is added to clone_sec.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -62,8 +68,9 @@ struct CreationSample {
   std::string request_id;
   std::string vm_id;
   std::string plant;
-  std::uint64_t memory_bytes = 0;
-  CreationTiming timing;
+  CreationObservation observation; // the plant's accounting, as timed
+  CreationTiming timing;           // clone_sec includes time queued behind
+                                   // overlapping creations
   double sim_time_completed = 0.0; // virtual clock at completion
 };
 
@@ -97,12 +104,14 @@ class SimulatedDeployment {
   /// Advances the virtual clock.  Failures propagate.
   util::Result<CreationSample> run_request(const core::CreateRequest& request);
 
-  /// Execute a sequence of requests; stops at the first hard failure if
-  /// `stop_on_error`, otherwise skips failed creations (the paper's Fig. 4
-  /// histograms count only "VMs successfully created").
+  /// Execute a sequence of requests, at most `window` creations in flight
+  /// (1, the paper's setting, runs them strictly one after another).  Stops
+  /// launching at the first hard failure if `stop_on_error`, otherwise skips
+  /// failed creations (the paper's Fig. 4 histograms count only "VMs
+  /// successfully created").  Samples come back in request order.
   std::vector<CreationSample> run_sequence(
       const std::vector<core::CreateRequest>& requests,
-      bool stop_on_error = false);
+      bool stop_on_error = false, std::size_t window = 1);
 
   /// Destroy every VM currently known to the shop-side routing of this
   /// deployment (between experiment phases).
@@ -121,8 +130,22 @@ class SimulatedDeployment {
   double sim_now() const { return sim_now_; }
   std::size_t creations() const { return sequence_; }
   std::size_t failures() const { return failures_; }
+  /// Bytes every run so far moved over the shared NFS uplink.
+  double nfs_bytes_moved() const { return nfs_bytes_moved_; }
 
  private:
+  using FailureHandler =
+      std::function<void(const core::CreateRequest&, const util::Error&)>;
+
+  /// Send one request through the real shop: the sample carries the
+  /// TimingModel's durations for the creation on its own.
+  util::Result<CreationSample> launch(const core::CreateRequest& request);
+  /// The one timeline behind run_request and run_sequence: a sim::Engine
+  /// run from sim_now(), at most `window` creations in flight.
+  std::vector<CreationSample> simulate(
+      const std::vector<core::CreateRequest>& requests, std::size_t window,
+      bool stop_on_error, const FailureHandler& on_failure);
+
   DeploymentConfig config_;
   std::string owned_sandbox_;  // deleted on destruction if we created it
   std::unique_ptr<storage::ArtifactStore> store_;
@@ -136,6 +159,7 @@ class SimulatedDeployment {
   double sim_now_ = 0.0;
   std::size_t sequence_ = 0;
   std::size_t failures_ = 0;
+  double nfs_bytes_moved_ = 0.0;
   std::vector<std::string> created_vm_ids_;
 };
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace vmp::obs {
 
@@ -140,7 +141,8 @@ std::string Span::to_json() const {
       << ",\"component\":\"" << json_escape(component) << "\"";
   if (!detail.empty()) out << ",\"detail\":\"" << json_escape(detail) << "\"";
   if (!vm_id.empty()) out << ",\"vm\":\"" << json_escape(vm_id) << "\"";
-  out << ",\"start\":" << start_s << ",\"end\":" << end_s
+  out << ",\"start\":" << util::format_double(start_s)
+      << ",\"end\":" << util::format_double(end_s)
       << ",\"status\":\"" << json_escape(status) << "\"}";
   return out.str();
 }

@@ -127,49 +127,4 @@ void FifoServer::try_dispatch() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// CapacityPool
-// ---------------------------------------------------------------------------
-
-CapacityPool::CapacityPool(Engine* engine, double capacity, std::string name)
-    : engine_(engine),
-      capacity_(capacity),
-      available_(capacity),
-      name_(std::move(name)) {
-  if (capacity < 0.0) {
-    throw std::invalid_argument("CapacityPool: capacity must be >= 0");
-  }
-}
-
-bool CapacityPool::try_acquire(double amount) {
-  // FIFO fairness: do not jump ahead of existing waiters.
-  if (!waiters_.empty()) return false;
-  if (amount > available_ + 1e-12) return false;
-  available_ -= amount;
-  return true;
-}
-
-void CapacityPool::acquire(double amount, std::function<void()> on_granted) {
-  if (try_acquire(amount)) {
-    // Grant asynchronously to keep caller stack discipline uniform.
-    engine_->schedule(0.0, std::move(on_granted));
-    return;
-  }
-  waiters_.push_back(Waiter{amount, std::move(on_granted)});
-}
-
-void CapacityPool::release(double amount) {
-  available_ = std::min(capacity_, available_ + amount);
-  drain_waiters();
-}
-
-void CapacityPool::drain_waiters() {
-  while (!waiters_.empty() && waiters_.front().amount <= available_ + 1e-12) {
-    Waiter w = std::move(waiters_.front());
-    waiters_.pop_front();
-    available_ -= w.amount;
-    engine_->schedule(0.0, std::move(w.on_granted));
-  }
-}
-
 }  // namespace vmp::sim

@@ -1,18 +1,15 @@
 // Contended-resource models layered on the DES engine.
 //
-// Three models cover everything the cluster simulation needs:
+// Two models cover what SimulatedDeployment's creation timeline contends
+// for (cluster/deployment.h):
 //
 //  * SharedBandwidth — processor-sharing pipe.  N concurrent transfers each
-//    progress at capacity/N.  Models the NFS server uplink (100 Mbit/s in
-//    the paper's testbed) and host NICs; it is what makes cloning times
-//    stretch when many clones run at once (Figure 6).
+//    progress at capacity/N.  Models the warehouse's NFS uplink (100 Mbit/s
+//    in the paper's testbed); it is what makes cloning times stretch when
+//    many clones run at once.
 //
-//  * FifoServer — k identical servers with a FIFO queue.  Models the
-//    storage server's disk arms and per-host SCSI disks.
-//
-//  * CapacityPool — counted resource with blocking acquire.  Models host
-//    memory for resumed VMs and the finite pool of host-only networks that
-//    the cost function (Section 3.4) rations per client domain.
+//  * FifoServer — k identical servers with a FIFO queue.  Models a plant's
+//    one VMM control process, which resumes or boots one VM at a time.
 #pragma once
 
 #include <cstddef>
@@ -90,40 +87,6 @@ class FifoServer {
   std::string name_;
   std::size_t busy_ = 0;
   std::deque<Job> queue_;
-};
-
-/// Counted capacity with blocking acquire; waiters are served FIFO.
-class CapacityPool {
- public:
-  CapacityPool(Engine* engine, double capacity, std::string name = "pool");
-
-  /// Try to take `amount` immediately; false if insufficient.
-  bool try_acquire(double amount);
-
-  /// Acquire when available; `on_granted` fires (possibly immediately via a
-  /// zero-delay event) once the amount has been reserved.
-  void acquire(double amount, std::function<void()> on_granted);
-
-  /// Return `amount` to the pool, waking waiters in order.
-  void release(double amount);
-
-  double available() const { return available_; }
-  double capacity() const { return capacity_; }
-  double in_use() const { return capacity_ - available_; }
-  std::size_t waiters() const { return waiters_.size(); }
-
- private:
-  struct Waiter {
-    double amount;
-    std::function<void()> on_granted;
-  };
-  void drain_waiters();
-
-  Engine* engine_;
-  double capacity_;
-  double available_;
-  std::string name_;
-  std::deque<Waiter> waiters_;
 };
 
 }  // namespace vmp::sim

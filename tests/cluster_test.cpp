@@ -1,8 +1,9 @@
-// Tests for the timing model, the simulated deployment, and the concurrent
-// creation simulator.
+// Tests for the timing model and the simulated deployment, sequential and
+// with a window of concurrent creations.
 #include <gtest/gtest.h>
 
-#include "cluster/concurrent_sim.h"
+#include <set>
+
 #include "cluster/deployment.h"
 #include "cluster/timing_model.h"
 #include "util/stats.h"
@@ -143,7 +144,7 @@ TEST_F(DeploymentTest, RunsRequestsThroughRealStack) {
     EXPECT_FALSE(samples[i].vm_id.empty());
     EXPECT_FALSE(samples[i].plant.empty());
     EXPECT_GT(samples[i].timing.total_sec, 0.0);
-    EXPECT_EQ(samples[i].memory_bytes, 64 * kMb);
+    EXPECT_EQ(samples[i].observation.memory_bytes, 64 * kMb);
   }
   // The virtual clock advanced by the sum of creation times.
   double sum = 0;
@@ -214,70 +215,114 @@ TEST_F(DeploymentTest, Figure6EffectCloningSlowsAsPlantsFill) {
   EXPECT_GT(late, early * 1.3);
 }
 
-// -- ConcurrentCreationSim -----------------------------------------------------------
+// -- Concurrent creations (run_sequence's window) -----------------------------
 
-ConcurrentRequest concurrent_64mb() {
-  ConcurrentRequest req;
-  req.memory_bytes = 64 * kMb;
-  req.bytes_to_copy = 64 * kMb;
-  req.links = 16;
-  req.guest_actions = 6;
-  req.isos = 6;
-  return req;
+struct WindowRun {
+  std::vector<CreationSample> samples;
+  double makespan_sec = 0.0;
+  double nfs_bytes_moved = 0.0;
+
+  double mean_clone_sec() const {
+    util::Summary clone;
+    for (const auto& s : samples) clone.add(s.timing.clone_sec);
+    return clone.mean();
+  }
+};
+
+/// A burst of `requests` 64 MB workspaces through a fresh deployment of
+/// `plants` plants, at most `window` in flight.
+WindowRun run_window(std::size_t plants, std::size_t requests,
+                     std::size_t window, std::uint64_t seed = 1) {
+  DeploymentConfig config;
+  config.plant_count = plants;
+  config.seed = seed;
+  SimulatedDeployment site(config);
+  EXPECT_TRUE(workload::publish_paper_goldens(&site.warehouse(), {64}).ok());
+  WindowRun run;
+  run.samples = site.run_sequence(
+      workload::workspace_requests(64, requests, "ufl.edu"), false, window);
+  run.makespan_sec = site.sim_now();
+  run.nfs_bytes_moved = site.nfs_bytes_moved();
+  return run;
 }
 
 TEST(ConcurrentSimTest, SerialWindowMatchesSequentialIntuition) {
-  ConcurrentCreationSim sim(8, TimingConfig{}, 1);
-  std::vector<ConcurrentRequest> requests(10, concurrent_64mb());
-  auto result = sim.run(requests, 1);
-  ASSERT_EQ(result.samples.size(), 10u);
-  // With window 1, creations never overlap.
-  for (std::size_t i = 1; i < result.samples.size(); ++i) {
-    EXPECT_GE(result.samples[i].start_sec,
-              result.samples[i - 1].finish_sec - 1e-6);
+  const WindowRun run = run_window(8, 10, 1);
+  ASSERT_EQ(run.samples.size(), 10u);
+  // With window 1, creations never overlap: each starts when the previous
+  // one completes, and keeps exactly the durations an independent
+  // TimingModel gives the same observations.
+  TimingModel model(TimingConfig{}, 1);
+  double clock = 0.0;
+  for (const CreationSample& sample : run.samples) {
+    const CreationTiming expected = model.time_creation(sample.observation);
+    EXPECT_EQ(sample.timing.clone_sec, expected.clone_sec);
+    EXPECT_EQ(sample.timing.config_sec, expected.config_sec);
+    EXPECT_EQ(sample.timing.shop_sec, expected.shop_sec);
+    EXPECT_EQ(sample.timing.total_sec, expected.total_sec);
+    clock += expected.total_sec;
+    EXPECT_EQ(sample.sim_time_completed, clock);
   }
+  EXPECT_EQ(run.makespan_sec, clock);
 }
 
 TEST(ConcurrentSimTest, ConcurrencyShrinksMakespan) {
-  std::vector<ConcurrentRequest> requests(16, concurrent_64mb());
-  ConcurrentCreationSim serial(8, TimingConfig{}, 1);
-  ConcurrentCreationSim wide(8, TimingConfig{}, 1);
-  const double serial_makespan = serial.run(requests, 1).makespan_sec;
-  const double wide_makespan = wide.run(requests, 8).makespan_sec;
-  EXPECT_LT(wide_makespan, serial_makespan * 0.7);
+  const double serial = run_window(8, 16, 1).makespan_sec;
+  const double wide = run_window(8, 16, 8).makespan_sec;
+  EXPECT_LT(wide, serial * 0.7);
 }
 
 TEST(ConcurrentSimTest, ContentionStretchesIndividualClones) {
-  std::vector<ConcurrentRequest> requests(16, concurrent_64mb());
-  ConcurrentCreationSim serial(8, TimingConfig{}, 1);
-  ConcurrentCreationSim wide(8, TimingConfig{}, 1);
-  auto serial_result = serial.run(requests, 1);
-  auto wide_result = wide.run(requests, 16);
-
-  util::Summary serial_clone, wide_clone;
-  for (const auto& s : serial_result.samples) serial_clone.add(s.clone_latency());
-  for (const auto& s : wide_result.samples) wide_clone.add(s.clone_latency());
   // The shared NFS pipe makes concurrent clones individually slower.
-  EXPECT_GT(wide_clone.mean(), serial_clone.mean() * 1.5);
+  const double serial = run_window(8, 16, 1).mean_clone_sec();
+  const double wide = run_window(8, 16, 16).mean_clone_sec();
+  EXPECT_GT(wide, serial * 1.5);
 }
 
 TEST(ConcurrentSimTest, AllBytesMoveThroughNfs) {
-  std::vector<ConcurrentRequest> requests(4, concurrent_64mb());
-  ConcurrentCreationSim sim(2, TimingConfig{}, 1);
-  auto result = sim.run(requests, 4);
-  EXPECT_NEAR(result.nfs_bytes_moved, 4.0 * 64 * kMb, 1024.0);
+  const WindowRun run = run_window(2, 4, 4);
+  ASSERT_EQ(run.samples.size(), 4u);
+  double copied = 0.0;
+  for (const auto& s : run.samples) {
+    EXPECT_GE(s.observation.clone_bytes_copied, 64 * kMb);
+    copied += static_cast<double>(s.observation.clone_bytes_copied);
+  }
+  EXPECT_NEAR(run.nfs_bytes_moved, copied, 1.0);
 }
 
 TEST(ConcurrentSimTest, SamplesCoverAllRequests) {
-  std::vector<ConcurrentRequest> requests(7, concurrent_64mb());
-  ConcurrentCreationSim sim(3, TimingConfig{}, 2);
-  auto result = sim.run(requests, 3);
-  ASSERT_EQ(result.samples.size(), 7u);
-  for (const auto& s : result.samples) {
-    EXPECT_GT(s.finish_sec, s.start_sec);
-    EXPECT_GE(s.clone_done_sec, s.start_sec);
-    EXPECT_GE(s.finish_sec, s.clone_done_sec);
-    EXPECT_LT(s.plant, 3u);
+  const WindowRun run = run_window(3, 7, 3, 2);
+  ASSERT_EQ(run.samples.size(), 7u);
+  const std::set<std::string> plants = {"plant0", "plant1", "plant2"};
+  for (std::size_t i = 0; i < run.samples.size(); ++i) {
+    const CreationSample& s = run.samples[i];
+    EXPECT_EQ(s.sequence, i + 1);  // request order, whatever finished first
+    EXPECT_FALSE(s.vm_id.empty());
+    EXPECT_EQ(plants.count(s.plant), 1u) << s.plant;
+    EXPECT_GT(s.timing.clone_sec, 0.0);
+    EXPECT_GE(s.sim_time_completed, s.timing.total_sec);
+    EXPECT_LE(s.sim_time_completed, run.makespan_sec);
+  }
+}
+
+TEST(ConcurrentSimTest, ProjectionFlattensWhenNfsSaturates) {
+  // The §6 projection in miniature: 16 creations on 4 plants.  Overlap
+  // shortens the makespan until the NFS pipe saturates; past that a wider
+  // window only stretches each clone.
+  std::vector<WindowRun> runs;
+  for (const std::size_t window : {1, 4, 8, 16}) {
+    runs.push_back(run_window(4, 16, window));
+  }
+  const auto nfs_util = [](const WindowRun& run) {
+    return run.nfs_bytes_moved /
+           (TimingConfig{}.nfs_copy_bytes_per_sec * run.makespan_sec);
+  };
+  EXPECT_GT(runs[0].makespan_sec / runs[3].makespan_sec, 3.0);
+  EXPECT_NEAR(runs[2].makespan_sec / runs[3].makespan_sec, 1.0, 0.1);
+  EXPECT_LT(nfs_util(runs[0]), 0.25);
+  EXPECT_GT(nfs_util(runs[3]), 0.6);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_LT(runs[i - 1].mean_clone_sec(), runs[i].mean_clone_sec()) << i;
   }
 }
 

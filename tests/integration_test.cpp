@@ -259,8 +259,8 @@ TEST(IntegrationTest, GoldenSizesProduceDistinctCloneCosts) {
   // slower than 32 MB ones (paper Figures 4/5).
   EXPECT_GT(s256.value().timing.clone_sec,
             2.5 * s32.value().timing.clone_sec);
-  EXPECT_EQ(s32.value().memory_bytes, 32 * kMb);
-  EXPECT_EQ(s256.value().memory_bytes, 256 * kMb);
+  EXPECT_EQ(s32.value().observation.memory_bytes, 32 * kMb);
+  EXPECT_EQ(s256.value().observation.memory_bytes, 256 * kMb);
 }
 
 }  // namespace

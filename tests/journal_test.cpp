@@ -330,8 +330,8 @@ TEST_F(JournalTest, DeadSinkCountsDroppedAppends) {
 
 TEST_F(JournalTest, ConcurrentAppendWhileSnapshotting) {
   // Writers hammer append() while readers race ring() / ring_jsonl() /
-  // dump_ring_jsonl() against them.  Run under TSan (the `journal` label is
-  // in the tsan-concurrency preset) this is the data-race proof for the
+  // dump_ring_jsonl() against them.  Run under TSan (`ctest --preset tsan`
+  // runs the whole suite) this is the data-race proof for the
   // flight-recorder snapshot path; everywhere it checks that snapshots are
   // always internally consistent (strictly increasing sequence numbers).
   constexpr int kWriters = 4;

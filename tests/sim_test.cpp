@@ -390,60 +390,5 @@ TEST(FifoServerTest, QueueDepthVisible) {
   EXPECT_EQ(fifo.queued(), 0u);
 }
 
-// -- CapacityPool ------------------------------------------------------------------
-
-TEST(CapacityPoolTest, TryAcquireRespectsCapacity) {
-  Engine engine;
-  CapacityPool pool(&engine, 100.0);
-  EXPECT_TRUE(pool.try_acquire(60.0));
-  EXPECT_FALSE(pool.try_acquire(50.0));
-  EXPECT_TRUE(pool.try_acquire(40.0));
-  EXPECT_DOUBLE_EQ(pool.available(), 0.0);
-  EXPECT_DOUBLE_EQ(pool.in_use(), 100.0);
-}
-
-TEST(CapacityPoolTest, AcquireBlocksUntilRelease) {
-  Engine engine;
-  CapacityPool pool(&engine, 100.0);
-  ASSERT_TRUE(pool.try_acquire(100.0));
-  bool granted = false;
-  pool.acquire(50.0, [&] { granted = true; });
-  engine.run();
-  EXPECT_FALSE(granted);
-  EXPECT_EQ(pool.waiters(), 1u);
-  pool.release(100.0);
-  engine.run();
-  EXPECT_TRUE(granted);
-  EXPECT_DOUBLE_EQ(pool.in_use(), 50.0);
-}
-
-TEST(CapacityPoolTest, WaitersServedFifo) {
-  Engine engine;
-  CapacityPool pool(&engine, 10.0);
-  ASSERT_TRUE(pool.try_acquire(10.0));
-  std::vector<int> order;
-  pool.acquire(5.0, [&] { order.push_back(1); });
-  pool.acquire(5.0, [&] { order.push_back(2); });
-  pool.release(10.0);
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(CapacityPoolTest, NoQueueJumpingPastWaiters) {
-  Engine engine;
-  CapacityPool pool(&engine, 10.0);
-  ASSERT_TRUE(pool.try_acquire(8.0));
-  pool.acquire(5.0, [] {});  // waits (only 2 available)
-  // A small request that *would* fit must not bypass the FIFO.
-  EXPECT_FALSE(pool.try_acquire(1.0));
-}
-
-TEST(CapacityPoolTest, ReleaseClampsAtCapacity) {
-  Engine engine;
-  CapacityPool pool(&engine, 10.0);
-  pool.release(100.0);
-  EXPECT_DOUBLE_EQ(pool.available(), 10.0);
-}
-
 }  // namespace
 }  // namespace vmp::sim

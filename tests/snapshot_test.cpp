@@ -12,6 +12,8 @@
 #include <sstream>
 #include <string>
 #include <unistd.h>
+#include <utility>
+#include <vector>
 
 #include "cluster/deployment.h"
 #include "core/snapshot.h"
@@ -276,6 +278,64 @@ TEST(DeploymentSnapshotTest, BinaryBusDeploymentSavesAndRestores) {
   const auto more = site.run_sequence(
       workload::workspace_requests(32, 1, "codec.test2"), true);
   EXPECT_EQ(more.size(), 1u);
+}
+
+TEST(DeploymentSnapshotTest, RestoredClockAndCountersAreExact) {
+  cluster::DeploymentConfig dc;
+  dc.plant_count = 2;
+  cluster::SimulatedDeployment site(dc);
+  ASSERT_TRUE(workload::publish_paper_goldens(&site.warehouse(), {32}).ok());
+  ASSERT_EQ(site.run_sequence(workload::workspace_requests(32, 3, "a")).size(),
+            3u);
+  const double saved_now = site.sim_now();
+  auto frame = site.save_snapshot();
+  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+
+  ASSERT_EQ(site.run_sequence(workload::workspace_requests(32, 2, "b")).size(),
+            2u);
+  ASSERT_NE(site.sim_now(), saved_now);
+  ASSERT_TRUE(site.load_snapshot(frame.value()).ok());
+  EXPECT_EQ(site.sim_now(), saved_now);  // bit for bit, not to 6 decimals
+  EXPECT_EQ(site.creations(), 3u);
+  EXPECT_EQ(site.failures(), 0u);
+}
+
+TEST(DeploymentSnapshotTest, MalformedMetaIsRefusedAndChangesNothing) {
+  cluster::DeploymentConfig dc;
+  dc.plant_count = 1;
+  cluster::SimulatedDeployment site(dc);
+  ASSERT_TRUE(workload::publish_paper_goldens(&site.warehouse(), {32}).ok());
+  ASSERT_EQ(site.run_sequence(workload::workspace_requests(32, 1, "a")).size(),
+            1u);
+  auto frame = site.save_snapshot();
+  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+  auto data = core::decode_snapshot(frame.value());
+  ASSERT_TRUE(data.ok());
+
+  const std::string golden_id = site.warehouse().list()[0].id;
+  ASSERT_TRUE(site.warehouse().detach(golden_id).ok());
+  const double now = site.sim_now();
+  for (const auto& [key, bad] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"deployment.sim_now", "12.5x"},
+           {"deployment.sim_now", ""},
+           {"deployment.sim_now", "inf"},
+           {"deployment.sequence", "-1"},
+           {"deployment.sequence", "7 "},
+           {"deployment.failures", "0x1"},
+       }) {
+    core::SnapshotData tampered = data.value();
+    tampered.meta[key] = bad;
+    const util::Status loaded =
+        site.load_snapshot(core::encode_snapshot(tampered));
+    ASSERT_FALSE(loaded.ok()) << key << "=\"" << bad << "\" was accepted";
+    EXPECT_EQ(loaded.error().code(), util::ErrorCode::kParseError);
+    // Nothing restored: not the index, not the counters.
+    EXPECT_FALSE(site.warehouse().contains(golden_id));
+    EXPECT_EQ(site.sim_now(), now);
+    EXPECT_EQ(site.creations(), 1u);
+    EXPECT_EQ(site.failures(), 0u);
+  }
 }
 
 }  // namespace

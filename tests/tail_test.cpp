@@ -151,6 +151,18 @@ TEST(SpanJsonTest, ReadsBackWhatToJsonWrites) {
   EXPECT_EQ(escaped.value().name, "\xc3\xa9\xe2\x82\xac/");
 }
 
+TEST(SpanJsonTest, TimesSurviveTheRoundTripExactly) {
+  // A 3.4 ms span late on a long-running clock: six significant digits
+  // would write both ends as 1234.57 and read back a zero-length span.
+  const Span span =
+      make_root("t", "plant.clone", 1234.5678, 1234.5678 + 3.4e-3);
+  const auto back = Span::from_json(span.to_json());
+  ASSERT_TRUE(back.ok()) << span.to_json();
+  EXPECT_EQ(back.value().start_s, span.start_s);
+  EXPECT_EQ(back.value().end_s, span.end_s);
+  EXPECT_EQ(attributed_duration(back.value()), attributed_duration(span));
+}
+
 TEST(SpanJsonTest, MalformedLinesFailWhole) {
   const std::string good = make_root("t", "n", 1.0, 2.0).to_json();
   ASSERT_TRUE(Span::from_json(good).ok());
