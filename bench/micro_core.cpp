@@ -27,6 +27,10 @@
 // perfbench clone_pipeline image), so it carries the §4.3 checkpoint copy
 // and the spare-checkpoint reuse (the fastest of five batches); its bytes
 // field is the clone's bytes written.
+// classad.response.cycle times the classad work of one create response:
+// build the plant's response ad, copy it twice (information-system store
+// and query), to_xml + render + parse + ClassAd::from_xml on the shop side,
+// and read its VMID; its bytes field is the rendered body's size.
 // CI's bench-gate job feeds these to tools/bench_gate.py against
 // bench/baselines/micro_core.json, which enforces the binary codec's >= 3x
 // advantage over XML on descriptors (this PR's acceptance bar) plus
@@ -39,6 +43,7 @@
 
 #include "classad/classad.h"
 #include "classad/matchmaker.h"
+#include "core/request.h"
 #include "core/shop.h"
 #include "dag/dag_xml.h"
 #include "dag/matching.h"
@@ -259,6 +264,38 @@ void report_codec(const char* name, const CodecRow& row) {
               name, row.ns_per_op, mops, row.wire_bytes);
 }
 
+/// The plant's create response (paper §3.1): the VM's identity, placement
+/// and accounting attributes plus the configuration actions' outputs.
+classad::ClassAd make_response_ad() {
+  namespace attrs = core::attrs;
+  classad::ClassAd ad;
+  ad.set_string(attrs::kIp, "10.0.3.17");
+  ad.set_string(attrs::kMac, "02:00:0a:00:03:11");
+  ad.set_string("SshHostKeyFingerprint",
+                "SHA256:3f9c2a7d41e0b8c5f6a1d2e3b4c5d6e7f8a9b0c1d2e3f4a5");
+  ad.set_string(attrs::kVmId, "plant3-vm0042");
+  ad.set_string(attrs::kPlant, "plant3");
+  ad.set_string(attrs::kBackend, "vmware-gsx");
+  ad.set_string(attrs::kRequestId, "req-0042");
+  ad.set_string(attrs::kDomain, "ufl.edu");
+  ad.set_string(attrs::kGoldenImage, "golden-64mb");
+  ad.set_string(attrs::kOs, "linux");
+  ad.set_integer(attrs::kMemoryBytes, 64ll << 20);
+  ad.set_integer(attrs::kDiskBytes, 2048ll << 20);
+  ad.set_string(attrs::kNetwork, "vmnet3");
+  ad.set_integer(attrs::kActionsExecuted, 6);
+  ad.set_integer(attrs::kActionsSatisfied, 3);
+  ad.set_integer(attrs::kActionFailures, 0);
+  ad.set_boolean(attrs::kSpeculativeHit, false);
+  ad.set_integer(attrs::kCloneBytesCopied, 4ll << 20);
+  ad.set_integer(attrs::kCloneLinks, 2);
+  ad.set_integer(attrs::kResidentBeforeBytes, 128ll << 20);
+  ad.set_integer(attrs::kActiveVmsBefore, 2);
+  ad.set_integer(attrs::kIsosConnected, 3);
+  ad.set_string(attrs::kState, "running");
+  return ad;
+}
+
 /// One VmShop::collect_bids round over 256 stub plant endpoints (paper
 /// §3.1, §3.4): bench/federation's stateless stubs, delivered in parallel.
 /// The row's bytes are the bus bytes of one round.
@@ -440,6 +477,27 @@ int run_codec_rows() {
   const CodecRow from_xml_64 = time_from_xml(
       workload::random_layered_dag(20040621, 8, 8, 0.25), kIters / 4);
 
+  // A create response's classad work, plant to shop (paper §3.1-3.2).
+  const CodecRow response_cycle = time_codec(kIters / 4, [&] {
+    const classad::ClassAd built = make_response_ad();
+    const classad::ClassAd stored = built;
+    const classad::ClassAd queried = stored;
+    xml::Element body("message");
+    queried.to_xml(&body);
+    const std::string wire = body.to_string();
+    auto doc = xml::parse(wire);
+    if (!doc.ok()) {
+      ok = false;
+      return wire.size();
+    }
+    auto received = classad::ClassAd::from_xml(*doc.value());
+    if (!received.ok() ||
+        !received.value().get_string(core::attrs::kVmId).has_value()) {
+      ok = false;
+    }
+    benchmark::DoNotOptimize(received);
+    return wire.size();
+  });
   const CodecRow fanout_256 = time_bid_fanout(request, kIters / 100, &ok);
   const CodecRow clone_cycle = time_clone_cycle(kIters / 20, &ok);
 
@@ -452,6 +510,7 @@ int run_codec_rows() {
   report_codec("dag.match.256", match_256);
   report_codec("dag.from_xml.invigo", from_xml_invigo);
   report_codec("dag.from_xml.64", from_xml_64);
+  report_codec("classad.response.cycle", response_cycle);
   report_codec("bid.fanout.256", fanout_256);
   report_codec("storage.clone_cycle.4m", clone_cycle);
   const double desc_speedup =

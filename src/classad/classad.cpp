@@ -1,8 +1,7 @@
 #include "classad/classad.h"
 
-#include <algorithm>
+#include <memory>
 
-#include "util/strings.h"
 #include "xml/xml.h"
 
 namespace vmp::classad {
@@ -12,32 +11,71 @@ using util::ErrorCode;
 using util::Result;
 using util::Status;
 
-ClassAd::ClassAd(const ClassAd& other) { *this = other; }
+namespace {
 
-ClassAd& ClassAd::operator=(const ClassAd& other) {
-  if (this == &other) return *this;
-  attrs_.clear();
-  order_ = other.order_;
-  for (const auto& [key, slot] : other.attrs_) {
-    attrs_.emplace(key, Slot{slot.display_name, slot.expr->clone()});
+char fold(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c | 0x20) : c; }
+
+/// FNV-1a over the case-folded name: equal (ignoring case) names hash
+/// equal, so a lookup compares one word per slot before any characters.
+std::uint32_t name_key(std::string_view name) {
+  std::uint32_t h = 2166136261u;
+  for (char c : name) {
+    h = (h ^ static_cast<unsigned char>(fold(c))) * 16777619u;
   }
-  return *this;
+  return h;
 }
 
-std::string ClassAd::fold(const std::string& name) {
-  return util::to_lower(name);
+bool same_name(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (fold(a[i]) != fold(b[i])) return false;
+  }
+  return true;
+}
+
+std::optional<std::int64_t> integer_of(const Value& v) {
+  if (v.type() == ValueType::kInteger) return v.as_integer();
+  return std::nullopt;
+}
+std::optional<double> number_of(const Value& v) {
+  if (v.is_number()) return v.as_number();
+  return std::nullopt;
+}
+std::optional<std::string> string_of(const Value& v) {
+  if (v.type() == ValueType::kString) return v.as_string();
+  return std::nullopt;
+}
+std::optional<bool> boolean_of(const Value& v) {
+  if (v.type() == ValueType::kBoolean) return v.as_boolean();
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::size_t ClassAd::find(std::string_view name, std::uint32_t key) const {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].key == key && same_name(slots_[i].name, name)) return i;
+  }
+  return kNoSlot;
+}
+
+std::size_t ClassAd::find(std::string_view name) const {
+  return find(name, name_key(name));
+}
+
+void ClassAd::put(std::uint32_t key, const std::string& name,
+                  SharedExpr expr) {
+  const std::size_t slot = find(name, key);
+  if (slot == kNoSlot) {
+    slots_.push_back(Slot{key, name, std::move(expr)});
+  } else {
+    slots_[slot].name = name;
+    slots_[slot].expr = std::move(expr);
+  }
 }
 
 void ClassAd::set(const std::string& name, ExprPtr expr) {
-  const std::string key = fold(name);
-  auto it = attrs_.find(key);
-  if (it == attrs_.end()) {
-    order_.push_back(key);
-    attrs_.emplace(key, Slot{name, std::move(expr)});
-  } else {
-    it->second.display_name = name;
-    it->second.expr = std::move(expr);
-  }
+  put(name_key(name), name, SharedExpr(std::move(expr)));
 }
 
 void ClassAd::set_integer(const std::string& name, std::int64_t v) {
@@ -61,75 +99,81 @@ Status ClassAd::set_expression(const std::string& name,
   return Status();
 }
 
+void ClassAd::merge(const ClassAd& updates) {
+  for (const Slot& slot : updates.slots_) put(slot.key, slot.name, slot.expr);
+}
+
 bool ClassAd::erase(const std::string& name) {
-  const std::string key = fold(name);
-  auto it = attrs_.find(key);
-  if (it == attrs_.end()) return false;
-  attrs_.erase(it);
-  order_.erase(std::find(order_.begin(), order_.end(), key));
+  const std::size_t slot = find(name);
+  if (slot == kNoSlot) return false;
+  slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(slot));
   return true;
 }
 
 bool ClassAd::has(const std::string& name) const {
-  return attrs_.count(fold(name)) != 0;
+  return find(name) != kNoSlot;
 }
 
 std::vector<std::string> ClassAd::names() const {
   std::vector<std::string> out;
-  out.reserve(order_.size());
-  for (const std::string& key : order_) {
-    out.push_back(attrs_.at(key).display_name);
-  }
+  out.reserve(slots_.size());
+  for (const Slot& slot : slots_) out.push_back(slot.name);
   return out;
 }
 
 const Expr* ClassAd::lookup(const std::string& name) const {
-  auto it = attrs_.find(fold(name));
-  return it == attrs_.end() ? nullptr : it->second.expr.get();
+  const std::size_t slot = find(name);
+  return slot == kNoSlot ? nullptr : slots_[slot].expr.get();
 }
 
-Value ClassAd::evaluate(const std::string& name, const ClassAd* other) const {
-  const Expr* expr = lookup(name);
-  if (expr == nullptr) return Value::undefined();
+Value ClassAd::evaluate_slot(std::size_t slot, const ClassAd* other) const {
+  const Expr& expr = *slots_[slot].expr;
+  if (const Value* literal = expr.literal()) return *literal;
   EvalContext ctx;
   ctx.self = this;
   ctx.other = other;
   // Mark the root attribute as in progress so `x = x + 1` is ERROR.
-  ctx.in_progress.push_back(
-      std::to_string(reinterpret_cast<std::uintptr_t>(this)) + "/" +
-      fold(name));
-  return expr->evaluate(ctx);
+  ctx.in_progress.emplace_back(this, slot);
+  return expr.evaluate(ctx);
+}
+
+Value ClassAd::evaluate(const std::string& name, const ClassAd* other) const {
+  const std::size_t slot = find(name);
+  if (slot == kNoSlot) return Value::undefined();
+  return evaluate_slot(slot, other);
+}
+
+template <typename Pick>
+auto ClassAd::read(const std::string& name, Pick pick) const
+    -> decltype(pick(std::declval<const Value&>())) {
+  const std::size_t slot = find(name);
+  if (slot == kNoSlot) return std::nullopt;
+  if (const Value* literal = slots_[slot].expr->literal()) {
+    return pick(*literal);
+  }
+  return pick(evaluate_slot(slot, nullptr));
 }
 
 std::optional<std::int64_t> ClassAd::get_integer(const std::string& name) const {
-  const Value v = evaluate(name);
-  if (v.type() == ValueType::kInteger) return v.as_integer();
-  return std::nullopt;
+  return read(name, integer_of);
 }
 
 std::optional<double> ClassAd::get_number(const std::string& name) const {
-  const Value v = evaluate(name);
-  if (v.is_number()) return v.as_number();
-  return std::nullopt;
+  return read(name, number_of);
 }
 
 std::optional<std::string> ClassAd::get_string(const std::string& name) const {
-  const Value v = evaluate(name);
-  if (v.type() == ValueType::kString) return v.as_string();
-  return std::nullopt;
+  return read(name, string_of);
 }
 
 std::optional<bool> ClassAd::get_boolean(const std::string& name) const {
-  const Value v = evaluate(name);
-  if (v.type() == ValueType::kBoolean) return v.as_boolean();
-  return std::nullopt;
+  return read(name, boolean_of);
 }
 
 std::string ClassAd::to_string() const {
   std::string out = "[ ";
-  for (const std::string& key : order_) {
-    const Slot& slot = attrs_.at(key);
-    out += slot.display_name;
+  for (const Slot& slot : slots_) {
+    out += slot.name;
     out += " = ";
     out += slot.expr->to_string();
     out += "; ";
@@ -140,10 +184,9 @@ std::string ClassAd::to_string() const {
 
 void ClassAd::to_xml(xml::Element* parent) const {
   xml::Element& ad = parent->add_child("classad");
-  for (const std::string& key : order_) {
-    const Slot& slot = attrs_.at(key);
+  for (const Slot& slot : slots_) {
     xml::Element& attr = ad.add_child("attr");
-    attr.set_attr("name", slot.display_name);
+    attr.set_attr("name", slot.name);
     attr.set_text(slot.expr->to_string());
   }
 }
@@ -155,8 +198,11 @@ Result<ClassAd> ClassAd::from_xml(const xml::Element& element) {
     return Result<ClassAd>(
         Error(ErrorCode::kParseError, "classad: missing <classad> element"));
   }
+  const std::vector<const xml::Element*> attrs =
+      ad_elem->children_named("attr");
   ClassAd ad;
-  for (const xml::Element* attr : ad_elem->children_named("attr")) {
+  ad.slots_.reserve(attrs.size());
+  for (const xml::Element* attr : attrs) {
     if (!attr->has_attr("name")) {
       return Result<ClassAd>(
           Error(ErrorCode::kParseError, "classad: <attr> without name"));
@@ -168,11 +214,13 @@ Result<ClassAd> ClassAd::from_xml(const xml::Element& element) {
 }
 
 bool ClassAd::operator==(const ClassAd& other) const {
-  if (order_.size() != other.order_.size()) return false;
-  for (const std::string& key : order_) {
-    auto it = other.attrs_.find(key);
-    if (it == other.attrs_.end()) return false;
-    if (attrs_.at(key).expr->to_string() != it->second.expr->to_string()) {
+  if (slots_.size() != other.slots_.size()) return false;
+  for (const Slot& slot : slots_) {
+    const std::size_t match = other.find(slot.name, slot.key);
+    if (match == kNoSlot) return false;
+    const Expr* theirs = other.slots_[match].expr.get();
+    if (slot.expr.get() != theirs &&
+        slot.expr->to_string() != theirs->to_string()) {
       return false;
     }
   }

@@ -1,5 +1,6 @@
-// The ClassAd container: an ordered map from attribute names (case
-// insensitive, per Condor) to expressions.
+// The ClassAd container: attributes in insertion order, names compared
+// case-insensitively (per Condor), each bound to an immutable expression
+// shared by reference between copies (DESIGN.md §8).
 //
 // VMPlant uses classads in three places (paper Sections 3.1-3.2):
 //   * the creation response handed back to the client (VMID, IP address,
@@ -10,11 +11,12 @@
 //     machine descriptors.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "classad/expr.h"
@@ -26,14 +28,12 @@ class Element;
 
 namespace vmp::classad {
 
+/// A copy shares every expression with its source (one count bump per
+/// attribute); editing either side rebinds a slot and never changes the
+/// other.  Like a standard container, one ad may be read from many threads
+/// at once but must not be edited while another thread uses it.
 class ClassAd {
  public:
-  ClassAd() = default;
-  ClassAd(const ClassAd& other);
-  ClassAd& operator=(const ClassAd& other);
-  ClassAd(ClassAd&&) = default;
-  ClassAd& operator=(ClassAd&&) = default;
-
   // -- Building -------------------------------------------------------------
   void set(const std::string& name, ExprPtr expr);
   void set_integer(const std::string& name, std::int64_t v);
@@ -44,9 +44,13 @@ class ClassAd {
   util::Status set_expression(const std::string& name,
                               const std::string& expr_text);
 
+  /// Set every attribute of `updates` here, in its order, sharing its
+  /// expressions (a replaced attribute keeps its position).
+  void merge(const ClassAd& updates);
+
   bool erase(const std::string& name);
   bool has(const std::string& name) const;
-  std::size_t size() const { return attrs_.size(); }
+  std::size_t size() const { return slots_.size(); }
 
   /// Attribute names in insertion order.
   std::vector<std::string> names() const;
@@ -61,6 +65,7 @@ class ClassAd {
   Value evaluate(const std::string& name, const ClassAd* other = nullptr) const;
 
   /// Typed convenience accessors: value if present and of the right type.
+  /// A literal attribute is read in place, without an evaluation.
   std::optional<std::int64_t> get_integer(const std::string& name) const;
   std::optional<double> get_number(const std::string& name) const;
   std::optional<std::string> get_string(const std::string& name) const;
@@ -77,15 +82,26 @@ class ClassAd {
 
  private:
   friend class AttrRefExpr;
-  /// Case-insensitive key.
-  static std::string fold(const std::string& name);
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   struct Slot {
-    std::string display_name;  // original spelling
-    ExprPtr expr;
+    std::uint32_t key;  // hash of the case-folded name: the scan's filter
+    std::string name;   // original spelling
+    SharedExpr expr;
   };
-  std::map<std::string, Slot> attrs_;      // folded name -> slot
-  std::vector<std::string> order_;         // folded names, insertion order
+
+  /// Index of the slot named `name` (any case), or kNoSlot.
+  std::size_t find(std::string_view name, std::uint32_t key) const;
+  std::size_t find(std::string_view name) const;
+  void put(std::uint32_t key, const std::string& name, SharedExpr expr);
+  /// Evaluate one slot with this ad as `self`.
+  Value evaluate_slot(std::size_t slot, const ClassAd* other) const;
+  /// `pick` applied to the attribute's value (read in place for a literal).
+  template <typename Pick>
+  auto read(const std::string& name, Pick pick) const
+      -> decltype(pick(std::declval<const Value&>()));
+
+  std::vector<Slot> slots_;  // insertion order
 };
 
 /// Parse "[ a = 1; b = 2 ]" or a bare attribute list "a = 1\nb = 2".

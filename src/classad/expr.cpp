@@ -161,40 +161,37 @@ Value eval_arithmetic(BinaryOp op, const Value& lhs, const Value& rhs) {
 // -- AttrRefExpr -------------------------------------------------------------
 
 Value AttrRefExpr::evaluate(const EvalContext& ctx) const {
-  const ClassAd* ad = nullptr;
-  switch (scope_) {
-    case Scope::kSelf:
-    case Scope::kDefault:
-      ad = ctx.self;
-      break;
-    case Scope::kOther:
-      ad = ctx.other;
-      break;
-  }
+  const ClassAd* ad = scope_ == Scope::kOther ? ctx.other : ctx.self;
   if (ad == nullptr) return Value::undefined();
 
-  const Expr* expr = ad->lookup(name_);
-  if (expr == nullptr && scope_ == Scope::kDefault && ctx.other != nullptr) {
+  std::size_t slot = ad->find(name_);
+  if (slot == ClassAd::kNoSlot && scope_ == Scope::kDefault &&
+      ctx.other != nullptr) {
     // Unscoped names fall through to the other ad when absent in self —
     // this is what lets Requirements say `memory >= 64` against the
     // candidate without writing `other.memory` everywhere.
     ad = ctx.other;
-    expr = ad->lookup(name_);
+    slot = ad->find(name_);
   }
-  if (expr == nullptr) return Value::undefined();
+  if (slot == ClassAd::kNoSlot) return Value::undefined();
 
   // Cycle guard: attribute currently being evaluated referencing itself.
-  const std::string key = std::to_string(reinterpret_cast<std::uintptr_t>(ad)) +
-                          "/" + util::to_lower(name_);
+  const std::pair<const ClassAd*, std::size_t> key{ad, slot};
   if (std::find(ctx.in_progress.begin(), ctx.in_progress.end(), key) !=
       ctx.in_progress.end()) {
     return Value::error();
   }
-  ctx.in_progress.push_back(key);
-  EvalContext nested = ctx;
+  const Expr& expr = *ad->slots_[slot].expr;
+  if (const Value* literal = expr.literal()) return *literal;
+  // The nested evaluation borrows the guard stack and hands it back.
+  EvalContext nested;
   nested.self = ad;
-  const Value v = expr->evaluate(nested);
-  ctx.in_progress.pop_back();
+  nested.other = ctx.other;
+  nested.in_progress = std::move(ctx.in_progress);
+  nested.in_progress.push_back(key);
+  const Value v = expr.evaluate(nested);
+  nested.in_progress.pop_back();
+  ctx.in_progress = std::move(nested.in_progress);
   return v;
 }
 

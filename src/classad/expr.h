@@ -16,8 +16,12 @@
 // operation on ERROR yields ERROR.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "classad/value.h"
@@ -31,20 +35,63 @@ class ClassAd;
 struct EvalContext {
   const ClassAd* self = nullptr;
   const ClassAd* other = nullptr;
-  /// Recursion guard for cyclic attribute references.
-  mutable std::vector<std::string> in_progress;
+  /// Recursion guard for cyclic attribute references: the (ad, slot
+  /// index) of every attribute whose evaluation is in progress.
+  mutable std::vector<std::pair<const ClassAd*, std::size_t>> in_progress;
 };
 
 class Expr {
  public:
+  Expr() = default;
+  Expr(const Expr&) = delete;
+  Expr& operator=(const Expr&) = delete;
   virtual ~Expr() = default;
   virtual Value evaluate(const EvalContext& ctx) const = 0;
   /// Unparse back to classad syntax.
   virtual std::string to_string() const = 0;
   virtual std::unique_ptr<Expr> clone() const = 0;
+  /// The value of a literal node; nullptr for every other kind.
+  virtual const Value* literal() const { return nullptr; }
+
+ private:
+  friend class SharedExpr;
+  /// Holders of this expression as a SharedExpr (0 while uniquely owned).
+  mutable std::atomic<std::uint32_t> shares_{0};
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
+
+/// An immutable expression shared by reference: ClassAd slots hold these,
+/// so copying an ad bumps one count per attribute instead of cloning each
+/// tree.  The count lives in the Expr itself (one allocation per
+/// expression).  Copies may be made and dropped from any thread; the
+/// expression is never mutated once shared.
+class SharedExpr {
+ public:
+  SharedExpr() = default;
+  explicit SharedExpr(ExprPtr expr) : expr_(expr.release()) { retain(); }
+  SharedExpr(const SharedExpr& other) : expr_(other.expr_) { retain(); }
+  SharedExpr(SharedExpr&& other) noexcept
+      : expr_(std::exchange(other.expr_, nullptr)) {}
+  SharedExpr& operator=(SharedExpr other) noexcept {
+    std::swap(expr_, other.expr_);
+    return *this;
+  }
+  ~SharedExpr() {
+    if (expr_ != nullptr && expr_->shares_.fetch_sub(1) == 1) delete expr_;
+  }
+
+  const Expr* get() const { return expr_; }
+  const Expr* operator->() const { return expr_; }
+  const Expr& operator*() const { return *expr_; }
+
+ private:
+  void retain() {
+    if (expr_ != nullptr) expr_->shares_.fetch_add(1);
+  }
+
+  const Expr* expr_ = nullptr;
+};
 
 // -- Node kinds --------------------------------------------------------------
 
@@ -56,6 +103,7 @@ class LiteralExpr final : public Expr {
   ExprPtr clone() const override {
     return std::make_unique<LiteralExpr>(value_);
   }
+  const Value* literal() const override { return &value_; }
 
  private:
   Value value_;

@@ -288,6 +288,20 @@ util::Status SimulatedDeployment::load_snapshot(std::string_view frame) {
     }
     return util::Status();
   };
+  // A frame from a different deployment shape would restore a clock and
+  // counters that no longer describe these plants.
+  for (const auto& [key, mine] :
+       {std::pair<const char*, std::string>{"deployment.backend",
+                                            config_.backend},
+        {"deployment.plants", std::to_string(plants_.size())}}) {
+    const auto it = data.value().meta.find(key);
+    if (it != data.value().meta.end() && it->second != mine) {
+      return Error(ErrorCode::kFailedPrecondition,
+                   "deployment snapshot: " + std::string(key) + " \"" +
+                       it->second + "\" does not match this deployment's \"" +
+                       mine + "\"");
+    }
+  }
   VMP_RETURN_IF_ERROR(read("deployment.sim_now", &sim_now));
   VMP_RETURN_IF_ERROR(read("deployment.sequence", &sequence));
   VMP_RETURN_IF_ERROR(read("deployment.failures", &failures));

@@ -49,9 +49,7 @@ Status VmInformationSystem::update(const std::string& vm_id,
   if (it == ads_.end()) {
     return Status(ErrorCode::kNotFound, "info system: no VM " + vm_id);
   }
-  for (const std::string& name : updates.names()) {
-    it->second.set(name, updates.lookup(name)->clone());
-  }
+  it->second.merge(updates);
   return Status();
 }
 
@@ -82,23 +80,32 @@ std::size_t VmInformationSystem::remove_prefixed(const std::string& prefix) {
   return removed;
 }
 
+namespace {
+
+/// The monitor's update for one VM.
+classad::ClassAd status_ad(const hv::VmStatus& vm) {
+  classad::ClassAd updates;
+  updates.set_string(attrs::kState, hv::power_state_name(vm.power));
+  updates.set_integer(attrs::kMemoryBytes,
+                      static_cast<std::int64_t>(vm.memory_bytes));
+  updates.set_integer(attrs::kIsosConnected,
+                      static_cast<std::int64_t>(vm.connected_isos));
+  if (!vm.ip.empty()) updates.set_string(attrs::kIp, vm.ip);
+  if (!vm.mac.empty()) updates.set_string(attrs::kMac, vm.mac);
+  return updates;
+}
+
+}  // namespace
+
 Status VmMonitor::refresh(const std::string& vm_id) {
   // The monitor runs on its own thread while creates are in flight, so it
-  // reads a consistent copy rather than borrowing a pointer into the
-  // hypervisor's instance table.
-  const std::optional<hv::VmInstance> vm = hypervisor_->snapshot_vm(vm_id);
+  // reads the published fields under the hypervisor lock rather than
+  // borrowing a pointer into the instance table.
+  const std::optional<hv::VmStatus> vm = hypervisor_->vm_status(vm_id);
   if (!vm.has_value()) {
     return Status(ErrorCode::kNotFound, "monitor: hypervisor lost VM " + vm_id);
   }
-  classad::ClassAd updates;
-  updates.set_string(attrs::kState, hv::power_state_name(vm->power));
-  updates.set_integer(attrs::kMemoryBytes,
-                      static_cast<std::int64_t>(vm->spec.memory_bytes));
-  updates.set_integer(attrs::kIsosConnected,
-                      static_cast<std::int64_t>(vm->connected_isos.size()));
-  if (!vm->guest.ip.empty()) updates.set_string(attrs::kIp, vm->guest.ip);
-  if (!vm->guest.mac.empty()) updates.set_string(attrs::kMac, vm->guest.mac);
-  return info_->update(vm_id, updates);
+  return info_->update(vm_id, status_ad(*vm));
 }
 
 std::size_t VmMonitor::refresh_all() {
@@ -107,12 +114,11 @@ std::size_t VmMonitor::refresh_all() {
   std::size_t suspended = 0;
   for (const std::string& id : info_->vm_ids()) {
     if (id.starts_with(kObsAdPrefix)) continue;  // not a VM
-    if (!refresh(id).ok()) continue;
+    const std::optional<hv::VmStatus> vm = hypervisor_->vm_status(id);
+    if (!vm.has_value() || !info_->update(id, status_ad(*vm)).ok()) continue;
     ++ok;
-    if (const auto vm = hypervisor_->snapshot_vm(id)) {
-      if (vm->power == hv::PowerState::kRunning) ++active;
-      if (vm->power == hv::PowerState::kSuspended) ++suspended;
-    }
+    if (vm->power == hv::PowerState::kRunning) ++active;
+    if (vm->power == hv::PowerState::kSuspended) ++suspended;
   }
   obs::MetricsRegistry& r = obs::MetricsRegistry::instance();
   r.gauge("vm.active.gauge")->set(static_cast<std::int64_t>(active));

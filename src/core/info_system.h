@@ -49,7 +49,8 @@ class VmInformationSystem {
   bool contains(const std::string& vm_id) const;
   util::Status remove(const std::string& vm_id);
 
-  /// Merge attribute updates into an existing ad (monitor refresh).
+  /// Merge attribute updates into an existing ad (monitor refresh); the
+  /// stored ad shares the updates' expressions.
   util::Status update(const std::string& vm_id,
                       const classad::ClassAd& updates);
 
@@ -86,7 +87,7 @@ class VmMonitor {
 
   /// Run refresh_all() on a background thread every `interval`.
   /// Idempotent; stop with stop_periodic().  The monitor only ever reads
-  /// snapshot_vm() copies taken under the hypervisor's internal lock, so
+  /// vm_status() copies taken under the hypervisor's internal lock, so
   /// sweeps are safe against concurrent creates/collects (DESIGN.md §10).
   void start_periodic(std::chrono::milliseconds interval);
   void stop_periodic();

@@ -274,7 +274,7 @@ Result<classad::ClassAd> VmPlant::create_impl(const CreateRequest& request) {
   ProductionResult& result = produced.value();
 
   // Assemble the response classad.
-  classad::ClassAd ad = result.ad;
+  classad::ClassAd ad = std::move(result.ad);
   ad.set_string(attrs::kVmId, vm_id);
   ad.set_string(attrs::kPlant, config_.name);
   ad.set_string(attrs::kBackend, hypervisor_->type());
@@ -315,7 +315,7 @@ Result<classad::ClassAd> VmPlant::create_impl(const CreateRequest& request) {
                  static_cast<std::int64_t>(result.isos_connected));
 
   // Dynamic attributes from the monitor.
-  info_.store(vm_id, ad);
+  info_.store(vm_id, std::move(ad));
   (void)monitor_->refresh(vm_id);
   {
     std::lock_guard<std::mutex> lock(state_mutex_);

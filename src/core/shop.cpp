@@ -447,13 +447,21 @@ Result<classad::ClassAd> VmShop::query(const std::string& vm_id) {
     }
   }
   // Routing cache miss (or stale): rebuild by broadcast.
+  std::string owner;
+  return query_broadcast(vm_id, routed, &owner);
+}
+
+Result<classad::ClassAd> VmShop::query_broadcast(const std::string& vm_id,
+                                                 const std::string& skip,
+                                                 std::string* owner) {
   for (const net::ServiceRecord& plant : registry_->discover("vmplant")) {
-    if (plant.address == routed) continue;
+    if (plant.address == skip) continue;
     auto ad = query_at(plant.address, vm_id);
     if (ad.ok()) {
       std::lock_guard<std::mutex> lock(mutex_);
       vm_to_plant_[vm_id] = plant.address;
       ad_cache_[vm_id] = ad.value();
+      *owner = plant.address;
       return ad;
     }
   }
@@ -461,17 +469,8 @@ Result<classad::ClassAd> VmShop::query(const std::string& vm_id) {
       Error(ErrorCode::kNotFound, "no plant knows VM " + vm_id));
 }
 
-Status VmShop::destroy(const std::string& vm_id) {
-  obs::ScopedSpan span("shop.destroy", "vmshop", vm_id);
-  // Resolve the owning plant (query refreshes the routing cache).
-  auto ad = query(vm_id);
-  if (!ad.ok()) return ad.error();
-
-  std::string plant_address;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    plant_address = vm_to_plant_[vm_id];
-  }
+Status VmShop::collect_at(const std::string& plant_address,
+                          const std::string& vm_id) {
   net::Message m = net::Message::request("vmplant.collect", config_.name,
                                          plant_address, vm_id);
   m.body().add_child("vm").set_attr("id", vm_id);
@@ -481,6 +480,27 @@ Status VmShop::destroy(const std::string& vm_id) {
   vm_to_plant_.erase(vm_id);
   ad_cache_.erase(vm_id);
   return Status();
+}
+
+Status VmShop::destroy(const std::string& vm_id) {
+  obs::ScopedSpan span("shop.destroy", "vmshop", vm_id);
+  std::string routed;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = vm_to_plant_.find(vm_id);
+    if (it != vm_to_plant_.end()) routed = it->second;
+  }
+  if (!routed.empty()) {
+    Status collected = collect_at(routed, vm_id);
+    if (collected.ok() || collected.error().code() != ErrorCode::kNotFound) {
+      return collected;
+    }
+  }
+  // No route, or a stale one: find the owner the way query() does.
+  std::string owner;
+  auto ad = query_broadcast(vm_id, routed, &owner);
+  if (!ad.ok()) return ad.error();
+  return collect_at(owner, vm_id);
 }
 
 Status VmShop::publish_image(const warehouse::GoldenImage& image) {

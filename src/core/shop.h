@@ -107,7 +107,11 @@ class VmShop {
   std::uint64_t cache_hits() const;
   std::size_t cache_size() const;
 
-  /// Destroy (collect) an active VM.
+  /// Destroy (collect) an active VM: one vmplant.collect to the plant the
+  /// routing cache names.  Without a route, or when that plant no longer
+  /// has the VM (kNotFound: a stale route), the owner is found by the
+  /// query broadcast and collected there.  Any other failure of the
+  /// collect is returned as is.
   util::Status destroy(const std::string& vm_id);
 
   /// Publish a golden image to the warehouse through the lifecycle
@@ -184,6 +188,14 @@ class VmShop {
   util::Result<classad::ClassAd> create_impl(const CreateRequest& request);
   util::Result<classad::ClassAd> query_at(const std::string& plant_address,
                                           const std::string& vm_id);
+  /// Query every registered plant but `skip` until one knows the VM; that
+  /// plant becomes the VM's route and its address is stored in `*owner`.
+  util::Result<classad::ClassAd> query_broadcast(const std::string& vm_id,
+                                                 const std::string& skip,
+                                                 std::string* owner);
+  /// vmplant.collect at one plant; success drops the VM's route and ad.
+  util::Status collect_at(const std::string& plant_address,
+                          const std::string& vm_id);
 
   /// One clamped health sample per plant in `bids`.  The provider (the
   /// fleet aggregator) is mutated concurrently by its sweep thread, so a

@@ -73,6 +73,15 @@ std::optional<VmInstance> Hypervisor::snapshot_vm(
   return it->second;
 }
 
+std::optional<VmStatus> Hypervisor::vm_status(const std::string& vm_id) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = instances_.find(vm_id);
+  if (it == instances_.end()) return std::nullopt;
+  const VmInstance& vm = it->second;
+  return VmStatus{vm.power, vm.spec.memory_bytes, vm.connected_isos.size(),
+                  vm.guest.ip, vm.guest.mac};
+}
+
 std::vector<std::string> Hypervisor::instance_ids() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;

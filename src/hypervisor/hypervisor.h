@@ -51,6 +51,16 @@ struct VmInstance {
   std::string golden_id;
 };
 
+/// The fields of one instance the VM monitor publishes, read together
+/// under the hypervisor lock (snapshot_vm would copy the whole instance).
+struct VmStatus {
+  PowerState power = PowerState::kStopped;
+  std::uint64_t memory_bytes = 0;
+  std::size_t connected_isos = 0;
+  std::string ip;
+  std::string mac;
+};
+
 /// Description of a clone source (a golden image already on disk).
 struct CloneSource {
   storage::ImageLayout layout;
@@ -144,11 +154,13 @@ class Hypervisor {
   /// the pointer stays valid across registrations of OTHER VMs — but the
   /// pointed-to instance is only safe to read/mutate from the thread that
   /// owns the VM (its creating request, or its collector).  Cross-owner
-  /// readers (monitors) must use snapshot_vm() instead.
+  /// readers (monitors) must use snapshot_vm() or vm_status() instead.
   const VmInstance* find(const std::string& vm_id) const;
   /// Consistent copy of one instance taken under the hypervisor lock (safe
   /// from any thread, e.g. the VM monitor refreshing during creates).
   std::optional<VmInstance> snapshot_vm(const std::string& vm_id) const;
+  /// The monitor's fields of one instance, consistent like snapshot_vm().
+  std::optional<VmStatus> vm_status(const std::string& vm_id) const;
   std::vector<std::string> instance_ids() const;
   std::size_t instance_count() const;
   /// Non-destroyed instances (the plant's capacity unit).  O(1): a counter

@@ -149,6 +149,166 @@ TEST_F(ShopTest, DestroyCollectsAtPlant) {
   EXPECT_FALSE(shop_->destroy(vm_id).ok());
 }
 
+// -- Destroy routing: one hop to the owning plant, broadcast as fallback -----
+
+TEST_F(ShopTest, DestroyWithARouteIsOneBusCall) {
+  auto ad = shop_->create(workload::workspace_request(32, 0, "d1"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  const std::string vm_id = ad.value().get_string(attrs::kVmId).value();
+  const std::uint64_t before = bus_.calls_total();
+  ASSERT_TRUE(shop_->destroy(vm_id).ok());
+  EXPECT_EQ(bus_.calls_total() - before, 1u);  // the collect, no query
+  for (const auto& plant : plants_) EXPECT_EQ(plant->active_vms(), 0u);
+  EXPECT_EQ(shop_->cache_size(), 0u);
+}
+
+TEST_F(ShopTest, DestroyWithoutARouteFindsTheOwnerByBroadcast) {
+  auto ad = shop_->create(workload::workspace_request(32, 0, "d1"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  const std::string vm_id = ad.value().get_string(attrs::kVmId).value();
+  ShopConfig config2;
+  config2.name = "vmshop2";
+  VmShop shop2(config2, &bus_, &registry_);  // no routing cache
+  ASSERT_TRUE(shop2.destroy(vm_id).ok());
+  for (const auto& plant : plants_) EXPECT_EQ(plant->active_vms(), 0u);
+}
+
+TEST_F(ShopTest, DestroyOfACollectedVmFailsAsAnUnknownOne) {
+  auto ad = shop_->create(workload::workspace_request(32, 0, "d1"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  const std::string vm_id = ad.value().get_string(attrs::kVmId).value();
+  const std::string plant_name = ad.value().get_string(attrs::kPlant).value();
+  // Collected behind the shop's back: its route is stale.
+  for (const auto& plant : plants_) {
+    if (plant->name() == plant_name) {
+      ASSERT_TRUE(plant->collect(vm_id).ok());
+    }
+  }
+  const std::uint64_t before = bus_.calls_total();
+  const Status stale = shop_->destroy(vm_id);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.error().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(stale.error().message(), "no plant knows VM " + vm_id);
+  // The stale collect, then a query to each other plant.
+  EXPECT_EQ(bus_.calls_total() - before, 3u);
+}
+
+TEST_F(ShopTest, DestroyOfAnUnknownVmKeepsItsCodeAndText) {
+  const Status unknown = shop_->destroy("vm-ghost");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(unknown.error().message(), "no plant knows VM vm-ghost");
+}
+
+TEST_F(ShopTest, TransportFailureOnTheCollectIsReturnedNotBroadcast) {
+  auto ad = shop_->create(workload::workspace_request(32, 0, "d1"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  const std::string vm_id = ad.value().get_string(attrs::kVmId).value();
+  const std::string plant_name = ad.value().get_string(attrs::kPlant).value();
+  {
+    auto plan = fault::FaultPlan::parse("bus.timeout:target=" + plant_name, 1);
+    ASSERT_TRUE(plan.ok());
+    fault::ScopedFaultPlan armed(plan.value());
+    const std::uint64_t before = bus_.calls_total();
+    const Status timed_out = shop_->destroy(vm_id);
+    ASSERT_FALSE(timed_out.ok());
+    EXPECT_EQ(timed_out.error().code(), ErrorCode::kTimeout);
+    // A fired fault is not a counted call, and no query went anywhere.
+    EXPECT_EQ(bus_.calls_total() - before, 0u);
+  }
+  VmPlant* owner = nullptr;
+  for (const auto& plant : plants_) {
+    if (plant->name() == plant_name) owner = plant.get();
+  }
+  ASSERT_NE(owner, nullptr);
+  EXPECT_EQ(owner->active_vms(), 1u);
+
+  // The owner leaves the bus: the collect is UNAVAILABLE, still no query.
+  owner->detach_from_bus();
+  const std::uint64_t before = bus_.calls_total();
+  const Status unavailable = shop_->destroy(vm_id);
+  ASSERT_FALSE(unavailable.ok());
+  EXPECT_EQ(unavailable.error().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(bus_.calls_total() - before, 1u);
+
+  // The route survived both failures: back on the bus, one hop destroys.
+  ASSERT_TRUE(owner->attach_to_bus(&bus_, &registry_).ok());
+  ASSERT_TRUE(shop_->destroy(vm_id).ok());
+  EXPECT_EQ(owner->active_vms(), 0u);
+}
+
+/// A vmplant stub whose VMs live in a shared owner table, so a test can
+/// move a VM between plants under the same id (a migration the shop did
+/// not see).  Bids `cost`; records each service it serves.
+void attach_table_plant(net::MessageBus* bus, net::ServiceRegistry* registry,
+                        const std::string& address, double cost,
+                        std::map<std::string, std::string>* owners,
+                        std::vector<std::string>* seen) {
+  ASSERT_TRUE(bus->register_endpoint(address, [=](const net::Message& m) {
+                   seen->push_back(address + " " + m.service());
+                   net::Message response = net::Message::response_to(m);
+                   if (m.service() == "vmplant.estimate") {
+                     response.body().add_child("bid").set_attr(
+                         "cost", util::format_double(cost));
+                     return response;
+                   }
+                   if (m.service() == "vmplant.create") {
+                     (*owners)["vm-1"] = address;
+                   } else {
+                     const std::string id = m.body().child("vm")->attr("id");
+                     auto it = owners->find(id);
+                     if (it == owners->end() || it->second != address) {
+                       return net::Message::fault_to(
+                           m, Error(ErrorCode::kNotFound,
+                                    address + ": unknown VM " + id));
+                     }
+                     if (m.service() == "vmplant.collect") {
+                       owners->erase(it);
+                       response.body().add_child("collected");
+                       return response;
+                     }
+                   }
+                   classad::ClassAd ad;
+                   ad.set_string(attrs::kVmId, "vm-1");
+                   ad.set_string(attrs::kPlant, address);
+                   ad.to_xml(&response.body());
+                   return response;
+                 }).ok());
+  registry->publish(net::ServiceRecord{"vmplant", address, {}});
+}
+
+TEST(ShopDestroyTest, StaleRouteToAMovedVmCollectsAtTheNewOwner) {
+  net::MessageBus bus;
+  net::ServiceRegistry registry;
+  std::map<std::string, std::string> owners;
+  std::vector<std::string> seen;
+  attach_table_plant(&bus, &registry, "plant-a", 1.0, &owners, &seen);
+  attach_table_plant(&bus, &registry, "plant-b", 9.0, &owners, &seen);
+  VmShop shop(ShopConfig{}, &bus, &registry);
+  auto ad = shop.create(workload::workspace_request(32, 0, "d1"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  ASSERT_EQ(owners.at("vm-1"), "plant-a");
+
+  owners["vm-1"] = "plant-b";  // moved; the shop still routes to plant-a
+  seen.clear();
+  ASSERT_TRUE(shop.destroy("vm-1").ok());
+  EXPECT_TRUE(owners.empty());
+  // The stale plant is asked once (the collect) and skipped by the query
+  // broadcast; the new owner answers the query and is collected.
+  EXPECT_EQ(seen, (std::vector<std::string>{"plant-a vmplant.collect",
+                                            "plant-b vmplant.query",
+                                            "plant-b vmplant.collect"}));
+
+  // Collected: the route is gone and no plant knows the VM.
+  seen.clear();
+  const Status again = shop.destroy("vm-1");
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(again.error().message(), "no plant knows VM vm-1");
+  EXPECT_EQ(seen, (std::vector<std::string>{"plant-a vmplant.query",
+                                            "plant-b vmplant.query"}));
+}
+
 TEST_F(ShopTest, NoBidsWhenNothingMatches) {
   // 128 MB golden does not exist -> every plant's PPP would fail, but the
   // estimate stage already refuses nothing (cost model doesn't know);

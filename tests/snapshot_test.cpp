@@ -338,5 +338,51 @@ TEST(DeploymentSnapshotTest, MalformedMetaIsRefusedAndChangesNothing) {
   }
 }
 
+TEST(DeploymentSnapshotTest, FrameOfAnotherShapeIsRefusedAndChangesNothing) {
+  // A frame from two GSX plants describes a clock and counters of THAT
+  // deployment: loading it into five UML plants must fail up front.
+  cluster::DeploymentConfig gsx;
+  gsx.plant_count = 2;
+  cluster::SimulatedDeployment source(gsx);
+  ASSERT_TRUE(workload::publish_paper_goldens(&source.warehouse(), {32}).ok());
+  ASSERT_EQ(source.run_sequence(workload::workspace_requests(32, 2, "a")).size(),
+            2u);
+  auto frame = source.save_snapshot();
+  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+
+  cluster::DeploymentConfig uml;
+  uml.plant_count = 5;
+  uml.backend = "uml";
+  cluster::SimulatedDeployment target(uml);
+  const double now = target.sim_now();
+  const util::Status loaded = target.load_snapshot(frame.value());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code(), util::ErrorCode::kFailedPrecondition);
+  EXPECT_NE(loaded.error().message().find("deployment.backend"),
+            std::string::npos)
+      << loaded.error().message();
+  EXPECT_TRUE(target.warehouse().list().empty());
+  EXPECT_EQ(target.sim_now(), now);
+  EXPECT_EQ(target.creations(), 0u);
+
+  // Each key alone is enough to refuse; a frame without them loads.
+  auto data = core::decode_snapshot(frame.value());
+  ASSERT_TRUE(data.ok());
+  cluster::DeploymentConfig gsx5;
+  gsx5.plant_count = 5;
+  cluster::SimulatedDeployment five(gsx5);
+  const util::Status plants = five.load_snapshot(frame.value());
+  ASSERT_FALSE(plants.ok());
+  EXPECT_EQ(plants.error().code(), util::ErrorCode::kFailedPrecondition);
+  EXPECT_NE(plants.error().message().find("deployment.plants"),
+            std::string::npos)
+      << plants.error().message();
+  core::SnapshotData shapeless = data.value();
+  shapeless.meta.erase("deployment.backend");
+  shapeless.meta.erase("deployment.plants");
+  ASSERT_TRUE(five.load_snapshot(core::encode_snapshot(shapeless)).ok());
+  EXPECT_EQ(five.creations(), 2u);
+}
+
 }  // namespace
 }  // namespace vmp
