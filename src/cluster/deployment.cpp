@@ -309,6 +309,16 @@ util::Status SimulatedDeployment::load_snapshot(std::string_view frame) {
     return Error(ErrorCode::kParseError,
                  "deployment snapshot: non-finite deployment.sim_now");
   }
+  // The frame names the goldens' artefact trees but does not carry them,
+  // so each must already be in this sandbox (a same-sandbox restore).
+  for (const warehouse::GoldenImage& image : data.value().images) {
+    if (!store_->exists(image.layout.config_path())) {
+      return Error(ErrorCode::kFailedPrecondition,
+                   "deployment snapshot: golden '" + image.id +
+                       "' has no artefact tree here (" +
+                       image.layout.config_path() + ")");
+    }
+  }
   core::SnapshotParticipants participants;
   participants.warehouse = warehouse_.get();
   VMP_RETURN_IF_ERROR(core::restore_snapshot(data.value(), participants));

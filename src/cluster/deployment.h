@@ -123,8 +123,9 @@ class SimulatedDeployment {
   /// frame (core/snapshot.h).
   util::Result<std::string> save_snapshot() const;
   /// Restore a save_snapshot() frame into THIS deployment: warehouse index
-  /// and experiment counters come back; the sandbox must already hold the
-  /// captured images' artefact trees (same-sandbox restore).
+  /// and experiment counters come back.  The sandbox must already hold the
+  /// captured images' artefact trees (same-sandbox restore); a frame naming
+  /// a missing tree is refused (kFailedPrecondition) and changes nothing.
   util::Status load_snapshot(std::string_view frame);
 
   double sim_now() const { return sim_now_; }

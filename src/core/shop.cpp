@@ -430,8 +430,8 @@ Result<classad::ClassAd> VmShop::query_at(const std::string& plant_address,
   return classad::ClassAd::from_xml(response.value().body());
 }
 
-Result<classad::ClassAd> VmShop::query(const std::string& vm_id) {
-  obs::ScopedSpan span("shop.query", "vmshop", vm_id);
+Result<classad::ClassAd> VmShop::route_then_find(const std::string& vm_id,
+                                                 const AtPlant& at_plant) {
   std::string routed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -439,34 +439,42 @@ Result<classad::ClassAd> VmShop::query(const std::string& vm_id) {
     if (it != vm_to_plant_.end()) routed = it->second;
   }
   if (!routed.empty()) {
-    auto ad = query_at(routed, vm_id);
-    if (ad.ok()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ad_cache_[vm_id] = ad.value();
-      return ad;
+    auto answer = at_plant(routed, nullptr);
+    if (answer.ok() || answer.error().code() != ErrorCode::kNotFound) {
+      return answer;
     }
   }
-  // Routing cache miss (or stale): rebuild by broadcast.
-  std::string owner;
-  return query_broadcast(vm_id, routed, &owner);
-}
-
-Result<classad::ClassAd> VmShop::query_broadcast(const std::string& vm_id,
-                                                 const std::string& skip,
-                                                 std::string* owner) {
+  // No route, or a stale one: the first other plant that knows the VM
+  // becomes its route.
   for (const net::ServiceRecord& plant : registry_->discover("vmplant")) {
-    if (plant.address == skip) continue;
+    if (plant.address == routed) continue;
     auto ad = query_at(plant.address, vm_id);
-    if (ad.ok()) {
+    if (!ad.ok()) continue;
+    {
       std::lock_guard<std::mutex> lock(mutex_);
       vm_to_plant_[vm_id] = plant.address;
       ad_cache_[vm_id] = ad.value();
-      *owner = plant.address;
-      return ad;
     }
+    return at_plant(plant.address, &ad.value());
   }
   return Result<classad::ClassAd>(
       Error(ErrorCode::kNotFound, "no plant knows VM " + vm_id));
+}
+
+Result<classad::ClassAd> VmShop::query(const std::string& vm_id) {
+  obs::ScopedSpan span("shop.query", "vmshop", vm_id);
+  return route_then_find(
+      vm_id, [&](const std::string& plant, classad::ClassAd* found) {
+        if (found != nullptr) {
+          return Result<classad::ClassAd>(std::move(*found));
+        }
+        auto ad = query_at(plant, vm_id);
+        if (ad.ok()) {
+          std::lock_guard<std::mutex> lock(mutex_);
+          ad_cache_[vm_id] = ad.value();
+        }
+        return ad;
+      });
 }
 
 Status VmShop::collect_at(const std::string& plant_address,
@@ -484,23 +492,13 @@ Status VmShop::collect_at(const std::string& plant_address,
 
 Status VmShop::destroy(const std::string& vm_id) {
   obs::ScopedSpan span("shop.destroy", "vmshop", vm_id);
-  std::string routed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = vm_to_plant_.find(vm_id);
-    if (it != vm_to_plant_.end()) routed = it->second;
-  }
-  if (!routed.empty()) {
-    Status collected = collect_at(routed, vm_id);
-    if (collected.ok() || collected.error().code() != ErrorCode::kNotFound) {
-      return collected;
-    }
-  }
-  // No route, or a stale one: find the owner the way query() does.
-  std::string owner;
-  auto ad = query_broadcast(vm_id, routed, &owner);
-  if (!ad.ok()) return ad.error();
-  return collect_at(owner, vm_id);
+  auto collected = route_then_find(
+      vm_id, [&](const std::string& plant, classad::ClassAd*) {
+        Status s = collect_at(plant, vm_id);
+        if (!s.ok()) return s.propagate<classad::ClassAd>();
+        return Result<classad::ClassAd>(classad::ClassAd());
+      });
+  return collected.ok() ? Status() : Status(collected.error());
 }
 
 Status VmShop::publish_image(const warehouse::GoldenImage& image) {

@@ -92,14 +92,16 @@ class VmShop {
   /// Create: bid collection, plant selection, creation, routing update.
   util::Result<classad::ClassAd> create(const CreateRequest& request);
 
-  /// Query an active VM (routed; falls back to broadcast when unrouted).
+  /// Query an active VM at its routed plant, or by broadcast when there is
+  /// no route or the route is stale (kNotFound there).  Any other failure
+  /// at the routed plant, such as kUnavailable, is returned as is.
   /// Refreshes the shop-side classad cache.
   util::Result<classad::ClassAd> query(const std::string& vm_id);
 
   /// Cache-first query (paper §3.1: "VMShop may ... cache classad
   /// information in the information system to speed up queries").  Serves
   /// the last classad seen for this VM without a plant round-trip; falls
-  /// through to query() on a miss.  Cached ads can be stale until the next
+  /// through to query() (its route-then-find rule) on a miss.  Cached ads can be stale until the next
   /// query()/create(); destroy() invalidates.
   util::Result<classad::ClassAd> cached_query(const std::string& vm_id);
 
@@ -188,11 +190,17 @@ class VmShop {
   util::Result<classad::ClassAd> create_impl(const CreateRequest& request);
   util::Result<classad::ClassAd> query_at(const std::string& plant_address,
                                           const std::string& vm_id);
-  /// Query every registered plant but `skip` until one knows the VM; that
-  /// plant becomes the VM's route and its address is stored in `*owner`.
-  util::Result<classad::ClassAd> query_broadcast(const std::string& vm_id,
-                                                 const std::string& skip,
-                                                 std::string* owner);
+  /// Route-then-find, shared by query() and destroy(): runs `at_plant` at
+  /// the VM's routed plant and returns its answer, unless there is no route
+  /// or that plant answers kNotFound.  Then the query broadcast finds the
+  /// owner, which becomes the route, and `at_plant` runs there with the
+  /// owner's ad as `found` (null at the routed plant).  Other failures at
+  /// the routed plant are returned: an unreachable plant is not a sign
+  /// that the VM is gone.
+  using AtPlant = std::function<util::Result<classad::ClassAd>(
+      const std::string& plant, classad::ClassAd* found)>;
+  util::Result<classad::ClassAd> route_then_find(const std::string& vm_id,
+                                                 const AtPlant& at_plant);
   /// vmplant.collect at one plant; success drops the VM's route and ad.
   util::Status collect_at(const std::string& plant_address,
                           const std::string& vm_id);

@@ -14,15 +14,13 @@ const char* power_state_name(PowerState state) noexcept {
     case PowerState::kStopped: return "stopped";
     case PowerState::kSuspended: return "suspended";
     case PowerState::kRunning: return "running";
-    case PowerState::kDestroyed: return "destroyed";
   }
   return "stopped";
 }
 
 Result<VmInstance*> Hypervisor::find_mutable(const std::string& vm_id) {
   auto it = instances_.find(vm_id);
-  if (it == instances_.end() ||
-      it->second.power == PowerState::kDestroyed) {
+  if (it == instances_.end()) {
     return Result<VmInstance*>(
         Error(ErrorCode::kNotFound, type() + ": no VM " + vm_id));
   }
@@ -31,32 +29,26 @@ Result<VmInstance*> Hypervisor::find_mutable(const std::string& vm_id) {
 
 namespace {
 
-bool is_active(PowerState power) { return power != PowerState::kDestroyed; }
-
-bool is_resident(PowerState power) {
-  return power == PowerState::kRunning || power == PowerState::kSuspended;
+/// What `vm` adds to resident_memory_bytes() in its current power state.
+std::uint64_t resident_bytes(const VmInstance& vm) {
+  const bool resident =
+      vm.power == PowerState::kRunning || vm.power == PowerState::kSuspended;
+  return resident ? vm.spec.memory_bytes : 0;
 }
 
 }  // namespace
 
 void Hypervisor::set_power(VmInstance* vm, PowerState next) {
-  const PowerState prev = vm->power;
-  active_count_ += is_active(next);
-  active_count_ -= is_active(prev);
-  if (is_resident(next)) resident_bytes_ += vm->spec.memory_bytes;
-  if (is_resident(prev)) resident_bytes_ -= vm->spec.memory_bytes;
+  resident_bytes_ -= resident_bytes(*vm);
   vm->power = next;
+  resident_bytes_ += resident_bytes(*vm);
 }
 
 bool Hypervisor::register_instance(VmInstance vm) {
-  const PowerState power = vm.power;
   std::string id = vm.id;
   auto [it, inserted] = instances_.emplace(std::move(id), std::move(vm));
-  if (!inserted) return false;
-  // Count it as a transition out of nothing (kDestroyed adds nothing).
-  it->second.power = PowerState::kDestroyed;
-  set_power(&it->second, power);
-  return true;
+  if (inserted) resident_bytes_ += resident_bytes(it->second);
+  return inserted;
 }
 
 const VmInstance* Hypervisor::find(const std::string& vm_id) const {
@@ -85,21 +77,17 @@ std::optional<VmStatus> Hypervisor::vm_status(const std::string& vm_id) const {
 std::vector<std::string> Hypervisor::instance_ids() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  for (const auto& [id, vm] : instances_) {
-    if (vm.power != PowerState::kDestroyed) out.push_back(id);
-  }
+  out.reserve(instances_.size());
+  for (const auto& [id, vm] : instances_) out.push_back(id);
   return out;
-}
-
-std::size_t Hypervisor::instance_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return instances_.size();
 }
 
 std::size_t Hypervisor::active_instances() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return active_count_;
+  return instances_.size();
 }
+
+std::size_t Hypervisor::instance_count() const { return active_instances(); }
 
 std::uint64_t Hypervisor::resident_memory_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -246,12 +234,6 @@ Status Hypervisor::start_vm(const std::string& vm_id) {
     return Status(ErrorCode::kFailedPrecondition,
                   type() + ": VM already running: " + vm_id);
   }
-  auto injected = start_failures_.find(vm_id);
-  if (injected != start_failures_.end() && injected->second) {
-    injected->second = false;
-    return Status(ErrorCode::kInternal,
-                  type() + ": injected start failure for " + vm_id);
-  }
   // Plan-driven fault injection (resume/boot failures look like VMM errors).
   if (auto fault = fault::check(fault::points::kHypervisorResume, vm_id);
       !fault.ok()) {
@@ -304,43 +286,46 @@ Status Hypervisor::power_off(const std::string& vm_id) {
 }
 
 Status Hypervisor::destroy_vm(const std::string& vm_id) {
-  // Claim the instance under the lock, then delete its tree unlocked (tree
-  // removal is the collect path's size-proportional cost, and concurrent
-  // collects of distinct VMs should overlap like concurrent clones do).
-  std::string dir;
-  std::string golden_id;
-  PowerState prev_power;
-  std::vector<std::string> prev_isos;
+  // Take the instance out of the table under the lock, then delete its tree
+  // unlocked (tree removal is the collect path's size-proportional cost, and
+  // concurrent collects of distinct VMs should overlap like concurrent
+  // clones do).  The extracted node, guest state and all, is freed on
+  // return, outside the lock.
+  decltype(instances_)::node_type node;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto vm = find_mutable(vm_id);
-    if (!vm.ok()) return vm.error();
-    dir = vm.value()->layout.dir;
-    golden_id = vm.value()->golden_id;
-    prev_power = vm.value()->power;
-    prev_isos = std::move(vm.value()->connected_isos);
-    set_power(vm.value(), PowerState::kDestroyed);
-    vm.value()->connected_isos.clear();
-  }
-  auto removed = storage::destroy_clone(store_, dir);
-  if (!removed.ok()) {
-    // Deletion failed: the VM is still materialized on disk, so restore its
-    // registration instead of stranding a live directory as "destroyed".
-    // The golden lease is kept — the clone's symlinks still exist.
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = instances_.find(vm_id);
-    if (it != instances_.end()) {
-      set_power(&it->second, prev_power);
-      it->second.connected_isos = std::move(prev_isos);
+    node = instances_.extract(vm_id);
+    if (node.empty()) {
+      return Status(ErrorCode::kNotFound, type() + ": no VM " + vm_id);
     }
-    return removed.error();
+    resident_bytes_ -= resident_bytes(node.mapped());
+  }
+  const std::string golden_id = node.mapped().golden_id;
+  Status result;
+  if (auto removed = storage::destroy_clone(store_, node.mapped().layout.dir);
+      !removed.ok()) {
+    // Deletion failed: the VM is still materialized on disk, so put it back
+    // as it was instead of stranding a live directory.  The golden lease is
+    // kept — the clone's symlinks still exist.
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto back = instances_.insert(std::move(node));
+    if (back.inserted) {
+      resident_bytes_ += resident_bytes(back.position->second);
+      return removed.error();
+    }
+    // The id was registered again while its tree was being removed, which
+    // generator-unique ids rule out.  Nothing holds this instance any more,
+    // so its lease goes with it.
+    node = std::move(back.node);
+    result = Status(ErrorCode::kInternal,
+                    type() + ": VM re-registered during destroy: " + vm_id);
   }
   // Only after the clone tree (and its symlinks into the golden) is gone may
   // the lifecycle manager reap a zombie base this clone was pinning.
   if (lease_hook_ != nullptr && !golden_id.empty()) {
     lease_hook_->release(golden_id);
   }
-  return Status();
+  return result;
 }
 
 Result<std::string> Hypervisor::connect_script_iso(const std::string& vm_id,
@@ -350,7 +335,7 @@ Result<std::string> Hypervisor::connect_script_iso(const std::string& vm_id,
     std::lock_guard<std::mutex> lock(mutex_);
     auto vm = find_mutable(vm_id);
     if (!vm.ok()) return vm.propagate<std::string>();
-    const std::uint32_t n = ++iso_counters_[vm_id];
+    const std::uint32_t n = ++vm.value()->iso_sequence;
     iso_path =
         vm.value()->layout.dir + "/config-cd-" + std::to_string(n) + ".iso";
   }
@@ -408,11 +393,6 @@ Result<GuestOutput> Hypervisor::execute_on_guest(const std::string& vm_id,
               type() + ": guest not running: " + vm_id));
   }
   return agent_.execute(&vm.value()->guest, script);
-}
-
-void Hypervisor::inject_start_failure(const std::string& vm_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  start_failures_[vm_id] = true;
 }
 
 }  // namespace vmp::hv

@@ -31,7 +31,7 @@
 
 namespace vmp::hv {
 
-enum class PowerState { kStopped, kSuspended, kRunning, kDestroyed };
+enum class PowerState { kStopped, kSuspended, kRunning };
 const char* power_state_name(PowerState state) noexcept;
 
 /// One hosted VM instance.
@@ -43,6 +43,8 @@ struct VmInstance {
   GuestState guest;
   /// Paths (store-relative) of connected virtual CD-ROM ISOs, attach order.
   std::vector<std::string> connected_isos;
+  /// ISOs written so far; the next one is config-cd-<iso_sequence + 1>.iso.
+  std::uint32_t iso_sequence = 0;
   /// Accounting from the clone that created this instance.
   storage::CloneReport clone_report;
   /// Golden image this instance was cloned from ("" when unknown, e.g. a
@@ -133,7 +135,8 @@ class Hypervisor {
   /// the redo log is truncated, mirroring VMware's end-of-session discard).
   util::Status power_off(const std::string& vm_id);
 
-  /// Destroy: power off if needed and delete the clone directory.
+  /// Destroy: delete the clone directory and forget the instance.  Once it
+  /// succeeds, every per-VM record is gone and the id is unknown here.
   util::Status destroy_vm(const std::string& vm_id);
 
   /// Write `script` to a new ISO file in the clone dir and connect it as a
@@ -150,11 +153,12 @@ class Hypervisor {
                                              const std::string& script);
 
   // -- Introspection --------------------------------------------------------
-  /// Borrowed pointer into the instance table.  The table is node-based, so
-  /// the pointer stays valid across registrations of OTHER VMs — but the
-  /// pointed-to instance is only safe to read/mutate from the thread that
-  /// owns the VM (its creating request, or its collector).  Cross-owner
-  /// readers (monitors) must use snapshot_vm() or vm_status() instead.
+  /// Borrowed pointer into the instance table, valid until that VM is
+  /// destroyed (the table is node-based, so other VMs' registrations and
+  /// destroys leave it alone).  The pointed-to instance is only safe to
+  /// read/mutate from the thread that owns the VM (its creating request,
+  /// or its collector).  Cross-owner readers (monitors) must use
+  /// snapshot_vm() or vm_status() instead.
   const VmInstance* find(const std::string& vm_id) const;
   /// Consistent copy of one instance taken under the hypervisor lock (safe
   /// from any thread, e.g. the VM monitor refreshing during creates).
@@ -162,18 +166,14 @@ class Hypervisor {
   /// The monitor's fields of one instance, consistent like snapshot_vm().
   std::optional<VmStatus> vm_status(const std::string& vm_id) const;
   std::vector<std::string> instance_ids() const;
-  std::size_t instance_count() const;
-  /// Non-destroyed instances (the plant's capacity unit).  O(1): a counter
-  /// kept in step with every power transition, since the table retains
-  /// destroyed instances and plants ask on every bid and create.
+  /// Registered instances (the plant's capacity unit): the table's size,
+  /// since destroy erases.  O(1).
   std::size_t active_instances() const;
+  /// Same as active_instances().
+  std::size_t instance_count() const;
   /// Sum of configured memory of Running and Suspended instances (bytes).
-  /// O(1), like active_instances().
+  /// O(1): a counter kept in step with every power transition.
   std::uint64_t resident_memory_bytes() const;
-
-  // -- Fault injection ------------------------------------------------------
-  /// Force the next start_vm on this id to fail (simulates VMM errors).
-  void inject_start_failure(const std::string& vm_id);
 
   /// Install the golden-image lease provider (nullptr disables leasing —
   /// the default, so tests and plants without a lifecycle manager run
@@ -195,12 +195,13 @@ class Hypervisor {
 
   /// Must be called with mutex_ held.
   util::Result<VmInstance*> find_mutable(const std::string& vm_id);
-  /// Moves `vm` to `next` and updates the load counters.  Every power
-  /// change goes through here.  Must be called with mutex_ held.
+  /// Moves `vm` to `next` and updates resident_bytes_.  Every power
+  /// change of a registered instance goes through here.  Must be called
+  /// with mutex_ held.
   void set_power(VmInstance* vm, PowerState next);
   /// Registers a new instance (its power as set by the caller) and counts
-  /// it.  Returns false when the id is taken.  Must be called with mutex_
-  /// held.
+  /// its resident memory.  Returns false when a live instance has the id.
+  /// Must be called with mutex_ held.
   bool register_instance(VmInstance vm);
 
   storage::ArtifactStore* store_;
@@ -210,14 +211,12 @@ class Hypervisor {
   /// directory no other request touches — that is what lets independent
   /// creations overlap on one plant (DESIGN.md §10).
   mutable std::mutex mutex_;
+  /// Live instances only: destroy_vm erases.
   std::map<std::string, VmInstance> instances_;
-  /// Load counters over instances_ (see active_instances()), updated only
-  /// by set_power() and register_instance().
-  std::size_t active_count_ = 0;
+  /// Resident memory over instances_ (see resident_memory_bytes()), kept
+  /// by set_power(), register_instance() and destroy_vm().
   std::uint64_t resident_bytes_ = 0;
-  std::map<std::string, bool> start_failures_;
   GuestAgent agent_;
-  std::map<std::string, std::uint32_t> iso_counters_;
   /// Lease calls run OUTSIDE mutex_ (the hook takes the lifecycle lock,
   /// which in turn takes the warehouse lock — holding mutex_ across that
   /// chain would invert against destroy paths).

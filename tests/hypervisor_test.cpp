@@ -298,8 +298,12 @@ TEST_F(HypervisorTest, DoubleStartRejected) {
 TEST_F(HypervisorTest, InjectedStartFailureFiresOnce) {
   GsxHypervisor gsx(store_.get());
   ASSERT_TRUE(gsx.clone_vm(make_golden(true), "clones/a", "vm1").ok());
-  gsx.inject_start_failure("vm1");
-  EXPECT_FALSE(gsx.start_vm("vm1").ok());
+  fault::ScopedFaultPlan fail_resume(
+      fault::FaultPlan::parse("hypervisor.resume:target=vm1,times=1").value());
+  const util::Status failed = gsx.start_vm("vm1");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(gsx.find("vm1")->power, PowerState::kStopped);
   EXPECT_TRUE(gsx.start_vm("vm1").ok());  // recovers on retry
 }
 
@@ -348,6 +352,45 @@ TEST_F(HypervisorTest, ResidentMemoryAccounting) {
   ASSERT_TRUE(gsx.destroy_vm("vm1").ok());
   EXPECT_EQ(gsx.resident_memory_bytes(), 32ull << 20);
   EXPECT_EQ(gsx.instance_ids().size(), 1u);
+}
+
+// A failed destroy puts the VM back as it was; a successful one leaves
+// nothing behind.  The id is then unknown to every reader, and it may be
+// registered again (the plant's id generator is what prevents reuse), with
+// its ISO numbering starting over.
+TEST_F(HypervisorTest, DestroyErasesTheInstance) {
+  GsxHypervisor gsx(store_.get());
+  const CloneSource golden = make_golden(true);
+  ASSERT_TRUE(gsx.clone_vm(golden, "clones/a", "vm1").ok());
+  ASSERT_TRUE(gsx.start_vm("vm1").ok());
+  ASSERT_TRUE(gsx.connect_script_iso("vm1", "install x").ok());
+  {
+    fault::ScopedFaultPlan fail_removal(
+        fault::FaultPlan::parse("store.remove:times=1").value());
+    ASSERT_FALSE(gsx.destroy_vm("vm1").ok());
+  }
+  EXPECT_EQ(gsx.find("vm1")->power, PowerState::kRunning);
+  EXPECT_EQ(gsx.find("vm1")->connected_isos.size(), 1u);
+  EXPECT_EQ(gsx.resident_memory_bytes(), golden.spec.memory_bytes);
+  auto second = gsx.connect_script_iso("vm1", "install y");
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value(), "clones/a/config-cd-2.iso");
+
+  ASSERT_TRUE(gsx.destroy_vm("vm1").ok());
+  EXPECT_EQ(gsx.find("vm1"), nullptr);
+  EXPECT_FALSE(gsx.snapshot_vm("vm1").has_value());
+  EXPECT_FALSE(gsx.vm_status("vm1").has_value());
+  EXPECT_TRUE(gsx.instance_ids().empty());
+  EXPECT_EQ(gsx.instance_count(), 0u);
+  EXPECT_EQ(gsx.active_instances(), 0u);
+  EXPECT_EQ(gsx.resident_memory_bytes(), 0u);
+  EXPECT_EQ(gsx.destroy_vm("vm1").error().code(), util::ErrorCode::kNotFound);
+
+  ASSERT_TRUE(gsx.clone_vm(golden, "clones/b", "vm1").ok());
+  ASSERT_TRUE(gsx.start_vm("vm1").ok());
+  auto reused = gsx.connect_script_iso("vm1", "install z");
+  ASSERT_TRUE(reused.ok());
+  EXPECT_EQ(reused.value(), "clones/b/config-cd-1.iso");
 }
 
 // -- UML --------------------------------------------------------------------------------
@@ -460,8 +503,7 @@ TEST_F(HypervisorTest, LoadCountersMatchFullScanOverRandomTransitions) {
           (void)gsx.destroy_vm(id);
           break;
         default: {
-          const bool live = gsx.snapshot_vm(id).has_value() &&
-                            gsx.snapshot_vm(id)->power != PowerState::kDestroyed;
+          const bool live = gsx.snapshot_vm(id).has_value();
           fault::ScopedFaultPlan fail_removal(
               fault::FaultPlan::parse("store.remove:times=1").value());
           if (!gsx.destroy_vm(id).ok() && live) ++rollbacks;

@@ -186,12 +186,17 @@ TEST_F(FaultTest, InjectedVmmStartFailureAbortsCleanly) {
   auto& plant = *plants_[0];
   // The next VM id the plant will assign:
   const std::string next_id = plant.name() + "-vm-0001";
-  plant.hypervisor().inject_start_failure(next_id);
-
-  auto ad = plant.create(workload::workspace_request(32, 0, "d"));
-  ASSERT_FALSE(ad.ok());
-  EXPECT_EQ(plant.active_vms(), 0u);
-  EXPECT_EQ(plant.allocator().free_networks(), 4u);
+  {
+    fault::ScopedFaultPlan fail_resume(
+        fault::FaultPlan::parse("hypervisor.resume:target=" + next_id +
+                                ",times=1")
+            .value());
+    auto ad = plant.create(workload::workspace_request(32, 0, "d"));
+    ASSERT_FALSE(ad.ok());
+    EXPECT_EQ(plant.active_vms(), 0u);
+    EXPECT_EQ(plant.hypervisor().instance_count(), 0u);
+    EXPECT_EQ(plant.allocator().free_networks(), 4u);
+  }
 
   // The very next attempt succeeds (failure was transient).
   EXPECT_TRUE(plant.create(workload::workspace_request(32, 1, "d")).ok());

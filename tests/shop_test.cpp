@@ -237,6 +237,26 @@ TEST_F(ShopTest, TransportFailureOnTheCollectIsReturnedNotBroadcast) {
   EXPECT_EQ(owner->active_vms(), 0u);
 }
 
+TEST_F(ShopTest, QueryOfAVmOnADownPlantIsUnavailableNotUnknown) {
+  auto ad = shop_->create(workload::workspace_request(32, 0, "d1"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  const std::string vm_id = ad.value().get_string(attrs::kVmId).value();
+  const std::string plant_name = ad.value().get_string(attrs::kPlant).value();
+  bus_.set_down(plant_name, true);
+  const std::uint64_t before = bus_.calls_total();
+  auto q = shop_->query(vm_id);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.error().code(), ErrorCode::kUnavailable);
+  // Only the routed query: no broadcast turned "unreachable" into "unknown".
+  EXPECT_EQ(bus_.calls_total() - before, 1u);
+
+  // The route survived: back up, the VM answers again.
+  bus_.set_down(plant_name, false);
+  auto again = shop_->query(vm_id);
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(again.value().get_string(attrs::kVmId).value(), vm_id);
+}
+
 /// A vmplant stub whose VMs live in a shared owner table, so a test can
 /// move a VM between plants under the same id (a migration the shop did
 /// not see).  Bids `cost`; records each service it serves.
@@ -886,6 +906,75 @@ TEST(ShopFanOutTest, PlantUnregisteredMidFanOutIsASkippedBid) {
   EXPECT_EQ(shop.collect_bids(workload::workspace_request(64, 1, "d1")).size(),
             95u);
   EXPECT_EQ(shop.bids_skipped(), 2u);
+}
+
+// -- Soak: a plant serves forever in bounded memory -------------------------
+
+// Create/destroy cycles through the shop on one plant: every per-VM table
+// (hypervisor, plant, information system, shop cache, vnet, golden leases)
+// returns to its starting size, so per-VM state ends with the VM.
+class ShopSoakTest : public ::testing::Test {
+ protected:
+  void SetUp() override { std::filesystem::remove_all(root_); }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  const std::filesystem::path root_ =
+      std::filesystem::temp_directory_path() /
+      ("vmp-shop-soak-" + std::to_string(::getpid()));
+};
+
+TEST_F(ShopSoakTest, CreateDestroyCyclesLeaveNoPerVmState) {
+  storage::ArtifactStore store(root_);
+  warehouse::Warehouse warehouse(&store, "warehouse");
+  ASSERT_TRUE(workload::publish_paper_goldens(&warehouse, {32}).ok());
+  auto lifecycle = lifecycle::LifecycleManager::create(
+      &warehouse, lifecycle::LifecycleManager::Config{});
+  ASSERT_TRUE(lifecycle.ok());
+  net::MessageBus bus;
+  net::ServiceRegistry registry;
+  PlantConfig config;
+  config.name = "plant0";
+  VmPlant plant(config, &store, &warehouse);
+  plant.hypervisor().set_lease_hook(lifecycle.value().get());
+  ASSERT_TRUE(plant.attach_to_bus(&bus, &registry).ok());
+  VmShop shop(ShopConfig{}, &bus, &registry);
+  ASSERT_TRUE(shop.attach_to_bus().ok());
+
+  const auto vm_ads = [&plant] {
+    std::size_t n = 0;
+    for (const std::string& id : plant.info_system().vm_ids()) {
+      n += !util::starts_with(id, kObsAdPrefix);
+    }
+    return n;
+  };
+  const auto leases = [&lifecycle] {
+    std::size_t n = 0;
+    for (const auto& image : lifecycle.value()->stats()) n += image.leases;
+    return n;
+  };
+  const std::size_t instances = plant.hypervisor().instance_count();
+  const std::size_t active = plant.active_vms();
+  const std::size_t ads = vm_ads();
+  const std::size_t cached = shop.cache_size();
+  const std::size_t networks = plant.allocator().free_networks();
+  const std::size_t leased = leases();
+
+  for (int cycle = 1; cycle <= 1000; ++cycle) {
+    auto ad = shop.create(workload::workspace_request(32, cycle, "soak"));
+    ASSERT_TRUE(ad.ok()) << "cycle " << cycle << ": " << ad.error().to_string();
+    ASSERT_TRUE(shop.destroy(ad.value().get_string(attrs::kVmId).value()).ok())
+        << "cycle " << cycle;
+    if (cycle % 100 != 0) continue;
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    ASSERT_EQ(plant.hypervisor().instance_count(), instances);
+    ASSERT_EQ(plant.active_vms(), active);
+    ASSERT_EQ(vm_ads(), ads);
+    ASSERT_EQ(shop.cache_size(), cached);
+    ASSERT_EQ(plant.allocator().free_networks(), networks);
+    ASSERT_EQ(leases(), leased);
+    ASSERT_EQ(lifecycle.value()->zombie_count(), 0u);
+  }
+  EXPECT_GT(lifecycle.value()->stats().at(0).hits, 0u);  // leases were taken
 }
 
 }  // namespace

@@ -380,8 +380,58 @@ TEST(DeploymentSnapshotTest, FrameOfAnotherShapeIsRefusedAndChangesNothing) {
   core::SnapshotData shapeless = data.value();
   shapeless.meta.erase("deployment.backend");
   shapeless.meta.erase("deployment.plants");
+  // The frame's goldens must be in this sandbox too (see the next test).
+  ASSERT_TRUE(workload::publish_paper_goldens(&five.warehouse(), {32}).ok());
   ASSERT_TRUE(five.load_snapshot(core::encode_snapshot(shapeless)).ok());
   EXPECT_EQ(five.creations(), 2u);
+}
+
+TEST(DeploymentSnapshotTest, MissingTreesAreRefusedAndChangeNothing) {
+  // A frame without the shape keys, taken from two GSX plants, names golden
+  // trees that live in ITS sandbox.  A fresh five-plant deployment in
+  // another sandbox has none of them: a restored index would send every
+  // create to a golden that is not there, so the load must fail up front.
+  cluster::DeploymentConfig gsx;
+  gsx.plant_count = 2;
+  cluster::SimulatedDeployment source(gsx);
+  ASSERT_TRUE(workload::publish_paper_goldens(&source.warehouse(), {32}).ok());
+  ASSERT_EQ(source.run_sequence(workload::workspace_requests(32, 2, "a")).size(),
+            2u);
+  auto frame = source.save_snapshot();
+  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+  auto data = core::decode_snapshot(frame.value());
+  ASSERT_TRUE(data.ok());
+  data.value().meta.erase("deployment.backend");
+  data.value().meta.erase("deployment.plants");
+
+  cluster::DeploymentConfig gsx5;
+  gsx5.plant_count = 5;
+  cluster::SimulatedDeployment five(gsx5);
+  // Its own golden, under another id, and one creation: state to keep.
+  ASSERT_TRUE(workload::publish_paper_goldens(&five.warehouse(), {64}).ok());
+  ASSERT_EQ(five.run_sequence(workload::workspace_requests(64, 1, "b")).size(),
+            1u);
+  const double now = five.sim_now();
+  const auto index_before = five.warehouse().list();
+
+  const util::Status loaded =
+      five.load_snapshot(core::encode_snapshot(data.value()));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code(), util::ErrorCode::kFailedPrecondition);
+  EXPECT_NE(loaded.error().message().find("golden-32mb"), std::string::npos)
+      << loaded.error().message();
+  // Nothing restored: not the index, not the clock, not the counters.
+  const auto index_after = five.warehouse().list();
+  ASSERT_EQ(index_after.size(), index_before.size());
+  for (std::size_t i = 0; i < index_after.size(); ++i) {
+    EXPECT_EQ(index_after[i].id, index_before[i].id);
+  }
+  EXPECT_EQ(five.sim_now(), now);
+  EXPECT_EQ(five.creations(), 1u);
+  EXPECT_EQ(five.failures(), 0u);
+  // The deployment still serves from what it had.
+  EXPECT_EQ(five.run_sequence(workload::workspace_requests(64, 1, "c")).size(),
+            1u);
 }
 
 }  // namespace
