@@ -20,6 +20,12 @@ namespace {
 
 const util::Logger kLog("fleet");
 
+/// The create SLI each plant records as "<plant>.<suffix>"; the rollup
+/// publishes the fleet total as "fleet.<suffix>".
+const std::string kSliTimerSuffix = "create.seconds";
+const std::string kGoodCounterSuffix = "create.count";
+const std::string kBadCounterSuffix = "create_fail.count";
+
 struct FleetMetrics {
   obs::Counter* sweeps;
   obs::Counter* pull_failures;
@@ -188,10 +194,8 @@ std::size_t FleetAggregator::sweep() {
     ++answered;
     const obs::MetricsSnapshot snap =
         obs::metrics_snapshot_from_ad(pulled.value());
-    const std::uint64_t good =
-        snap.counter(plant + "." + config_.good_counter_suffix);
-    const std::uint64_t bad =
-        snap.counter(plant + "." + config_.bad_counter_suffix);
+    const std::uint64_t good = snap.counter(plant + "." + kGoodCounterSuffix);
+    const std::uint64_t bad = snap.counter(plant + "." + kBadCounterSuffix);
     // A counter below the last reading means the plant restarted (registry
     // reset): treat the full reading as new events.
     const std::uint64_t good_delta =
@@ -202,7 +206,7 @@ std::size_t FleetAggregator::sweep() {
     state.last_good = good;
     state.last_bad = bad;
     if (const obs::TimerStats* sli =
-            snap.timer_stats(plant + "." + config_.sli_timer_suffix)) {
+            snap.timer_stats(plant + "." + kSliTimerSuffix)) {
       state.sli = *sli;
     }
     state.verdict.sli_quantile_s = sli_quantile(state.sli);
@@ -316,9 +320,9 @@ void FleetAggregator::publish_locked(double now_s) {
     broker_cached_total += state.facts.bids_cached_served;
     broker_refreshed_total += state.facts.bids_refreshed;
   }
-  fleet.timers["fleet." + config_.sli_timer_suffix] = fleet_sli;
-  fleet.counters["fleet." + config_.good_counter_suffix] = good_total;
-  fleet.counters["fleet." + config_.bad_counter_suffix] = bad_total;
+  fleet.timers["fleet." + kSliTimerSuffix] = fleet_sli;
+  fleet.counters["fleet." + kGoodCounterSuffix] = good_total;
+  fleet.counters["fleet." + kBadCounterSuffix] = bad_total;
   fleet.counters["fleet.lifecycle.journal.dropped.count"] =
       journal_dropped_total;
   fleet.gauges["fleet.plants.gauge"] = static_cast<std::int64_t>(fresh);
@@ -402,9 +406,9 @@ obs::MetricsSnapshot FleetAggregator::fleet_snapshot() const {
       tail_self_total[name].merge(stats);
     }
   }
-  fleet.timers["fleet." + config_.sli_timer_suffix] = sli;
-  fleet.counters["fleet." + config_.good_counter_suffix] = good_total;
-  fleet.counters["fleet." + config_.bad_counter_suffix] = bad_total;
+  fleet.timers["fleet." + kSliTimerSuffix] = sli;
+  fleet.counters["fleet." + kGoodCounterSuffix] = good_total;
+  fleet.counters["fleet." + kBadCounterSuffix] = bad_total;
   fleet.counters["fleet.lifecycle.journal.dropped.count"] =
       journal_dropped_total;
   fleet.gauges["fleet.plants.gauge"] = static_cast<std::int64_t>(fresh);

@@ -52,11 +52,6 @@ struct FleetAggregatorConfig {
   double stale_after_s = 30.0;
   /// SLO applied to every plant's create SLI.
   obs::SloPolicy slo;
-  /// Plant-scoped SLI metric suffixes; the full metric name is
-  /// "<plant>.<suffix>" (VmPlant records these alongside the globals).
-  std::string sli_timer_suffix = "create.seconds";
-  std::string good_counter_suffix = "create.count";
-  std::string bad_counter_suffix = "create_fail.count";
   /// Burn-window ring geometry (per plant).
   std::size_t ring_buckets = 128;
   double ring_bucket_width_s = 1.0;

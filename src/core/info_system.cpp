@@ -131,11 +131,6 @@ void VmMonitor::enable_obs_export() {
   obs_export_.store(true, std::memory_order_relaxed);
 }
 
-void VmMonitor::disable_obs_export() {
-  obs_export_.store(false, std::memory_order_relaxed);
-  (void)info_->remove_prefixed(kObsAdPrefix);
-}
-
 void VmMonitor::publish_obs_ads() {
   if (!obs_export_.load(std::memory_order_relaxed)) return;
   const obs::ExportBundle bundle = obs::export_bundle();

@@ -101,8 +101,6 @@ class VmMonitor {
   /// enabled.  stop_periodic() removes the obs:// ads so a stopped monitor
   /// leaves no stale observability state behind.
   void enable_obs_export();
-  void disable_obs_export();
-  bool obs_export_enabled() const { return obs_export_.load(); }
 
   /// Publish the obs:// ads immediately (no-op unless export is enabled).
   /// VmPlant calls this before serving an obs:// query so a remote puller

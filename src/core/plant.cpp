@@ -39,22 +39,16 @@ bool clone_error_is_transient(util::ErrorCode code) {
 }
 
 struct PlantMetrics {
-  obs::Counter* creates;
-  obs::Counter* create_failures;
   obs::Counter* collects;
   obs::Counter* clone_retries;
   obs::Counter* speculative_hits;
-  obs::Timer* create_seconds;
 
   static PlantMetrics& get() {
     static PlantMetrics m = [] {
       obs::MetricsRegistry& r = obs::MetricsRegistry::instance();
-      return PlantMetrics{r.counter("plant.create.count"),
-                          r.counter("plant.create_fail.count"),
-                          r.counter("plant.collect.count"),
+      return PlantMetrics{r.counter("plant.collect.count"),
                           r.counter("plant.clone_retry.count"),
-                          r.counter("plant.speculative_hit.count"),
-                          r.timer("plant.create.seconds")};
+                          r.counter("plant.speculative_hit.count")};
     }();
     return m;
   }
@@ -74,14 +68,13 @@ VmPlant::VmPlant(PlantConfig config, storage::ArtifactStore* store,
       vm_ids_(config_.name + "-vm"),
       sli_create_seconds_(obs::MetricsRegistry::instance().timer(
           config_.name + ".create.seconds")),
-      sli_clone_seconds_(obs::MetricsRegistry::instance().timer(
-          config_.name + ".clone.seconds")),
-      sli_configure_seconds_(obs::MetricsRegistry::instance().timer(
-          config_.name + ".configure.seconds")),
       sli_create_ok_(obs::MetricsRegistry::instance().counter(
           config_.name + ".create.count")),
       sli_create_fail_(obs::MetricsRegistry::instance().counter(
           config_.name + ".create_fail.count")) {
+  // Register the process-wide plant counters with the plant, so a metrics
+  // dump lists them, at zero, before the first collect, retry or hit.
+  (void)PlantMetrics::get();
   if (config_.clone_base_dir.empty()) {
     config_.clone_base_dir = config_.name + "/clones";
   }
@@ -135,7 +128,6 @@ Result<double> VmPlant::estimate(const CreateRequest& request) const {
 }
 
 Result<classad::ClassAd> VmPlant::create(const CreateRequest& request) {
-  PlantMetrics& metrics = PlantMetrics::get();
   obs::ScopedSpan span("plant.create", "vmplant", config_.name);
   // The tracer clock, not steady_clock: under an installed virtual clock
   // the latency histograms see the same simulated durations as the spans
@@ -144,15 +136,11 @@ Result<classad::ClassAd> VmPlant::create(const CreateRequest& request) {
 
   Result<classad::ClassAd> result = create_impl(request);
 
-  const double elapsed_s = obs::Tracer::instance().now() - start_s;
-  metrics.create_seconds->record(elapsed_s);
-  sli_create_seconds_->record(elapsed_s);
+  sli_create_seconds_->record(obs::Tracer::instance().now() - start_s);
   if (result.ok()) {
-    metrics.creates->add();
     sli_create_ok_->add();
     span.set_vm(result.value().get_string(attrs::kVmId).value_or(""));
   } else {
-    metrics.create_failures->add();
     sli_create_fail_->add();
     span.set_status(util::error_code_name(result.error().code()));
   }
@@ -239,7 +227,6 @@ Result<classad::ClassAd> VmPlant::create_impl(const CreateRequest& request) {
     // fresh VM id — the hypervisor retires ids of destroyed instances.
     // No plant lock is held here: this is the creation's dominant cost and
     // the stretch where concurrent orders actually overlap.
-    const double clone_start_s = obs::Tracer::instance().now();
     util::RetryState retry_state(config_.clone_retry);
     while (true) {
       vm_id = vm_ids_.next();
@@ -259,14 +246,10 @@ Result<classad::ClassAd> VmPlant::create_impl(const CreateRequest& request) {
                   << "); retry " << retry_state.retries_granted() << " after "
                   << retry_state.elapsed_backoff_s() << "s backoff";
     }
-    sli_clone_seconds_->record(obs::Tracer::instance().now() - clone_start_s);
   }
 
-  const double configure_start_s = obs::Tracer::instance().now();
   auto produced =
       production_->configure(plan.value(), request, vm_id, network.value());
-  sli_configure_seconds_->record(obs::Tracer::instance().now() -
-                                 configure_start_s);
   if (!produced.ok()) {
     (void)allocator_.release(request.domain);
     return produced.propagate<classad::ClassAd>();

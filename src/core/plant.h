@@ -182,15 +182,11 @@ class VmPlant {
   vnet::NetworkAllocator allocator_;
   std::unique_ptr<CostModel> cost_model_;
   util::IdGenerator vm_ids_;
-  /// Plant-name-scoped SLI metrics ("<name>.create.seconds" etc.).  The
-  /// process-wide registry is shared by every in-process plant, so the
-  /// fleet aggregator needs per-plant names to attribute latency and
-  /// failures to the right plant (DESIGN.md §9).  The per-stage timers
-  /// expose where a concurrent pipeline spends its time (clone I/O vs
-  /// configuration) rather than only the end-to-end latency.
+  /// Plant-name-scoped SLI metrics ("<name>.create.seconds" etc.), the one
+  /// record of each create.  The process-wide registry is shared by every
+  /// in-process plant, so the fleet aggregator needs per-plant names to
+  /// attribute latency and failures to the right plant (DESIGN.md §9).
   obs::Timer* sli_create_seconds_;
-  obs::Timer* sli_clone_seconds_;
-  obs::Timer* sli_configure_seconds_;
   obs::Counter* sli_create_ok_;
   obs::Counter* sli_create_fail_;
   /// Guards ONLY the plant's own bookkeeping: vm_domains_, speculative_,

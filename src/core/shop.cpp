@@ -213,15 +213,6 @@ double VmShop::effective_cost_in(
          (1.0 + config_.health_penalty_weight * (1.0 - it->second));
 }
 
-double VmShop::effective_cost(const Bid& bid) const {
-  if (config_.health_penalty_weight <= 0.0 || !health_provider_) {
-    return bid.cost;
-  }
-  const double health =
-      std::clamp(health_provider_(bid.plant_address), 0.0, 1.0);
-  return bid.cost * (1.0 + config_.health_penalty_weight * (1.0 - health));
-}
-
 void VmShop::sort_by_effective_cost(std::vector<Bid>* bids) const {
   const std::map<std::string, double> health = snapshot_health(*bids);
   std::stable_sort(bids->begin(), bids->end(),

@@ -148,10 +148,6 @@ class VmShop {
     health_provider_ = std::move(provider);
   }
 
-  /// Bid cost after the health penalty (identity when the weight is 0 or
-  /// no provider is installed).
-  double effective_cost(const Bid& bid) const;
-
   // -- Bus integration ---------------------------------------------------------
   /// Register the shop endpoint (services vmshop.create / query / destroy)
   /// and publish it in the registry.
@@ -213,7 +209,8 @@ class VmShop {
   /// without strict weak ordering).  Empty when the penalty is off.
   std::map<std::string, double> snapshot_health(
       const std::vector<Bid>& bids) const;
-  /// effective_cost() against a snapshot instead of a live provider read.
+  /// Bid cost after the health penalty under one health snapshot
+  /// (identity for plants the snapshot lacks, so with the penalty off).
   double effective_cost_in(const Bid& bid,
                            const std::map<std::string, double>& health) const;
   /// Stable sort by effective cost under one health snapshot.

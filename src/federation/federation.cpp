@@ -41,20 +41,13 @@ ShardBroker::ShardBroker(ShardBrokerConfig config, net::MessageBus* bus,
       registry_(registry),
       epoch_(std::chrono::steady_clock::now()) {
   obs::MetricsRegistry& r = obs::MetricsRegistry::instance();
-  bids_cached_ = r.counter("broker.bids.cached.count");
-  bids_refreshed_ = r.counter("broker.bids.refreshed.count");
   refreshes_ = r.counter("broker.refresh.count");
-  forwarded_ = r.counter("broker.creations_forwarded.count");
   member_failovers_ = r.counter("broker.member_failover.count");
-  refresh_seconds_ = r.timer("broker.refresh.seconds");
-  scoped_bids_cached_ =
-      r.counter(config_.name + ".broker.bids.cached.count");
-  scoped_bids_refreshed_ =
-      r.counter(config_.name + ".broker.bids.refreshed.count");
-  scoped_forwarded_ =
-      r.counter(config_.name + ".broker.creations_forwarded.count");
-  scoped_refresh_seconds_ = r.timer(config_.name + ".broker.refresh.seconds");
-  scoped_cache_size_ = r.gauge(config_.name + ".broker.bid_cache.size.gauge");
+  bids_cached_ = r.counter(config_.name + ".broker.bids.cached.count");
+  bids_refreshed_ = r.counter(config_.name + ".broker.bids.refreshed.count");
+  forwarded_ = r.counter(config_.name + ".broker.creations_forwarded.count");
+  refresh_seconds_ = r.timer(config_.name + ".broker.refresh.seconds");
+  cache_size_ = r.gauge(config_.name + ".broker.bid_cache.size.gauge");
 }
 
 ShardBroker::~ShardBroker() { detach_from_bus(); }
@@ -144,13 +137,13 @@ double ShardBroker::headroom_multiplier(std::int64_t* headroom_out) const {
 }
 
 std::uint64_t ShardBroker::creations_forwarded() const {
-  return scoped_forwarded_->value();
+  return forwarded_->value();
 }
 std::uint64_t ShardBroker::bids_cached_served() const {
-  return scoped_bids_cached_->value();
+  return bids_cached_->value();
 }
 std::uint64_t ShardBroker::bids_refreshed() const {
-  return scoped_bids_refreshed_->value();
+  return bids_refreshed_->value();
 }
 std::size_t ShardBroker::bid_cache_size() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -243,14 +236,11 @@ std::size_t ShardBroker::refresh_all() {
       entry.refreshed_at = t;
       ++refreshed;
     }
-    scoped_cache_size_->set(static_cast<std::int64_t>(cache_.size()));
+    cache_size_->set(static_cast<std::int64_t>(cache_.size()));
   }
   bids_refreshed_->add(refreshed);
-  scoped_bids_refreshed_->add(refreshed);
   refreshes_->add();
-  const double elapsed_s = obs::Tracer::instance().now() - start_s;
-  refresh_seconds_->record(elapsed_s);
-  scoped_refresh_seconds_->record(elapsed_s);
+  refresh_seconds_->record(obs::Tracer::instance().now() - start_s);
   return refreshed;
 }
 
@@ -285,7 +275,6 @@ Result<ShardBroker::Selection> ShardBroker::select(
 
   if (fresh) {
     bids_cached_->add();
-    scoped_bids_cached_->add();
   } else {
     // Miss / stale: synchronous single-class refresh, one batch message
     // per member.  This is the slow path the TTL keeps rare.
@@ -304,10 +293,9 @@ Result<ShardBroker::Selection> ShardBroker::select(
       entry.member_bids = member_bids;
       entry.request_xml = request_xml;
       entry.refreshed_at = refreshed_t;
-      scoped_cache_size_->set(static_cast<std::int64_t>(cache_.size()));
+      cache_size_->set(static_cast<std::int64_t>(cache_.size()));
     }
     bids_refreshed_->add();
-    scoped_bids_refreshed_->add();
   }
 
   Selection selection;
@@ -415,7 +403,7 @@ net::Message ShardBroker::handle_create(const net::Message& request_msg) {
       // drop the entry so the next estimate re-prices the class.
       std::lock_guard<std::mutex> lock(mutex_);
       cache_.erase(class_key);
-      scoped_cache_size_->set(static_cast<std::int64_t>(cache_.size()));
+      cache_size_->set(static_cast<std::int64_t>(cache_.size()));
       continue;
     }
 
@@ -428,7 +416,6 @@ net::Message ShardBroker::handle_create(const net::Message& request_msg) {
       }
     }
     forwarded_->add();
-    scoped_forwarded_->add();
     net::Message reply = net::Message::response_to(request_msg);
     for (const auto& child : response.value().body().children()) {
       reply.body().adopt_child(child->clone());

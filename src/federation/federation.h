@@ -67,7 +67,7 @@ struct ShardBrokerConfig {
   double bid_markup = 0.0;
   /// Cached aggregate bids older than this many clock seconds are stale:
   /// estimates and creates fall back to a synchronous single-class
-  /// refresh (counted in broker.bids.refreshed.count).  The clock is
+  /// refresh (counted in <name>.broker.bids.refreshed.count).  The clock is
   /// whatever set_clock installed — wall seconds by default, the sim
   /// clock in deployments.  A value <= 0 never serves from the cache,
   /// under any clock (a frozen one included): every estimate and create
@@ -186,19 +186,16 @@ class ShardBroker {
   std::chrono::steady_clock::time_point epoch_;
   bool attached_ = false;
 
-  // Metrics: process-wide "broker.*" plus per-broker "<name>.broker.*"
-  // (what the fleet aggregator reads per shard).
+  // Metrics: per-broker "<name>.broker.*" (what the fleet aggregator reads
+  // per shard; "fleet.broker.*" is their total), plus the process-wide
+  // refresh and member-failover counters.
+  obs::Counter* refreshes_;
+  obs::Counter* member_failovers_;
   obs::Counter* bids_cached_;
   obs::Counter* bids_refreshed_;
-  obs::Counter* refreshes_;
   obs::Counter* forwarded_;
-  obs::Counter* member_failovers_;
   obs::Timer* refresh_seconds_;
-  obs::Counter* scoped_bids_cached_;
-  obs::Counter* scoped_bids_refreshed_;
-  obs::Counter* scoped_forwarded_;
-  obs::Timer* scoped_refresh_seconds_;
-  obs::Gauge* scoped_cache_size_;
+  obs::Gauge* cache_size_;
 };
 
 /// Read the LifecycleHeadroomBytes rollup a FleetAggregator published as

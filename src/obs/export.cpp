@@ -4,14 +4,6 @@
 
 namespace vmp::obs {
 
-std::string attr_name(const std::string& metric_name) {
-  std::string out = metric_name;
-  for (char& c : out) {
-    if (c == '.' || c == '-') c = '_';
-  }
-  return out;
-}
-
 std::vector<TraceSummary> summarize_traces(const std::vector<Span>& spans) {
   std::vector<TraceSummary> out;
   std::map<std::string, std::size_t> index;  // trace_id -> out position

@@ -51,9 +51,6 @@ inline constexpr const char* kThresholdSeconds = "ThresholdSeconds";
 inline constexpr const char* kEventCount = "EventCount";
 }  // namespace export_attrs
 
-/// Fold a metric name into a classad-safe attribute name.
-std::string attr_name(const std::string& metric_name);
-
 /// One trace rolled up for the information system.
 struct TraceSummary {
   std::string trace_id;

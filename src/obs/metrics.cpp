@@ -83,16 +83,6 @@ void Timer::record(double seconds) {
     store_min(s.min, seconds);
     store_max(s.max, seconds);
   }
-  if (const Bins* bins = bins_.load(std::memory_order_acquire)) {
-    bins->counts[bins->shape.bin_of(seconds)].fetch_add(1, kRelaxed);
-  }
-}
-
-void Timer::set_bins(double lo, double hi, double width) {
-  auto bins = std::make_unique<const Bins>(util::Histogram(lo, hi, width));
-  std::lock_guard<std::mutex> lock(bins_mutex_);
-  bins_.store(bins.get(), std::memory_order_release);
-  bins_kept_.push_back(std::move(bins));
 }
 
 util::Summary Timer::summary() const {
@@ -110,28 +100,6 @@ util::Summary Timer::summary() const {
   if (count == 0) return util::Summary();
   return util::Summary::from_moments(count, sum, sum_sq, min, max);
 }
-
-std::optional<util::Histogram> Timer::histogram() const {
-  const Bins* bins = bins_.load(std::memory_order_acquire);
-  if (bins == nullptr) return std::nullopt;
-  util::Histogram out = bins->shape;
-  for (std::size_t i = 0; i < out.bin_count(); ++i) {
-    out.add_to_bin(i, bins->counts[i].load(std::memory_order_relaxed));
-  }
-  return out;
-}
-
-namespace {
-/// Classad-folded spelling of a metric name (mirrors obs::attr_name; kept
-/// local to avoid an include cycle with export.h).
-std::string fold_name(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == '.' || c == '-') c = '_';
-  }
-  return out;
-}
-}  // namespace
 
 void TimerStats::refresh_quantiles() {
   if (hist.empty()) return;
@@ -188,19 +156,19 @@ void TimerStats::merge(const TimerStats& other) {
 
 std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
   auto it = counters.find(name);
-  if (it == counters.end()) it = counters.find(fold_name(name));
+  if (it == counters.end()) it = counters.find(attr_name(name));
   return it == counters.end() ? 0 : it->second;
 }
 
 std::int64_t MetricsSnapshot::gauge(const std::string& name) const {
   auto it = gauges.find(name);
-  if (it == gauges.end()) it = gauges.find(fold_name(name));
+  if (it == gauges.end()) it = gauges.find(attr_name(name));
   return it == gauges.end() ? 0 : it->second;
 }
 
 const TimerStats* MetricsSnapshot::timer_stats(const std::string& name) const {
   auto it = timers.find(name);
-  if (it == timers.end()) it = timers.find(fold_name(name));
+  if (it == timers.end()) it = timers.find(attr_name(name));
   return it == timers.end() ? nullptr : &it->second;
 }
 
@@ -210,7 +178,8 @@ std::optional<double> MetricsSnapshot::ratio(
   const double misses = static_cast<double>(counter(miss_counter));
   if (hits + misses > 0.0) return hits / (hits + misses);
   // Pre-merged fleet snapshots may carry only the derived ratio.
-  auto it = derived.find(fold_name(hit_counter) + "/" + fold_name(miss_counter));
+  auto it =
+      derived.find(attr_name(hit_counter) + "/" + attr_name(miss_counter));
   if (it != derived.end()) return it->second;
   return std::nullopt;
 }
@@ -287,14 +256,11 @@ void MetricsRegistry::reset() {
   }
 }
 
-std::vector<std::string> MetricsRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(counters_.size() + gauges_.size() + timers_.size());
-  for (const auto& [name, c] : counters_) out.push_back(name);
-  for (const auto& [name, g] : gauges_) out.push_back(name);
-  for (const auto& [name, t] : timers_) out.push_back(name);
-  std::sort(out.begin(), out.end());
+std::string attr_name(const std::string& metric_name) {
+  std::string out = metric_name;
+  for (char& c : out) {
+    if (c == '.' || c == '-') c = '_';
+  }
   return out;
 }
 

@@ -11,10 +11,9 @@
 //   * Timer     — latency samples folded into running moments (count,
 //                 sum, sum of squares, min, max) and an always-on
 //                 log-linear LogHistogram so every latency site answers
-//                 p50/p90/p99/p999, plus an optional fixed-bin histogram
-//                 for the paper figures.  Recording is lock-free: the
-//                 moments live in per-thread shards, so threads that
-//                 record at once never wait on each other.
+//                 p50/p90/p99/p999.  Recording is lock-free: the moments
+//                 live in per-thread shards, so threads that record at
+//                 once never wait on each other.
 //
 // Naming scheme (DESIGN.md §8): "component.verb.unit" where unit is one of
 // `count`, `gauge`, `seconds` (e.g. "bus.call.seconds", "vm.active.gauge").
@@ -31,7 +30,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/histogram.h"
 #include "util/stats.h"
@@ -78,8 +76,7 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Latency recorder: moments + LogHistogram always, fixed-bin histogram
-/// when bins are configured.  record() takes no lock.
+/// Latency recorder: moments + LogHistogram.  record() takes no lock.
 class Timer {
  public:
   Timer() = default;
@@ -87,13 +84,8 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   void record(double seconds);
-  /// Attach fixed-width bins (replaces any existing histogram; keeps the
-  /// summary).  Width/bounds follow util::Histogram semantics.  A setup
-  /// call: every replaced histogram stays allocated until the timer dies.
-  void set_bins(double lo, double hi, double width);
 
   util::Summary summary() const;
-  std::optional<util::Histogram> histogram() const;
   /// Mergeable snapshot of the always-on log-linear histogram.
   HistogramSnapshot quantile_histogram() const { return log_hist_.snapshot(); }
 
@@ -110,24 +102,12 @@ class Timer {
     std::atomic<double> min{std::numeric_limits<double>::infinity()};
     std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   };
-  /// Fixed-bin counts beside the bin geometry (whose own counts stay 0).
-  struct Bins {
-    explicit Bins(const util::Histogram& geometry)
-        : shape(geometry),
-          counts(std::make_unique<std::atomic<std::uint64_t>[]>(
-              geometry.bin_count())) {}
-    util::Histogram shape;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> counts;
-  };
   /// This thread's shard index: leased on its first record, returned when
   /// the thread exits; kOwnedShards when every owned shard is leased.
   static std::size_t shard_index();
 
   Shard shards_[kOwnedShards + 1];
   LogHistogram log_hist_;
-  std::atomic<const Bins*> bins_{nullptr};
-  mutable std::mutex bins_mutex_;  // guards bins_kept_ (set_bins only)
-  std::vector<std::unique_ptr<const Bins>> bins_kept_;
 };
 
 /// Point-in-time copy of one timer.  The mean/min/max fields and their
@@ -205,14 +185,16 @@ class MetricsRegistry {
   /// Registered names and handed-out pointers stay valid.
   void reset();
 
-  std::vector<std::string> names() const;
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Timer>> timers_;
 };
+
+/// Fold a metric name into a classad-safe attribute name
+/// ("bus.call.count" -> "bus_call_count").
+std::string attr_name(const std::string& metric_name);
 
 /// Render a snapshot as an aligned human-readable table.
 std::string render_metrics_text(const MetricsSnapshot& snapshot);

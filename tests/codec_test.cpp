@@ -2,8 +2,10 @@
 // bus-level wire-format negotiation, committed-fixture compatibility
 // (the wire-compat CI job), and adversarial robustness sweeps — every
 // truncation offset, every single-bit flip, and oversized length prefixes
-// must fail CLEANLY (error Status, no crash, no giant allocation) — and
-// `vmp_inspect snapshot` over the same fixtures.
+// must fail CLEANLY (error Status, no crash, no giant allocation), and
+// mutated payloads re-sealed past the checksum must fail or decode to a
+// value that re-encodes stably — and `vmp_inspect snapshot` over the same
+// fixtures.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,16 +13,19 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/snapshot.h"
 #include "net/bus.h"
 #include "net/codec.h"
 #include "net/message.h"
 #include "inspect_cli.h"
 #include "util/bytebuffer.h"
+#include "util/random.h"
 #include "wire_fixtures.h"
 #include "workload/request_gen.h"
 
@@ -573,20 +578,33 @@ TEST(FanOutTest, ConcurrentSendsOfOneMessageAgree) {
 
 // ---- Robustness sweeps ------------------------------------------------------
 
-/// Decode `frame` as whatever `tag` says it is; must return error, never
-/// crash.  Returns true when the decode was (unexpectedly) accepted.
-bool decode_any(codec::FrameTag tag, const std::string& frame) {
+/// Decode `frame` as `tag` says and encode the value again; nullopt when
+/// the decoder refuses the frame.
+std::optional<std::string> decode_and_reencode(codec::FrameTag tag,
+                                               const std::string& frame) {
   switch (tag) {
-    case codec::FrameTag::kMessage:
-      return codec::decode_message(frame).ok();
-    case codec::FrameTag::kDescriptor:
-      return codec::decode_descriptor(frame).ok();
-    case codec::FrameTag::kClassAd:
-      return codec::decode_classad(frame).ok();
-    case codec::FrameTag::kSnapshot:
-      return false;  // exercised by snapshot_test's sweep
+    case codec::FrameTag::kMessage: {
+      auto decoded = codec::decode_message(frame);
+      if (!decoded.ok()) return std::nullopt;
+      return codec::encode_message(decoded.value());
+    }
+    case codec::FrameTag::kDescriptor: {
+      auto decoded = codec::decode_descriptor(frame);
+      if (!decoded.ok()) return std::nullopt;
+      return codec::encode_descriptor(decoded.value());
+    }
+    case codec::FrameTag::kClassAd: {
+      auto decoded = codec::decode_classad(frame);
+      if (!decoded.ok()) return std::nullopt;
+      return codec::encode_classad(decoded.value());
+    }
+    case codec::FrameTag::kSnapshot: {
+      auto decoded = core::decode_snapshot(frame);
+      if (!decoded.ok()) return std::nullopt;
+      return core::encode_snapshot(decoded.value());
+    }
   }
-  return false;
+  return std::nullopt;
 }
 
 TEST(RobustnessTest, TruncationAtEveryOffsetFailsCleanly) {
@@ -603,7 +621,7 @@ TEST(RobustnessTest, TruncationAtEveryOffsetFailsCleanly) {
   };
   for (const auto& c : cases) {
     for (std::size_t len = 0; len < c.frame.size(); ++len) {
-      EXPECT_FALSE(decode_any(c.tag, c.frame.substr(0, len)))
+      EXPECT_FALSE(decode_and_reencode(c.tag, c.frame.substr(0, len)))
           << codec::frame_tag_name(c.tag) << " truncated to " << len
           << " bytes was accepted";
     }
@@ -627,7 +645,7 @@ TEST(RobustnessTest, SingleBitFlipsAtEveryPositionFailCleanly) {
       for (int bit = 0; bit < 8; ++bit) {
         std::string flipped = c.frame;
         flipped[byte] ^= static_cast<char>(1 << bit);
-        EXPECT_FALSE(decode_any(c.tag, flipped))
+        EXPECT_FALSE(decode_and_reencode(c.tag, flipped))
             << codec::frame_tag_name(c.tag) << " with bit " << bit
             << " of byte " << byte << " flipped was accepted";
       }
@@ -653,6 +671,58 @@ TEST(RobustnessTest, HugeElementCountsFailCleanly) {
   const std::string frame =
       codec::seal_frame(codec::FrameTag::kClassAd, payload.take());
   EXPECT_FALSE(codec::decode_classad(frame).ok());
+}
+
+TEST(RobustnessTest, MutatedPayloadsResealedDecodeCleanly) {
+  // The frame checksum stops every raw bit flip before the payload
+  // decoders run; re-sealing the mutated payload gets past it, so each
+  // decoder sees corrupt payload bytes.  A decode must refuse the frame or
+  // yield a value whose encoding is a fixed point of decode + encode.
+  const struct {
+    codec::FrameTag tag;
+    const char* fixture;
+  } cases[] = {
+      {codec::FrameTag::kMessage, "v1-message.bin"},
+      {codec::FrameTag::kDescriptor, "v1-descriptor.bin"},
+      {codec::FrameTag::kClassAd, "v1-classad.bin"},
+      {codec::FrameTag::kSnapshot, "v1-snapshot.bin"},
+  };
+  util::SplitMix64 rng(0xC0DEC);
+  for (const auto& c : cases) {
+    const std::string frame = read_fixture(c.fixture);
+    auto opened = codec::open_frame(frame, c.tag);
+    ASSERT_TRUE(opened.ok()) << c.fixture;
+    const std::string payload(opened.value().payload);
+    std::size_t accepted = 0;
+    for (int i = 0; i < 5000; ++i) {
+      std::string mutated = payload;
+      const std::size_t mutations = 1 + rng.next_below(4);
+      for (std::size_t m = 0; m < mutations && !mutated.empty(); ++m) {
+        const std::size_t pos = rng.next_below(mutated.size());
+        const std::uint64_t kind = rng.next_below(3);
+        if (kind == 0) {
+          mutated[pos] ^= static_cast<char>(1 << rng.next_below(8));
+        } else if (kind == 1) {
+          mutated.erase(pos, 1);
+        } else {
+          mutated.insert(pos, 1, static_cast<char>(rng.next_below(256)));
+        }
+      }
+      const std::optional<std::string> once =
+          decode_and_reencode(c.tag, codec::seal_frame(c.tag, mutated));
+      if (!once.has_value()) continue;
+      ++accepted;
+      const std::optional<std::string> twice =
+          decode_and_reencode(c.tag, *once);
+      ASSERT_TRUE(twice.has_value())
+          << c.fixture << " mutation " << i << ": re-encoding does not decode";
+      EXPECT_EQ(*twice, *once)
+          << c.fixture << " mutation " << i << ": re-encoding is unstable";
+    }
+    // Some mutations (a flipped string byte) stay well formed, so the
+    // accepted path is exercised too.
+    EXPECT_GT(accepted, 0u) << c.fixture;
+  }
 }
 
 // ---- vmp_inspect snapshot: the CLI over the same decoders ------------------

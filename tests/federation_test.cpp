@@ -6,6 +6,7 @@
 // the shop-side bid-collection robustness knobs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <optional>
 #include <set>
@@ -651,7 +652,7 @@ TEST_F(FederationTest, ZeroTtlCreateLandsOnMemberCheapestNow) {
   EXPECT_EQ(shard->bids_cached_served(), 0u);
 }
 
-TEST_F(FederationTest, RefreshAllRecordsOneElapsedTimeInBothTimers) {
+TEST_F(FederationTest, RefreshAllRecordsOneSampleInTheShardTimer) {
   auto m0 = make_member("rtT0");
   auto shard = make_shard({.name = "fedshardT", .bid_ttl_s = 30.0});
   shard->add_member("rtT0");
@@ -661,21 +662,25 @@ TEST_F(FederationTest, RefreshAllRecordsOneElapsedTimeInBothTimers) {
             1u);
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
-  obs::Timer* global = metrics.timer("broker.refresh.seconds");
-  obs::Timer* scoped = metrics.timer("fedshardT.broker.refresh.seconds");
-  const double global_before = global->summary().sum();
-  const double scoped_before = scoped->summary().sum();
-  // Every tracer clock read advances one second, so two reads of the end
-  // time would record two different elapsed times.
+  obs::Timer* timer = metrics.timer("fedshardT.broker.refresh.seconds");
+  const std::size_t count_before = timer->summary().count();
+  const double sum_before = timer->summary().sum();
+  // Every tracer clock read advances one second, so the one sample is a
+  // whole number of seconds: the interval between the refresh's start and
+  // end reads, inside the span the refresh's own reads bracket.
   double tick = 0.0;
   obs::Tracer::instance().set_clock([&tick] { return tick += 1.0; });
   const std::size_t refreshed = shard->refresh_all();
   obs::Tracer::instance().set_clock(nullptr);
 
   EXPECT_EQ(refreshed, 1u);
-  const double scoped_delta = scoped->summary().sum() - scoped_before;
-  EXPECT_GT(scoped_delta, 0.0);
-  EXPECT_DOUBLE_EQ(global->summary().sum() - global_before, scoped_delta);
+  EXPECT_EQ(timer->summary().count() - count_before, 1u);
+  const double sample = timer->summary().sum() - sum_before;
+  EXPECT_GE(sample, 1.0);
+  EXPECT_LT(sample, tick);
+  EXPECT_DOUBLE_EQ(sample, std::round(sample));
+  // The shard's timer is the only record: no process-wide twin.
+  EXPECT_EQ(metrics.snapshot().timers.count("broker.refresh.seconds"), 0u);
 }
 
 // -- Gateway broker seed paths (bid_ttl_s = 0) ---------------------------------------

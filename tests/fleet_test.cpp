@@ -594,13 +594,17 @@ TEST_F(FleetAggregatorTest, HealthPenaltySteersTiedBidsToHealthyPlant) {
   });
 
   std::vector<core::Bid> bids{{"plant0", 10.0}, {"plant1", 10.0}};
-  // plant1's effective cost is 10 * (1 + 1.0 * 0.8) = 18.
-  EXPECT_DOUBLE_EQ(shop.effective_cost(bids[1]), 18.0);
   for (int i = 0; i < 16; ++i) {
     auto chosen = shop.select_bid(bids);
     ASSERT_TRUE(chosen.has_value());
     EXPECT_EQ(chosen->plant_address, "plant0");
   }
+  // plant1's effective cost is 10 * (1 + 1.0 * 0.8) = 18: a healthy plant0
+  // bidding just below it still wins, and just above it loses.
+  bids[0].cost = 17.99;
+  EXPECT_EQ(shop.select_bid(bids)->plant_address, "plant0");
+  bids[0].cost = 18.01;
+  EXPECT_EQ(shop.select_bid(bids)->plant_address, "plant1");
 }
 
 TEST_F(FleetAggregatorTest, ZeroWeightKeepsPaperSelectionAndRng) {

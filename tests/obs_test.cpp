@@ -55,24 +55,22 @@ TEST(MetricsTest, GaugeSetAndAdd) {
   EXPECT_EQ(g.value(), -3);
 }
 
-TEST(MetricsTest, TimerFoldsSummaryAndOptionalHistogram) {
+TEST(MetricsTest, TimerFoldsSummaryAndQuantileHistogram) {
   obs::Timer t;
   t.record(1.0);
   t.record(3.0);
   EXPECT_EQ(t.summary().count(), 2u);
   EXPECT_DOUBLE_EQ(t.summary().mean(), 2.0);
-  EXPECT_FALSE(t.histogram().has_value());
+  EXPECT_EQ(t.quantile_histogram().total, 2u);
 
-  t.set_bins(0.0, 4.0, 1.0);
   t.record(0.5);
-  ASSERT_TRUE(t.histogram().has_value());
   EXPECT_EQ(t.summary().count(), 3u);
+  EXPECT_EQ(t.quantile_histogram().total, 3u);
 }
 
 TEST(MetricsTest, TimerRecordsFromManyThreadsWithoutLoss) {
   // More recording threads than owned shards: the late ones share one.
   obs::Timer t;
-  t.set_bins(0.0, 64.0, 1.0);
   std::vector<std::thread> threads;
   for (int k = 0; k < 24; ++k) {
     threads.emplace_back([&t, k] {
@@ -87,10 +85,6 @@ TEST(MetricsTest, TimerRecordsFromManyThreadsWithoutLoss) {
   EXPECT_DOUBLE_EQ(s.min(), 0.5);
   EXPECT_DOUBLE_EQ(s.max(), 23.5);
   EXPECT_EQ(t.quantile_histogram().total, 48'000u);
-  const std::optional<util::Histogram> bins = t.histogram();
-  ASSERT_TRUE(bins.has_value());
-  EXPECT_EQ(bins->total(), 48'000u);
-  for (std::size_t b = 0; b < 24; ++b) EXPECT_EQ(bins->count_at(b), 2000u);
 }
 
 TEST(MetricsTest, TimerSummaryMatchesUtilSummary) {
@@ -527,7 +521,21 @@ TEST_F(ObsEndToEndTest, CreateYieldsSpanTreeCoveringBidMatchCloneConfigureAttach
   // Metrics: the creation incremented the whole pipeline's counters.
   obs::MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
   EXPECT_EQ(snap.counter("shop.create.count"), 1u);
-  EXPECT_EQ(snap.counter("plant.create.count"), 1u);
+  EXPECT_EQ(snap.counter("plant0.create.count"), 1u);
+  EXPECT_EQ(snap.counter("plant0.create_fail.count"), 0u);
+  ASSERT_NE(snap.timer_stats("plant0.create.seconds"), nullptr);
+  EXPECT_EQ(snap.timer_stats("plant0.create.seconds")->count, 1u);
+  ASSERT_NE(snap.timer_stats("plant.clone.seconds"), nullptr);
+  EXPECT_EQ(snap.timer_stats("plant.clone.seconds")->count, 1u);
+  ASSERT_NE(snap.timer_stats("plant.configure.seconds"), nullptr);
+  EXPECT_EQ(snap.timer_stats("plant.configure.seconds")->count, 1u);
+  // One series per measurement: no process-wide twin of the plant's SLI
+  // and no plant-scoped copy of the production line's stage timers.
+  EXPECT_EQ(snap.counters.count("plant.create.count"), 0u);
+  EXPECT_EQ(snap.counters.count("plant.create_fail.count"), 0u);
+  EXPECT_EQ(snap.timers.count("plant.create.seconds"), 0u);
+  EXPECT_EQ(snap.timers.count("plant0.clone.seconds"), 0u);
+  EXPECT_EQ(snap.timers.count("plant0.configure.seconds"), 0u);
   EXPECT_EQ(snap.counter("ppp.plan_hit.count"), 1u);
   EXPECT_GE(snap.counter("ppp.match_hit.count"), 1u);
   EXPECT_GE(snap.counter("bus.call.count"), 2u);  // estimate + create
