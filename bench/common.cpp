@@ -1,5 +1,7 @@
 #include "common.h"
 
+#include <sys/vfs.h>
+
 #include <cstdio>
 
 namespace vmp::bench {
@@ -56,6 +58,31 @@ void print_summary_row(const std::string& name, const std::string& paper,
                        const std::string& measured) {
   std::printf("SUMMARY %-32s paper=[%s] measured=[%s]\n", name.c_str(),
               paper.c_str(), measured.c_str());
+}
+
+std::string fs_type_name(const std::filesystem::path& path) {
+  struct statfs st {};
+  if (statfs(path.c_str(), &st) != 0) return "unknown";
+  switch (static_cast<unsigned long>(st.f_type)) {
+    case 0xEF53: return "ext4";
+    case 0x01021994: return "tmpfs";
+    case 0x858458f6: return "ramfs";
+    case 0x794c7630: return "overlayfs";
+    case 0x58465342: return "xfs";
+    case 0x9123683E: return "btrfs";
+    case 0x6969: return "nfs";
+    default: {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "0x%lx",
+                    static_cast<unsigned long>(st.f_type));
+      return buf;
+    }
+  }
+}
+
+void print_store_fs(const std::filesystem::path& store) {
+  std::printf("BENCH_JSON {\"name\": \"store.fs\", \"fs\": \"%s\"}\n",
+              fs_type_name(store).c_str());
 }
 
 }  // namespace vmp::bench

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -47,5 +48,16 @@ void print_histogram(const std::string& label, const util::Histogram& h);
 void print_header(const std::string& artefact, const std::string& paper_claim);
 void print_summary_row(const std::string& name, const std::string& paper,
                        const std::string& measured);
+
+/// The type of the file system holding `path`, from its statfs magic
+/// number: "tmpfs", "ramfs", "ext4", ...; "0x<magic>" for others and
+/// "unknown" when statfs fails.
+std::string fs_type_name(const std::filesystem::path& path);
+
+/// Prints the BENCH_JSON row naming the file system of the bench's
+/// artefact store (`name` "store.fs"); tools/bench_gate.py refuses a
+/// result whose store is not memory-backed, since a disk-backed one
+/// measures the disk rather than the program.
+void print_store_fs(const std::filesystem::path& store);
 
 }  // namespace vmp::bench

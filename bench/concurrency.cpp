@@ -22,7 +22,10 @@
 //   BENCH_JSON {"name": "create.pipeline.c16", "throughput_vm_s": ..., ...}
 // consumed by tools/bench_gate.py, which fails CI when throughput regresses
 // against bench/baselines/concurrency.json or the 16-client speedup over
-// the serialized baseline drops below 2x (on hosts with >= 4 cores).
+// the serialized baseline drops below 2x (on hosts with >= 4 cores).  One
+// more row, "store.fs", names the file system under the temp directory,
+// which holds the pipeline's artefact stores; the gate refuses the result
+// unless it is tmpfs or ramfs.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -225,6 +228,7 @@ int main() {
   total_failures += binbus.failures;
 
   const double speedup = serial_c16 > 0.0 ? pipeline_c16 / serial_c16 : 0.0;
+  bench::print_store_fs(std::filesystem::temp_directory_path());
   std::printf("BENCH_JSON {\"name\": \"create.speedup.c16\", "
               "\"speedup\": %.2f, \"cores\": %u}\n",
               speedup, std::thread::hardware_concurrency());

@@ -72,6 +72,12 @@ Result<Message> MessageBus::decode_wire(const std::string& wire) const {
              : Message::deserialize(wire);
 }
 
+std::size_t MessageBus::address_size(std::string_view to) const {
+  return config_.wire_format == WireFormat::kBinary
+             ? codec::encoded_address_size(to)
+             : Message::serialized_address_size(to);
+}
+
 Status MessageBus::register_endpoint(const std::string& address,
                                      Handler handler, Delivery delivery) {
   std::unique_lock lock(mutex_);
@@ -120,7 +126,7 @@ Result<Message> MessageBus::call(const Message& request_msg) {
 
   const Route routed = route(request_msg.to());
   Result<Message> result =
-      routed.on_wire ? deliver(request_msg, request_msg.to(), routed, {})
+      routed.on_wire ? deliver(request_msg, routed)
                      : routed.status.propagate<Message>();
 
   obs_latency_->record(seconds_since(start));
@@ -166,18 +172,39 @@ void MessageBus::fan_out(const Message& request,
   const ParallelDelivery::Commit commit = [&](std::size_t i,
                                               Result<Message> result,
                                               std::size_t response_bytes) {
-    if (response_bytes != 0) {
-      obs_bytes_->add(response_bytes);
-      bytes_.fetch_add(response_bytes, std::memory_order_relaxed);
-    }
+    obs_bytes_->add(response_bytes);
+    bytes_.fetch_add(response_bytes, std::memory_order_relaxed);
     finish(i, std::move(result));
+  };
+
+  // The request crosses the wire once: encoded for the first destination
+  // past its consults, decoded for the first with a handler.  Only the
+  // envelope's address differs between the legs' encodes, so each leg
+  // counts the bytes its own encode would give, and each handler gets the
+  // decoded request re-addressed, its body shared read-only.
+  std::string wire;
+  std::size_t unaddressed_bytes = 0;  // the encode's, less its address
+  const auto request_bytes = [&](const std::string& address) {
+    if (wire.empty()) {  // no encode is empty
+      wire = encode_wire(request, address);
+      unaddressed_bytes = wire.size() - address_size(address);
+    }
+    return unaddressed_bytes + address_size(address);
+  };
+  std::optional<Result<Message>> decoded;
+  const auto received = [&]() -> const Result<Message>& {
+    if (!decoded) {
+      decoded.emplace(decode_wire(wire));
+      if (decoded->ok()) decoded->value().share_body();
+    }
+    return *decoded;
   };
 
   // Ordered phase, destination by destination on this thread: the
   // caller's check, the span, the route (fault consults, down/drop draws),
-  // and the whole call for a kSerial endpoint.  A wide fan-out encodes the
-  // request leg of a kParallel delivery here and hands the rest to the
-  // helpers as it goes: their handlers have no order-sensitive effects.
+  // and the whole call for a kSerial endpoint.  A wide fan-out hands a
+  // kParallel leg to the helpers as it goes: their handlers have no
+  // order-sensitive effects.
   const bool wide = to.size() >= kParallelWidth;
   std::shared_ptr<ParallelDelivery> parallel;
   // Published legs commit into this frame: join them before any unwinding.
@@ -198,13 +225,21 @@ void MessageBus::fan_out(const Message& request,
       obs_inflight_->add(1);
       leg.start = std::chrono::steady_clock::now();
       leg.route = route(to[i]);
-      if (wide && leg.route.handler != nullptr &&
-          leg.route.delivery == Delivery::kParallel) {
-        std::string wire = encode_wire(request, to[i]);
-        bytes_.fetch_add(wire.size(), std::memory_order_relaxed);
-        obs_bytes_->add(wire.size());
+      // The request's bytes count once it passed the consults, delivered
+      // or not.
+      if (leg.route.on_wire) {
+        const std::size_t bytes = request_bytes(to[i]);
+        bytes_.fetch_add(bytes, std::memory_order_relaxed);
+        if (leg.route.handler != nullptr) obs_bytes_->add(bytes);
+      }
+      if (leg.route.handler == nullptr) {
+        finish(i, leg.route.status.propagate<Message>());
+      } else if (!received().ok()) {
+        finish(i, received().propagate<Message>());
+      } else if (wide && leg.route.delivery == Delivery::kParallel) {
         if (parallel == nullptr) {
           parallel = std::make_shared<ParallelDelivery>(
+              received().value(),
               ParallelDelivery::Wire{
                   [this](const std::string& bytes) {
                     return decode_wire(bytes);
@@ -219,13 +254,13 @@ void MessageBus::fan_out(const Message& request,
             }
           }
         }
-        parallel->publish(i, std::move(wire), leg.route.handler,
-                          context_of(leg));
+        parallel->publish(i, to[i], leg.route.handler, context_of(leg));
         continue;
+      } else {
+        finish(i, respond(*leg.route.handler,
+                          received().value().readdressed(to[i]),
+                          context_of(leg)));
       }
-      finish(i, leg.route.on_wire
-                    ? deliver(request, to[i], leg.route, context_of(leg))
-                    : leg.route.status.propagate<Message>());
       // Spans land in destination order: one behind a deferred leg waits.
       if (leg.span && parallel == nullptr) {
         tracer.finish_detached(std::move(*leg.span));
@@ -292,10 +327,9 @@ MessageBus::Route MessageBus::route(const std::string& to) {
 }
 
 Result<Message> MessageBus::deliver(const Message& request_msg,
-                                    const std::string& to, const Route& routed,
-                                    const obs::TraceContext& fallback) {
+                                    const Route& routed) {
   // The request's bytes count once it passed the consults, delivered or not.
-  const std::string wire = encode_wire(request_msg, to);
+  const std::string wire = encode_wire(request_msg, request_msg.to());
   bytes_.fetch_add(wire.size(), std::memory_order_relaxed);
   if (routed.handler == nullptr) return routed.status.propagate<Message>();
   obs_bytes_->add(wire.size());
@@ -304,9 +338,13 @@ Result<Message> MessageBus::deliver(const Message& request_msg,
   // (zero-copy views); XML tokenizes the text into a DOM.
   auto decoded = decode_wire(wire);
   if (!decoded.ok()) return decoded;
+  return respond(*routed.handler, decoded.value(), {});
+}
 
-  const Message response =
-      run_handler(*routed.handler, decoded.value(), fallback);
+Result<Message> MessageBus::respond(const Handler& handler,
+                                    const Message& request,
+                                    const obs::TraceContext& fallback) {
+  const Message response = run_handler(handler, request, fallback);
 
   // Encode/decode the response leg too.
   const std::string response_wire = encode_wire(response, response.to());

@@ -5,9 +5,9 @@
 // `call` with a serialized Message and receive the serialized response.
 // Requests and responses pass through the full wire encoding (serialize ->
 // deserialize) on every hop, so format bugs cannot hide behind in-process
-// shortcuts.  A message re-addressed and sent again (a fan-out) reuses its
-// encoded body (Message::shared_body); each hop's bytes still equal a
-// fresh encode.
+// shortcuts.  A message re-addressed and sent again (a broker's refresh
+// calls each member in turn) reuses its encoded body
+// (Message::encoded_body); each hop's bytes still equal a fresh encode.
 //
 // The wire encoding is negotiated per bus (DESIGN.md §15): kXml (default)
 // round-trips the paper's §4.1 XML text — the debug/interchange format,
@@ -22,14 +22,16 @@
 // marked down (connection refused) or given a drop probability (timeouts).
 //
 // A fan-out (`fan_out`) sends one request to many endpoints, as the shop's
-// bid collection does (DESIGN.md §6).  Everything order-sensitive — fault
-// consults, down/drop decisions, span ids — happens on the caller's thread
-// in destination order, as is encoding each request; the rest of the wire
-// legs and the handlers of endpoints registered kParallel run on a
-// bus-owned helper thread as they are routed, and on the caller too once
-// it has routed them all.  The caller does not wait on a stalled helper
-// outside a handler or a commit: it redoes that leg's wire work itself
-// (net/parallel_delivery.h).
+// bid collection does (DESIGN.md §6).  Its request crosses the wire once:
+// encoded for the first destination, decoded once, and handed to every
+// handler re-addressed, its body shared read-only.  Everything
+// order-sensitive — fault consults, down/drop decisions, span ids, each
+// leg's byte count — happens on the caller's thread in destination order;
+// the handlers of endpoints registered kParallel and their response legs
+// run on a bus-owned helper thread as they are routed, and on the caller
+// too once it has routed them all.  The caller does not wait on a stalled
+// helper outside a handler or a commit: it redoes that leg's response work
+// itself (net/parallel_delivery.h).
 // The per-call path takes no exclusive lock that other threads share: the
 // endpoint table is read under a shared lock and the totals are atomics.
 #pragma once
@@ -44,6 +46,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/message.h"
@@ -68,7 +71,9 @@ using Handler = std::function<Message(const Message&)>;
 /// other endpoints' handlers.  The owner of a kParallel endpoint promises
 /// that every request a fan-out sends it is handled thread-safely and
 /// consults no fault point, opens no span and writes no log line, so the
-/// fan-out's observable order stays the caller's (DESIGN.md §6).
+/// fan-out's observable order stays the caller's; and that it treats the
+/// request as read-only, since its body is shared with the fan-out's other
+/// legs (DESIGN.md §6).
 enum class Delivery { kSerial, kParallel };
 
 const char* wire_format_name(WireFormat format) noexcept;
@@ -108,14 +113,19 @@ class MessageBus {
 
   /// `call` to every address in `to` that `check` (when set) admits, with
   /// `request` re-addressed per envelope (the message itself is not
-  /// changed).  The fault consults, down/drop draws, bus.call spans,
-  /// counters and bytes equal those of a serial loop of `call`s, each
-  /// preceded by `check`.  A fan-out of at least kParallelWidth
-  /// destinations delivers its kParallel endpoints concurrently, on the
-  /// caller plus helper threads, so `sink` must be thread-safe; the caller
-  /// claims work itself, so a fan-out issued from a helper or a handler
-  /// never waits on queued work.  Each handler runs once per call sent.
-  /// Returns once every result is sunk; no handler or sink runs after.
+  /// changed).  The request is encoded once, for the first destination
+  /// past its consults, and decoded once; each handler gets that decoded
+  /// request re-addressed to its endpoint, with the one body shared
+  /// read-only, and sees what a `call` would deliver.  The fault consults,
+  /// down/drop draws, bus.call spans, counters and bytes (each leg's its
+  /// own encode's) equal those of a serial loop of `call`s, each preceded
+  /// by `check`.  A fan-out of at least kParallelWidth destinations
+  /// delivers its kParallel endpoints concurrently, on the caller plus
+  /// helper threads, so `sink` must be thread-safe; the caller claims work
+  /// itself, so a fan-out issued from a helper or a handler never waits on
+  /// queued work.  Each handler runs once per call sent.  Each response
+  /// is encoded and decoded on its own.  Returns once every result is
+  /// sunk; no handler or sink runs after.
   void fan_out(const Message& request, std::span<const std::string> to,
                const FanOutCheck& check, const FanOutSink& sink);
 
@@ -123,8 +133,14 @@ class MessageBus {
   /// plain serial loop on the caller: waking the helper costs about what
   /// the round trips it would share save.  Measured on a shared 4-vCPU VM
   /// with collect_bids over N stub plants, 2 ms apart so the helper is
-  /// asleep each time (median of 400 rounds): 0.6-0.8x at N = 8 and 16,
-  /// even at N = 24 to 48, 1.04-1.2x at N = 64 and 128, 1.3x at N = 256.
+  /// asleep each time (median of 400 rounds; kParallel against kSerial
+  /// stubs, with this width lowered to 1 in a throwaway build): 0.6-0.8x at
+  /// N = 8 and 16, even at N = 24 to 48, 1.04-1.2x at N = 64 and 128,
+  /// 1.3x at N = 256.  The same method on another such VM, two runs each
+  /// before and after a fan-out shared one decoded request: 0.4-0.7x at
+  /// N = 8 and 16, 0.5-1.05x at N = 24 to 128 and 0.73-0.87x at N = 256,
+  /// alike before and after.  There, waking the helper (about 100 us a
+  /// round at N = 8) outweighed the legs it shared.
   static constexpr std::size_t kParallelWidth = 32;
 
   /// Helper threads that deliver beside the caller.  One: on a shared
@@ -133,7 +149,8 @@ class MessageBus {
   /// take milliseconds to wake or stop mid-handler, and the caller waits
   /// for a running handler), so a busy host's create p95 rose above the
   /// serial loop's.  With one, a 256-plant create is 1.12-1.14x faster
-  /// and its p95 holds still (DESIGN.md §6).
+  /// and its p95 holds still (DESIGN.md §6).  Not re-measured since each
+  /// leg stopped decoding its own request.
   static constexpr std::size_t kHelpers = 1;
 
   // -- Fault injection ------------------------------------------------------
@@ -164,16 +181,19 @@ class MessageBus {
     Delivery delivery = Delivery::kSerial;
   };
   Route route(const std::string& to);
-  /// The wire half: encode (its bytes count even when the route failed
-  /// after the consults), then decode, handle and return the response.
-  /// `fallback` is the context a handler runs under when the message
-  /// carries none (the call's own span).
-  util::Result<Message> deliver(const Message& request_msg,
-                                const std::string& to, const Route& route,
+  /// The wire half of a call: encode (its bytes count even when the route
+  /// failed after the consults), then decode and respond.
+  util::Result<Message> deliver(const Message& request_msg, const Route& route);
+  /// Runs `handler` on a received request (under `fallback`, the call's
+  /// own span, when the request carries no context), then encodes and
+  /// decodes its response, counting the response's bytes.
+  util::Result<Message> respond(const Handler& handler, const Message& request,
                                 const obs::TraceContext& fallback);
   /// One wire leg: encode per config_.wire_format.
   std::string encode_wire(const Message& message, const std::string& to) const;
   util::Result<Message> decode_wire(const std::string& wire) const;
+  /// The bytes address `to` takes in encode_wire(message, to).
+  std::size_t address_size(std::string_view to) const;
   /// The helper pool (kHelpers threads), created on the first parallel
   /// delivery; nullptr on a single-core host.
   util::ThreadPool* helpers();

@@ -223,7 +223,7 @@ std::string encode_message(const Message& message, std::string_view to) {
   // encoded body behind its own envelope, and the checksum still covers
   // the whole payload.
   const std::string* body =
-      message.shared_body(WireFormat::kBinary, encode_body);
+      message.encoded_body(WireFormat::kBinary, encode_body);
   ByteBuffer payload =
       begin_frame(FrameTag::kMessage, 256 + (body ? body->size() : 0));
   payload.put_u8(static_cast<std::uint8_t>(message.kind()));
@@ -239,6 +239,12 @@ std::string encode_message(const Message& message, std::string_view to) {
     encode_element(message.body(), &payload);
   }
   return finish_frame(&payload);
+}
+
+std::size_t encoded_address_size(std::string_view to) {
+  std::size_t length_bytes = 1;  // the LEB128 length prefix
+  for (std::size_t n = to.size(); n >= 0x80; n >>= 7) ++length_bytes;
+  return length_bytes + to.size();
 }
 
 Result<Message> decode_message(std::string_view frame) {

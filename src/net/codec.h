@@ -75,6 +75,10 @@ util::Result<std::unique_ptr<xml::Element>> decode_element(
 std::string encode_message(const Message& message);
 /// As above, with the envelope addressed to `to` (a fan-out's envelope).
 std::string encode_message(const Message& message, std::string_view to);
+/// The bytes `to` takes in encode_message(message, to): the rest of the
+/// frame does not depend on the address, so one encode sizes every
+/// envelope.
+std::size_t encoded_address_size(std::string_view to);
 util::Result<Message> decode_message(std::string_view frame);
 
 // -- Warehouse descriptors ----------------------------------------------------

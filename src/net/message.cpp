@@ -26,7 +26,7 @@ Result<MessageKind> parse_message_kind(const std::string& name) {
       Error(ErrorCode::kParseError, "unknown message kind: " + name));
 }
 
-const std::string* SharedBody::get(
+const std::string* EncodedBody::get(
     WireFormat wire, const xml::Element& body,
     std::string (*encode)(const xml::Element&)) const {
   // A load first: the sends of a fan-out share the flag across threads.
@@ -46,13 +46,38 @@ const std::string* SharedBody::get(
   return bytes;  // a concurrent send published first
 }
 
-void SharedBody::clear() noexcept {
+void EncodedBody::clear() noexcept {
   sent_.store(false, std::memory_order_relaxed);
   for (auto& slot : bytes_) {
     if (slot.load(std::memory_order_relaxed) != nullptr) {
       delete slot.exchange(nullptr, std::memory_order_acquire);
     }
   }
+}
+
+const xml::Element& Message::empty_body() {
+  static const xml::Element empty("message");
+  return empty;
+}
+
+xml::Element& Message::body() {
+  encoded_.clear();
+  if (body_ == nullptr) {
+    body_ = std::make_shared<xml::Element>("message");
+  } else if (body_shared_) {
+    body_ = body_->clone();
+  }
+  body_shared_ = false;
+  // Built non-const above, and shared with no other message.
+  return const_cast<xml::Element&>(*body_);
+}
+
+Message Message::readdressed(std::string to) const {
+  Message m = clone_shallow_header();
+  m.to_ = std::move(to);
+  m.body_ = body_;
+  m.body_shared_ = true;
+  return m;
 }
 
 Message Message::request(std::string service, std::string from, std::string to,
@@ -105,15 +130,10 @@ Error Message::fault_error() const {
   if (fault == nullptr) {
     return Error(ErrorCode::kInternal, "fault message without <fault> element");
   }
-  const std::string& code_name = fault->attr("code");
-  // Reverse-map the code name; unknown names degrade to kInternal.
-  for (std::uint32_t c = 0; c <= 14; ++c) {
-    const auto code = static_cast<ErrorCode>(c);
-    if (code_name == util::error_code_name(code)) {
-      return Error(code, fault->text());
-    }
-  }
-  return Error(ErrorCode::kInternal, fault->text());
+  // Unknown code names degrade to kInternal.
+  return Error(util::error_code_from_name(fault->attr("code"))
+                   .value_or(ErrorCode::kInternal),
+               fault->text());
 }
 
 std::string Message::serialize(std::string_view to) const {
@@ -133,8 +153,12 @@ std::string Message::serialize(std::string_view to) const {
   attrs[n++] = {"to", to};
   if (traced) attrs[n++] = {"trace", trace_.trace_id};
   return xml::render_wrapped(
-      "message", std::span(attrs, n), body_,
-      shared_body(WireFormat::kXml, xml::render_children));
+      "message", std::span(attrs, n), body(),
+      encoded_body(WireFormat::kXml, xml::render_children));
+}
+
+std::size_t Message::serialized_address_size(std::string_view to) {
+  return xml::escaped_size(to);
 }
 
 Result<Message> Message::deserialize(const std::string& wire) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -29,18 +30,18 @@ enum class MessageKind { kRequest, kResponse, kFault };
 enum class WireFormat { kXml, kBinary };
 
 /// Encoded body bytes shared by the sends of one message, one slot per
-/// wire format (see Message::shared_body).  A const message may be sent
+/// wire format (see Message::encoded_body).  A const message may be sent
 /// from several threads at once: the first encoder to publish its bytes
 /// wins.  A moved-to message starts empty.
-class SharedBody {
+class EncodedBody {
  public:
-  SharedBody() = default;
-  SharedBody(SharedBody&&) noexcept {}
-  SharedBody& operator=(SharedBody&&) noexcept {
+  EncodedBody() = default;
+  EncodedBody(EncodedBody&&) noexcept {}
+  EncodedBody& operator=(EncodedBody&&) noexcept {
     clear();
     return *this;
   }
-  ~SharedBody() { clear(); }
+  ~EncodedBody() { clear(); }
 
   const std::string* get(WireFormat wire, const xml::Element& body,
                          std::string (*encode)(const xml::Element&)) const;
@@ -57,7 +58,7 @@ util::Result<MessageKind> parse_message_kind(const std::string& name);
 
 class Message {
  public:
-  Message() : body_("message") {}
+  Message() = default;
 
   static Message request(std::string service, std::string from, std::string to,
                          std::string correlation);
@@ -82,20 +83,27 @@ class Message {
 
   /// Payload root (children of <message>).  The non-const accessor marks
   /// the body edited, so the next send encodes it afresh: take it again
-  /// for an edit after a send, rather than keeping the reference.
-  xml::Element& body() {
-    shared_.clear();
-    return body_;
-  }
-  const xml::Element& body() const { return body_; }
+  /// for an edit after a send, rather than keeping the reference.  A
+  /// read-only body (share_body) is copied into this message's own first.
+  xml::Element& body();
+  const xml::Element& body() const { return body_ ? *body_ : empty_body(); }
+
+  /// Makes the body read-only, so that readdressed() copies may share it:
+  /// from now on a non-const body() here copies it before any edit too.
+  void share_body() { body_shared_ = true; }
+  /// This message addressed to `to` with the same read-only body, shared
+  /// rather than copied: the request each leg of a fan-out hands its
+  /// handler.  Call share_body() first; after that, any number of threads
+  /// may readdress the message at once.
+  Message readdressed(std::string to) const;
 
   /// For the wire encoders: the body encoded for `wire`, to splice behind
   /// one send's envelope.  nullptr on the first send after an edit, which
   /// encodes the body inline, so a message sent once pays nothing extra.
   /// A repeat send runs `encode` once; every later one shares its bytes.
-  const std::string* shared_body(
+  const std::string* encoded_body(
       WireFormat wire, std::string (*encode)(const xml::Element&)) const {
-    return shared_.get(wire, body_, encode);
+    return encoded_.get(wire, body(), encode);
   }
 
   /// For faults: the carried error.
@@ -114,6 +122,9 @@ class Message {
   /// Wire form with the envelope addressed to `to` (a fan-out's envelope;
   /// the message itself is not changed).
   std::string serialize(std::string_view to) const;
+  /// The bytes `to` takes in serialize(to): the rest of the wire form does
+  /// not depend on the address, so one encode sizes every envelope.
+  static std::size_t serialized_address_size(std::string_view to);
   static util::Result<Message> deserialize(const std::string& wire);
 
   Message clone_shallow_header() const;
@@ -125,8 +136,13 @@ class Message {
   std::string to_;
   std::string correlation_;
   obs::TraceContext trace_;
-  xml::Element body_;
-  SharedBody shared_;
+  /// Null until the first edit (an empty body).  Only a body this message
+  /// built and never shared is edited in place.
+  std::shared_ptr<const xml::Element> body_;
+  bool body_shared_ = false;
+  EncodedBody encoded_;
+
+  static const xml::Element& empty_body();
 };
 
 }  // namespace vmp::net

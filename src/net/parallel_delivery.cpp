@@ -45,17 +45,20 @@ Message run_handler(const Handler& handler, const Message& decoded,
   return handler(decoded);
 }
 
-ParallelDelivery::ParallelDelivery(Wire wire, std::size_t capacity,
-                                   const Commit& commit)
-    : wire_(std::move(wire)), legs_(capacity), commit_(&commit) {}
+ParallelDelivery::ParallelDelivery(const Message& request, Wire wire,
+                                   std::size_t capacity, const Commit& commit)
+    : request_(&request),
+      wire_(std::move(wire)),
+      legs_(capacity),
+      commit_(&commit) {}
 
-void ParallelDelivery::publish(std::size_t index, std::string request,
+void ParallelDelivery::publish(std::size_t index, std::string to,
                                std::shared_ptr<const Handler> handler,
                                obs::TraceContext fallback) {
   const std::uint64_t count = state_.load(std::memory_order_relaxed);
   Leg& leg = legs_[count];
   leg.index = index;
-  leg.request = std::move(request);
+  leg.to = std::move(to);
   leg.handler = std::move(handler);
   leg.fallback = std::move(fallback);
   state_.store(count + 1, std::memory_order_release);
@@ -126,42 +129,33 @@ void ParallelDelivery::run(Leg& leg) {
   std::uint8_t from = leg.stage.load(std::memory_order_acquire);
   try {
     std::shared_ptr<const Message> response;
-    if (from == kRequest) {
-      util::Result<Message> decoded = wire_.decode(leg.request);
-      if (leg.stage.compare_exchange_strong(from, kHandling,
-                                            std::memory_order_acq_rel)) {
-        from = kHandling;
-        if (decoded.ok()) {
-          response = std::make_shared<const Message>(
-              run_handler(*leg.handler, decoded.value(), leg.fallback));
-          leg.response = response;
-        } else {
-          leg.failure = decoded.error();
-        }
-        from = kHandled;
-        advance(leg, kHandled);
-      }
+    if (from == kRequest &&
+        leg.stage.compare_exchange_strong(from, kHandling,
+                                          std::memory_order_acq_rel)) {
+      from = kHandling;
+      // This thread alone reads the leg's address from here on.
+      response = std::make_shared<const Message>(
+          run_handler(*leg.handler, request_->readdressed(std::move(leg.to)),
+                      leg.fallback));
+      leg.response = response;
+      from = kHandled;
+      advance(leg, kHandled);
     }
     if (from != kHandled) return;  // held by another thread, or done
-    if (response == nullptr && !leg.failure) {
+    if (response == nullptr) {
       response = leg.response.lock();
       // Gone: its handling thread has finished with it, so that thread has
       // committed the leg or lost it to one that did.
       if (response == nullptr) return;
     }
-    std::size_t response_bytes = 0;
-    util::Result<Message> result = [&]() -> util::Result<Message> {
-      if (response == nullptr) return *leg.failure;
-      const std::string wire = wire_.encode(*response);
-      response_bytes = wire.size();
-      return wire_.decode(wire);
-    }();
+    const std::string wire = wire_.encode(*response);
+    util::Result<Message> result = wire_.decode(wire);
     if (!leg.stage.compare_exchange_strong(from, kCommitting,
                                            std::memory_order_acq_rel)) {
       return;
     }
     from = kCommitting;
-    (*commit_)(leg.index, std::move(result), response_bytes);
+    (*commit_)(leg.index, std::move(result), wire.size());
     advance(leg, kDone);
   } catch (...) {
     // A throw ends the leg once: in the thread holding it, or in one that

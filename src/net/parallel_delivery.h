@@ -2,21 +2,22 @@
 // §6).  Internal to the net module: the bus builds one job per fan-out and
 // hands its helper threads `drain`; tests drive a job by hand.
 //
-// The caller routes each leg and encodes its request, then publishes it;
-// helpers deliver published legs as they appear (decode, handler, response
-// leg, commit); the caller closes the job when routing is done and
-// delivers too.  Every participant claims one published leg at a time
-// from one counter and holds no claim while it waits for one.
+// The caller encodes and decodes the fan-out's request once, builds the
+// job around the decoded request, then routes each leg and publishes its
+// destination; helpers deliver published legs as they appear (the handler
+// on the request re-addressed to the leg, the response leg, the commit);
+// the caller closes the job when routing is done and delivers too.  Every
+// participant claims one published leg at a time from one counter and
+// holds no claim while it waits for one.
 //
 // A helper can stall mid-leg for milliseconds (a preempted thread, a
 // descheduled vCPU), so the caller waits on one only while it runs a
 // handler or a commit: a leg moves through stages, and the caller takes a
-// stalled leg over at the stage it stands at.  Decoding the request and
-// encoding and decoding the response are pure work on data the job owns,
-// so two threads may both do them; only the thread that wins the next
-// stage runs the handler or the commit, and the other drops its work.  It
-// touches nothing but the job, which it shares, so it is harmless after
-// the caller has returned.
+// stalled leg over at the stage it stands at.  Encoding and decoding the
+// response are pure work on data the job owns, so two threads may both do
+// them; only the thread that wins the next stage runs the handler or the
+// commit, and the other drops its work.  It touches nothing but the job,
+// which it shares, so it is harmless after the caller has returned.
 #pragma once
 
 #include <atomic>
@@ -25,7 +26,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,23 +44,27 @@ Message run_handler(const Handler& handler, const Message& decoded,
 
 class ParallelDelivery {
  public:
-  /// The bus's wire format, for the pure halves of a leg.
+  /// The bus's wire format, for the response leg.
   struct Wire {
     std::function<util::Result<Message>(const std::string& wire)> decode;
     std::function<std::string(const Message& message)> encode;
   };
   /// Completes destination `index` with its result; `response_bytes` is
-  /// the response leg's size (0: the request did not decode).  Runs on
-  /// the thread that won the leg's commit, while the caller waits.
+  /// the response leg's size.  Runs on the thread that won the leg's
+  /// commit, while the caller waits.
   using Commit = std::function<void(std::size_t index,
                                     util::Result<Message> result,
                                     std::size_t response_bytes)>;
 
-  ParallelDelivery(Wire wire, std::size_t capacity, const Commit& commit);
+  /// `request` is the fan-out's decoded request, its body read-only
+  /// (Message::share_body): each leg's handler gets it re-addressed to the
+  /// leg.  It and `commit` are the caller's, used only while it waits.
+  ParallelDelivery(const Message& request, Wire wire, std::size_t capacity,
+                   const Commit& commit);
 
-  /// Makes destination `index` deliverable (the caller only; at most
-  /// `capacity` times).
-  void publish(std::size_t index, std::string request,
+  /// Makes destination `index`, at address `to`, deliverable (the caller
+  /// only; at most `capacity` times).
+  void publish(std::size_t index, std::string to,
                std::shared_ptr<const Handler> handler,
                obs::TraceContext fallback);
 
@@ -78,7 +82,7 @@ class ParallelDelivery {
   /// A leg's stages.  kHandling and kCommitting belong to the one thread
   /// that entered them.
   enum Stage : std::uint8_t {
-    kRequest,     // published: its request is to be decoded and handled
+    kRequest,     // published: its handler is to run
     kHandling,    // a thread is running the handler
     kHandled,     // the response is to be encoded, decoded and committed
     kCommitting,  // a thread is handing the result to the caller
@@ -87,7 +91,7 @@ class ParallelDelivery {
 
   struct Leg {
     std::size_t index = 0;  // the destination
-    std::string request;    // the request leg, encoded by the caller
+    std::string to;         // its address; read by the handling thread
     std::shared_ptr<const Handler> handler;
     obs::TraceContext fallback;
     std::atomic<std::uint8_t> stage{kRequest};
@@ -95,7 +99,6 @@ class ParallelDelivery {
     // lives while that thread still works on it; a thread taking the leg
     // over later holds it alive through this pointer.
     std::weak_ptr<const Message> response;
-    std::optional<util::Error> failure;  // the request did not decode
   };
 
   bool claim(std::size_t* k);
@@ -104,6 +107,7 @@ class ParallelDelivery {
 
   static constexpr std::uint64_t kClosed = std::uint64_t{1} << 63;
 
+  const Message* request_;  // the caller's: used only while it waits
   Wire wire_;
   std::vector<Leg> legs_;  // in publication order
   const Commit* commit_;   // the caller's: used only while it waits

@@ -128,23 +128,42 @@ const std::string& Element::child_text(std::string_view name) const {
   return c ? c->text() : kEmpty;
 }
 
+namespace {
+
+/// The entity that stands for `c` in escaped text; empty when `c` needs
+/// none.
+std::string_view entity_for(char c) {
+  switch (c) {
+    case '&': return "&amp;";
+    case '<': return "&lt;";
+    case '>': return "&gt;";
+    case '"': return "&quot;";
+    case '\'': return "&apos;";
+    default: return {};
+  }
+}
+
+}  // namespace
+
 void append_escaped(std::string* out, std::string_view raw) {
   std::size_t run = 0;  // start of the pending run that needs no escaping
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    std::string_view entity;
-    switch (raw[i]) {
-      case '&': entity = "&amp;"; break;
-      case '<': entity = "&lt;"; break;
-      case '>': entity = "&gt;"; break;
-      case '"': entity = "&quot;"; break;
-      case '\'': entity = "&apos;"; break;
-      default: continue;
-    }
+    const std::string_view entity = entity_for(raw[i]);
+    if (entity.empty()) continue;
     out->append(raw.substr(run, i - run));
     out->append(entity);
     run = i + 1;
   }
   out->append(raw.substr(run));
+}
+
+std::size_t escaped_size(std::string_view raw) {
+  std::size_t size = raw.size();
+  for (const char c : raw) {
+    const std::string_view entity = entity_for(c);
+    if (!entity.empty()) size += entity.size() - 1;
+  }
+  return size;
 }
 
 namespace {

@@ -116,6 +116,8 @@ class Element {
 
 /// Appends `raw` to `out`, escaped for element content / attribute value.
 void append_escaped(std::string* out, std::string_view raw);
+/// The number of bytes append_escaped(out, raw) appends.
+std::size_t escaped_size(std::string_view raw);
 
 /// Renders, with 2-space indentation, an element called `name` carrying
 /// `attrs` (sorted by key, as an Element keeps its own) whose children are

@@ -16,6 +16,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -480,6 +481,84 @@ TEST(FanOutTest, EachDestinationMatchesAFreshEncode) {
       }
     }
   }
+}
+
+TEST(FanOutTest, OnlyTheAddressSizeVariesBetweenEnvelopes) {
+  // A fan-out encodes once and sizes every other envelope from it.
+  const std::string long_name(200, 'n');  // a two-byte binary length
+  for (const net::WireFormat wire : kWires) {
+    const auto address_size = [wire](std::string_view to) {
+      return wire == net::WireFormat::kBinary
+                 ? codec::encoded_address_size(to)
+                 : net::Message::serialized_address_size(to);
+    };
+    for (const bool traced : {false, true}) {
+      const net::Message m = bid_request("", traced);
+      const std::size_t rest =
+          encode_on(wire, bid_request("plant0", traced)).size() -
+          address_size("plant0");
+      for (const std::string& to :
+           {std::string(), std::string("p"), std::string("a&b<c>\"d'e"),
+            long_name}) {
+        EXPECT_EQ(encode_on(wire, bid_request(to, traced)).size(),
+                  rest + address_size(to))
+            << net::wire_format_name(wire) << " to '" << to << "'";
+        EXPECT_EQ(wire == net::WireFormat::kBinary
+                      ? codec::encode_message(m, to).size()
+                      : m.serialize(to).size(),
+                  rest + address_size(to));
+      }
+    }
+  }
+}
+
+TEST(FanOutTest, ReaddressedMessagesShareTheBodyUntilAnEdit) {
+  net::Message m = bid_request("plant0", true);
+  const std::string body = m.body().to_compact_string();
+  m.share_body();
+  const net::Message& shared = m;
+  net::Message leg = shared.readdressed("plant1");
+  const net::Message& leg_view = leg;
+  EXPECT_EQ(&leg_view.body(), &shared.body());
+  EXPECT_EQ(leg.to(), "plant1");
+  EXPECT_EQ(leg.service(), m.service());
+  EXPECT_EQ(leg.trace().trace_id, "trace-fanout");
+  EXPECT_EQ(encode_on(net::WireFormat::kXml, leg),
+            encode_on(net::WireFormat::kXml, bid_request("plant1", true)));
+
+  // An edit copies first, on either side, and the other keeps the body.
+  leg.body().add_child("extra");
+  EXPECT_NE(&leg_view.body(), &shared.body());
+  EXPECT_EQ(shared.body().to_compact_string(), body);
+  net::Message other = shared.readdressed("plant2");
+  m.body().add_child("mine");
+  EXPECT_EQ(static_cast<const net::Message&>(other).body().to_compact_string(),
+            body);
+  EXPECT_NE(m.body().to_compact_string(), body);
+}
+
+TEST(FanOutTest, EveryErrorCodeSurvivesTheWire) {
+  std::uint32_t codes = 0;
+  for (std::uint32_t c = 0;
+       std::string_view(util::error_code_name(static_cast<util::ErrorCode>(
+           c))) != "UNKNOWN";
+       ++c, ++codes) {
+    const auto code = static_cast<util::ErrorCode>(c);
+    const net::Message fault = net::Message::fault_to(
+        bid_request("plant0", false), util::Error(code, "why <not>"));
+    for (const net::WireFormat wire : kWires) {
+      const std::string bytes = encode_on(wire, fault);
+      auto decoded = wire == net::WireFormat::kBinary
+                         ? codec::decode_message(bytes)
+                         : net::Message::deserialize(bytes);
+      ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+      const util::Error error = decoded.value().fault_error();
+      EXPECT_EQ(error.code(), code)
+          << net::wire_format_name(wire) << " " << util::error_code_name(code);
+      EXPECT_EQ(error.message(), "why <not>");
+    }
+  }
+  EXPECT_GE(codes, 15u);
 }
 
 TEST(FanOutTest, BodyEditBetweenSendsIsCarried) {

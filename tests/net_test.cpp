@@ -645,6 +645,122 @@ TEST(FanOutTest, DeclinedDestinationsAreNotSent) {
   EXPECT_TRUE(results[0]->ok());
 }
 
+/// What each handler of a fan-out, or of a serial loop of calls, was
+/// handed: its address, its trace context (relative to the caller's root
+/// span) and its body; and, untraced, the bytes the bus counted (a traced
+/// run's span ids, and so their digits, run on from the run before).
+std::vector<std::string> handed_requests(WireFormat wire, bool fanned,
+                                         std::size_t width, bool traced) {
+  MessageBus bus(BusConfig{wire, 7});
+  std::vector<std::string> to;
+  std::vector<std::string> seen(width + 1);
+  obs::TraceContext root_context;
+  const auto record = [&](std::size_t slot, const Message& m) {
+    const obs::TraceContext& trace = m.trace();
+    seen[slot] = m.to() + " trace=" +
+                 (!trace.valid() ? "none"
+                  : trace.trace_id == root_context.trace_id
+                      ? "root span+" + std::to_string(trace.span_id -
+                                                      root_context.span_id)
+                      : "other") +
+                 " " + m.body().to_compact_string();
+    return Message::response_to(m);
+  };
+  // Addresses of several lengths, some of which need escaping; every
+  // tenth endpoint is kSerial.
+  for (std::size_t i = 0; i < width; ++i) {
+    to.push_back("ep-" + std::to_string(i) + (i % 3 == 1 ? "&<x>" : "") +
+                 std::string(i % 5 == 2 ? 140 : 0, 'n'));
+    EXPECT_TRUE(bus.register_endpoint(
+                       to.back(),
+                       [&record, i](const Message& m) { return record(i, m); },
+                       i % 10 == 9 ? Delivery::kSerial : Delivery::kParallel)
+                    .ok());
+  }
+  if (traced) obs::Tracer::instance().arm();
+  {
+    obs::ScopedSpan root("test.root", "test");
+    root_context = obs::current_context();
+    Message m = Message::request("stub.svc", "caller", "", "corr-8");
+    m.body().add_child("data").set_text("x<y&z");
+    m.body().add_child("more").set_attr("quote", "\"'");
+    if (fanned) {
+      for (const auto& r : fan_out_all(bus, m, to)) {
+        EXPECT_TRUE(r.has_value() && r->ok());
+      }
+    } else {
+      for (const std::string& address : to) {
+        m.set_to(address);
+        EXPECT_TRUE(bus.call(m).ok());
+      }
+    }
+  }
+  if (traced) {
+    obs::Tracer::instance().disarm();
+  } else {
+    seen.back() = "bytes=" + std::to_string(bus.bytes_total());
+  }
+  return seen;
+}
+
+TEST(FanOutTest, HandlersSeeTheBodyACallDelivers) {
+  for (WireFormat wire : {WireFormat::kXml, WireFormat::kBinary}) {
+    for (std::size_t width : {std::size_t{8}, MessageBus::kParallelWidth + 8}) {
+      for (bool traced : {false, true}) {
+        const std::vector<std::string> serial =
+            handed_requests(wire, false, width, traced);
+        const std::vector<std::string> fanned =
+            handed_requests(wire, true, width, traced);
+        EXPECT_EQ(fanned, serial)
+            << wire_format_name(wire) << " " << width << " " << traced;
+        EXPECT_NE(serial[0].find(traced ? "trace=root" : "trace=none"),
+                  std::string::npos)
+            << serial[0];
+        EXPECT_NE(serial[0].find("x&lt;y&amp;z"), std::string::npos)
+            << serial[0];
+      }
+    }
+  }
+}
+
+TEST(FanOutTest, ParallelHandlersReadOneSharedBody) {
+  // Every leg's handler reads the one decoded body, concurrently with the
+  // others (run under the tsan preset, this checks the sharing).
+  constexpr std::size_t kEndpoints = 96;
+  MessageBus bus;
+  std::vector<std::string> to;
+  std::vector<const xml::Element*> bodies(kEndpoints, nullptr);
+  std::vector<std::string> texts(kEndpoints);
+  for (std::size_t i = 0; i < kEndpoints; ++i) {
+    to.push_back("reader-" + std::to_string(i));
+    ASSERT_TRUE(bus.register_endpoint(
+                       to.back(),
+                       [&bodies, &texts, i](const Message& m) {
+                         bodies[i] = &m.body();
+                         texts[i] = m.body().to_compact_string();
+                         Message r = Message::response_to(m);
+                         r.body().add_child("n").set_text(
+                             std::to_string(m.body().children().size()));
+                         return r;
+                       },
+                       Delivery::kParallel)
+                    .ok());
+  }
+  Message m = Message::request("read.svc", "caller", "", "corr-9");
+  for (int i = 0; i < 32; ++i) {
+    m.body().add_child("item").set_attr("i", std::to_string(i));
+  }
+  const std::string expected = m.body().to_compact_string();
+  for (const auto& r : fan_out_all(bus, m, to)) {
+    ASSERT_TRUE(r.has_value() && r->ok());
+    EXPECT_EQ(r->value().body().child_text("n"), "32");
+  }
+  for (std::size_t i = 0; i < kEndpoints; ++i) {
+    EXPECT_EQ(bodies[i], bodies[0]) << i;
+    EXPECT_EQ(texts[i], expected) << i;
+  }
+}
+
 // -- ParallelDelivery: a stalled helper's leg -------------------------------
 
 /// Parks one thread at one point of a leg until released: a helper whose
@@ -681,7 +797,9 @@ class Parking {
   bool released_ = false;
 };
 
-enum class ParkAt { kDecode, kHandler, kEncode };
+/// Where the helper parks: in the handler, or in its response leg's
+/// encode or decode.
+enum class ParkAt { kHandler, kEncode, kDecode };
 
 /// One leg delivered by a helper thread that parks at `at`, while this
 /// thread closes the job.  Returns the handler runs and commits seen
@@ -716,18 +834,21 @@ StallRun run_with_stalled_helper(ParkAt at) {
     handled.fetch_add(1);
     if (at == ParkAt::kHandler) parking.maybe_park();
     Message r = Message::response_to(m);
-    r.body().add_child("answer").set_attr("index", "7");
+    xml::Element& answer = r.body().add_child("answer");
+    answer.set_attr("index", "7");
+    answer.set_attr("data", m.body().child_text("data"));
     return r;
   });
-  ParallelDelivery job(wire, 1, commit);
-  Message request = Message::request("stall.svc", "caller", "ep-7", "corr-7");
+  Message request = Message::request("stall.svc", "caller", "", "corr-7");
   request.body().add_child("data").set_text("payload");
+  request.share_body();
+  ParallelDelivery job(request, wire, 1, commit);
 
   std::thread helper([&] {
     parking.choose(std::this_thread::get_id());
     job.drain();
   });
-  job.publish(0, request.serialize(), handler, {});
+  job.publish(0, "ep-7", handler, {});
   parking.wait_parked();
   std::atomic<bool> joined{false};
   std::thread caller([&] {
@@ -745,28 +866,28 @@ StallRun run_with_stalled_helper(ParkAt at) {
   return out;
 }
 
-TEST(ParallelDeliveryTest, CallerTakesOverALegStalledInItsDecode) {
+const std::vector<std::string> kStalledLegCommit{
+    "0 to=caller from=ep-7 index=7 data=payload bytes=1"};
+
+TEST(ParallelDeliveryTest, CallerTakesOverALegStalledInItsResponseDecode) {
   const StallRun run = run_with_stalled_helper(ParkAt::kDecode);
   EXPECT_TRUE(run.joined_while_parked);
   EXPECT_EQ(run.handled, 1);
-  EXPECT_EQ(run.commits, (std::vector<std::string>{
-                             "0 to=caller from=ep-7 index=7 data= bytes=1"}));
+  EXPECT_EQ(run.commits, kStalledLegCommit);
 }
 
 TEST(ParallelDeliveryTest, CallerTakesOverALegStalledInItsResponse) {
   const StallRun run = run_with_stalled_helper(ParkAt::kEncode);
   EXPECT_TRUE(run.joined_while_parked);
   EXPECT_EQ(run.handled, 1);
-  EXPECT_EQ(run.commits, (std::vector<std::string>{
-                             "0 to=caller from=ep-7 index=7 data= bytes=1"}));
+  EXPECT_EQ(run.commits, kStalledLegCommit);
 }
 
 TEST(ParallelDeliveryTest, CallerWaitsForARunningHandler) {
   const StallRun run = run_with_stalled_helper(ParkAt::kHandler);
   EXPECT_FALSE(run.joined_while_parked);
   EXPECT_EQ(run.handled, 1);
-  EXPECT_EQ(run.commits, (std::vector<std::string>{
-                             "0 to=caller from=ep-7 index=7 data= bytes=1"}));
+  EXPECT_EQ(run.commits, kStalledLegCommit);
 }
 
 // -- ServiceRegistry -------------------------------------------------------------------

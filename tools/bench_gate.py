@@ -18,6 +18,11 @@ baseline opts into gates by including the matching key:
     cannot beat a serialized memcpy on a single-core runner;
   * any measurement reporting failures != 0 fails the gate outright.
 
+A result whose "store.fs" row (the file system of the bench's artefact
+store) names anything but tmpfs or ramfs is refused as bad input: a
+disk-backed store measures the disk and its other tenants, not the
+program, so its figures cannot be compared with a baseline.
+
 Exit status 0 = pass, 1 = regression, 2 = bad input.
 """
 import argparse
@@ -26,6 +31,7 @@ import re
 import sys
 
 BENCH_LINE = re.compile(r"^BENCH_JSON\s+(\{.*\})\s*$")
+MEMORY_FILESYSTEMS = ("tmpfs", "ramfs")
 
 
 def parse_bench_lines(stream):
@@ -58,6 +64,14 @@ def main():
 
     if not results:
         print("bench_gate: no BENCH_JSON lines found in input", file=sys.stderr)
+        return 2
+
+    store = results.get("store.fs")
+    if store is not None and store.get("fs") not in MEMORY_FILESYSTEMS:
+        print(f"bench_gate: refusing the result: its store is on "
+              f"{store.get('fs', 'unknown')}, not a memory-backed file "
+              "system (set TMPDIR to a directory on tmpfs, e.g. under "
+              "/dev/shm)", file=sys.stderr)
         return 2
 
     max_regression = baseline.get("max_regression_pct", 20) / 100.0
