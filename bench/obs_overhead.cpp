@@ -9,7 +9,12 @@
 //      the armed baseline measured in the same run — DESIGN.md §14)
 //   3. Counter::add and Timer::record (always-on metrics)
 //   4. LogHistogram::record — the always-on quantile path every Timer pays
-//      (budget: <= 15 ns/op: one frexp-based index + one relaxed fetch_add)
+//      (budget: <= 15 ns/op: an index read off the IEEE-754 bits, one
+//      acquire load of the octave's page, one relaxed fetch_add); the bytes
+//      a Timer holds after 1,000 samples inside one octave (budget:
+//      <= 4096 B: 17 moment shards plus one histogram page); and one
+//      MetricsRegistry::snapshot of 256 single-octave plant timers plus 40
+//      process-wide ones, flat_bidding's shape (budget: <= 0.5 ms)
 //   5. Journal::append, ring-only (the always-armed flight recorder every
 //      lifecycle transition pays: one mutex + a slot write; budget:
 //      <= 250 ns/op) and with a durable segment sink open (buffered
@@ -19,13 +24,15 @@
 // Besides the human-readable table, every measurement emits one
 // machine-readable line:
 //   BENCH_JSON {"name": "...", "ns_per_op": 3.21, "budget_ns": 5.0}
-// ("budget_ns": null when unbounded) so CI can grep and gate on budgets.
+// ("budget_ns": null when unbounded; the footprint row reports "bytes" and
+// "budget_bytes") so CI can grep and gate on budgets.
 // Any budgeted row over budget also makes the process EXIT NON-ZERO — the
 // binary gates itself; CI's `! grep 'OVER BUDGET'` is belt-and-braces.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "common.h"
 #include "net/bus.h"
@@ -64,6 +71,16 @@ void report(const char* name, double ns_per_op, double budget_ns) {
                 "\"budget_ns\": null}\n",
                 name, ns_per_op);
   }
+}
+
+/// report() for a size in bytes.
+void report_bytes(const char* name, std::size_t bytes, std::size_t budget) {
+  if (bytes > budget) g_over_budget = true;
+  std::printf("%-21s: %8zu bytes %s\n", name, bytes,
+              bytes <= budget ? "(within budget)" : "(OVER BUDGET!)");
+  std::printf("BENCH_JSON {\"name\": \"%s\", \"bytes\": %zu, "
+              "\"budget_bytes\": %zu}\n",
+              name, bytes, budget);
 }
 
 }  // namespace
@@ -157,6 +174,40 @@ int main() {
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kMetricIters; ++i) t->record(1e-6);
     report("timer record", seconds_since(start) * 1e9 / kMetricIters, -1.0);
+  }
+  {
+    // What a Timer holds once it has seen a latency site's usual spread:
+    // samples inside one octave touch one histogram page.
+    obs::Timer timer;
+    for (int i = 0; i < 1000; ++i) timer.record(0.008 * (1.0 + i / 2000.0));
+    report_bytes("timer footprint", timer.footprint_bytes(), 4096);
+  }
+  {
+    // flat_bidding's registry: one create timer per plant, each inside one
+    // octave, plus the process-wide timers, whose samples span three.
+    obs::MetricsRegistry registry;
+    for (int p = 0; p < 256; ++p) {
+      obs::Timer* t = registry.timer("plant" + std::to_string(p) +
+                                     ".create.seconds");
+      for (int i = 0; i < 64; ++i) t->record(0.004 * (1.0 + i / 128.0));
+    }
+    for (int k = 0; k < 40; ++k) {
+      obs::Timer* t = registry.timer("process" + std::to_string(k) +
+                                     ".seconds");
+      for (int i = 0; i < 64; ++i) t->record(1e-4 * (1.0 + i / 20.0));
+    }
+    constexpr int kSnapshots = 200;
+    std::size_t timers = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kSnapshots; ++i) {
+      timers += registry.snapshot().timers.size();
+    }
+    report("registry snapshot (296 timers)",
+           seconds_since(start) * 1e9 / kSnapshots, 500'000.0);
+    if (timers != 296u * kSnapshots) {
+      std::printf("registry snapshot miscounted!\n");
+      return 1;
+    }
   }
 
   // The lifecycle event journal: every transition pays the ring append

@@ -83,17 +83,12 @@ VmPlant::VmPlant(PlantConfig config, storage::ArtifactStore* store,
       std::make_unique<ProductionLine>(hypervisor_.get(), config_.clone_base_dir);
   monitor_ = std::make_unique<VmMonitor>(hypervisor_.get(), &info_);
   if (config_.obs_export) monitor_->enable_obs_export();
-  const std::size_t threads =
-      config_.worker_threads != 0
-          ? config_.worker_threads
-          : std::max<std::size_t>(2, std::thread::hardware_concurrency());
-  workers_ = std::make_unique<util::ThreadPool>(threads);
 }
 
 VmPlant::~VmPlant() {
-  // Drain the worker pool before anything else goes away; late
-  // create_async() submissions get Stopped futures instead of running
-  // against a half-destroyed plant.
+  // Drain the worker pool, if create_async() ever started it, before
+  // anything else goes away; late create_async() submissions get Stopped
+  // futures instead of running against a half-destroyed plant.
   workers_.reset();
   detach_from_bus();
 }
@@ -153,10 +148,21 @@ std::future<Result<classad::ClassAd>> VmPlant::create_async(
   // on the worker, so the create span parents under the caller's span the
   // same way a bus hop would (net/bus.cpp does the identical dance).
   const obs::TraceContext parent = obs::current_context();
-  return workers_->submit([this, request, parent] {
+  return workers()->submit([this, request, parent] {
     obs::ContextGuard adopt(parent);
     return create(request);
   });
+}
+
+util::ThreadPool* VmPlant::workers() {
+  std::call_once(workers_once_, [this] {
+    const std::size_t threads =
+        config_.worker_threads != 0
+            ? config_.worker_threads
+            : std::max<std::size_t>(2, std::thread::hardware_concurrency());
+    workers_ = std::make_unique<util::ThreadPool>(threads);
+  });
+  return workers_.get();
 }
 
 Result<classad::ClassAd> VmPlant::create_impl(const CreateRequest& request) {

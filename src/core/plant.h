@@ -53,8 +53,10 @@ struct PlantConfig {
   /// plant's information system so a fleet aggregator can pull them over
   /// the bus (vmplant.query of "obs://metrics").  Off by default.
   bool obs_export = false;
-  /// Worker threads for create_async() (0 = auto: hardware concurrency,
-  /// at least 2 so the pipeline is exercised even on one-core hosts).
+  /// Size of the create_async() worker pool, started by the first
+  /// create_async() call; a plant that never calls it starts no thread
+  /// (0 = auto: hardware concurrency, at least 2 so the pipeline is
+  /// exercised even on one-core hosts).
   std::size_t worker_threads = 0;
   /// Re-serialize creations through one plant-wide lock (the pre-§10
   /// behavior: one production order at a time per host).  Kept as the
@@ -90,7 +92,8 @@ class VmPlant {
   /// clone -> resume -> configure pipeline (DESIGN.md §10).
   util::Result<classad::ClassAd> create(const CreateRequest& request);
 
-  /// Create on the plant's worker pool; the caller's trace context is
+  /// Create on the plant's worker pool (started by the first call, sized
+  /// by PlantConfig::worker_threads); the caller's trace context is
   /// propagated to the worker so spans keep their parent.  After the
   /// plant starts shutting down the future holds ThreadPool::Stopped.
   std::future<util::Result<classad::ClassAd>> create_async(
@@ -168,6 +171,8 @@ class VmPlant {
  private:
   net::Message handle_message(const net::Message& request_msg);
   util::Result<classad::ClassAd> create_impl(const CreateRequest& request);
+  /// The create_async() pool, started on first use.
+  util::ThreadPool* workers();
   PlantSnapshot snapshot() const;
   PlantLoad load_for(const CreateRequest& request) const;
 
@@ -208,6 +213,8 @@ class VmPlant {
   std::atomic<std::uint64_t> clone_retries_{0};
   /// Declared last: destroyed first, so in-flight create_async tasks
   /// finish (and stop touching the members above) before they go away.
+  /// Started by the first create_async() (workers()).
+  std::once_flag workers_once_;
   std::unique_ptr<util::ThreadPool> workers_;
 };
 

@@ -1,25 +1,44 @@
 #include "obs/histogram.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <iterator>
+#include <limits>
 
 namespace vmp::obs {
 
+std::uint64_t HistogramSnapshot::count(std::size_t bucket) const {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), bucket,
+      [](const Entry& e, std::size_t b) { return e.bucket < b; });
+  return it != entries.end() && it->bucket == bucket ? it->count : 0;
+}
+
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   if (other.empty()) return;
-  if (counts.empty()) {
-    counts = other.counts;
-    total = other.total;
+  if (empty()) {
+    *this = other;
     return;
   }
-  if (counts.size() < other.counts.size()) {
-    counts.resize(other.counts.size(), 0);
+  std::vector<Entry> merged;
+  merged.reserve(entries.size() + other.entries.size());
+  auto a = entries.begin();
+  auto b = other.entries.begin();
+  while (a != entries.end() && b != other.entries.end()) {
+    if (a->bucket < b->bucket) {
+      merged.push_back(*a++);
+    } else if (b->bucket < a->bucket) {
+      merged.push_back(*b++);
+    } else {
+      merged.push_back({a->bucket, a->count + b->count});
+      ++a;
+      ++b;
+    }
   }
-  for (std::size_t i = 0; i < other.counts.size(); ++i) {
-    counts[i] += other.counts[i];
-  }
+  merged.insert(merged.end(), a, entries.end());
+  merged.insert(merged.end(), b, other.entries.end());
+  entries = std::move(merged);
   total += other.total;
 }
 
@@ -29,27 +48,27 @@ double HistogramSnapshot::quantile(double q) const {
   const std::uint64_t rank = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    seen += counts[i];
-    if (seen >= rank) return LogHistogram::bucket_mid(i);
+  for (const Entry& e : entries) {
+    seen += e.count;
+    if (seen >= rank) return LogHistogram::bucket_mid(e.bucket);
   }
   // total disagreed with the counts (corrupt snapshot): fall back to the
   // highest occupied bucket.
-  for (std::size_t i = counts.size(); i-- > 0;) {
-    if (counts[i] != 0) return LogHistogram::bucket_mid(i);
-  }
-  return 0.0;
+  return entries.empty() ? 0.0
+                         : LogHistogram::bucket_mid(entries.back().bucket);
 }
 
 std::string HistogramSnapshot::encode() const {
   std::string out;
-  char item[48];
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    std::snprintf(item, sizeof(item), "%zu:%llu", i,
-                  static_cast<unsigned long long>(counts[i]));
+  char digits[24];  // any uint64_t in decimal
+  const auto append = [&](std::uint64_t v) {
+    out.append(digits, std::to_chars(digits, digits + sizeof(digits), v).ptr);
+  };
+  for (const Entry& e : entries) {
     if (!out.empty()) out += ',';
-    out += item;
+    append(e.bucket);
+    out += ':';
+    append(e.count);
   }
   return out;
 }
@@ -57,68 +76,96 @@ std::string HistogramSnapshot::encode() const {
 std::optional<HistogramSnapshot> HistogramSnapshot::decode(
     const std::string& text) {
   HistogramSnapshot snap;
-  if (text.empty()) return snap;
-  snap.counts.assign(LogHistogram::kBucketCount, 0);
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string item = text.substr(pos, comma - pos);
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) return std::nullopt;
-    char* end = nullptr;
-    const unsigned long long bucket =
-        std::strtoull(item.c_str(), &end, 10);
-    if (end != item.c_str() + colon ||
-        bucket >= LogHistogram::kBucketCount) {
+  const char* pos = text.data();
+  const char* const end = pos + text.size();
+  while (pos != end) {
+    if (!snap.entries.empty() && *pos++ != ',') return std::nullopt;
+    std::uint64_t bucket = 0;
+    std::uint64_t count = 0;
+    const auto [colon, bucket_ec] = std::from_chars(pos, end, bucket);
+    if (bucket_ec != std::errc() || colon == end || *colon != ':' ||
+        bucket >= LogHistogram::kBucketCount ||
+        (!snap.entries.empty() && bucket <= snap.entries.back().bucket)) {
       return std::nullopt;
     }
-    const char* count_text = item.c_str() + colon + 1;
-    const unsigned long long count = std::strtoull(count_text, &end, 10);
-    if (end == count_text || *end != '\0') return std::nullopt;
-    snap.counts[bucket] += count;
+    const auto [next, count_ec] = std::from_chars(colon + 1, end, count);
+    if (count_ec != std::errc() || count == 0 ||
+        count > std::numeric_limits<std::uint64_t>::max() - snap.total) {
+      return std::nullopt;
+    }
+    snap.entries.push_back({static_cast<std::uint32_t>(bucket), count});
     snap.total += count;
-    pos = comma + 1;
+    pos = next;
   }
-  if (snap.total == 0) snap.counts.clear();
   return snap;
 }
 
-bool HistogramSnapshot::operator==(const HistogramSnapshot& other) const {
-  if (total != other.total) return false;
-  const std::size_t n = std::max(counts.size(), other.counts.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t a = i < counts.size() ? counts[i] : 0;
-    const std::uint64_t b = i < other.counts.size() ? other.counts[i] : 0;
-    if (a != b) return false;
+LogHistogram::~LogHistogram() {
+  for (std::atomic<Page*>& page : pages_) {
+    delete page.load(std::memory_order_relaxed);
   }
-  return true;
+}
+
+LogHistogram::Page* LogHistogram::allocate_page(std::size_t octave) {
+  Page* fresh = new Page();
+  Page* installed = nullptr;
+  if (pages_[octave].compare_exchange_strong(installed, fresh,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+    return fresh;
+  }
+  delete fresh;
+  return installed;
 }
 
 HistogramSnapshot LogHistogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.counts.assign(kBucketCount, 0);
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    const std::uint64_t c = counts_[i].load(std::memory_order_relaxed);
-    snap.counts[i] = c;
-    snap.total += c;
+  snap.entries.reserve(page_count() * kSubBuckets + 2);
+  const auto add = [&snap](std::size_t bucket, std::uint64_t count) {
+    if (count == 0) return;
+    snap.entries.push_back({static_cast<std::uint32_t>(bucket), count});
+    snap.total += count;
+  };
+  add(0, underflow_.load(std::memory_order_relaxed));
+  for (std::size_t octave = 0; octave < kOctaves; ++octave) {
+    const Page* page = pages_[octave].load(std::memory_order_acquire);
+    if (page == nullptr) continue;
+    for (std::size_t sub = 0; sub < kSubBuckets; ++sub) {
+      add(1 + octave * kSubBuckets + sub,
+          (*page)[sub].load(std::memory_order_relaxed));
+    }
   }
-  if (snap.total == 0) snap.counts.clear();
+  add(kBucketCount - 1, overflow_.load(std::memory_order_relaxed));
   return snap;
 }
 
 std::uint64_t LogHistogram::total() const {
-  std::uint64_t t = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    t += counts_[i].load(std::memory_order_relaxed);
+  std::uint64_t t = underflow_.load(std::memory_order_relaxed) +
+                    overflow_.load(std::memory_order_relaxed);
+  for (const std::atomic<Page*>& slot : pages_) {
+    const Page* page = slot.load(std::memory_order_acquire);
+    if (page == nullptr) continue;
+    for (const auto& c : *page) t += c.load(std::memory_order_relaxed);
   }
   return t;
 }
 
 void LogHistogram::reset() {
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    counts_[i].store(0, std::memory_order_relaxed);
+  underflow_.store(0, std::memory_order_relaxed);
+  overflow_.store(0, std::memory_order_relaxed);
+  for (std::atomic<Page*>& slot : pages_) {
+    Page* page = slot.load(std::memory_order_acquire);
+    if (page == nullptr) continue;
+    for (auto& c : *page) c.store(0, std::memory_order_relaxed);
   }
+}
+
+std::size_t LogHistogram::page_count() const {
+  return static_cast<std::size_t>(
+      std::count_if(std::begin(pages_), std::end(pages_),
+                    [](const std::atomic<Page*>& slot) {
+                      return slot.load(std::memory_order_relaxed) != nullptr;
+                    }));
 }
 
 double LogHistogram::bucket_lower(std::size_t bucket) {

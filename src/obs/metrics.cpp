@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 namespace vmp::obs {
 
@@ -236,7 +237,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     stats.max_s = s.max();
     stats.hist = timer->quantile_histogram();
     stats.refresh_quantiles();
-    snap.timers[name] = stats;
+    snap.timers.emplace_hint(snap.timers.end(), name, std::move(stats));
   }
   return snap;
 }

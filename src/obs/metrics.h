@@ -88,6 +88,11 @@ class Timer {
   util::Summary summary() const;
   /// Mergeable snapshot of the always-on log-linear histogram.
   HistogramSnapshot quantile_histogram() const { return log_hist_.snapshot(); }
+  /// Bytes this timer holds: its shards plus the histogram pages its
+  /// samples have touched.
+  std::size_t footprint_bytes() const {
+    return sizeof(Timer) + log_hist_.allocated_bytes();
+  }
 
  private:
   /// Threads that lease a shard of their own; any further thread records

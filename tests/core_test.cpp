@@ -2,8 +2,14 @@
 // PPP planning, production line, and the plant daemon (direct interface).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/cost.h"
 #include "core/info_system.h"
@@ -12,6 +18,7 @@
 #include "core/production_line.h"
 #include "core/request.h"
 #include "hypervisor/gsx.h"
+#include "obs/trace.h"
 #include "workload/dag_library.h"
 #include "workload/request_gen.h"
 
@@ -605,6 +612,98 @@ TEST_F(PlantTest, UmlBackendPlant) {
   // UML clones copy no memory state.
   EXPECT_LT(ad.value().get_integer(attrs::kCloneBytesCopied).value(),
             static_cast<std::int64_t>(1 << 20));
+}
+
+// -- create_async worker pool, started on first use -------------------------
+
+/// The `Threads:` line of /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST_F(PlantTest, ConstructingPlantsStartsNoThread) {
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<VmPlant>> plants;
+  for (int i = 0; i < 32; ++i) {
+    PlantConfig config;
+    config.name = "idle" + std::to_string(i);
+    plants.push_back(
+        std::make_unique<VmPlant>(config, store_.get(), warehouse_.get()));
+  }
+  EXPECT_EQ(process_threads(), before);
+}
+
+TEST_F(PlantTest, FirstCreateAsyncStartsThePoolAndMatchesCreate) {
+  // A twin plant over its own store: the same request through create()
+  // and through create_async() must yield the same classad.
+  storage::ArtifactStore twin_store(root_ / "twin");
+  warehouse::Warehouse twin_warehouse(&twin_store, "warehouse");
+  ASSERT_TRUE(workload::publish_paper_goldens(&twin_warehouse).ok());
+  PlantConfig config;
+  config.name = "plant0";
+  config.worker_threads = 3;
+  VmPlant twin(config, &twin_store, &twin_warehouse);
+
+  const CreateRequest request = workload::workspace_request(64, 3, "ufl.edu");
+  auto direct = plant_->create(request);
+  ASSERT_TRUE(direct.ok()) << direct.error().to_string();
+
+  // A sanitizer runtime may start a helper thread beside the process's
+  // first one; start and join a thread first so the count sees the pool.
+  std::thread([] {}).join();
+  const int before = process_threads();
+  auto async = twin.create_async(request).get();
+  ASSERT_TRUE(async.ok()) << async.error().to_string();
+  EXPECT_EQ(process_threads(), before + 3);
+  EXPECT_TRUE(async.value() == direct.value())
+      << async.value().to_string() << "\n" << direct.value().to_string();
+
+  // Later calls reuse the pool.
+  auto second = twin.create_async(workload::workspace_request(32, 4, "d"));
+  ASSERT_TRUE(second.get().ok());
+  EXPECT_EQ(process_threads(), before + 3);
+}
+
+TEST_F(PlantTest, CreateAsyncRunsUnderTheCallersTraceContext) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.arm();
+  tracer.clear();
+  obs::TraceContext caller;
+  {
+    obs::ScopedSpan root("caller", "test");
+    caller = root.context();
+    auto ad = plant_->create_async(workload::workspace_request(32, 0, "d"));
+    ASSERT_TRUE(ad.get().ok());
+  }
+  tracer.disarm();
+  const auto spans = tracer.spans();
+  tracer.clear();
+  const auto create = std::find_if(spans.begin(), spans.end(),
+                                   [](const obs::Span& span) {
+                                     return span.name == "plant.create";
+                                   });
+  ASSERT_NE(create, spans.end());
+  EXPECT_EQ(create->trace_id, caller.trace_id);
+  EXPECT_EQ(create->parent_id, caller.span_id);
+}
+
+TEST_F(PlantTest, PlantWithoutCreateAsyncJoinsNothing) {
+  const int before = process_threads();
+  {
+    PlantConfig config;
+    config.name = "sync-only";
+    config.worker_threads = 4;
+    VmPlant plant(config, store_.get(), warehouse_.get());
+    ASSERT_TRUE(plant.create(workload::workspace_request(32, 0, "d")).ok());
+    EXPECT_EQ(process_threads(), before);
+  }
+  EXPECT_EQ(process_threads(), before);
 }
 
 }  // namespace

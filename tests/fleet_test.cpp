@@ -5,6 +5,7 @@
 // bid selection in the shop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -68,8 +69,8 @@ TEST(LogHistogramTest, ClampsUnderflowAndOverflow) {
   hist.record(1e12);
   const HistogramSnapshot snap = hist.snapshot();
   EXPECT_EQ(snap.total, 3u);
-  EXPECT_EQ(snap.counts.front(), 2u);
-  EXPECT_EQ(snap.counts.back(), 1u);
+  EXPECT_EQ(snap.count(0), 2u);
+  EXPECT_EQ(snap.count(LogHistogram::kBucketCount - 1), 1u);
 }
 
 // -- Merge algebra (associativity / commutativity property test) -------------
@@ -121,6 +122,107 @@ TEST(LogHistogramTest, EncodeDecodeRoundTrips) {
   EXPECT_FALSE(HistogramSnapshot::decode("5").has_value());
   EXPECT_FALSE(HistogramSnapshot::decode("999999:2").has_value());
   EXPECT_FALSE(HistogramSnapshot::decode("3:abc").has_value());
+}
+
+TEST(LogHistogramTest, DecodeRefusesSignsWhitespaceAndOverflow) {
+  // A negative count once wrapped to 2^64 - 1 and a padded bucket parsed:
+  // either poisons a fleet rollup's totals.
+  for (const char* text :
+       {"3:-1", " 3:+5", "+3:5", "-3:5", "3:+5", "3: 5", "3:5 ", "3 :5",
+        "\t3:5", "3:5,\n4:1", ":5", "3:",
+        "3:18446744073709551616", "3:18446744073709551615,4:1",
+        "3:9223372036854775808,4:9223372036854775808"}) {
+    EXPECT_FALSE(HistogramSnapshot::decode(text).has_value()) << text;
+  }
+  // The largest total that fits is accepted.
+  auto full = HistogramSnapshot::decode("3:18446744073709551614,4:1");
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->total, ~std::uint64_t{0});
+}
+
+TEST(LogHistogramTest, DecodeAcceptsOnlyWhatEncodeWrites) {
+  auto decoded = HistogramSnapshot::decode("3:2,5:2,1601:4");
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->total, 8u);
+  const std::vector<HistogramSnapshot::Entry> expected = {
+      {3, 2}, {5, 2}, {1601, 4}};
+  EXPECT_EQ(decoded->entries, expected);
+  // Unordered or repeated buckets, zero counts and stray commas would
+  // break the sorted-entries form every merge and quantile relies on.
+  for (const char* text : {"5:1,3:2", "3:1,3:1", "3:0", "3:2,7:0", "3:1,",
+                           ",3:1", "3:1,,4:1"}) {
+    EXPECT_FALSE(HistogramSnapshot::decode(text).has_value()) << text;
+  }
+}
+
+// -- Sparse snapshots against a dense reference ------------------------------
+
+/// One count per bucket of the geometry, built with bucket_index alone.
+std::vector<std::uint64_t> dense_counts(const std::vector<double>& samples) {
+  std::vector<std::uint64_t> dense(LogHistogram::kBucketCount, 0);
+  for (double s : samples) ++dense[LogHistogram::bucket_index(s)];
+  return dense;
+}
+
+/// Nearest-rank quantile over dense counts (the snapshot's documented rule).
+double dense_quantile(const std::vector<std::uint64_t>& dense, double q) {
+  std::uint64_t total = 0;
+  for (std::uint64_t c : dense) total += c;
+  if (total == 0) return 0.0;
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    seen += dense[i];
+    if (seen >= rank) return LogHistogram::bucket_mid(i);
+  }
+  return 0.0;
+}
+
+/// Samples from below the covered range to above it, some non-positive.
+std::vector<double> wide_samples(util::SplitMix64* rng, std::size_t n) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng->next_below(50) == 0) {
+      out.push_back(-rng->next_double());
+    } else {
+      out.push_back(std::ldexp(rng->next_double() + 0.5,
+                               static_cast<int>(rng->next_below(56)) - 33));
+    }
+  }
+  return out;
+}
+
+TEST(LogHistogramTest, SparseMergeAndQuantileMatchDenseReference) {
+  util::SplitMix64 rng(20261019);
+  for (int round = 0; round < 40; ++round) {
+    const std::vector<double> a = wide_samples(&rng, rng.next_below(400));
+    const std::vector<double> b = wide_samples(&rng, rng.next_below(400));
+    LogHistogram ha, hb;
+    HistogramSnapshot merged = fill(&ha, a);
+    merged.merge(fill(&hb, b));
+
+    std::vector<std::uint64_t> dense = dense_counts(a);
+    const std::vector<std::uint64_t> dense_b = dense_counts(b);
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      dense[i] += dense_b[i];
+      total += dense[i];
+      ASSERT_EQ(merged.count(i), dense[i]) << "bucket " << i;
+    }
+    ASSERT_EQ(merged.total, total);
+    for (std::size_t i = 1; i < merged.entries.size(); ++i) {
+      ASSERT_LT(merged.entries[i - 1].bucket, merged.entries[i].bucket);
+    }
+    for (const auto& e : merged.entries) ASSERT_NE(e.count, 0u);
+    for (double q : {0.0, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      ASSERT_EQ(merged.quantile(q), dense_quantile(dense, q))
+          << "round " << round << " q " << q;
+    }
+    auto decoded = HistogramSnapshot::decode(merged.encode());
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_TRUE(*decoded == merged);
+  }
 }
 
 // -- Time-series ring ---------------------------------------------------------

@@ -21,6 +21,7 @@
 #include "fault/fault.h"
 #include "net/bus.h"
 #include "obs/export.h"
+#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -139,6 +140,108 @@ TEST(LogHistogramTest, BucketIndexMatchesFrexpArithmetic) {
   for (double v : cases) {
     ASSERT_EQ(LogHistogram::bucket_index(v), frexp_index(v)) << v;
   }
+}
+
+// -- Paged histogram: first touch under contention ---------------------------
+
+/// The underflow bucket, three values in every octave, the overflow bucket.
+std::vector<double> every_octave_values() {
+  using obs::LogHistogram;
+  std::vector<double> values = {0.0, -1.0, 1e12};
+  for (int e = LogHistogram::kMinExp; e < LogHistogram::kMaxExp; ++e) {
+    for (double f : {1.0, 1.3, 1.99}) values.push_back(std::ldexp(f, e));
+  }
+  return values;
+}
+
+/// Run `record` on 8 threads released together, each over `values` from a
+/// different starting point, so that every octave's first touch races.
+template <typename Record>
+void record_from_eight_threads(const std::vector<double>& values,
+                               Record record) {
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        record(values[(i + static_cast<std::size_t>(k) * 7) % values.size()]);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+/// The snapshot of `copies` recordings of `values`, built densely with
+/// bucket_index.
+obs::HistogramSnapshot dense_reference(const std::vector<double>& values,
+                                       std::uint64_t copies) {
+  std::vector<std::uint64_t> dense(obs::LogHistogram::kBucketCount, 0);
+  for (double v : values) dense[obs::LogHistogram::bucket_index(v)] += copies;
+  obs::HistogramSnapshot snap;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    if (dense[i] == 0) continue;
+    snap.entries.push_back({static_cast<std::uint32_t>(i), dense[i]});
+    snap.total += dense[i];
+  }
+  return snap;
+}
+
+TEST(LogHistogramTest, FirstTouchFromEightThreadsIsExact) {
+  using obs::LogHistogram;
+  const std::vector<double> values = every_octave_values();
+  const obs::HistogramSnapshot expected = dense_reference(values, 8);
+  ASSERT_EQ(expected.total, 8 * values.size());
+  for (int trial = 0; trial < 8; ++trial) {
+    LogHistogram hist;
+    record_from_eight_threads(values, [&hist](double v) { hist.record(v); });
+    const obs::HistogramSnapshot snap = hist.snapshot();
+    for (std::size_t b = 0; b < LogHistogram::kBucketCount; ++b) {
+      ASSERT_EQ(snap.count(b), expected.count(b)) << "bucket " << b;
+    }
+    ASSERT_EQ(snap.total, expected.total);
+    ASSERT_EQ(hist.total(), expected.total);
+    ASSERT_TRUE(snap == expected);
+    // One page per octave: every losing allocation was given back.
+    ASSERT_EQ(hist.allocated_bytes(),
+              LogHistogram::kOctaves * sizeof(LogHistogram::Page));
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    obs::Timer timer;
+    record_from_eight_threads(values, [&timer](double v) { timer.record(v); });
+    EXPECT_EQ(timer.summary().count(), expected.total);
+    EXPECT_TRUE(timer.quantile_histogram() == expected);
+  }
+}
+
+TEST(LogHistogramTest, PagesFollowTheOctavesTouched) {
+  using obs::LogHistogram;
+  LogHistogram hist;
+  EXPECT_EQ(hist.allocated_bytes(), 0u);
+  hist.record(0.0);   // the edge counters are inline
+  hist.record(1e12);
+  EXPECT_EQ(hist.allocated_bytes(), 0u);
+  // 1,000 samples inside [2^-7, 2^-6): one octave, one page.
+  for (int i = 0; i < 1000; ++i) {
+    hist.record(std::ldexp(1.0 + i / 1000.0, -7));
+  }
+  EXPECT_EQ(hist.allocated_bytes(), sizeof(LogHistogram::Page));
+  EXPECT_EQ(hist.total(), 1002u);
+  hist.record(0.5);
+  EXPECT_EQ(hist.allocated_bytes(), 2 * sizeof(LogHistogram::Page));
+  // reset() zeroes the counts and keeps the pages.
+  hist.reset();
+  EXPECT_EQ(hist.total(), 0u);
+  EXPECT_TRUE(hist.snapshot().empty());
+  EXPECT_EQ(hist.allocated_bytes(), 2 * sizeof(LogHistogram::Page));
+
+  obs::Timer timer;
+  for (int i = 0; i < 1000; ++i) timer.record(std::ldexp(1.0 + i / 1000.0, -7));
+  EXPECT_EQ(timer.footprint_bytes(),
+            sizeof(obs::Timer) + sizeof(LogHistogram::Page));
+  EXPECT_LE(timer.footprint_bytes(), 4096u);
 }
 
 TEST(MetricsTest, RegistryHandsOutStablePointersAndSnapshots) {

@@ -12,6 +12,9 @@
 #include "dag/dag_xml.h"
 #include "fault/fault.h"
 #include "hypervisor/gsx.h"
+#include "obs/export.h"
+#include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "warehouse/warehouse.h"
@@ -87,6 +90,42 @@ TEST(FuzzTest, DagXmlParserNeverCrashesOnGarbage) {
   util::SplitMix64 rng(0xF025);
   for (int i = 0; i < 1000; ++i) {
     (void)dag::from_xml_string(random_garbage(&rng, 300));
+  }
+}
+
+TEST(FuzzTest, HistogramDecodeAcceptsOnlyPlainDigits) {
+  // A plant's obs://metrics ad carries each timer's histogram as text; one
+  // corrupt ad must not poison a fleet rollup.  Signs and whitespace are
+  // refused, as is a total beyond 64 bits.
+  for (const char* text : {"3:-1", " 3:+5", "3:+5", "-3:5", "3:5\t",
+                           "3:18446744073709551615,4:1"}) {
+    EXPECT_FALSE(obs::HistogramSnapshot::decode(text).has_value()) << text;
+    classad::ClassAd ad;
+    ad.set_integer("plant0_create_seconds_count", 1);
+    ad.set_string("plant0_create_seconds_hist", text);
+    const obs::MetricsSnapshot snap = obs::metrics_snapshot_from_ad(ad);
+    const obs::TimerStats* stats = snap.timer_stats("plant0_create_seconds");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_TRUE(stats->hist.empty()) << text;
+  }
+  // Garbage never crashes, and whatever decodes round-trips through
+  // encode() with a total equal to its counts.
+  util::SplitMix64 rng(0xF027);
+  static const char kAlphabet[] = "0123456789::,,+- \t";
+  for (int i = 0; i < 5000; ++i) {
+    std::string input;
+    const std::size_t len = rng.next_below(40);
+    for (std::size_t c = 0; c < len; ++c) {
+      input += kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)];
+    }
+    auto snap = obs::HistogramSnapshot::decode(input);
+    if (!snap.has_value()) continue;
+    std::uint64_t sum = 0;
+    for (const auto& e : snap->entries) sum += e.count;
+    EXPECT_EQ(sum, snap->total) << input;
+    auto again = obs::HistogramSnapshot::decode(snap->encode());
+    ASSERT_TRUE(again.has_value()) << input;
+    EXPECT_TRUE(*again == *snap) << input;
   }
 }
 
