@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "net/bus.h"
+
 namespace vmp::bench {
 
 util::Summary SeriesResult::creation_summary() const {
@@ -83,6 +85,13 @@ std::string fs_type_name(const std::filesystem::path& path) {
 void print_store_fs(const std::filesystem::path& store) {
   std::printf("BENCH_JSON {\"name\": \"store.fs\", \"fs\": \"%s\"}\n",
               fs_type_name(store).c_str());
+}
+
+void print_fan_out_helpers(const std::string& row, std::size_t legs) {
+  const std::size_t pool = net::MessageBus::helper_threads();
+  std::printf("BENCH_JSON {\"name\": \"%s.helpers\", \"helpers\": %zu, "
+              "\"pool\": %zu}\n",
+              row.c_str(), net::MessageBus::helpers_to_wake(legs, pool), pool);
 }
 
 }  // namespace vmp::bench

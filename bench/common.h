@@ -60,4 +60,9 @@ std::string fs_type_name(const std::filesystem::path& path);
 /// measures the disk rather than the program.
 void print_store_fs(const std::filesystem::path& store);
 
+/// Prints the BENCH_JSON row naming the helper threads a fan-out to `legs`
+/// destinations woke for the measurement `row` (`name` "<row>.helpers",
+/// with the bus's pool size): the figure depends on the host's cores.
+void print_fan_out_helpers(const std::string& row, std::size_t legs);
+
 }  // namespace vmp::bench

@@ -24,7 +24,9 @@
 // (requests and replies, bids and create forwards alike), so they are exact
 // and deterministic; bench/baselines/federation.json gates the sharded /
 // flat throughput ratio (>= 2x) and the flat / sharded bid-message ratio
-// (>= 8x) via tools/bench_gate.py "must_exceed".
+// (>= 8x) via tools/bench_gate.py "must_exceed".  The flat round's pace
+// depends on the host's cores: "fed.flat.p10000.helpers" names the helper
+// threads each of its fan-outs woke and the bus's pool size.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -210,6 +212,7 @@ int run() {
               "bid msgs/create", "failures");
 
   report_leg("fed.flat.p10000", "flat (paper §3.1)", run_flat());
+  bench::print_fan_out_helpers("fed.flat.p10000", kPlants);
   return run_sharded();
 }
 

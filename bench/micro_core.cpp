@@ -23,7 +23,9 @@
 // endpoints (bench/federation's stubs: a cost from the plant index, no
 // plant state), so it measures the shop + bus side of a bid round: the
 // ordered phase and the parallel delivery of 256 XML estimate legs.  Its
-// bytes field is the bus bytes of one round.  One more row, "store.fs",
+// bytes field is the bus bytes of one round.  Its pace depends on the
+// host's cores: the row "bid.fanout.256.helpers" names the helper threads
+// each round woke and the bus's pool size.  One more row, "store.fs",
 // names the file system under the temp directory, which holds the clone
 // rows' stores; tools/bench_gate.py refuses the result unless it is tmpfs
 // or ramfs.
@@ -518,6 +520,7 @@ int run_codec_rows() {
   report_codec("dag.from_xml.64", from_xml_64);
   report_codec("classad.response.cycle", response_cycle);
   report_codec("bid.fanout.256", fanout_256);
+  bench::print_fan_out_helpers("bid.fanout.256", 256);
   report_codec("storage.clone_cycle.4m", clone_cycle);
   bench::print_store_fs(std::filesystem::temp_directory_path());
   const double desc_speedup =

@@ -307,7 +307,8 @@ Result<storage::CloneReport> ProductionLine::clone_and_start(
 
   Status started = [&] {
     obs::ScopedSpan resume_span("hypervisor.resume", "hypervisor",
-                                hypervisor_->type());
+                                obs::TraceContext{},
+                                [&] { return hypervisor_->type(); });
     resume_span.set_vm(vm_id);
     const double resume_start_s = now_s();
     Status s = hypervisor_->start_vm(vm_id);
@@ -328,7 +329,10 @@ Result<ProductionResult> ProductionLine::configure(
     const ProductionPlan& plan, const CreateRequest& request,
     const std::string& vm_id, const std::string& network_name) {
   obs::ScopedSpan span("plant.configure", "production-line",
-                       std::to_string(plan.remaining_plan.size()) + " actions");
+                       obs::TraceContext{}, [&] {
+                         return std::to_string(plan.remaining_plan.size()) +
+                                " actions";
+                       });
   span.set_vm(vm_id);
   const double start_s = now_s();
   ProductionResult result;

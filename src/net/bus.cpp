@@ -249,7 +249,9 @@ void MessageBus::fan_out(const Message& request,
                   }},
               to.size(), commit);
           if (util::ThreadPool* pool = helpers()) {
-            for (std::size_t h = 0; h < pool->thread_count(); ++h) {
+            const std::size_t wake =
+                helpers_to_wake(to.size(), pool->thread_count());
+            for (std::size_t h = 0; h < wake; ++h) {
               (void)pool->submit([parallel] { parallel->drain(); });
             }
           }
@@ -278,10 +280,15 @@ void MessageBus::fan_out(const Message& request,
   }
 }
 
+std::size_t MessageBus::helper_threads() {
+  const unsigned cores = std::thread::hardware_concurrency();  // 0: unknown
+  return cores > 1 ? cores - 1 : 0;
+}
+
 util::ThreadPool* MessageBus::helpers() {
   std::call_once(helpers_once_, [this] {
-    if (std::thread::hardware_concurrency() > 1) {
-      helpers_ = std::make_unique<util::ThreadPool>(kHelpers);
+    if (const std::size_t threads = helper_threads(); threads > 0) {
+      helpers_ = std::make_unique<util::ThreadPool>(threads);
     }
   });
   return helpers_.get();

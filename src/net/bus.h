@@ -28,7 +28,7 @@
 // order-sensitive — fault consults, down/drop decisions, span ids, each
 // leg's byte count — happens on the caller's thread in destination order;
 // the handlers of endpoints registered kParallel and their response legs
-// run on a bus-owned helper thread as they are routed, and on the caller
+// run on bus-owned helper threads as they are routed, and on the caller
 // too once it has routed them all.  The caller does not wait on a stalled
 // helper outside a handler or a commit: it redoes that leg's response work
 // itself (net/parallel_delivery.h).
@@ -36,6 +36,7 @@
 // endpoint table is read under a shared lock and the totals are atomics.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -129,29 +130,34 @@ class MessageBus {
   void fan_out(const Message& request, std::span<const std::string> to,
                const FanOutCheck& check, const FanOutSink& sink);
 
-  /// Narrowest fan-out delivered in parallel.  Below it a fan-out is a
-  /// plain serial loop on the caller: waking the helper costs about what
-  /// the round trips it would share save.  Measured on a shared 4-vCPU VM
-  /// with collect_bids over N stub plants, 2 ms apart so the helper is
-  /// asleep each time (median of 400 rounds; kParallel against kSerial
-  /// stubs, with this width lowered to 1 in a throwaway build): 0.6-0.8x at
-  /// N = 8 and 16, even at N = 24 to 48, 1.04-1.2x at N = 64 and 128,
-  /// 1.3x at N = 256.  The same method on another such VM, two runs each
-  /// before and after a fan-out shared one decoded request: 0.4-0.7x at
-  /// N = 8 and 16, 0.5-1.05x at N = 24 to 128 and 0.73-0.87x at N = 256,
-  /// alike before and after.  There, waking the helper (about 100 us a
-  /// round at N = 8) outweighed the legs it shared.
+  /// Narrowest fan-out delivered in parallel, and the legs each woken
+  /// helper shares.  Below it a fan-out is a plain serial loop on the
+  /// caller: waking a helper costs about what the round trips it would
+  /// share save.  With one helper and collect_bids over N stub plants
+  /// whose handlers cost next to nothing, rounds 2 ms apart on shared
+  /// 4-vCPU VMs, the parallel round was 0.4-0.8x the serial loop's at
+  /// N = 8 and 16 and 0.5-1.2x from 24 to 128.  End to end, perfbench
+  /// flat_bidding's 256 plants (each leg a plant's parse and estimate) ran
+  /// 1.14x as many creates/s with one helper as in the serial loop
+  /// (DESIGN.md §6).
   static constexpr std::size_t kParallelWidth = 32;
 
-  /// Helper threads that deliver beside the caller.  One: on a shared
-  /// 4-vCPU VM each further helper made a quiet host's fan-out faster but
-  /// its latency swing with the host's load wider (a helper's vCPU can
-  /// take milliseconds to wake or stop mid-handler, and the caller waits
-  /// for a running handler), so a busy host's create p95 rose above the
-  /// serial loop's.  With one, a 256-plant create is 1.12-1.14x faster
-  /// and its p95 holds still (DESIGN.md §6).  Not re-measured since each
-  /// leg stopped decoding its own request.
-  static constexpr std::size_t kHelpers = 1;
+  /// Helper threads a bus starts on its first wide fan-out: one per core
+  /// beside the caller's, none on a single core.  On a quiet shared
+  /// 4-vCPU VM, perfbench flat_bidding ran a median 509 creates/s with
+  /// three helpers, 445 with one and 390 in the serial loop, p95 2.13,
+  /// 2.44 and 2.71 ms; with two busy loops on the host, 448, 454 and 385
+  /// creates/s, p95 2.32, 2.33 and 2.69 ms (DESIGN.md §6).
+  static std::size_t helper_threads();
+
+  /// Helpers a fan-out to `legs` destinations wakes from a pool of `pool`:
+  /// one per kParallelWidth legs, at most the pool.  A 32-63-leg fan-out
+  /// wakes one, and a many-core host wakes no more threads than the legs
+  /// can keep busy.
+  static constexpr std::size_t helpers_to_wake(std::size_t legs,
+                                               std::size_t pool) {
+    return std::min(legs / kParallelWidth, pool);
+  }
 
   // -- Fault injection ------------------------------------------------------
   void set_down(const std::string& address, bool down);
@@ -194,8 +200,8 @@ class MessageBus {
   util::Result<Message> decode_wire(const std::string& wire) const;
   /// The bytes address `to` takes in encode_wire(message, to).
   std::size_t address_size(std::string_view to) const;
-  /// The helper pool (kHelpers threads), created on the first parallel
-  /// delivery; nullptr on a single-core host.
+  /// The helper pool (helper_threads() threads), created on the first
+  /// parallel delivery; nullptr on a single-core host.
   util::ThreadPool* helpers();
 
   BusConfig config_;

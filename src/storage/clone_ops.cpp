@@ -125,9 +125,9 @@ Result<CloneReport> clone_image(ArtifactStore* store,
                                 const std::string& clone_dir,
                                 CloneStrategy strategy) {
   CloneMetrics& metrics = CloneMetrics::get();
-  obs::ScopedSpan span("storage.clone", "storage",
-                       std::string(clone_strategy_name(strategy)) + " " +
-                           clone_dir);
+  obs::ScopedSpan span("storage.clone", "storage", obs::TraceContext{}, [&] {
+    return std::string(clone_strategy_name(strategy)) + " " + clone_dir;
+  });
   const auto start = std::chrono::steady_clock::now();
 
   auto result = clone_image_impl(store, golden, spec, clone_dir, strategy);

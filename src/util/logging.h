@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -54,28 +55,30 @@ class Logger {
 
   class Line {
    public:
-    // The component is stored by value: a Line routinely outlives the
-    // temporary Logger that minted it (Logger("x").info() << ...).
-    Line(LogLevel level, std::string component)
-        : level_(level),
-          component_(std::move(component)),
-          active_(level >= log_level()) {}
+    // An active line holds the component by value: a Line can outlive the
+    // temporary Logger that minted it.  A line below the level holds
+    // nothing and streams nothing: no copy, no stream, no operator<<.
+    Line(LogLevel level, const std::string& component) : level_(level) {
+      if (level >= log_level()) active_.emplace(component);
+    }
     Line(const Line&) = delete;
     Line& operator=(const Line&) = delete;
     ~Line() {
-      if (active_) log_line(level_, component_, stream_.str());
+      if (active_) log_line(level_, active_->component, active_->stream.str());
     }
     template <typename T>
     Line& operator<<(const T& v) {
-      if (active_) stream_ << v;
+      if (active_) active_->stream << v;
       return *this;
     }
 
    private:
+    struct Active {
+      std::string component;
+      std::ostringstream stream;
+    };
     LogLevel level_;
-    std::string component_;
-    std::ostringstream stream_;
-    bool active_;
+    std::optional<Active> active_;
   };
 
   Line debug() const { return Line(LogLevel::kDebug, component_); }

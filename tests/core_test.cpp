@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -691,6 +692,27 @@ TEST_F(PlantTest, CreateAsyncRunsUnderTheCallersTraceContext) {
   ASSERT_NE(create, spans.end());
   EXPECT_EQ(create->trace_id, caller.trace_id);
   EXPECT_EQ(create->parent_id, caller.span_id);
+}
+
+TEST_F(PlantTest, ArmedCreateSpansCarryTheirDetails) {
+  // The clone, resume and configure spans build their details only while
+  // armed; armed, each carries the clone directory, the hypervisor type or
+  // the number of actions configured.
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.arm();
+  tracer.clear();
+  auto ad = plant_->create(workload::workspace_request(32, 0, "d"));
+  tracer.disarm();
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  std::map<std::string, std::string> details;
+  for (const obs::Span& span : tracer.spans()) details[span.name] = span.detail;
+  tracer.clear();
+  const std::string vm_id = ad.value().get_string(attrs::kVmId).value();
+  EXPECT_EQ(details["storage.clone"], "linked plant0/clones/" + vm_id);
+  EXPECT_EQ(details["hypervisor.resume"], "vmware-gsx");
+  EXPECT_EQ(details["plant.configure"],
+            std::to_string(*ad.value().get_integer(attrs::kActionsExecuted)) +
+                " actions");
 }
 
 TEST_F(PlantTest, PlantWithoutCreateAsyncJoinsNothing) {

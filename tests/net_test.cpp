@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -633,6 +634,21 @@ TEST(FanOutTest, NarrowFanOutStaysOnTheCaller) {
                         to.size(), std::this_thread::get_id()));
 }
 
+TEST(FanOutTest, AFanOutWakesOneHelperPerParallelWidthLegs) {
+  // Legs (rows) against pools of 0, 1, 3 and 63 helpers (columns).
+  const std::size_t pools[] = {0, 1, 3, 63};
+  const std::map<std::size_t, std::vector<std::size_t>> expected{
+      {31, {0, 0, 0, 0}},   {32, {0, 1, 1, 1}}, {63, {0, 1, 1, 1}},
+      {64, {0, 1, 2, 2}},   {256, {0, 1, 3, 8}},
+      {10000, {0, 1, 3, 63}}};
+  for (const auto& [legs, woken] : expected) {
+    for (std::size_t p = 0; p < std::size(pools); ++p) {
+      EXPECT_EQ(MessageBus::helpers_to_wake(legs, pools[p]), woken[p])
+          << legs << " legs, pool " << pools[p];
+    }
+  }
+}
+
 TEST(FanOutTest, DeclinedDestinationsAreNotSent) {
   MessageBus bus;
   const std::vector<std::string> to = add_stubs(&bus, 40);
@@ -888,6 +904,72 @@ TEST(ParallelDeliveryTest, CallerWaitsForARunningHandler) {
   EXPECT_FALSE(run.joined_while_parked);
   EXPECT_EQ(run.handled, 1);
   EXPECT_EQ(run.commits, kStalledLegCommit);
+}
+
+TEST(ParallelDeliveryTest, EveryLegOnceWithThreeDrainersOneParkedInAHandler) {
+  // The caller and three drainers share one job; the drainer that takes
+  // leg 0 parks in its handler until the caller has closed the job, and
+  // leg 13's handler throws.
+  constexpr std::size_t kLegs = 64;
+  constexpr std::size_t kThrower = 13;
+  Parking parking;
+  std::vector<std::atomic<int>> handled(kLegs);
+  std::vector<int> committed(kLegs, 0);
+  std::mutex commits_mu;
+  const ParallelDelivery::Wire wire{
+      [](const std::string& bytes) { return Message::deserialize(bytes); },
+      [](const Message& message) { return message.serialize(); }};
+  const ParallelDelivery::Commit commit =
+      [&](std::size_t index, util::Result<Message> result, std::size_t) {
+        EXPECT_TRUE(result.ok());
+        std::lock_guard<std::mutex> lock(commits_mu);
+        ++committed[index];
+      };
+  const auto handler = std::make_shared<const Handler>([&](const Message& m) {
+    const std::size_t index = std::stoul(m.to().substr(3));
+    handled[index].fetch_add(1);
+    if (index == 0) {
+      parking.choose(std::this_thread::get_id());
+      parking.maybe_park();
+    }
+    if (index == kThrower) throw std::runtime_error("leg 13");
+    return Message::response_to(m);
+  });
+  Message request = Message::request("drain.svc", "caller", "", "corr-3");
+  request.share_body();
+  ParallelDelivery job(request, wire, kLegs, commit);
+
+  std::vector<std::thread> drainers;
+  for (int d = 0; d < 3; ++d) drainers.emplace_back([&job] { job.drain(); });
+  // Leg 0 goes out alone: the caller delivers nothing until it closes, so
+  // a drainer runs its handler.
+  job.publish(0, "ep-0", handler, {});
+  parking.wait_parked();
+  for (std::size_t i = 1; i < kLegs; ++i) {
+    job.publish(i, "ep-" + std::to_string(i), handler, {});
+  }
+  std::atomic<bool> joined{false};
+  std::exception_ptr error;
+  std::thread caller([&] {
+    error = job.close_and_join();
+    joined = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(joined.load());  // the caller waits for a running handler
+  parking.release();
+  caller.join();
+  for (std::thread& drainer : drainers) drainer.join();
+
+  for (std::size_t i = 0; i < kLegs; ++i) {
+    EXPECT_EQ(handled[i].load(), 1) << i;
+    EXPECT_EQ(committed[i], i == kThrower ? 0 : 1) << i;
+  }
+  ASSERT_NE(error, nullptr);
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "leg 13");
+  }
 }
 
 // -- ServiceRegistry -------------------------------------------------------------------

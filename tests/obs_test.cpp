@@ -824,6 +824,33 @@ TEST_F(LogCaptureTest, LineOutlivesTemporaryLogger) {
   EXPECT_EQ(records[0].message, "still alive");
 }
 
+/// Counts how often it is formatted into a log line.
+struct FormatProbe {
+  int* formatted;
+};
+std::ostream& operator<<(std::ostream& out, const FormatProbe& probe) {
+  ++*probe.formatted;
+  return out << "probe";
+}
+
+TEST_F(LogCaptureTest, LineBelowTheLevelNeverFormatsItsOperands) {
+  std::vector<util::LogRecord> records;
+  util::set_log_sink([&records](const util::LogRecord& r) {
+    records.push_back(r);
+  });
+  int formatted = 0;
+  util::set_log_level(util::LogLevel::kError);
+  const util::Logger log("obs-test");
+  log.info() << "skipped " << FormatProbe{&formatted};
+  log.warn() << FormatProbe{&formatted};
+  EXPECT_EQ(formatted, 0);
+  EXPECT_TRUE(records.empty());
+  log.error() << "kept " << FormatProbe{&formatted};
+  EXPECT_EQ(formatted, 1);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].message, "kept probe");
+}
+
 TEST_F(LogCaptureTest, TracerMirrorsSpanEndsIntoLogger) {
   util::set_log_level(util::LogLevel::kDebug);
   std::vector<util::LogRecord> records;
