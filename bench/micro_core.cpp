@@ -7,7 +7,12 @@
 // format and the binary codec (net/codec.h) — and emits one BENCH_JSON
 // line per row:
 //   BENCH_JSON {"name": "codec.descriptor.binary", "ns_per_op": ...,
-//               "mops": ..., "bytes": ...}
+//               "mops": ..., "bytes": ..., "k": 7}
+// The two sides of each gated ratio (codec.descriptor.* and
+// codec.message.*) are timed interleaved in k batches — xml, binary, xml,
+// binary, ... — so a host stall lands on both sides alike; each side's row
+// reports the median of its k batches, and codec.descriptor.speedup the
+// median of the k per-batch ratios.
 // Two more rows time the bid request's XML work: building a workspace
 // CreateRequest tree (request.to_xml) and one call() of an estimate
 // (serialize + deserialize + CreateRequest::from_xml, bid.leg.xml).  A
@@ -44,9 +49,11 @@
 // conservative throughput floors.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "classad/classad.h"
 #include "classad/matchmaker.h"
@@ -263,13 +270,56 @@ CodecRow time_codec(int iters, Fn&& fn) {
   return row;
 }
 
-void report_codec(const char* name, const CodecRow& row) {
+/// The median of `values` (which it reorders).
+double median(std::vector<double>* values) {
+  std::sort(values->begin(), values->end());
+  const std::size_t n = values->size();
+  return n % 2 == 1 ? (*values)[n / 2]
+                    : ((*values)[n / 2 - 1] + (*values)[n / 2]) / 2.0;
+}
+
+/// The two sides of a gated ratio, each the median of `reps` batches.
+struct RatioPair {
+  CodecRow left;
+  CodecRow right;
+  double ratio = 0.0;  // the median of the per-batch left/right ratios
+  int reps = 0;
+};
+
+/// Times `reps` batches of `iters` round trips of each side, alternating
+/// left, right, left, ... in this one process.
+template <typename Left, typename Right>
+RatioPair time_ratio_pair(int reps, int iters, Left&& left, Right&& right) {
+  std::vector<double> left_ns;
+  std::vector<double> right_ns;
+  std::vector<double> ratios;
+  RatioPair pair;
+  pair.reps = reps;
+  for (int rep = 0; rep < reps; ++rep) {
+    pair.left = time_codec(iters, left);
+    pair.right = time_codec(iters, right);
+    left_ns.push_back(pair.left.ns_per_op);
+    right_ns.push_back(pair.right.ns_per_op);
+    ratios.push_back(pair.right.ns_per_op > 0.0
+                         ? pair.left.ns_per_op / pair.right.ns_per_op
+                         : 0.0);
+  }
+  pair.left.ns_per_op = median(&left_ns);
+  pair.right.ns_per_op = median(&right_ns);
+  pair.ratio = median(&ratios);
+  return pair;
+}
+
+/// `reps` > 0 adds the row's batch count as "k".
+void report_codec(const char* name, const CodecRow& row, int reps = 0) {
   const double mops = row.ns_per_op > 0.0 ? 1e3 / row.ns_per_op : 0.0;
   std::printf("%-24s %12.0f ns/op %10.3f Mop/s %8zu bytes\n", name,
               row.ns_per_op, mops, row.wire_bytes);
   std::printf("BENCH_JSON {\"name\": \"%s\", \"ns_per_op\": %.2f, "
-              "\"mops\": %.6f, \"bytes\": %zu}\n",
+              "\"mops\": %.6f, \"bytes\": %zu",
               name, row.ns_per_op, mops, row.wire_bytes);
+  if (reps > 0) std::printf(", \"k\": %d", reps);
+  std::printf("}\n");
 }
 
 /// The plant's create response (paper §3.1): the VM's identity, placement
@@ -389,34 +439,41 @@ int run_codec_rows() {
 
   std::printf("\ncodec round trips (encode + decode, %d iters)\n", kIters);
 
-  const CodecRow desc_xml = time_codec(kIters, [&] {
-    const std::string wire = warehouse::render_descriptor(image);
-    auto parsed = warehouse::parse_descriptor(wire);
-    if (!parsed.ok()) ok = false;
-    benchmark::DoNotOptimize(parsed);
-    return wire.size();
-  });
-  const CodecRow desc_bin = time_codec(kIters, [&] {
-    const std::string wire = net::codec::encode_descriptor(image);
-    auto parsed = net::codec::decode_descriptor(wire);
-    if (!parsed.ok()) ok = false;
-    benchmark::DoNotOptimize(parsed);
-    return wire.size();
-  });
-  const CodecRow msg_xml = time_codec(kIters, [&] {
-    const std::string wire = message.serialize();
-    auto parsed = net::Message::deserialize(wire);
-    if (!parsed.ok()) ok = false;
-    benchmark::DoNotOptimize(parsed);
-    return wire.size();
-  });
-  const CodecRow msg_bin = time_codec(kIters, [&] {
-    const std::string wire = net::codec::encode_message(message);
-    auto parsed = net::codec::decode_message(wire);
-    if (!parsed.ok()) ok = false;
-    benchmark::DoNotOptimize(parsed);
-    return wire.size();
-  });
+  // The gated ratios: each side gets kRatioReps interleaved batches.
+  constexpr int kRatioReps = 7;
+  constexpr int kRatioIters = kIters / 4;
+  const RatioPair desc = time_ratio_pair(
+      kRatioReps, kRatioIters,
+      [&] {
+        const std::string wire = warehouse::render_descriptor(image);
+        auto parsed = warehouse::parse_descriptor(wire);
+        if (!parsed.ok()) ok = false;
+        benchmark::DoNotOptimize(parsed);
+        return wire.size();
+      },
+      [&] {
+        const std::string wire = net::codec::encode_descriptor(image);
+        auto parsed = net::codec::decode_descriptor(wire);
+        if (!parsed.ok()) ok = false;
+        benchmark::DoNotOptimize(parsed);
+        return wire.size();
+      });
+  const RatioPair msg = time_ratio_pair(
+      kRatioReps, kRatioIters,
+      [&] {
+        const std::string wire = message.serialize();
+        auto parsed = net::Message::deserialize(wire);
+        if (!parsed.ok()) ok = false;
+        benchmark::DoNotOptimize(parsed);
+        return wire.size();
+      },
+      [&] {
+        const std::string wire = net::codec::encode_message(message);
+        auto parsed = net::codec::decode_message(wire);
+        if (!parsed.ok()) ok = false;
+        benchmark::DoNotOptimize(parsed);
+        return wire.size();
+      });
 
   // One estimate call (paper §3.1): the request goes out as XML and the
   // plant parses it back into a CreateRequest.  A fan-out serializes and
@@ -509,10 +566,10 @@ int run_codec_rows() {
   const CodecRow fanout_256 = time_bid_fanout(request, kIters / 100, &ok);
   const CodecRow clone_cycle = time_clone_cycle(kIters / 20, &ok);
 
-  report_codec("codec.descriptor.xml", desc_xml);
-  report_codec("codec.descriptor.binary", desc_bin);
-  report_codec("codec.message.xml", msg_xml);
-  report_codec("codec.message.binary", msg_bin);
+  report_codec("codec.descriptor.xml", desc.left, desc.reps);
+  report_codec("codec.descriptor.binary", desc.right, desc.reps);
+  report_codec("codec.message.xml", msg.left, msg.reps);
+  report_codec("codec.message.binary", msg.right, msg.reps);
   report_codec("request.to_xml", request_build);
   report_codec("bid.leg.xml", bid_leg);
   report_codec("dag.match.256", match_256);
@@ -523,11 +580,9 @@ int run_codec_rows() {
   bench::print_fan_out_helpers("bid.fanout.256", 256);
   report_codec("storage.clone_cycle.4m", clone_cycle);
   bench::print_store_fs(std::filesystem::temp_directory_path());
-  const double desc_speedup =
-      desc_bin.ns_per_op > 0.0 ? desc_xml.ns_per_op / desc_bin.ns_per_op : 0.0;
   std::printf("BENCH_JSON {\"name\": \"codec.descriptor.speedup\", "
-              "\"speedup\": %.2f}\n",
-              desc_speedup);
+              "\"speedup\": %.2f, \"k\": %d}\n",
+              desc.ratio, desc.reps);
 
   if (!ok) {
     std::printf(

@@ -259,8 +259,10 @@ int main() {
   const auto call_sweep = [&](const char* label) {
     const auto begin = std::chrono::steady_clock::now();
     for (int i = 0; i < kCallIters; ++i) {
+      std::string correlation(1, 'c');  // appended: GCC 12 -Wrestrict at -O3
+      correlation += std::to_string(i);
       net::Message m = net::Message::request("echo.ping", "bench", "echo",
-                                             "c" + std::to_string(i));
+                                             std::move(correlation));
       (void)bus.call(m);
     }
     const double ns = seconds_since(begin) * 1e9 / kCallIters;

@@ -184,6 +184,7 @@ std::string ClassAd::to_string() const {
 
 void ClassAd::to_xml(xml::Element* parent) const {
   xml::Element& ad = parent->add_child("classad");
+  ad.reserve_children(slots_.size());
   for (const Slot& slot : slots_) {
     xml::Element& attr = ad.add_child("attr");
     attr.set_attr("name", slot.name);
@@ -198,16 +199,15 @@ Result<ClassAd> ClassAd::from_xml(const xml::Element& element) {
     return Result<ClassAd>(
         Error(ErrorCode::kParseError, "classad: missing <classad> element"));
   }
-  const std::vector<const xml::Element*> attrs =
-      ad_elem->children_named("attr");
   ClassAd ad;
-  ad.slots_.reserve(attrs.size());
-  for (const xml::Element* attr : attrs) {
-    if (!attr->has_attr("name")) {
+  ad.slots_.reserve(ad_elem->children().size());
+  for (const xml::Element& attr : ad_elem->children()) {
+    if (attr.name() != "attr") continue;
+    if (!attr.has_attr("name")) {
       return Result<ClassAd>(
           Error(ErrorCode::kParseError, "classad: <attr> without name"));
     }
-    Status s = ad.set_expression(attr->attr("name"), attr->text());
+    Status s = ad.set_expression(attr.attr("name"), attr.text());
     if (!s.ok()) return s.propagate<ClassAd>();
   }
   return ad;

@@ -228,8 +228,16 @@ Value BinaryExpr::evaluate(const EvalContext& ctx) const {
 }
 
 std::string BinaryExpr::to_string() const {
-  return "(" + lhs_->to_string() + " " + op_token(op_) + " " +
-         rhs_->to_string() + ")";
+  // Appended piece by piece: GCC 12's -Wrestrict misreads the inlined
+  // operator+ chain over a string literal.
+  std::string out = "(";
+  out += lhs_->to_string();
+  out += ' ';
+  out += op_token(op_);
+  out += ' ';
+  out += rhs_->to_string();
+  out += ')';
+  return out;
 }
 
 // -- UnaryExpr ---------------------------------------------------------------
@@ -249,7 +257,9 @@ Value UnaryExpr::evaluate(const EvalContext& ctx) const {
 }
 
 std::string UnaryExpr::to_string() const {
-  return std::string(op_ == UnaryOp::kNot ? "!" : "-") + operand_->to_string();
+  std::string out(1, op_ == UnaryOp::kNot ? '!' : '-');
+  out += operand_->to_string();
+  return out;
 }
 
 // -- FunctionExpr ------------------------------------------------------------

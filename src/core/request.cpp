@@ -123,7 +123,7 @@ Result<CreateRequest> CreateRequest::from_xml(const xml::Element& element) {
 std::string CreateRequest::to_xml_string() const {
   xml::Element wrapper("wrapper");
   to_xml(&wrapper);
-  return wrapper.children().front()->to_string();
+  return wrapper.children().front().to_string();
 }
 
 Result<CreateRequest> CreateRequest::from_xml_string(const std::string& text) {

@@ -12,10 +12,10 @@
 // to a graph and never compared across graphs.
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "util/error.h"
+#include "util/flat_map.h"
 
 namespace vmp::dag {
 
@@ -52,8 +52,9 @@ class Action {
   ActionScope scope() const { return scope_; }
   void set_scope(ActionScope scope) { scope_ = scope; }
 
-  /// Free-form parameters ("package" -> "vnc-server-3.3").
-  const std::map<std::string, std::string>& params() const { return params_; }
+  /// Free-form parameters ("package" -> "vnc-server-3.3"), sorted by key.
+  using Params = util::FlatMap<std::string, std::string>;
+  const Params& params() const { return params_; }
   void set_param(const std::string& key, std::string value) {
     params_[key] = std::move(value);
   }
@@ -70,7 +71,7 @@ class Action {
   void set_max_retries(int n) { max_retries_ = n; }
 
   /// Canonical identity for cross-graph comparison:
-  /// "operation{k1=v1,k2=v2}".  Parameters are sorted by key (std::map),
+  /// "operation{k1=v1,k2=v2}".  Parameters are sorted by key,
   /// so equal parameter sets produce equal signatures regardless of
   /// insertion order.  Scripts and error policies are intentionally NOT
   /// part of the signature: two installs of the same package match even if
@@ -81,7 +82,7 @@ class Action {
   std::string id_;
   std::string operation_;
   ActionScope scope_ = ActionScope::kGuest;
-  std::map<std::string, std::string> params_;
+  Params params_;
   std::string script_;
   ErrorPolicy error_policy_ = ErrorPolicy::kAbort;
   int max_retries_ = 0;

@@ -23,9 +23,12 @@ const std::string* find_attr(const xml::Element& element, std::string_view key) 
 
 void to_xml(const ConfigDag& dag, xml::Element* parent) {
   xml::Element& root = parent->add_child("dag");
+  root.reserve_children(dag.size() + dag.edge_count());
   for (const std::string& id : dag.node_ids()) {
     const Action& a = *dag.action(id);
     xml::Element& node = root.add_child("action");
+    node.reserve_attrs(3 + (a.error_policy() != ErrorPolicy::kAbort) +
+                       (a.max_retries() > 0));
     node.set_attr("id", a.id());
     node.set_attr("op", a.operation());
     node.set_attr("scope", action_scope_name(a.scope()));
@@ -59,7 +62,7 @@ void to_xml(const ConfigDag& dag, xml::Element* parent) {
 std::string to_xml_string(const ConfigDag& dag) {
   xml::Element wrapper("wrapper");
   to_xml(dag, &wrapper);
-  return wrapper.children().front()->to_string();
+  return wrapper.children().front().to_string();
 }
 
 Result<ConfigDag> from_xml(const xml::Element& dag_element) {
@@ -73,25 +76,25 @@ Result<ConfigDag> from_xml(const xml::Element& dag_element) {
   // action or an edge, so the child count bounds both.
   ConfigDag dag;
   dag.reserve(dag_element.children().size(), dag_element.children().size());
-  for (const auto& child : dag_element.children()) {
-    if (child->name() != "action") continue;
-    const std::string* id = find_attr(*child, "id");
-    const std::string* op = find_attr(*child, "op");
+  for (const xml::Element& child : dag_element.children()) {
+    if (child.name() != "action") continue;
+    const std::string* id = find_attr(child, "id");
+    const std::string* op = find_attr(child, "op");
     if (id == nullptr || op == nullptr) {
       return fail("<action> requires id and op attributes");
     }
     Action a(*id, *op);
-    if (const std::string* scope = find_attr(*child, "scope")) {
+    if (const std::string* scope = find_attr(child, "scope")) {
       auto parsed = parse_action_scope(*scope);
       if (!parsed.ok()) return parsed.propagate<ConfigDag>();
       a.set_scope(parsed.value());
     }
-    if (const std::string* on_error = find_attr(*child, "on-error")) {
+    if (const std::string* on_error = find_attr(child, "on-error")) {
       auto policy = parse_error_policy(*on_error);
       if (!policy.ok()) return policy.propagate<ConfigDag>();
       a.set_error_policy(policy.value());
     }
-    if (const std::string* retries = find_attr(*child, "max-retries")) {
+    if (const std::string* retries = find_attr(child, "max-retries")) {
       long long n = 0;
       if (!util::parse_int64(*retries, &n) || n < 0 ||
           n > std::numeric_limits<int>::max()) {
@@ -100,18 +103,18 @@ Result<ConfigDag> from_xml(const xml::Element& dag_element) {
       }
       a.set_max_retries(static_cast<int>(n));
     }
-    for (const auto& part : child->children()) {
-      if (part->name() != "param") continue;
-      const std::string* name = find_attr(*part, "name");
+    for (const xml::Element& part : child.children()) {
+      if (part.name() != "param") continue;
+      const std::string* name = find_attr(part, "name");
       if (name == nullptr) return fail("<param> requires a name attribute");
-      a.set_param(*name, part->text());
+      a.set_param(*name, part.text());
     }
-    if (const xml::Element* script = child->child("script")) {
+    if (const xml::Element* script = child.child("script")) {
       a.set_script(script->text());
     }
     VMP_RETURN_IF_ERROR_AS(dag.add_action(std::move(a)), ConfigDag);
 
-    if (const xml::Element* error_wrapper = child->child("error-dag")) {
+    if (const xml::Element* error_wrapper = child.child("error-dag")) {
       const xml::Element* inner = error_wrapper->child("dag");
       if (inner == nullptr) return fail("<error-dag> must contain a <dag>");
       auto sub = from_xml(*inner);
@@ -120,10 +123,10 @@ Result<ConfigDag> from_xml(const xml::Element& dag_element) {
           dag.set_error_subgraph(*id, std::move(sub).value()), ConfigDag);
     }
   }
-  for (const auto& edge : dag_element.children()) {
-    if (edge->name() != "edge") continue;
-    const std::string* from = find_attr(*edge, "from");
-    const std::string* to = find_attr(*edge, "to");
+  for (const xml::Element& edge : dag_element.children()) {
+    if (edge.name() != "edge") continue;
+    const std::string* from = find_attr(edge, "from");
+    const std::string* to = find_attr(edge, "to");
     if (from == nullptr || to == nullptr) {
       return fail("<edge> requires from and to attributes");
     }

@@ -98,22 +98,22 @@ Result<Trace> Trace::from_xml_string(const std::string& text) {
       if (!name.empty()) trace.violations.push_back(name);
     }
   }
-  for (const auto& child : root.children()) {
-    if (child->name() == "tie") {
-      auto ready = parse_seqs(child->attr("ready"));
+  for (const xml::Element& child : root.children()) {
+    if (child.name() == "tie") {
+      auto ready = parse_seqs(child.attr("ready"));
       if (!ready.ok()) return ready.propagate<Trace>();
       trace.decisions.push_back(
-          Decision::tie(child->attr_double("when", 0.0),
+          Decision::tie(child.attr_double("when", 0.0),
                         std::move(ready).value(),
-                        static_cast<std::uint64_t>(child->attr_int("chosen", 0))));
-    } else if (child->name() == "fault") {
-      trace.decisions.push_back(Decision::fault(child->attr("point"),
-                                                child->attr("detail"),
-                                                child->attr("fire") == "1"));
+                        static_cast<std::uint64_t>(child.attr_int("chosen", 0))));
+    } else if (child.name() == "fault") {
+      trace.decisions.push_back(Decision::fault(child.attr("point"),
+                                                child.attr("detail"),
+                                                child.attr("fire") == "1"));
     } else {
       return Result<Trace>(Error(
           ErrorCode::kParseError,
-          "trace: unknown decision element <" + child->name() + ">"));
+          "trace: unknown decision element <" + child.name() + ">"));
     }
   }
   return trace;

@@ -176,7 +176,7 @@ ShardBroker::collect_member_bids(
     if (!parsed.ok()) continue;
     xml::Element& cls = m.body().add_child("class");
     cls.set_attr("key", key);
-    cls.adopt_child(std::move(parsed.value()));
+    cls.adopt_child(std::move(*parsed.value()));
   }
   for (const std::string& member : member_list) {
     m.set_to(member);
@@ -390,8 +390,8 @@ net::Message ShardBroker::handle_create(const net::Message& request_msg) {
     net::Message forward =
         net::Message::request("vmplant.create", config_.name, member,
                               request_msg.correlation());
-    for (const auto& child : request_msg.body().children()) {
-      forward.body().adopt_child(child->clone());
+    for (const xml::Element& child : request_msg.body().children()) {
+      forward.body().adopt_child(child.clone());
     }
     auto response = net::call_expecting_success(bus_, forward);
     if (!response.ok()) {
@@ -417,8 +417,8 @@ net::Message ShardBroker::handle_create(const net::Message& request_msg) {
     }
     forwarded_->add();
     net::Message reply = net::Message::response_to(request_msg);
-    for (const auto& child : response.value().body().children()) {
-      reply.body().adopt_child(child->clone());
+    for (const xml::Element& child : response.value().body().children()) {
+      reply.body().adopt_child(child.clone());
     }
     return reply;
   }
@@ -465,8 +465,8 @@ net::Message ShardBroker::handle_routed(const net::Message& request_msg) {
   }
   net::Message forward = net::Message::request(
       request_msg.service(), config_.name, member, request_msg.correlation());
-  for (const auto& child : request_msg.body().children()) {
-    forward.body().adopt_child(child->clone());
+  for (const xml::Element& child : request_msg.body().children()) {
+    forward.body().adopt_child(child.clone());
   }
   auto response = bus_->call(forward);
   if (!response.ok()) {
@@ -482,8 +482,8 @@ net::Message ShardBroker::handle_routed(const net::Message& request_msg) {
                                   response.value().fault_error());
   }
   net::Message reply = net::Message::response_to(request_msg);
-  for (const auto& child : response.value().body().children()) {
-    reply.body().adopt_child(child->clone());
+  for (const xml::Element& child : response.value().body().children()) {
+    reply.body().adopt_child(child.clone());
   }
   return reply;
 }

@@ -33,26 +33,29 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "util/error.h"
+#include "util/flat_map.h"
 
 namespace vmp::hv {
 
-/// Configuration state of a simulated guest O/S.
+/// Configuration state of a simulated guest O/S.  The collections are
+/// sorted flat containers: a guest holds a handful of each, and a clone or
+/// a descriptor decode builds them in one allocation apiece, walked in the
+/// same key order a std::set / std::map would give.
 struct GuestState {
   std::string os;
   std::string hostname;
   std::string ip;
   std::string mac;
-  std::set<std::string> packages;
-  std::map<std::string, std::string> users;     // name -> home dir
-  std::map<std::string, std::string> mounts;    // mountpoint -> source
-  std::set<std::string> running_services;
-  std::map<std::string, std::string> files;     // path -> content
-  std::map<std::string, std::uint32_t> flaky_counters;
+  util::FlatSet<std::string> packages;
+  util::FlatMap<std::string, std::string> users;     // name -> home dir
+  util::FlatMap<std::string, std::string> mounts;    // mountpoint -> source
+  util::FlatSet<std::string> running_services;
+  util::FlatMap<std::string, std::string> files;     // path -> content
+  util::FlatMap<std::string, std::uint32_t> flaky_counters;
 
   bool operator==(const GuestState& other) const;
 };

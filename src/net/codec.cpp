@@ -1,5 +1,7 @@
 #include "net/codec.h"
 
+#include <algorithm>
+
 namespace vmp::net::codec {
 
 using util::ByteBuffer;
@@ -134,8 +136,8 @@ void encode_element(const xml::Element& element, ByteBuffer* out) {
   }
   out->put_string(element.text());
   out->put_varint(element.children().size());
-  for (const auto& child : element.children()) {
-    encode_element(*child, out);
+  for (const xml::Element& child : element.children()) {
+    encode_element(child, out);
   }
 }
 
@@ -143,6 +145,14 @@ namespace {
 
 bool decode_content(ByteReader* in, xml::Element* element, int depth,
                     bool keep_attrs);
+
+/// Room to reserve for `count` decoded entries.  A count only claims its
+/// entries until they decode, and the claims of nested elements add up, so
+/// a list reserves at most 64 up front and grows past that as entries
+/// arrive.
+std::size_t reserve_for(std::uint64_t count) {
+  return static_cast<std::size_t>(std::min<std::uint64_t>(count, 64));
+}
 
 /// Reads an element's name, which must be non-empty.
 std::string_view decode_name(ByteReader* in, int depth) {
@@ -155,15 +165,6 @@ std::string_view decode_name(ByteReader* in, int depth) {
   return name;
 }
 
-std::unique_ptr<xml::Element> decode_element_at(ByteReader* in, int depth) {
-  const std::string_view name = decode_name(in, depth);
-  if (!in->ok()) return nullptr;
-  auto element = std::make_unique<xml::Element>(std::string(name));
-  if (!decode_content(in, element.get(), depth, /*keep_attrs=*/true)) {
-    return nullptr;
-  }
-  return element;
-}
 
 /// Decodes the attributes (dropped unless `keep_attrs`), text and children
 /// of an element whose name has been read, into `element`.
@@ -172,30 +173,39 @@ bool decode_content(ByteReader* in, xml::Element* element, int depth,
   const std::uint64_t nattrs = in->varint();
   // Each attribute costs at least two length prefixes (2 bytes).
   if (!in->check_count(nattrs, 2)) return false;
+  if (keep_attrs) element->reserve_attrs(reserve_for(nattrs));
   for (std::uint64_t i = 0; i < nattrs && in->ok(); ++i) {
     const std::string_view key = in->string_view_field();
     const std::string_view value = in->string_view_field();
     if (!in->ok()) return false;
     if (keep_attrs) element->set_attr(key, std::string(value));
   }
-  element->set_text(in->string_field());
+  if (const std::string_view text = in->string_view_field(); !text.empty()) {
+    element->set_text(std::string(text));
+  }
   const std::uint64_t nchildren = in->varint();
   // A minimal child is name prefix + empty text prefix + counts: 4 bytes.
   if (!in->check_count(nchildren, 4)) return false;
+  element->reserve_children(reserve_for(nchildren));
   for (std::uint64_t i = 0; i < nchildren && in->ok(); ++i) {
-    auto child = decode_element_at(in, depth + 1);
-    if (child == nullptr) return false;
-    element->adopt_child(std::move(child));
+    const std::string_view name = decode_name(in, depth + 1);
+    if (!in->ok()) return false;
+    // Built in place, in a list already sized for its siblings.
+    xml::Element& child = element->add_child(std::string(name));
+    if (!decode_content(in, &child, depth + 1, /*keep_attrs=*/true)) {
+      return false;
+    }
   }
   return in->ok();
 }
 
 }  // namespace
 
-Result<std::unique_ptr<xml::Element>> decode_element(ByteReader* in) {
-  auto element = decode_element_at(in, 0);
-  if (element == nullptr) {
-    return Result<std::unique_ptr<xml::Element>>(Error(
+Result<xml::Element> decode_element(ByteReader* in) {
+  const std::string_view name = decode_name(in, 0);
+  xml::Element element{std::string(name)};
+  if (!in->ok() || !decode_content(in, &element, 0, /*keep_attrs=*/true)) {
+    return Result<xml::Element>(Error(
         ErrorCode::kParseError,
         "element decode: " + in->status().error().message()));
   }
@@ -224,8 +234,15 @@ std::string encode_message(const Message& message, std::string_view to) {
   // the whole payload.
   const std::string* body =
       message.encoded_body(WireFormat::kBinary, encode_body);
-  ByteBuffer payload =
-      begin_frame(FrameTag::kMessage, 256 + (body ? body->size() : 0));
+  // Room for the envelope (a kind byte, five strings and a varint, each
+  // length prefix or varint at most 10 bytes) and the body: exact on a
+  // repeat send, a first guess on a first one.
+  const std::size_t envelope = 61 + message.service().size() +
+                               message.from().size() + to.size() +
+                               message.correlation().size() +
+                               message.trace().trace_id.size();
+  ByteBuffer payload = begin_frame(FrameTag::kMessage,
+                                   envelope + (body ? body->size() : 256));
   payload.put_u8(static_cast<std::uint8_t>(message.kind()));
   payload.put_string(message.service());
   payload.put_string(message.from());
@@ -257,23 +274,21 @@ Result<Message> decode_message(std::string_view frame) {
     in.fail("message kind byte " + std::to_string(kind_byte) +
             " out of range");
   }
-  std::string service = in.string_field();
-  std::string from = in.string_field();
-  std::string to = in.string_field();
-  std::string correlation = in.string_field();
-  obs::TraceContext trace;
-  trace.trace_id = in.string_field();
-  trace.span_id = in.varint();
+  // The envelope decodes in place in the result, which is returned as is.
+  Result<Message> result(std::in_place);
+  Message& message = result.value();
+  message.kind_ = static_cast<MessageKind>(kind_byte);
+  message.service_ = in.string_view_field();
+  message.from_ = in.string_view_field();
+  message.to_ = in.string_view_field();
+  message.correlation_ = in.string_view_field();
+  message.trace_.trace_id = in.string_view_field();
+  message.trace_.span_id = in.varint();
   if (!in.ok()) {
     return Result<Message>(Error(
         ErrorCode::kParseError,
         "message envelope: " + in.status().error().message()));
   }
-
-  Message message = Message::assemble(static_cast<MessageKind>(kind_byte),
-                                      std::move(service), std::move(from),
-                                      std::move(to), std::move(correlation));
-  message.set_trace(std::move(trace));
 
   // The body decodes straight into the message; like the XML path, the
   // envelope keeps no attributes of the encoded body root.
@@ -289,7 +304,7 @@ Result<Message> decode_message(std::string_view frame) {
         ErrorCode::kParseError,
         std::to_string(in.remaining()) + " trailing bytes after message body"));
   }
-  return message;
+  return result;
 }
 
 // -- Warehouse descriptors ----------------------------------------------------
@@ -342,6 +357,30 @@ void encode_descriptor_payload(const warehouse::GoldenImage& image,
 
 namespace {
 
+/// `n` strings.
+util::FlatSet<std::string> decode_set(ByteReader* in, std::uint64_t n) {
+  std::vector<std::string> items;
+  items.reserve(reserve_for(n));
+  for (std::uint64_t i = 0; i < n && in->ok(); ++i) {
+    items.emplace_back(in->string_view_field());
+  }
+  return util::FlatSet<std::string>::from_unsorted(std::move(items));
+}
+
+/// `n` (key, value) string pairs.
+util::FlatMap<std::string, std::string> decode_map(ByteReader* in,
+                                                   std::uint64_t n) {
+  std::vector<std::pair<std::string, std::string>> items;
+  items.reserve(reserve_for(n));
+  for (std::uint64_t i = 0; i < n && in->ok(); ++i) {
+    const std::string_view key = in->string_view_field();
+    const std::string_view value = in->string_view_field();
+    items.emplace_back(key, value);
+  }
+  return util::FlatMap<std::string, std::string>::from_unsorted(
+      std::move(items));
+}
+
 util::Status decode_descriptor_fields(ByteReader* in,
                                       warehouse::GoldenImage* out) {
   warehouse::GoldenImage& image = *out;
@@ -376,40 +415,25 @@ util::Status decode_descriptor_fields(ByteReader* in,
   guest.hostname = in->string_view_field();
   guest.ip = in->string_view_field();
   guest.mac = in->string_view_field();
-  // The encoder walked sorted containers, so entries arrive in order and
-  // end-hinted inserts are amortized O(1) (no descent, no rebalancing).
+  // The encoder walked sorted containers, so entries usually arrive in
+  // order and each container is built in one pass.  A frame with entries
+  // out of order or repeated still decodes as inserts into a std::set /
+  // std::map would: sorted, the first of a repeated key kept.
   const std::uint64_t npackages = in->varint();
   if (!in->check_count(npackages)) return reader_error(*in, "guest packages");
-  for (std::uint64_t i = 0; i < npackages && in->ok(); ++i) {
-    guest.packages.emplace_hint(guest.packages.end(), in->string_view_field());
-  }
+  guest.packages = decode_set(in, npackages);
   const std::uint64_t nusers = in->varint();
   if (!in->check_count(nusers, 2)) return reader_error(*in, "guest users");
-  for (std::uint64_t i = 0; i < nusers && in->ok(); ++i) {
-    const std::string_view name = in->string_view_field();
-    const std::string_view home = in->string_view_field();
-    guest.users.emplace_hint(guest.users.end(), name, home);
-  }
+  guest.users = decode_map(in, nusers);
   const std::uint64_t nmounts = in->varint();
   if (!in->check_count(nmounts, 2)) return reader_error(*in, "guest mounts");
-  for (std::uint64_t i = 0; i < nmounts && in->ok(); ++i) {
-    const std::string_view mountpoint = in->string_view_field();
-    const std::string_view source = in->string_view_field();
-    guest.mounts.emplace_hint(guest.mounts.end(), mountpoint, source);
-  }
+  guest.mounts = decode_map(in, nmounts);
   const std::uint64_t nservices = in->varint();
   if (!in->check_count(nservices)) return reader_error(*in, "guest services");
-  for (std::uint64_t i = 0; i < nservices && in->ok(); ++i) {
-    guest.running_services.emplace_hint(guest.running_services.end(),
-                                        in->string_view_field());
-  }
+  guest.running_services = decode_set(in, nservices);
   const std::uint64_t nfiles = in->varint();
   if (!in->check_count(nfiles, 2)) return reader_error(*in, "guest files");
-  for (std::uint64_t i = 0; i < nfiles && in->ok(); ++i) {
-    const std::string_view path = in->string_view_field();
-    const std::string_view content = in->string_view_field();
-    guest.files.emplace_hint(guest.files.end(), path, content);
-  }
+  guest.files = decode_map(in, nfiles);
 
   const std::uint64_t nperformed = in->varint();
   if (!in->check_count(nperformed)) {

@@ -68,7 +68,7 @@ util::Result<FrameView> open_frame(std::string_view frame, FrameTag expected);
 void encode_element(const xml::Element& element, util::ByteBuffer* out);
 /// Depth-limited recursive decode (corrupted child counts cannot recurse
 /// unboundedly; limit 64 nests, far beyond any real payload).
-util::Result<std::unique_ptr<xml::Element>> decode_element(
+util::Result<xml::Element> decode_element(
     util::ByteReader* in);
 
 // -- Message envelopes --------------------------------------------------------

@@ -65,7 +65,7 @@ xml::Element& Message::body() {
   if (body_ == nullptr) {
     body_ = std::make_shared<xml::Element>("message");
   } else if (body_shared_) {
-    body_ = body_->clone();
+    body_ = std::make_shared<const xml::Element>(body_->clone());
   }
   body_shared_ = false;
   // Built non-const above, and shared with no other message.
@@ -172,7 +172,9 @@ Result<Message> Message::deserialize(const std::string& wire) {
   auto kind = parse_message_kind(root.attr("kind"));
   if (!kind.ok()) return kind.propagate<Message>();
 
-  Message m;
+  // Built in place in the result, which is returned as is.
+  Result<Message> result(std::in_place);
+  Message& m = result.value();
   m.kind_ = kind.value();
   m.service_ = root.attr("service");
   m.from_ = root.attr("from");
@@ -195,10 +197,10 @@ Result<Message> Message::deserialize(const std::string& wire) {
     m.trace_.span_id = span_id;
   }
   // The payload moves over; the parsed root keeps the envelope attributes.
-  for (auto& child : root.release_children()) {
+  for (xml::Element& child : root.release_children()) {
     m.body().adopt_child(std::move(child));
   }
-  return m;
+  return result;
 }
 
 Message Message::clone_shallow_header() const {

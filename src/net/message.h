@@ -53,6 +53,11 @@ class EncodedBody {
   mutable std::atomic<const std::string*> bytes_[2]{};
 };
 
+class Message;
+namespace codec {
+util::Result<Message> decode_message(std::string_view frame);
+}  // namespace codec
+
 const char* message_kind_name(MessageKind kind) noexcept;
 util::Result<MessageKind> parse_message_kind(const std::string& name);
 
@@ -62,9 +67,8 @@ class Message {
 
   static Message request(std::string service, std::string from, std::string to,
                          std::string correlation);
-  /// Rebuild an envelope from already-decoded fields (wire decoders only —
-  /// unlike request(), this neither captures the ambient trace context nor
-  /// assumes a kind).
+  /// An envelope from fields as given: unlike request(), this neither
+  /// captures the ambient trace context nor assumes a kind.
   static Message assemble(MessageKind kind, std::string service,
                           std::string from, std::string to,
                           std::string correlation);
@@ -130,6 +134,9 @@ class Message {
   Message clone_shallow_header() const;
 
  private:
+  /// The binary decoder fills an envelope in place, as deserialize does.
+  friend util::Result<Message> codec::decode_message(std::string_view frame);
+
   MessageKind kind_ = MessageKind::kRequest;
   std::string service_;
   std::string from_;

@@ -62,6 +62,20 @@ ConfigDag minimal_config_dag(const std::string& user, const std::string& ip) {
       .build();
 }
 
+namespace {
+
+/// "L<layer>N<index>", appended piece by piece: GCC 12's -Wrestrict
+/// misreads the inlined operator+ chain over a string literal.
+std::string layered_node_id(std::size_t layer, std::size_t index) {
+  std::string id = "L";
+  id += std::to_string(layer);
+  id += 'N';
+  id += std::to_string(index);
+  return id;
+}
+
+}  // namespace
+
 ConfigDag random_layered_dag(std::uint64_t seed, std::size_t layers,
                              std::size_t width, double edge_density) {
   util::SplitMix64 rng(seed);
@@ -69,27 +83,24 @@ ConfigDag random_layered_dag(std::uint64_t seed, std::size_t layers,
   // Nodes: L<layer>N<index>, distinct signatures via a param.
   for (std::size_t layer = 0; layer < layers; ++layer) {
     for (std::size_t i = 0; i < width; ++i) {
-      const std::string id =
-          "L" + std::to_string(layer) + "N" + std::to_string(i);
+      const std::string id = layered_node_id(layer, i);
       builder.guest(id, "install-package", {{"package", "pkg-" + id}});
     }
   }
   for (std::size_t layer = 0; layer + 1 < layers; ++layer) {
     for (std::size_t i = 0; i < width; ++i) {
-      const std::string from =
-          "L" + std::to_string(layer) + "N" + std::to_string(i);
+      const std::string from = layered_node_id(layer, i);
       bool any = false;
       for (std::size_t j = 0; j < width; ++j) {
         if (rng.bernoulli(edge_density)) {
-          builder.edge(from,
-                       "L" + std::to_string(layer + 1) + "N" + std::to_string(j));
+          builder.edge(from, layered_node_id(layer + 1, j));
           any = true;
         }
       }
       if (!any) {
         // Keep layers connected so prefix structure is interesting.
-        builder.edge(from, "L" + std::to_string(layer + 1) + "N" +
-                               std::to_string(rng.next_below(width)));
+        builder.edge(from,
+                     layered_node_id(layer + 1, rng.next_below(width)));
       }
     }
   }

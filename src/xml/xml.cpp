@@ -1,7 +1,9 @@
 #include "xml/xml.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
+#include <tuple>
 #include <utility>
 
 #include "util/strings.h"
@@ -63,9 +65,11 @@ bool Element::add_attr(std::string_view key, std::string value) {
 
 void Element::insert_attr(Attributes::iterator pos, std::string_view key,
                           std::string value) {
-  // One allocation holds the attributes of a typical element.
-  if (attrs_.empty()) {
-    attrs_.reserve(4);
+  // Unless reserve_attrs sized the list, a built element's first
+  // attribute makes room for a second: most carry one to three, and the
+  // list then doubles.
+  if (attrs_.capacity() == 0) {
+    attrs_.reserve(2);
     pos = attrs_.end();
   }
   attrs_.emplace(pos, std::string(key), std::move(value));
@@ -86,29 +90,27 @@ double Element::attr_double(std::string_view key, double fallback) const {
 }
 
 Element& Element::add_child(std::string name) {
-  children_.push_back(std::make_unique<Element>(std::move(name)));
-  return *children_.back();
+  return children_.emplace_back(std::move(name));
 }
 
-Element& Element::adopt_child(std::unique_ptr<Element> child) {
-  children_.push_back(std::move(child));
-  return *children_.back();
+Element& Element::adopt_child(Element child) {
+  return children_.emplace_back(std::move(child));
 }
 
-std::vector<std::unique_ptr<Element>> Element::release_children() {
+std::vector<Element> Element::release_children() {
   return std::exchange(children_, {});
 }
 
 const Element* Element::child(std::string_view name) const {
-  for (const auto& c : children_) {
-    if (c->name() == name) return c.get();
+  for (const Element& c : children_) {
+    if (c.name_ == name) return &c;
   }
   return nullptr;
 }
 
 Element* Element::child(std::string_view name) {
-  for (auto& c : children_) {
-    if (c->name() == name) return c.get();
+  for (Element& c : children_) {
+    if (c.name_ == name) return &c;
   }
   return nullptr;
 }
@@ -116,8 +118,8 @@ Element* Element::child(std::string_view name) {
 std::vector<const Element*> Element::children_named(
     std::string_view name) const {
   std::vector<const Element*> out;
-  for (const auto& c : children_) {
-    if (c->name() == name) out.push_back(c.get());
+  for (const Element& c : children_) {
+    if (c.name_ == name) out.push_back(&c);
   }
   return out;
 }
@@ -143,15 +145,24 @@ std::string_view entity_for(char c) {
   }
 }
 
+constexpr std::array<bool, 256> make_needs_escape() {
+  std::array<bool, 256> table{};
+  for (const char c : {'&', '<', '>', '"', '\''}) {
+    table[static_cast<unsigned char>(c)] = true;
+  }
+  return table;
+}
+/// Whether entity_for(c) is not empty, in one lookup.
+constexpr std::array<bool, 256> kNeedsEscape = make_needs_escape();
+
 }  // namespace
 
 void append_escaped(std::string* out, std::string_view raw) {
   std::size_t run = 0;  // start of the pending run that needs no escaping
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    const std::string_view entity = entity_for(raw[i]);
-    if (entity.empty()) continue;
+    if (!kNeedsEscape[static_cast<unsigned char>(raw[i])]) continue;
     out->append(raw.substr(run, i - run));
-    out->append(entity);
+    out->append(entity_for(raw[i]));
     run = i + 1;
   }
   out->append(raw.substr(run));
@@ -160,8 +171,9 @@ void append_escaped(std::string* out, std::string_view raw) {
 std::size_t escaped_size(std::string_view raw) {
   std::size_t size = raw.size();
   for (const char c : raw) {
-    const std::string_view entity = entity_for(c);
-    if (!entity.empty()) size += entity.size() - 1;
+    if (kNeedsEscape[static_cast<unsigned char>(c)]) {
+      size += entity_for(c).size() - 1;
+    }
   }
   return size;
 }
@@ -200,7 +212,7 @@ void Element::render(std::string* out, int indent, bool pretty) const {
   append_escaped(out, text_);
   if (!children_.empty()) {
     if (pretty) *out += '\n';
-    for (const auto& c : children_) c->render(out, indent + 1, pretty);
+    for (const Element& c : children_) c.render(out, indent + 1, pretty);
     if (pretty) append_pad(out, indent);
   }
   *out += "</";
@@ -224,7 +236,9 @@ std::string render_wrapped(std::string_view name,
   if (rendered_children != nullptr) {
     out += *rendered_children;
   } else {
-    for (const auto& c : content.children_) c->render(&out, 1, /*pretty=*/true);
+    for (const Element& c : content.children_) {
+      c.render(&out, 1, /*pretty=*/true);
+    }
   }
   out += "</";
   out.append(name);
@@ -234,7 +248,7 @@ std::string render_wrapped(std::string_view name,
 
 std::string render_children(const Element& content) {
   std::string out;
-  for (const auto& c : content.children_) c->render(&out, 1, /*pretty=*/true);
+  for (const Element& c : content.children_) c.render(&out, 1, /*pretty=*/true);
   return out;
 }
 
@@ -250,22 +264,21 @@ std::string Element::to_compact_string() const {
   return out;
 }
 
-std::unique_ptr<Element> Element::clone() const {
-  auto out = std::make_unique<Element>(name_);
-  out->attrs_ = attrs_;
-  out->text_ = text_;
-  for (const auto& c : children_) out->children_.push_back(c->clone());
+Element Element::clone() const {
+  Element out(name_);
+  out.attrs_ = attrs_;
+  out.text_ = text_;
+  out.children_.reserve(children_.size());
+  for (const Element& c : children_) out.children_.push_back(c.clone());
   return out;
 }
 
 bool Element::deep_equal(const Element& other) const {
   if (name_ != other.name_ || attrs_ != other.attrs_) return false;
-  if (std::string(util::trim(text_)) != std::string(util::trim(other.text_))) {
-    return false;
-  }
+  if (util::trim(text_) != util::trim(other.text_)) return false;
   if (children_.size() != other.children_.size()) return false;
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!children_[i]->deep_equal(*other.children_[i])) return false;
+    if (!children_[i].deep_equal(other.children_[i])) return false;
   }
   return true;
 }
@@ -276,48 +289,94 @@ bool Element::deep_equal(const Element& other) const {
 
 namespace {
 
-// The "C" locale's isspace/isalpha/isdigit, without the locale lookup.
-bool is_space(char c) {
-  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
-         c == '\f';
+// Character classes of the "C" locale's isspace/isalpha/isdigit, looked up
+// in one table rather than compared in turn.
+constexpr unsigned char kSpace = 1;      // whitespace
+constexpr unsigned char kNameStart = 2;  // may start a name
+constexpr unsigned char kNameChar = 4;   // may continue a name
+
+constexpr std::array<unsigned char, 256> make_char_classes() {
+  std::array<unsigned char, 256> table{};
+  for (const char c : {' ', '\n', '\t', '\r', '\v', '\f'}) {
+    table[static_cast<unsigned char>(c)] = kSpace;
+  }
+  for (int c = 0; c < 256; ++c) {
+    const bool start = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                       c == '_' || c == ':';
+    if (start) table[c] = kNameStart | kNameChar;
+    if ((c >= '0' && c <= '9') || c == '-' || c == '.') table[c] = kNameChar;
+  }
+  return table;
 }
+constexpr std::array<unsigned char, 256> kCharClasses = make_char_classes();
+
+bool has_class(char c, unsigned char cls) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & cls) != 0;
+}
+bool is_space(char c) { return has_class(c, kSpace); }
 bool is_blank(std::string_view text) {
   for (const char c : text) {
     if (!is_space(c)) return false;
   }
   return true;
 }
-bool is_name_start(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-         c == ':';
-}
-bool is_name_char(char c) {
-  return is_name_start(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
-}
 
+}  // namespace
+
+/// One pass over the text: attributes are gathered as slices of the input
+/// and each element's list is built at its final size; each element's
+/// children gather in a scratch list per depth and move into a list of
+/// their final size when the element closes; character data is kept as
+/// slices until the close says whether it is content or layout.  The
+/// scratch lists are the calling thread's, kept from one parse to the
+/// next, so a warm parse allocates only what the tree keeps.
 class Parser {
  public:
-  explicit Parser(std::string_view input) : input_(input) {}
+  explicit Parser(std::string_view input) : input_(input), s_(scratch()) {
+    // A parse that failed part way leaves its scratch behind.
+    s_.runs.clear();
+    s_.decoded.clear();
+    for (auto& level : s_.children) level.clear();
+  }
 
   Result<std::unique_ptr<Element>> parse_document() {
     skip_prolog();
-    auto root = parse_element();
-    if (!root.ok()) return root;
+    auto root = std::make_unique<Element>(std::string());
+    if (Status s = parse_element(root.get(), 0); !s.ok()) {
+      return s.propagate<std::unique_ptr<Element>>();
+    }
     skip_misc();
     if (pos_ != input_.size()) {
-      return fail("trailing content after document element");
+      return Result<std::unique_ptr<Element>>(
+          error("trailing content after document element"));
     }
     return root;
   }
 
  private:
+  /// An attribute seen in a start tag: its value a slice of the input, or,
+  /// when that slice holds an entity, `size` decoded bytes at `begin` in
+  /// the scratch attr_decoded.
+  struct PendingAttr {
+    std::string_view key;
+    std::string_view raw;
+    std::size_t begin = 0;
+    std::size_t size = 0;
+    bool has_entity = false;
+  };
+  /// A run of character data: `size` bytes at `begin` in the input, or in
+  /// `s_.decoded` when the run held an entity.
+  struct TextRun {
+    std::size_t begin = 0;
+    std::size_t size = 0;
+    bool in_decoded = false;
+  };
+
   Error error(const std::string& message) const {
     return Error(ErrorCode::kParseError,
                  "xml: " + message + " at offset " + std::to_string(pos_));
   }
-  Result<std::unique_ptr<Element>> fail(const std::string& message) const {
-    return Result<std::unique_ptr<Element>>(error(message));
-  }
+  Status fail(const std::string& message) const { return Status(error(message)); }
 
   bool eof() const { return pos_ >= input_.size(); }
   char peek() const { return input_[pos_]; }
@@ -360,8 +419,8 @@ class Parser {
   /// The name at the cursor, as a slice of the input ("" if none).
   std::string_view parse_name() {
     const std::size_t start = pos_;
-    if (eof() || !is_name_start(peek())) return {};
-    while (!eof() && is_name_char(peek())) ++pos_;
+    if (eof() || !has_class(peek(), kNameStart)) return {};
+    while (!eof() && has_class(peek(), kNameChar)) ++pos_;
     return input_.substr(start, pos_ - start);
   }
 
@@ -373,9 +432,7 @@ class Parser {
       out->append(raw.substr(i, amp - i));
       if (amp == std::string_view::npos) break;
       const std::size_t semi = raw.find(';', amp);
-      if (semi == std::string_view::npos) {
-        return Status(error("unterminated entity"));
-      }
+      if (semi == std::string_view::npos) return fail("unterminated entity");
       const std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
       if (entity == "amp") *out += '&';
       else if (entity == "lt") *out += '<';
@@ -393,7 +450,7 @@ class Parser {
             digits.data(), digits.data() + digits.size(), c, hex ? 16 : 10);
         if (ec != std::errc() || end != digits.data() + digits.size() ||
             c == 0 || c > 0x10FFFF || (c >= 0xD800 && c <= 0xDFFF)) {
-          return Status(error("bad numeric character reference"));
+          return fail("bad numeric character reference");
         }
         // Encode as UTF-8.
         if (c < 0x80) {
@@ -412,24 +469,26 @@ class Parser {
           *out += static_cast<char>(0x80 | (c & 0x3F));
         }
       } else {
-        return Status(error("unknown entity &" + std::string(entity) + ";"));
+        return fail("unknown entity &" + std::string(entity) + ";");
       }
       i = semi + 1;
     }
     return Status();
   }
 
-  Result<std::unique_ptr<Element>> parse_element() {
-    if (!consume("<")) return fail("expected '<'");
-    const std::string_view name = parse_name();
-    if (name.empty()) return fail("expected element name");
-    auto element = std::make_unique<Element>(std::string(name));
-
-    // Attributes.
+  /// Reads the attributes of a start tag up to its '>' or '/>' into
+  /// `element`, in key order; sets `*empty` for '/>'.
+  Status parse_attributes(Element* element, bool* empty) {
+    s_.attrs.clear();
+    s_.attr_decoded.clear();
+    bool sorted = true;
     while (true) {
       skip_ws();
       if (eof()) return fail("unterminated start tag");
-      if (consume("/>")) return element;
+      if (consume("/>")) {
+        *empty = true;
+        break;
+      }
       if (consume(">")) break;
       const std::string_view key = parse_name();
       if (key.empty()) return fail("expected attribute name");
@@ -444,32 +503,108 @@ class Parser {
       if (end == std::string_view::npos) {
         return fail("unterminated attribute value");
       }
-      const std::string_view raw = input_.substr(pos_, end - pos_);
-      std::string value;
-      if (raw.find('&') == std::string_view::npos) {
-        value.assign(raw);
-      } else if (Status s = decode_entities(raw, &value); !s.ok()) {
-        return s.propagate<std::unique_ptr<Element>>();
+      PendingAttr& attr = s_.attrs.emplace_back();
+      attr.key = key;
+      attr.raw = input_.substr(pos_, end - pos_);
+      if (attr.raw.find('&') != std::string_view::npos) {
+        attr.has_entity = true;
+        attr.begin = s_.attr_decoded.size();
+        VMP_RETURN_IF_ERROR(decode_entities(attr.raw, &s_.attr_decoded));
+        attr.size = s_.attr_decoded.size() - attr.begin;
       }
-      if (!element->add_attr(key, std::move(value))) {
-        return fail("duplicate attribute " + std::string(key));
+      for (std::size_t i = 0; i + 1 < s_.attrs.size(); ++i) {
+        if (s_.attrs[i].key == key) {
+          return fail("duplicate attribute " + std::string(key));
+        }
       }
+      sorted = sorted && (s_.attrs.size() == 1 ||
+                          s_.attrs[s_.attrs.size() - 2].key < key);
       pos_ = end + 1;
     }
+    if (s_.attrs.empty()) return Status();
+    // Rendered documents list attributes in key order already.
+    if (!sorted) {
+      std::sort(s_.attrs.begin(), s_.attrs.end(),
+                [](const PendingAttr& a, const PendingAttr& b) {
+                  return a.key < b.key;
+                });
+    }
+    element->attrs_.reserve(s_.attrs.size());
+    for (const PendingAttr& attr : s_.attrs) {
+      const std::string_view value =
+          attr.has_entity
+              ? std::string_view(s_.attr_decoded).substr(attr.begin, attr.size)
+              : attr.raw;
+      element->attrs_.emplace_back(std::piecewise_construct,
+                                   std::forward_as_tuple(attr.key),
+                                   std::forward_as_tuple(value));
+    }
+    return Status();
+  }
 
-    // Content.  Text accumulates in place; CDATA and character data
-    // between child elements land in the same string.
+  /// Records a run of character data, decoding its entities when
+  /// `decode`; clears `*blank` when the run is not all whitespace.
+  Status add_run(std::string_view raw, bool decode, bool* blank) {
+    TextRun run;
+    if (decode) {
+      run.begin = s_.decoded.size();
+      run.in_decoded = true;
+      VMP_RETURN_IF_ERROR(decode_entities(raw, &s_.decoded));
+      run.size = s_.decoded.size() - run.begin;
+      raw = std::string_view(s_.decoded).substr(run.begin);
+    } else {
+      run.begin = static_cast<std::size_t>(raw.data() - input_.data());
+      run.size = raw.size();
+    }
+    if (run.size == 0) return Status();
+    *blank = *blank && is_blank(raw);
+    s_.runs.push_back(run);
+    return Status();
+  }
+
+  /// The runs from `first` on, joined.
+  std::string join_runs(std::size_t first) const {
+    std::size_t size = 0;
+    for (std::size_t i = first; i < s_.runs.size(); ++i) size += s_.runs[i].size;
     std::string text;
+    text.reserve(size);
+    for (std::size_t i = first; i < s_.runs.size(); ++i) {
+      const TextRun& run = s_.runs[i];
+      text.append(run.in_decoded ? std::string_view(s_.decoded) : input_,
+                  run.begin, run.size);
+    }
+    return text;
+  }
+
+  /// Parses the element at the cursor into `element`, which is empty.
+  /// `depth` is the element's depth, the index of its children's scratch
+  /// list.
+  Status parse_element(Element* element, std::size_t depth) {
+    if (!consume("<")) return fail("expected '<'");
+    const std::string_view name = parse_name();
+    if (name.empty()) return fail("expected element name");
+    element->name_.assign(name);
+
+    bool empty = false;
+    VMP_RETURN_IF_ERROR(parse_attributes(element, &empty));
+    if (empty) return Status();
+
+    // Content.  The runs and decoded bytes this element adds are its own
+    // until it closes: a child's come after them and are gone by the time
+    // this element adds more.
+    const std::size_t first_run = s_.runs.size();
+    const std::size_t decoded_mark = s_.decoded.size();
+    if (s_.children.size() <= depth) s_.children.resize(depth + 1);
+    bool blank = true;
     while (true) {
       if (eof()) return fail("unterminated element <" + std::string(name) + ">");
       if (peek() != '<') {
         // Character data up to the next '<'.
         const std::size_t end = input_.find('<', pos_);
         if (end == std::string_view::npos) return fail("unterminated content");
-        if (Status s = decode_entities(input_.substr(pos_, end - pos_), &text);
-            !s.ok()) {
-          return s.propagate<std::unique_ptr<Element>>();
-        }
+        const std::string_view raw = input_.substr(pos_, end - pos_);
+        VMP_RETURN_IF_ERROR(
+            add_run(raw, raw.find('&') != std::string_view::npos, &blank));
         pos_ = end;
         continue;
       }
@@ -484,12 +619,18 @@ class Parser {
           return fail("mismatched end tag </" + std::string(closing) +
                       "> for <" + std::string(name) + ">");
         }
+        std::vector<Element>& kids = s_.children[depth];
+        element->children_.assign(std::make_move_iterator(kids.begin()),
+                                  std::make_move_iterator(kids.end()));
+        kids.clear();
         // The whitespace rule (xml.h): indentation between children is
         // layout, not content.
-        if (element->children().empty() || !is_blank(text)) {
-          element->set_text(std::move(text));
+        if (element->children_.empty() || !blank) {
+          element->text_ = join_runs(first_run);
         }
-        return element;
+        s_.runs.resize(first_run);
+        s_.decoded.resize(decoded_mark);
+        return Status();
       }
       if (next == '!' && consume("<!--")) {
         const std::size_t end = input_.find("-->", pos_);
@@ -500,21 +641,36 @@ class Parser {
       if (next == '!' && consume("<![CDATA[")) {
         const std::size_t end = input_.find("]]>", pos_);
         if (end == std::string_view::npos) return fail("unterminated CDATA");
-        text.append(input_.substr(pos_, end - pos_));
+        VMP_RETURN_IF_ERROR(
+            add_run(input_.substr(pos_, end - pos_), /*decode=*/false, &blank));
         pos_ = end + 3;
         continue;
       }
-      auto child = parse_element();
-      if (!child.ok()) return child;
-      element->adopt_child(std::move(child).value());
+      // The child builds in place at the end of this depth's scratch list;
+      // deeper levels may grow s_.children, so it is indexed afresh.
+      Element* child = &s_.children[depth].emplace_back(std::string());
+      VMP_RETURN_IF_ERROR(parse_element(child, depth + 1));
     }
+  }
+
+  struct Scratch {
+    std::vector<PendingAttr> attrs;
+    std::string attr_decoded;
+    std::vector<TextRun> runs;
+    std::string decoded;
+    /// children[d]: the children gathered so far by the open element at
+    /// depth d.
+    std::vector<std::vector<Element>> children;
+  };
+  static Scratch& scratch() {
+    thread_local Scratch s;
+    return s;
   }
 
   std::string_view input_;
   std::size_t pos_ = 0;
+  Scratch& s_;
 };
-
-}  // namespace
 
 Result<std::unique_ptr<Element>> parse(std::string_view input) {
   return Parser(input).parse_document();

@@ -32,9 +32,19 @@ struct AttrView {
   std::string_view value;
 };
 
-/// One element node.  Children are owned; text interleaved between child
-/// elements is concatenated into `text` (mixed content is rare in our
-/// messages, and ordering relative to children is not preserved).
+/// One element node.  Children are held by value, in document order, in
+/// one vector per parent; text interleaved between child elements is
+/// concatenated into `text` (mixed content is rare in our messages, and
+/// ordering relative to children is not preserved).
+///
+/// Reference rule: add_child and adopt_child may move the parent's
+/// existing children, so a reference or pointer to a child (the one an
+/// earlier add_child returned, or one from child() or children()) is
+/// valid only until the next add_child, adopt_child or release_children
+/// on the same parent, or until the parent itself is moved or destroyed.
+/// Deeper descendants do not move: a child's own children stay where they
+/// are when the child moves.  Build each child fully before adding its
+/// next sibling, or take the sibling references again afterwards.
 ///
 /// Whitespace rule: the parser drops the text of an element that has child
 /// elements when that text is only whitespace (the indentation a pretty
@@ -43,6 +53,11 @@ struct AttrView {
 class Element {
  public:
   explicit Element(std::string name) : name_(std::move(name)) {}
+  Element(Element&&) noexcept = default;
+  Element& operator=(Element&&) noexcept = default;
+  /// Copies are explicit: see clone().
+  Element(const Element&) = delete;
+  Element& operator=(const Element&) = delete;
 
   const std::string& name() const { return name_; }
 
@@ -55,6 +70,9 @@ class Element {
   /// Inserts in key order; false (and no change) when the key exists.
   bool add_attr(std::string_view key, std::string value);
   const Attributes& attrs() const { return attrs_; }
+  /// Room for `n` attributes in all, so adding up to that many allocates
+  /// at most once.
+  void reserve_attrs(std::size_t n) { attrs_.reserve(n); }
 
   /// Attribute parsed as integer/double; falls back to `fallback` when the
   /// attribute is missing or malformed.
@@ -67,14 +85,15 @@ class Element {
   void append_text(std::string_view more) { text_ += more; }
 
   // -- Children -------------------------------------------------------------
+  /// Appends an empty child; see the reference rule above.
   Element& add_child(std::string name);
-  /// Take ownership of an already-built subtree.
-  Element& adopt_child(std::unique_ptr<Element> child);
-  const std::vector<std::unique_ptr<Element>>& children() const {
-    return children_;
-  }
+  /// Appends an already-built subtree; see the reference rule above.
+  Element& adopt_child(Element child);
+  const std::vector<Element>& children() const { return children_; }
+  /// Room for `n` children in all, so adding up to that many moves none.
+  void reserve_children(std::size_t n) { children_.reserve(n); }
   /// Moves every child out, leaving this element childless.
-  std::vector<std::unique_ptr<Element>> release_children();
+  std::vector<Element> release_children();
   /// First child with the given name, or nullptr.
   const Element* child(std::string_view name) const;
   Element* child(std::string_view name);
@@ -94,9 +113,10 @@ class Element {
   bool deep_equal(const Element& other) const;
 
   /// Deep copy of this subtree.
-  std::unique_ptr<Element> clone() const;
+  Element clone() const;
 
  private:
+  friend class Parser;
   friend std::string render_wrapped(std::string_view,
                                     std::span<const AttrView>,
                                     const Element&, const std::string*);
@@ -111,7 +131,7 @@ class Element {
   std::string name_;
   Attributes attrs_;
   std::string text_;
-  std::vector<std::unique_ptr<Element>> children_;
+  std::vector<Element> children_;
 };
 
 /// Appends `raw` to `out`, escaped for element content / attribute value.
@@ -135,7 +155,8 @@ std::string render_wrapped(std::string_view name,
 /// so that many wrappers can share them.
 std::string render_children(const Element& content);
 
-/// Parse a document; returns its root element.
+/// Parse a document; returns its root element.  The tree is built with
+/// every attribute list and child list sized exactly, in one pass.
 util::Result<std::unique_ptr<Element>> parse(std::string_view input);
 
 }  // namespace vmp::xml

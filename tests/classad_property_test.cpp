@@ -61,9 +61,13 @@ class ExprGen {
             Value::real(rng_.uniform(-8.0, 8.0)));
       case 2:
         return std::make_unique<LiteralExpr>(Value::boolean(rng_.bernoulli(0.5)));
-      case 3:
-        return std::make_unique<LiteralExpr>(
-            Value::string("s" + std::to_string(rng_.next_below(4))));
+      case 3: {
+        // Appended, not "s" + ...: GCC 12's -Wrestrict misreads that
+        // inlined operator+ at -O3.
+        std::string text(1, 's');
+        text += std::to_string(rng_.next_below(4));
+        return std::make_unique<LiteralExpr>(Value::string(std::move(text)));
+      }
       case 4:
         return std::make_unique<LiteralExpr>(Value::undefined());
       default: {
@@ -226,7 +230,8 @@ class AdDifferential {
         break;
       }
       case 1: {
-        const std::string v = "s" + std::to_string(rng_.next_below(3));
+        std::string v(1, 's');  // appended: GCC 12 -Wrestrict at -O3
+        v += std::to_string(rng_.next_below(3));
         ad->set_string(n, v);
         ref->set(n, std::make_unique<LiteralExpr>(Value::string(v)));
         break;

@@ -197,8 +197,9 @@ class ReferenceAd {
         word = text.substr(i + 1, k - i - 1);
         i = k;
       }
-      closed += "(" + eval_ref(scope, word, self, other, stack).to_string() +
-                ")";
+      closed += '(';
+      closed += eval_ref(scope, word, self, other, stack).to_string();
+      closed += ')';
     }
     auto expr = parse_expression(closed);
     if (!expr.ok()) {

@@ -13,7 +13,9 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -368,7 +370,7 @@ TEST(XmlFixedPointTest, CreateRequestClassAdAndDescriptorRerenderIdentically) {
 
   xml::Element ad_parent("wrapper");
   testing::wire_fixture_classad().to_xml(&ad_parent);
-  const std::string ad = ad_parent.children().front()->to_string();
+  const std::string ad = ad_parent.children().front().to_string();
   EXPECT_EQ(rerender(ad), ad);
 
   const std::string descriptor =
@@ -388,8 +390,8 @@ TEST(XmlFixedPointTest, MessageForwardedTwiceKeepsItsBytes) {
     auto received = net::Message::deserialize(hop_wire);
     ASSERT_TRUE(received.ok()) << received.error().to_string();
     net::Message forward = received.value().clone_shallow_header();
-    for (const auto& child : received.value().body().children()) {
-      forward.body().adopt_child(child->clone());
+    for (const xml::Element& child : received.value().body().children()) {
+      forward.body().adopt_child(child.clone());
     }
     hop_wire = forward.serialize();
     EXPECT_EQ(hop_wire, wire) << "after hop " << hop + 1;
@@ -439,6 +441,92 @@ TEST(MessageBodyTest, BinaryDuplicateAttributeKeyIsLastWins) {
   EXPECT_EQ(m->attrs().size(), 2u);
   EXPECT_EQ(m->attr("k"), "last");
   EXPECT_EQ(m->to_compact_string(), "<m a=\"other\" k=\"last\"/>");
+}
+
+TEST(CodecTest, GuestEntriesOutOfOrderOrRepeatedDecodeAsSetsAndMaps) {
+  // The encoder writes each guest collection sorted and unique, but a frame
+  // from elsewhere may not.  Such a frame decodes as inserts into a
+  // std::set / std::map would: sorted, the first of a repeated key kept.
+  const std::vector<std::string> packages = {"perl", "gcc", "perl", "condor"};
+  const std::vector<std::pair<std::string, std::string>> users = {
+      {"vmplant", "/home/vmplant"}, {"griduser", "/first"},
+      {"griduser", "/second"}};
+  const std::vector<std::pair<std::string, std::string>> mounts = {
+      {"/mnt/b", "nfs:/b"}, {"/mnt/a", "nfs:/a"}, {"/mnt/b", "nfs:/late"}};
+  const std::vector<std::string> services = {"sshd", "condor_startd", "sshd"};
+  const std::vector<std::pair<std::string, std::string>> files = {
+      {"/etc/z", "z"}, {"/etc/a", "first"}, {"/etc/a", "second"}};
+
+  ByteBuffer payload;
+  for (const char* field : {"golden-x", "vmware-gsx", "warehouse/golden-x",
+                            "linux"}) {
+    payload.put_string(field);
+  }
+  payload.put_varint(64ull << 20);  // memory bytes
+  payload.put_bool(true);           // suspended
+  payload.put_string("disk0");
+  payload.put_varint(2048ull << 20);  // capacity
+  payload.put_varint(16);             // spans
+  payload.put_u8(static_cast<std::uint8_t>(storage::DiskMode::kNonPersistent));
+  for (const char* field : {"linux", "host", "10.0.0.9", "02:00:0a:00:00:09"}) {
+    payload.put_string(field);
+  }
+  const auto put_list = [&](const std::vector<std::string>& items) {
+    payload.put_varint(items.size());
+    for (const std::string& item : items) payload.put_string(item);
+  };
+  const auto put_pairs =
+      [&](const std::vector<std::pair<std::string, std::string>>& items) {
+        payload.put_varint(items.size());
+        for (const auto& [key, value] : items) {
+          payload.put_string(key);
+          payload.put_string(value);
+        }
+      };
+  put_list(packages);
+  put_pairs(users);
+  put_pairs(mounts);
+  put_list(services);
+  put_pairs(files);
+  payload.put_varint(0);  // performed actions
+
+  auto decoded = codec::decode_descriptor(
+      codec::seal_frame(codec::FrameTag::kDescriptor, payload.take()));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  const hv::GuestState& guest = decoded.value().guest;
+
+  const auto as_set = [](const std::vector<std::string>& items) {
+    std::set<std::string> out;
+    for (const std::string& item : items) out.emplace_hint(out.end(), item);
+    return std::vector<std::string>(out.begin(), out.end());
+  };
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+  const auto as_map = [](const Pairs& items) {
+    std::map<std::string, std::string> out;
+    for (const auto& [key, value] : items) {
+      out.emplace_hint(out.end(), key, value);
+    }
+    return Pairs(out.begin(), out.end());
+  };
+  EXPECT_EQ(std::vector<std::string>(guest.packages.begin(),
+                                     guest.packages.end()),
+            as_set(packages));
+  EXPECT_EQ(Pairs(guest.users.begin(), guest.users.end()), as_map(users));
+  EXPECT_EQ(Pairs(guest.mounts.begin(), guest.mounts.end()), as_map(mounts));
+  EXPECT_EQ(std::vector<std::string>(guest.running_services.begin(),
+                                     guest.running_services.end()),
+            as_set(services));
+  EXPECT_EQ(Pairs(guest.files.begin(), guest.files.end()), as_map(files));
+  EXPECT_EQ(guest.users.at("griduser"), "/first");
+  EXPECT_EQ(guest.files.at("/etc/a"), "first");
+
+  // Re-encoding writes the collections sorted and unique, so a second
+  // round trip is a fixed point.
+  const std::string reencoded = codec::encode_descriptor(decoded.value());
+  auto again = codec::decode_descriptor(reencoded);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().guest == guest);
+  EXPECT_EQ(codec::encode_descriptor(again.value()), reencoded);
 }
 
 // ---- Render-once fan-out ------------------------------------------------------

@@ -76,13 +76,13 @@ TEST(RequestTest, HeaderXmlRoundTripKeepsEveryHeaderField) {
         // The full request is that header with the DAG appended.
         xml::Element wrapper_full("wrapper");
         r.to_xml(&wrapper_full);
-        const xml::Element& full = *wrapper_full.children().front();
+        const xml::Element& full = wrapper_full.children().front();
         EXPECT_EQ(full.attrs(), header.attrs());
         ASSERT_EQ(header.children().size(), 1u);
         ASSERT_EQ(full.children().size(), 2u);
-        EXPECT_EQ(full.children()[0]->to_string(),
-                  header.children()[0]->to_string());
-        EXPECT_EQ(full.children()[1]->name(), "dag");
+        EXPECT_EQ(full.children()[0].to_string(),
+                  header.children()[0].to_string());
+        EXPECT_EQ(full.children()[1].name(), "dag");
       }
     }
   }

@@ -193,7 +193,7 @@ class MapDag {
   std::string to_xml_string() const {
     xml::Element wrapper("wrapper");
     to_xml(&wrapper);
-    return wrapper.children().front()->to_string();
+    return wrapper.children().front().to_string();
   }
 
   /// Subset by signature, then Prefix and Partial Order over direct

@@ -465,8 +465,10 @@ TEST_F(HypervisorTest, LoadCountersMatchFullScanOverRandomTransitions) {
     util::SplitMix64 rng(seed);
     std::vector<std::string> ids;
     for (int step = 0; step < 150; ++step) {
-      const std::string fresh =
-          "s" + std::to_string(seed) + "-" + std::to_string(step);
+      std::string fresh(1, 's');  // appended: GCC 12 -Wrestrict at -O3
+      fresh += std::to_string(seed);
+      fresh += '-';
+      fresh += std::to_string(step);
       const std::string id =
           ids.empty() ? fresh : ids[rng.next_below(ids.size())];
       const CloneSource& golden = goldens[rng.next_below(2)];

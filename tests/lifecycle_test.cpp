@@ -462,8 +462,9 @@ TEST_F(LifecycleTest, CloneEvictStormNeverBreaksALease) {
   make_manager(0);
   constexpr int kImages = 4;
   for (int i = 0; i < kImages; ++i) {
-    ASSERT_TRUE(
-        lifecycle_->publish(golden("g" + std::to_string(i), 16, 64)).ok());
+    std::string id(1, 'g');  // appended: GCC 12 -Wrestrict at -O3
+    id += std::to_string(i);
+    ASSERT_TRUE(lifecycle_->publish(golden(id, 16, 64)).ok());
   }
   hv::GsxHypervisor gsx(store_.get());
   gsx.set_lease_hook(lifecycle_.get());
@@ -475,7 +476,8 @@ TEST_F(LifecycleTest, CloneEvictStormNeverBreaksALease) {
   for (int t = 0; t < 4; ++t) {
     cloners.emplace_back([&, t] {
       for (int i = 0; i < 8; ++i) {
-        const std::string id = "g" + std::to_string((t + i) % kImages);
+        std::string id(1, 'g');
+        id += std::to_string((t + i) % kImages);
         auto image = warehouse_->lookup(id);
         if (!image.ok()) continue;  // evicted between pick and lookup: fine
         hv::CloneSource source;
@@ -498,7 +500,9 @@ TEST_F(LifecycleTest, CloneEvictStormNeverBreaksALease) {
   for (int t = 0; t < 2; ++t) {
     evictors.emplace_back([&, t] {
       for (int i = 0; i < 16; ++i) {
-        (void)lifecycle_->evict("g" + std::to_string((t + i) % kImages));
+        std::string id(1, 'g');
+        id += std::to_string((t + i) % kImages);
+        (void)lifecycle_->evict(id);
       }
     });
   }

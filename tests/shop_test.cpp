@@ -564,7 +564,7 @@ void expect_header_only(const std::string& rendered,
   EXPECT_EQ(keys, (std::vector<std::string>{"backend", "client", "domain",
                                             "id", "proxy"}));
   ASSERT_EQ(req.children().size(), 1u);
-  EXPECT_EQ(req.children().front()->name(), "hardware");
+  EXPECT_EQ(req.children().front().name(), "hardware");
   EXPECT_EQ(req.child("dag"), nullptr);
   xml::Element wrapper("wrapper");
   EXPECT_EQ(rendered, request.header_to_xml(&wrapper).to_string());

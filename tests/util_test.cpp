@@ -1,5 +1,5 @@
 // Unit tests for src/util: errors, random streams, statistics, strings,
-// identifiers, thread pool.
+// identifiers, thread pool, sorted flat containers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,10 +8,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 #include <thread>
 
 #include "util/error.h"
+#include "util/flat_map.h"
 #include "util/ids.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -447,6 +451,137 @@ TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.thread_count(), 1u);
   EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+}
+
+// -- FlatSet / FlatMap ---------------------------------------------------------
+//
+// Differential: the same seeded operation stream applied to a flat
+// container and to the std:: container it replaces must leave the same
+// contents in the same order, and every lookup must agree.
+
+/// `prefix` then `n`.
+std::string numbered(char prefix, std::uint64_t n) {
+  std::string out(1, prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+std::string small_key(SplitMix64* rng) {
+  // Few distinct keys, so inserts collide and erases hit.
+  return numbered('k', rng->next_below(24));
+}
+
+TEST(FlatContainerTest, FlatSetMatchesStdSetOverASeededStream) {
+  SplitMix64 rng(0xF1A7);
+  FlatSet<std::string> flat;
+  std::set<std::string> ref;
+  for (int step = 0; step < 4000; ++step) {
+    const std::string key = small_key(&rng);
+    switch (rng.next_below(5)) {
+      case 0:
+      case 1: {
+        const bool inserted = flat.insert(key).second;
+        EXPECT_EQ(inserted, ref.insert(key).second) << step;
+        break;
+      }
+      case 2:
+        EXPECT_EQ(flat.erase(key), ref.erase(key)) << step;
+        break;
+      case 3:
+        EXPECT_EQ(flat.count(key), ref.count(key)) << step;
+        EXPECT_EQ(flat.find(key) == flat.end(), ref.find(key) == ref.end());
+        break;
+      default:
+        if (rng.next_below(50) == 0) {
+          flat.clear();
+          ref.clear();
+        }
+    }
+    ASSERT_EQ(flat.size(), ref.size()) << step;
+    ASSERT_TRUE(std::equal(flat.begin(), flat.end(), ref.begin())) << step;
+  }
+}
+
+TEST(FlatContainerTest, FlatMapMatchesStdMapOverASeededStream) {
+  SplitMix64 rng(0xF1A8);
+  FlatMap<std::string, std::string> flat;
+  std::map<std::string, std::string> ref;
+  for (int step = 0; step < 4000; ++step) {
+    const std::string key = small_key(&rng);
+    const std::string value = numbered('v', static_cast<std::uint64_t>(step));
+    switch (rng.next_below(6)) {
+      case 0:
+        flat[key] = value;
+        ref[key] = value;
+        break;
+      case 1: {
+        const bool inserted = flat.insert({key, value}).second;
+        EXPECT_EQ(inserted, ref.insert({key, value}).second) << step;
+        break;
+      }
+      case 2:
+        EXPECT_EQ(flat.erase(key), ref.erase(key)) << step;
+        break;
+      case 3:
+        ASSERT_EQ(flat.count(key), ref.count(key)) << step;
+        if (ref.count(key) != 0) EXPECT_EQ(flat.at(key), ref.at(key));
+        else EXPECT_THROW((void)flat.at(key), std::out_of_range);
+        break;
+      case 4:
+        // Read through operator[], which value-initialises a missing key.
+        EXPECT_EQ(flat[key], ref[key]) << step;
+        break;
+      default:
+        if (rng.next_below(50) == 0) {
+          flat.clear();
+          ref.clear();
+        }
+    }
+    ASSERT_EQ(flat.size(), ref.size()) << step;
+    ASSERT_TRUE(std::equal(flat.begin(), flat.end(), ref.begin(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first && a.second == b.second;
+                           }))
+        << step;
+  }
+}
+
+TEST(FlatContainerTest, UnsortedInputSortsAndKeepsTheFirstOfARepeat) {
+  // As the std:: containers' initializer lists and repeated inserts do.
+  SplitMix64 rng(0xF1A9);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::pair<std::string, std::string>> entries;
+    const std::size_t n = rng.next_below(12);
+    for (std::size_t i = 0; i < n; ++i) {
+      entries.emplace_back(small_key(&rng), numbered('v', i));
+    }
+    std::map<std::string, std::string> ref_map;
+    std::set<std::string> ref_set;
+    std::vector<std::string> keys;
+    for (const auto& entry : entries) {
+      ref_map.insert(entry);
+      ref_set.insert(entry.first);
+      keys.push_back(entry.first);
+    }
+    const auto flat_map = FlatMap<std::string, std::string>::from_unsorted(entries);
+    const auto flat_set = FlatSet<std::string>::from_unsorted(keys);
+    ASSERT_EQ(flat_map.size(), ref_map.size()) << trial;
+    EXPECT_TRUE(std::equal(flat_map.begin(), flat_map.end(), ref_map.begin(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first && a.second == b.second;
+                           }))
+        << trial;
+    ASSERT_EQ(flat_set.size(), ref_set.size()) << trial;
+    EXPECT_TRUE(std::equal(flat_set.begin(), flat_set.end(), ref_set.begin()))
+        << trial;
+  }
+  const FlatMap<std::string, int> listed = {{"b", 1}, {"a", 2}, {"b", 3}};
+  const std::map<std::string, int> ref = {{"b", 1}, {"a", 2}, {"b", 3}};
+  EXPECT_TRUE(std::equal(listed.begin(), listed.end(), ref.begin(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first && a.second == b.second;
+                         }));
+  EXPECT_EQ(listed.at("b"), 1);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Unit tests for the XML document model, parser, and writer.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "xml/xml.h"
 
 namespace vmp::xml {
@@ -232,9 +235,9 @@ TEST(XmlRoundTripTest, CloneIsDeepAndIndependent) {
   Element root("a");
   root.add_child("b").set_attr("k", "v");
   auto copy = root.clone();
-  ASSERT_TRUE(copy->deep_equal(root));
-  copy->child("b")->set_attr("k", "other");
-  EXPECT_FALSE(copy->deep_equal(root));
+  ASSERT_TRUE(copy.deep_equal(root));
+  copy.child("b")->set_attr("k", "other");
+  EXPECT_FALSE(copy.deep_equal(root));
   EXPECT_EQ(root.child("b")->attr("k"), "v");
 }
 
@@ -324,8 +327,131 @@ TEST(XmlRoundTripTest, ReleaseChildrenEmptiesTheParent) {
   root.add_child("c");
   auto children = root.release_children();
   ASSERT_EQ(children.size(), 2u);
-  EXPECT_EQ(children[1]->name(), "c");
+  EXPECT_EQ(children[1].name(), "c");
   EXPECT_TRUE(root.children().empty());
+}
+
+TEST(XmlWhitespaceTest, TextSplitByMarkupJoinsItsRuns) {
+  // A leaf's runs around a comment join; a parent's blank runs, decoded
+  // or CDATA, are layout; one real run keeps every run of its element.
+  auto leaf = parse("<a> <!-- c --> </a>");
+  ASSERT_TRUE(leaf.ok());
+  EXPECT_EQ(leaf.value()->text(), "  ");
+  auto decoded_blank = parse("<a>&#32;<b/>\n</a>");
+  ASSERT_TRUE(decoded_blank.ok());
+  EXPECT_EQ(decoded_blank.value()->text(), "");
+  auto cdata_blank = parse("<a><![CDATA[ ]]><b/></a>");
+  ASSERT_TRUE(cdata_blank.ok());
+  EXPECT_EQ(cdata_blank.value()->text(), "");
+  auto mixed = parse("<a><![CDATA[ ]]><b> in </b>&amp;z<c/>\n</a>");
+  ASSERT_TRUE(mixed.ok());
+  EXPECT_EQ(mixed.value()->text(), " &z\n");
+  EXPECT_EQ(mixed.value()->child_text("b"), " in ");
+}
+
+// -- Reference rule (xml.h) -----------------------------------------------------
+
+TEST(XmlReferenceRuleTest, DescendantsStayPutWhileSiblingsAreAdded) {
+  // Adding children may move a parent's earlier children, but not what
+  // those children hold.
+  Element root("root");
+  Element& first = root.add_child("first");
+  Element& grandchild = first.add_child("grandchild");
+  grandchild.set_attr("k", "v");
+  const Element* held = &grandchild;
+  for (int i = 0; i < 100; ++i) root.add_child("sibling").set_text("x");
+  ASSERT_EQ(root.children().size(), 101u);
+  EXPECT_EQ(&root.children().front().children().front(), held);
+  EXPECT_EQ(held->attr("k"), "v");
+  // The child itself is reached afresh.
+  EXPECT_EQ(root.child("first")->child("grandchild"), held);
+}
+
+TEST(XmlReferenceRuleTest, ReservedChildrenDoNotMove) {
+  Element root("root");
+  root.reserve_children(3);
+  Element& a = root.add_child("a");
+  Element& b = root.add_child("b");
+  Element& c = root.add_child("c");
+  a.set_text("1");
+  b.set_text("2");
+  c.set_text("3");
+  EXPECT_EQ(root.to_compact_string(),
+            "<root><a>1</a><b>2</b><c>3</c></root>");
+}
+
+TEST(XmlReferenceRuleTest, BuildEachChildBeforeItsNextSibling) {
+  // The supported pattern: a reference is used only until the next
+  // add_child on its parent; after that the child is looked up again.
+  const auto numbered = [](char prefix, int i) {
+    std::string out(1, prefix);
+    out += std::to_string(i);
+    return out;
+  };
+  Element root("dag");
+  for (int i = 0; i < 40; ++i) {
+    Element& action = root.add_child("action");
+    action.set_attr("id", numbered('n', i));
+    action.add_child("param").set_text(numbered('p', i));
+  }
+  ASSERT_EQ(root.children().size(), 40u);
+  for (int i = 0; i < 40; ++i) {
+    const Element& action = root.children()[static_cast<std::size_t>(i)];
+    EXPECT_EQ(action.attr("id"), numbered('n', i));
+    EXPECT_EQ(action.child_text("param"), numbered('p', i));
+  }
+}
+
+// -- Clone / adopt / release on by-value children ------------------------------
+
+/// A document with attributes, entities, mixed content and nesting.
+constexpr const char* kRichDoc =
+    "<r a=\"1\" b=\"x &amp; y\">lead<k id=\"1\"><l>leaf &lt;1&gt;</l>"
+    "<m/></k><k id=\"2\"><n><o p=\"q\"/></n></k>tail</r>";
+
+TEST(XmlTreeOpsTest, CloneRendersAndComparesEqual) {
+  auto doc = parse(kRichDoc);
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+  const Element& original = *doc.value();
+  Element copy = original.clone();
+  EXPECT_TRUE(copy.deep_equal(original));
+  EXPECT_EQ(copy.to_string(), original.to_string());
+  // Deep: editing the copy's grandchild leaves the original alone.
+  copy.child("k")->child("l")->set_text("changed");
+  EXPECT_FALSE(copy.deep_equal(original));
+  EXPECT_EQ(original.child("k")->child_text("l"), "leaf <1>");
+  // A moved element is the same tree.
+  Element moved = std::move(copy);
+  EXPECT_EQ(moved.child("k")->child_text("l"), "changed");
+}
+
+TEST(XmlTreeOpsTest, ReleaseThenAdoptRestoresTheTree) {
+  auto doc = parse(kRichDoc);
+  ASSERT_TRUE(doc.ok());
+  Element& root = *doc.value();
+  const std::string before = root.to_string();
+  std::vector<Element> children = root.release_children();
+  ASSERT_EQ(children.size(), 2u);
+  EXPECT_TRUE(root.children().empty());
+  for (Element& child : children) root.adopt_child(std::move(child));
+  EXPECT_EQ(root.to_string(), before);
+  auto reparsed = parse(before);
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_TRUE(root.deep_equal(*reparsed.value()));
+}
+
+TEST(XmlTreeOpsTest, AdoptedClonesRenderLikeTheirSource) {
+  auto doc = parse(kRichDoc);
+  ASSERT_TRUE(doc.ok());
+  Element built("r");
+  built.set_attr("a", "1");
+  built.set_attr("b", "x & y");
+  built.set_text("leadtail");
+  for (const Element& child : doc.value()->children()) {
+    built.adopt_child(child.clone());
+  }
+  EXPECT_TRUE(built.deep_equal(*doc.value()));
+  EXPECT_EQ(built.to_compact_string(), doc.value()->to_compact_string());
 }
 
 TEST(XmlRenderTest, RenderWrappedMatchesABuiltElement) {
