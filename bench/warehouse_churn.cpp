@@ -19,11 +19,18 @@
 // performed + fingerprint) instead of full GoldenImage copies; the
 // list_backend() column is what every PPP scan used to pay.
 //
+// Beside it, two informational rows count the heap allocations of one
+// store cycle each, the per-create and per-publish store calls: a linked
+// clone + destroy of a 16-span golden with a 4 MiB checkpoint, and a
+// publish + tree_footprint + removal of a golden of the same shape.  They
+// repeat exactly and gate nothing.
+//
 // The third is crash-mid-churn: the same request stream, killed at 2/3 and
 // restarted over the surviving store.  A journal-replayed warm_start()
 // restores GDSF's hit/usage history and aging clock, so the final-third
 // hit rate must stay within 2% of an uninterrupted run; a cold restart
 // (descriptors only, no journal) is the baseline it beats.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -36,6 +43,7 @@
 #include "common.h"
 #include "lifecycle/lifecycle.h"
 #include "obs/journal.h"
+#include "storage/clone_ops.h"
 #include "util/random.h"
 #include "warehouse/warehouse.h"
 
@@ -382,6 +390,90 @@ void run_scan_alloc_comparison() {
   std::filesystem::remove_all(root);
 }
 
+/// Exact heap allocations of one steady-state run of `cycle`: the fewest
+/// over eight runs.  The first runs fill first-use state (metric
+/// registrations, the spare pool's slot), and a run whose latency lands in
+/// a histogram octave no earlier run reached also allocates that octave's
+/// page; the minimum leaves both out.  Exits when a run fails.
+template <typename Cycle>
+std::uint64_t allocations_of_cycle(const char* name, const Cycle& cycle) {
+  std::uint64_t fewest = ~0ull;
+  for (int run = 0; run < 8; ++run) {
+    const std::uint64_t start = g_allocations.load(std::memory_order_relaxed);
+    if (!cycle()) {
+      std::fprintf(stderr, "%s cycle failed\n", name);
+      std::exit(2);
+    }
+    fewest = std::min(fewest,
+                      g_allocations.load(std::memory_order_relaxed) - start);
+  }
+  return fewest;
+}
+
+/// Allocations of one clone cycle and one publish cycle (informational).
+void run_store_alloc_counts() {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("vmp-bench-churn-store-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  {
+    storage::ArtifactStore store(root);
+    storage::MachineSpec spec;
+    spec.os = "linux-mandrake-8.1";
+    spec.memory_bytes = 4ull << 20;
+    spec.suspended = true;
+    spec.disk = storage::DiskSpec{"disk0", 256ull << 20, 16,
+                                  storage::DiskMode::kNonPersistent};
+
+    // A written (not sparse) checkpoint: the clone copies it for real and
+    // the destroy retires the copy to the spare pool, as on a create.
+    const storage::ImageLayout golden{"golden"};
+    if (!storage::materialize_image(&store, golden, spec).ok() ||
+        !store.write_file(golden.memory_path(),
+                          std::string(spec.memory_bytes, 'm'))
+             .ok()) {
+      std::fprintf(stderr, "golden materialization failed\n");
+      std::exit(2);
+    }
+    const std::uint64_t clone_allocs =
+        allocations_of_cycle("clone", [&] {
+          return storage::clone_image(&store, golden, spec, "clones/vm",
+                                      storage::CloneStrategy::kLinked)
+                     .ok() &&
+                 storage::destroy_clone(&store, "clones/vm").ok();
+        });
+
+    warehouse::Warehouse wh(&store, "warehouse");
+    warehouse::GoldenImage image;
+    image.id = "golden-cycle";
+    image.backend = "vmware-gsx";
+    image.spec = spec;
+    image.guest.os = spec.os;
+    image.performed.push_back("action-0");
+    image.performed.push_back("action-1");
+    const std::string image_dir = "warehouse/" + image.id;
+    const std::uint64_t publish_allocs =
+        allocations_of_cycle("publish", [&] {
+          return wh.publish(image).ok() &&
+                 store.tree_footprint(image_dir).ok() &&
+                 wh.remove(image.id).ok();
+        });
+
+    std::printf("\nstore-cycle allocations (informational):\n");
+    std::printf("  linked clone + destroy, 16 spans, 4 MiB: %6llu allocs\n",
+                static_cast<unsigned long long>(clone_allocs));
+    std::printf("  publish + footprint + removal:           %6llu allocs\n",
+                static_cast<unsigned long long>(publish_allocs));
+    std::printf("BENCH_JSON {\"name\": \"store.alloc.clone_cycle\", "
+                "\"allocs\": %llu, \"failures\": 0}\n",
+                static_cast<unsigned long long>(clone_allocs));
+    std::printf("BENCH_JSON {\"name\": \"store.alloc.publish_cycle\", "
+                "\"allocs\": %llu, \"failures\": 0}\n",
+                static_cast<unsigned long long>(publish_allocs));
+  }
+  std::filesystem::remove_all(root);
+}
+
 }  // namespace
 
 int main() {
@@ -408,6 +500,7 @@ int main() {
   report_churn("gdsf", gdsf);
 
   run_scan_alloc_comparison();
+  run_store_alloc_counts();
 
   std::printf("\ncrash at request %zu of %zu; final-third hit rate "
               "(GDSF, same stream):\n",

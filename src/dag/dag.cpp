@@ -300,14 +300,6 @@ DagBuilder& DagBuilder::guest(const std::string& id,
   return action(std::move(a));
 }
 
-DagBuilder& DagBuilder::host(const std::string& id,
-                             const std::string& operation,
-                             std::map<std::string, std::string> params) {
-  Action a(id, operation, ActionScope::kHost);
-  for (auto& [k, v] : params) a.set_param(k, std::move(v));
-  return action(std::move(a));
-}
-
 DagBuilder& DagBuilder::action(Action a) {
   record(&first_error_, dag_.add_action(std::move(a)));
   return *this;

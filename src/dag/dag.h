@@ -161,8 +161,6 @@ class DagBuilder {
  public:
   DagBuilder& guest(const std::string& id, const std::string& operation,
                     std::map<std::string, std::string> params = {});
-  DagBuilder& host(const std::string& id, const std::string& operation,
-                   std::map<std::string, std::string> params = {});
   DagBuilder& action(Action a);
   DagBuilder& edge(const std::string& from, const std::string& to);
   /// Convenience: chain edges a->b->c->...

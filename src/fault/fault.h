@@ -148,7 +148,6 @@ class FaultRegistry {
   using Decider =
       std::function<bool(const std::string& point, const std::string& detail)>;
   void set_decider(Decider decider);
-  bool exploring() const;
 
   /// Observability tap: called once per FIRED injection (after the firing
   /// is recorded), under the registry mutex — the listener must not call

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -24,10 +25,11 @@ using util::ErrorCode;
 using util::Result;
 using util::Status;
 
-// The hot operations (clone artefacts, ISO writes, collect) run on plain
-// POSIX calls: one open per file, no std::filesystem status probes, parent
-// directories created only when an open reports them missing.  DESIGN.md
-// §17 lists the syscall budget per operation.
+// The hot operations (clone artefacts, ISO writes, collect, publish, the
+// queries) run on plain POSIX calls over string paths: one open per file,
+// one lstat per query, no std::filesystem path built, parent directories
+// created only when an open reports them missing.  DESIGN.md §17 lists the
+// syscall budget per operation.
 
 namespace {
 
@@ -48,20 +50,32 @@ class Fd {
   int fd_;
 };
 
+/// Creates directory `dir` and whichever of its parents are missing, like
+/// mkdir -p; one that exists already is fine.  Returns false on failure.
+bool make_directories(const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST) return true;
+  const std::size_t slash = dir.find_last_of('/');
+  if (errno != ENOENT || slash == std::string::npos || slash == 0) return false;
+  return make_directories(dir.substr(0, slash)) &&
+         (::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST);
+}
+
 /// Runs `call` (an open/symlink returning < 0 on failure); when it fails
 /// with ENOENT, creates the parent directories of `path` and retries once.
 template <typename Call>
-int with_parent_dirs(const fs::path& path, Call call) {
+int with_parent_dirs(const std::string& path, Call call) {
   int rc = call();
   if (rc < 0 && errno == ENOENT) {
-    std::error_code ec;
-    fs::create_directories(path.parent_path(), ec);
+    const std::size_t slash = path.find_last_of('/');
+    if (slash != std::string::npos && slash > 0) {
+      (void)make_directories(path.substr(0, slash));
+    }
     rc = call();
   }
   return rc;
 }
 
-int open_for_write(const fs::path& path, int flags, mode_t mode) {
+int open_for_write(const std::string& path, int flags, mode_t mode) {
   return with_parent_dirs(path, [&] {
     return ::open(path.c_str(), flags | O_WRONLY | O_CLOEXEC, mode);
   });
@@ -81,7 +95,7 @@ bool write_all(int fd, const char* data, std::size_t size) {
 /// Opens the copy target: a new file (the clone path) costs one call.  An
 /// existing target is truncated unless it is the source itself (reached
 /// through a symlink, say), which would lose the source's bytes.
-int open_copy_target(const fs::path& path, const struct stat& source) {
+int open_copy_target(const std::string& path, const struct stat& source) {
   const mode_t mode = source.st_mode & 07777;
   const int fd = open_for_write(path, O_CREAT | O_EXCL, mode);
   if (fd >= 0 || errno != EEXIST) return fd;
@@ -161,12 +175,27 @@ mode_t process_umask() {
   return mask;
 }
 
-/// Measures and deletes everything under the open directory `dir` (taken
-/// over and closed here), one fstatat + unlinkat per regular file and one
-/// unlinkat per link.  Never follows a symlink: a link is removed itself
-/// and charges nothing, and subdirectories are opened O_NOFOLLOW, so the
-/// walk cannot leave the tree.  Returns false with errno set on failure.
-bool drain_directory(int dir, TreeFootprint& fp) {
+/// Charges one entry of d_type `type` to `fp`: a regular file its apparent
+/// size, a link nothing (its target is billed where it lives), anything
+/// else nothing at all.
+void charge(TreeFootprint& fp, unsigned char type, off_t size) {
+  if (type == DT_LNK) {
+    ++fp.links;
+  } else if (type == DT_REG) {
+    ++fp.files;
+    fp.physical_bytes += static_cast<std::uint64_t>(size);
+  }
+}
+
+/// Measures everything under the open directory `dir` (taken over and
+/// closed here) into `fp`, then hands each entry to `done(dir, name, type)`
+/// (a directory after its contents).  d_type classifies the entries: a
+/// link or a directory costs no stat, a regular file one fstatat for its
+/// size.  Never follows a symlink: subdirectories are opened O_NOFOLLOW,
+/// so the walk cannot leave the tree.  Returns false with errno set when a
+/// call or `done` fails.
+template <typename Done>
+bool walk_directory(int dir, TreeFootprint& fp, const Done& done) {
   DIR* stream = ::fdopendir(dir);
   if (stream == nullptr) {
     const int saved = errno;
@@ -187,24 +216,32 @@ bool drain_directory(int dir, TreeFootprint& fp) {
       type = IFTODT(st.st_mode);
       size = st.st_size;
     }
-    int unlink_flags = 0;
     if (type == DT_DIR) {
       const int sub =
           ::openat(dir, name, O_RDONLY | O_DIRECTORY | O_NOFOLLOW | O_CLOEXEC);
-      if (sub < 0 || !drain_directory(sub, fp)) break;
-      unlink_flags = AT_REMOVEDIR;
-    } else if (type == DT_LNK) {
-      ++fp.links;
-    } else if (type == DT_REG) {
-      ++fp.files;
-      fp.physical_bytes += static_cast<std::uint64_t>(size);
+      if (sub < 0 || !walk_directory(sub, fp, done)) break;
     }
-    if (::unlinkat(dir, name, unlink_flags) != 0) break;
+    charge(fp, type, size);
+    if (!done(dir, name, type)) break;
   }
   const int saved = errno;
   ::closedir(stream);
   errno = saved;
   return saved == 0;
+}
+
+/// The walk that deletes as it measures: one fstatat + unlinkat per regular
+/// file, one unlinkat per link.  A link is removed itself.
+bool drain_directory(int dir, TreeFootprint& fp) {
+  return walk_directory(dir, fp, [](int parent, const char* name,
+                                    unsigned char type) {
+    return ::unlinkat(parent, name, type == DT_DIR ? AT_REMOVEDIR : 0) == 0;
+  });
+}
+
+/// Opens `path` as a directory for a walk, never through a symlink.
+int open_tree(const char* path) {
+  return ::open(path, O_RDONLY | O_DIRECTORY | O_NOFOLLOW | O_CLOEXEC);
 }
 
 bool has_parent_component(std::string_view path) {
@@ -220,6 +257,35 @@ bool has_parent_component(std::string_view path) {
 
 std::string errno_text() { return std::generic_category().message(errno); }
 
+/// `root`'s text plus the separator `root / relative` would insert.
+std::string join_prefix(const fs::path& root) {
+  return root.has_filename() ? root.string() + '/' : root.string();
+}
+
+/// A failed size query: "<call>(<relative>): " and the text of errno
+/// value `error`.
+Result<std::uint64_t> size_error(const char* call, const std::string& relative,
+                                 int error) {
+  return Result<std::uint64_t>(
+      Error(ErrorCode::kNotFound, std::string(call) + '(' + relative + "): " +
+                                      std::generic_category().message(error)));
+}
+
+/// Size of the file an lstat or stat described; a directory or special
+/// file fails the way std::filesystem::file_size words it.
+Result<std::uint64_t> size_of(const struct stat& st, const char* call,
+                              const std::string& relative) {
+  if (S_ISREG(st.st_mode)) return static_cast<std::uint64_t>(st.st_size);
+  return size_error(call, relative, S_ISDIR(st.st_mode) ? EISDIR : ENOTSUP);
+}
+
+/// The target text of symlink `path`; empty when it cannot be read.
+std::string read_link(const std::string& path) {
+  char target[PATH_MAX];
+  const ssize_t n = ::readlink(path.c_str(), target, sizeof target);
+  return n < 0 ? std::string() : std::string(target, static_cast<std::size_t>(n));
+}
+
 }  // namespace
 
 IoAccounting& IoAccounting::operator+=(const IoAccounting& other) {
@@ -231,9 +297,10 @@ IoAccounting& IoAccounting::operator+=(const IoAccounting& other) {
   return *this;
 }
 
-ArtifactStore::ArtifactStore(fs::path root) : root_(std::move(root)) {
+ArtifactStore::ArtifactStore(fs::path root)
+    : root_(std::move(root)), prefix_(join_prefix(root_)) {
   fs::create_directories(root_);
-  absolute_root_ = fs::absolute(root_);
+  absolute_prefix_ = join_prefix(fs::absolute(root_));
   umask_ = process_umask();
   std::error_code ec;
   fs::remove_all(root_ / kSpareDir, ec);
@@ -264,8 +331,7 @@ std::uint64_t ArtifactStore::retire_spare(int dir, const std::string& name) {
     spare_bytes_ += size;  // reserved until the rename settles
   }
   static std::atomic<std::uint64_t> next_spare{0};
-  const fs::path spare =
-      spare_prefix_ + std::to_string(next_spare.fetch_add(1));
+  std::string spare = spare_prefix_ + std::to_string(next_spare.fetch_add(1));
   const bool moved = with_parent_dirs(spare, [&] {
                        return ::renameat2(dir, name.c_str(), AT_FDCWD,
                                           spare.c_str(), RENAME_NOREPLACE);
@@ -275,7 +341,7 @@ std::uint64_t ArtifactStore::retire_spare(int dir, const std::string& name) {
     spare_bytes_ -= size;
     return 0;
   }
-  spares_.push_back({size, spare.string()});
+  spares_.push_back({size, std::move(spare)});
   return size;
 }
 
@@ -291,107 +357,95 @@ std::string ArtifactStore::take_spare(std::uint64_t size) {
   return {};
 }
 
-Result<fs::path> ArtifactStore::resolve(const std::string& relative) const {
+Result<std::string> ArtifactStore::resolve(const std::string& relative) const {
   if (!relative.empty() && relative.front() == '/') {
-    return Result<fs::path>(
+    return Result<std::string>(
         Error(ErrorCode::kInvalidArgument,
               "absolute path not allowed in store: " + relative));
   }
   if (has_parent_component(relative)) {
-    return Result<fs::path>(
+    return Result<std::string>(
         Error(ErrorCode::kInvalidArgument,
               "path traversal not allowed in store: " + relative));
   }
-  return root_ / relative;
+  return prefix_ + relative;
 }
 
 bool ArtifactStore::exists(const std::string& relative) const {
   auto p = resolve(relative);
-  if (!p.ok()) return false;
-  std::error_code ec;
-  // symlink_status: a dangling symlink still "exists" as an artefact.
-  return fs::symlink_status(p.value(), ec).type() != fs::file_type::not_found &&
-         !ec;
+  struct stat st {};
+  // lstat: a dangling symlink still "exists" as an artefact.
+  return p.ok() && ::lstat(p.value().c_str(), &st) == 0;
 }
 
 bool ArtifactStore::is_symlink(const std::string& relative) const {
   auto p = resolve(relative);
-  if (!p.ok()) return false;
-  std::error_code ec;
-  return fs::is_symlink(p.value(), ec) && !ec;
+  struct stat st {};
+  return p.ok() && ::lstat(p.value().c_str(), &st) == 0 && S_ISLNK(st.st_mode);
 }
 
 Result<std::uint64_t> ArtifactStore::file_size(const std::string& relative) const {
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<std::uint64_t>();
-  std::error_code ec;
-  if (fs::is_symlink(p.value(), ec)) return std::uint64_t{0};  // link itself
-  const auto size = fs::file_size(p.value(), ec);
-  if (ec) {
-    return Result<std::uint64_t>(
-        Error(ErrorCode::kNotFound, "file_size(" + relative + "): " + ec.message()));
+  struct stat st {};
+  if (::lstat(p.value().c_str(), &st) != 0) {
+    return size_error("file_size", relative, errno);
   }
-  return static_cast<std::uint64_t>(size);
+  if (S_ISLNK(st.st_mode)) return std::uint64_t{0};  // the link itself
+  return size_of(st, "file_size", relative);
 }
 
 Result<std::uint64_t> ArtifactStore::logical_size(const std::string& relative) const {
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<std::uint64_t>();
-  std::error_code ec;
-  if (fs::is_symlink(p.value(), ec) && !fs::exists(p.value(), ec)) {
+  const std::string& path = p.value();
+  struct stat st {};
+  if (::lstat(path.c_str(), &st) != 0) {
+    return size_error("logical_size", relative, errno);
+  }
+  if (S_ISLNK(st.st_mode) && ::stat(path.c_str(), &st) != 0) {
     // The link exists but its target does not: a stale reference to an
     // evicted or half-removed base image, not an ordinary missing file.
     return Result<std::uint64_t>(
         Error(ErrorCode::kFailedPrecondition,
               "logical_size(" + relative + "): dangling symlink (target " +
-                  fs::read_symlink(p.value(), ec).string() + " is gone)"));
+                  read_link(path) + " is gone)"));
   }
-  const auto size = fs::file_size(p.value(), ec);  // follows symlinks
-  if (ec) {
-    return Result<std::uint64_t>(
-        Error(ErrorCode::kNotFound,
-              "logical_size(" + relative + "): " + ec.message()));
-  }
-  return static_cast<std::uint64_t>(size);
+  return size_of(st, "logical_size", relative);
 }
 
 Result<TreeFootprint> ArtifactStore::tree_footprint(
     const std::string& relative) const {
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<TreeFootprint>();
-  std::error_code ec;
-  const auto status = fs::symlink_status(p.value(), ec);
-  if (ec || status.type() == fs::file_type::not_found) {
-    return Result<TreeFootprint>(
-        Error(ErrorCode::kNotFound, "tree_footprint(" + relative + "): " +
-                                        (ec ? ec.message() : "no such path")));
-  }
+  const char* path = p.value().c_str();
   TreeFootprint fp;
-  auto add_entry = [&fp](const fs::path& path) {
-    std::error_code entry_ec;
-    if (fs::is_symlink(path, entry_ec)) {
-      ++fp.links;
-      return;
-    }
-    if (fs::is_regular_file(path, entry_ec)) {
-      ++fp.files;
-      const auto size = fs::file_size(path, entry_ec);
-      if (!entry_ec) fp.physical_bytes += static_cast<std::uint64_t>(size);
-    }
-  };
-  if (status.type() == fs::file_type::directory) {
-    for (const auto& entry :
-         fs::recursive_directory_iterator(p.value(), ec)) {
-      add_entry(entry.path());
-    }
-    if (ec) {
+  const int dir = open_tree(path);
+  if (dir >= 0) {
+    if (!walk_directory(dir, fp, [](int, const char*, unsigned char) {
+          return true;
+        })) {
       return Result<TreeFootprint>(
           Error(ErrorCode::kInternal,
-                "tree_footprint(" + relative + ") walk: " + ec.message()));
+                "tree_footprint(" + relative + ") walk: " + errno_text()));
     }
-  } else {
-    add_entry(p.value());
+    return fp;
   }
+  // Not a directory we can open: a single file or symlink is the entry
+  // itself, and a directory that refused the open is a failed walk.
+  const int open_error = errno;
+  struct stat st {};
+  if (::lstat(path, &st) != 0) {
+    return Result<TreeFootprint>(Error(
+        ErrorCode::kNotFound, "tree_footprint(" + relative + "): " + errno_text()));
+  }
+  if (S_ISDIR(st.st_mode)) {
+    return Result<TreeFootprint>(
+        Error(ErrorCode::kInternal,
+              "tree_footprint(" + relative + ") walk: " +
+                  std::generic_category().message(open_error)));
+  }
+  charge(fp, IFTODT(st.st_mode), st.st_size);
   return fp;
 }
 
@@ -647,7 +701,7 @@ Result<IoAccounting> ArtifactStore::link_file(const std::string& from,
   }
   // Link target stored as absolute path; clone directories move rarely, and
   // absolute links keep reads working from any CWD.
-  const fs::path target = absolute_root_ / from;
+  const std::string target = absolute_prefix_ + from;
   if (with_parent_dirs(to_p.value(), [&] {
         return ::symlink(target.c_str(), to_p.value().c_str());
       }) != 0) {
@@ -668,8 +722,9 @@ Result<IoAccounting> ArtifactStore::copy_tree(const std::string& from,
   if (!from_p.ok()) return from_p.propagate<IoAccounting>();
   auto to_p = resolve(to);
   if (!to_p.ok()) return to_p.propagate<IoAccounting>();
+  const fs::path from_dir = from_p.value();
   std::error_code ec;
-  if (!fs::is_directory(from_p.value(), ec) || ec) {
+  if (!fs::is_directory(from_dir, ec) || ec) {
     return Result<IoAccounting>(
         Error(ErrorCode::kNotFound, "copy_tree source not a directory: " + from));
   }
@@ -680,19 +735,18 @@ Result<IoAccounting> ArtifactStore::copy_tree(const std::string& from,
   VMP_RETURN_IF_ERROR_AS(make_dir(to), IoAccounting);
 
   IoAccounting total;
-  for (const auto& entry :
-       fs::recursive_directory_iterator(from_p.value(), ec)) {
+  for (const auto& entry : fs::recursive_directory_iterator(from_dir, ec)) {
     // Lexical relativization only: fs::relative canonicalizes through
     // symlinks, which would rename a link entry to its target's path.
-    const std::string rel =
-        entry.path().lexically_relative(from_p.value()).string();
+    const std::string rel = entry.path().lexically_relative(from_dir).string();
     const std::string target = to + "/" + rel;
     if (entry.is_symlink()) {
       const fs::path link_target = fs::read_symlink(entry.path(), ec);
       auto target_p = resolve(target);
       if (!target_p.ok()) return target_p.propagate<IoAccounting>();
-      fs::create_directories(target_p.value().parent_path(), ec);
-      fs::create_symlink(link_target, target_p.value(), ec);
+      const fs::path target_path = target_p.value();
+      fs::create_directories(target_path.parent_path(), ec);
+      fs::create_symlink(link_target, target_path, ec);
       if (ec) {
         return Result<IoAccounting>(Error(
             ErrorCode::kInternal, "copy_tree link " + target + ": " + ec.message()));
@@ -743,7 +797,7 @@ Result<IoAccounting> ArtifactStore::remove_tree(const std::string& relative,
   // frees nothing.
   TreeFootprint freed;
   bool ok = true;
-  const int dir = ::open(path, O_RDONLY | O_DIRECTORY | O_NOFOLLOW | O_CLOEXEC);
+  const int dir = open_tree(path);
   if (dir >= 0) {
     // A retired spare is freed as far as the caller can tell.
     if (const std::uint64_t retired =
@@ -757,12 +811,7 @@ Result<IoAccounting> ArtifactStore::remove_tree(const std::string& relative,
     // A single file, or a symlink (O_NOFOLLOW refused it): the entry itself.
     struct stat st {};
     if (::lstat(path, &st) == 0) {
-      if (S_ISLNK(st.st_mode)) {
-        ++freed.links;
-      } else if (S_ISREG(st.st_mode)) {
-        ++freed.files;
-        freed.physical_bytes = static_cast<std::uint64_t>(st.st_size);
-      }
+      charge(freed, IFTODT(st.st_mode), st.st_size);
       ok = ::unlink(path) == 0;
     } else {
       ok = errno == ENOENT || errno == ENOTDIR;

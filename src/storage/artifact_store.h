@@ -15,6 +15,9 @@
 //
 // Paths are always relative to the root; ".." traversal and absolute paths
 // are rejected, so a misbehaving test or plant cannot escape the sandbox.
+// Every per-create and per-publish call joins its path as a plain string
+// and runs POSIX calls on it; std::filesystem serves only the constructor,
+// list_dir, copy_tree and remove (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
@@ -79,7 +82,8 @@ class ArtifactStore {
 
   // -- Path handling --------------------------------------------------------
   /// Resolve a store-relative path; fails on absolute paths or traversal.
-  util::Result<std::filesystem::path> resolve(const std::string& relative) const;
+  /// The result is the string `(root() / relative).string()` would give.
+  util::Result<std::string> resolve(const std::string& relative) const;
 
   // -- Queries --------------------------------------------------------------
   bool exists(const std::string& relative) const;
@@ -177,9 +181,12 @@ class ArtifactStore {
   std::string take_spare(std::uint64_t size);
 
   std::filesystem::path root_;
-  /// absolute(root_), computed once: link targets are stored absolute, and
-  /// nothing in the process changes its working directory.
-  std::filesystem::path absolute_root_;
+  /// root_ with the separator operator/ would add: resolve() is one
+  /// concatenation.
+  std::string prefix_;
+  /// The same for absolute(root_), computed once: link targets are stored
+  /// absolute, and nothing in the process changes its working directory.
+  std::string absolute_prefix_;
   /// Permission bits an O_CREAT target would not get: a recycled target is
   /// fchmod-ed to the source's bits minus these, as a new file would be.
   mode_t umask_ = 022;

@@ -17,6 +17,7 @@
 #include "storage/clone_ops.h"
 #include "storage/disk.h"
 #include "storage/image_layout.h"
+#include "storage_reference.h"
 #include "util/random.h"
 
 namespace vmp::storage {
@@ -34,6 +35,78 @@ class StorageTest : public ::testing::Test {
   void TearDown() override {
     store_.reset();
     std::filesystem::remove_all(root_);
+  }
+
+  // Seeded random trees for the walk tests: nested directories, plain and
+  // sparse files, links to files and directories inside and outside the
+  // tree, dangling links.
+
+  /// Link targets outside every tree; they must all survive.
+  const std::map<std::string, std::string> outside_files_ = {
+      {"outside/f0", "outside-file-0"},
+      {"outside/f1", "outside-file-1"},
+      {"outside/d/a", "dir-entry-a"},
+      {"outside/d/sub/b", "dir-entry-b"}};
+  const std::vector<std::string> outside_dirs_ = {"outside/d",
+                                                  "outside/d/sub"};
+
+  void make_outside_targets() {
+    for (const auto& [path, content] : outside_files_) {
+      ASSERT_TRUE(store_->write_file(path, content).ok());
+    }
+  }
+
+  /// Builds tree `tree` from `seed` over make_outside_targets()'s files;
+  /// `entries` receives every entry under it, in creation order.
+  void build_random_tree(const std::string& tree, std::uint64_t seed,
+                         std::vector<std::string>* entries) {
+    util::SplitMix64 rng(seed);
+    ASSERT_TRUE(store_->make_dir(tree).ok());
+    std::vector<std::string> dirs = {tree};
+    std::vector<std::string> files;
+    for (int i = 0; i < 48; ++i) {
+      const std::string parent = dirs[rng.next_below(dirs.size())];
+      const std::string path = parent + "/e" + std::to_string(i);
+      entries->push_back(path);
+      switch (rng.next_below(8)) {
+        case 0:
+        case 1:
+          ASSERT_TRUE(store_->make_dir(path).ok());
+          dirs.push_back(path);
+          break;
+        case 2:
+        case 3:
+          ASSERT_TRUE(store_->write_file(
+                                path, std::string(rng.next_below(5000), 'x'))
+                          .ok());
+          files.push_back(path);
+          break;
+        case 4:
+          ASSERT_TRUE(store_->create_sparse_file(path, 2ull << 20).ok());
+          files.push_back(path);
+          break;
+        case 5: {  // link to a file, inside or outside the tree
+          const bool inside = !files.empty() && rng.next_below(2) == 0;
+          const std::string target =
+              inside ? files[rng.next_below(files.size())]
+                     : (rng.next_below(2) ? "outside/f0" : "outside/f1");
+          ASSERT_TRUE(store_->link_file(target, path).ok());
+          break;
+        }
+        case 6: {  // link to a directory, inside or outside the tree
+          const std::string target =
+              rng.next_below(2) ? dirs[rng.next_below(dirs.size())]
+                                : outside_dirs_[rng.next_below(2)];
+          ASSERT_TRUE(store_->link_file(target, path).ok());
+          break;
+        }
+        default:  // dangling link
+          ASSERT_EQ(::symlink((root_ / "gone").c_str(),
+                              store_->resolve(path).value().c_str()),
+                    0);
+          break;
+      }
+    }
   }
 
   std::filesystem::path root_;
@@ -56,6 +129,46 @@ TEST_F(StorageTest, ResolvesRelativePaths) {
   auto p = store_->resolve("a/b/c.txt");
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.value(), root_ / "a/b/c.txt");
+}
+
+// resolve() is one string concatenation; it must give the text the
+// std::filesystem join gives, whatever the root's spelling, and link
+// targets must stay absolute under a relative root.
+TEST_F(StorageTest, ResolveJoinsLikeFilesystemPath) {
+  namespace fs = std::filesystem;
+  const std::vector<fs::path> roots = {
+      root_ / "plain", fs::path((root_ / "slash").string() + "/"),
+      fs::relative(root_ / "relative", fs::current_path())};
+  ASSERT_TRUE(roots[2].is_relative()) << roots[2];
+  const std::vector<std::string> inputs = {
+      "", "a", "a/", "a//b", "./a", "a/./b", ".", "a/b/c.txt",
+      std::string(200, 'n')};
+  for (const fs::path& root : roots) {
+    SCOPED_TRACE("root " + root.string());
+    ArtifactStore store(root);
+    for (const std::string& input : inputs) {
+      auto resolved = store.resolve(input);
+      ASSERT_TRUE(resolved.ok()) << input;
+      EXPECT_EQ(resolved.value(), (root / input).string()) << input;
+    }
+    auto absolute = store.resolve("/etc/passwd");
+    ASSERT_FALSE(absolute.ok());
+    EXPECT_EQ(absolute.error().code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(absolute.error().message(),
+              "absolute path not allowed in store: /etc/passwd");
+    auto traversal = store.resolve("a/../../b");
+    ASSERT_FALSE(traversal.ok());
+    EXPECT_EQ(traversal.error().code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(traversal.error().message(),
+              "path traversal not allowed in store: a/../../b");
+
+    ASSERT_TRUE(store.write_file("golden/disk", "DISK").ok());
+    ASSERT_TRUE(store.link_file("golden/disk", "clone/disk").ok());
+    const fs::path target = fs::read_symlink(root / "clone/disk");
+    EXPECT_TRUE(target.is_absolute()) << target;
+    EXPECT_EQ(target.string(), (fs::absolute(root) / "golden/disk").string());
+    EXPECT_EQ(store.read_file("clone/disk").value(), "DISK");
+  }
 }
 
 // -- Files -------------------------------------------------------------------
@@ -281,72 +394,15 @@ TEST_F(StorageTest, RemoveTreeOfSingleFileChargesItsSize) {
   EXPECT_FALSE(store_->exists("f"));
 }
 
-// Over seeded random trees — nested directories, plain and sparse files,
-// links to files and directories inside and outside the tree, dangling
-// links — the one-pass removal reports exactly the footprint measured just
-// before it, and never deletes through a link.
+// Over seeded random trees, the one-pass removal reports exactly the
+// footprint measured just before it, and never deletes through a link.
 TEST_F(StorageTest, RemoveTreeAccountingMatchesFootprintOnRandomTrees) {
-  // Link targets outside every tree; they must all survive.
-  ASSERT_TRUE(store_->write_file("outside/f0", "outside-file-0").ok());
-  ASSERT_TRUE(store_->write_file("outside/f1", "outside-file-1").ok());
-  ASSERT_TRUE(store_->write_file("outside/d/a", "dir-entry-a").ok());
-  ASSERT_TRUE(store_->write_file("outside/d/sub/b", "dir-entry-b").ok());
-  const std::map<std::string, std::string> outside_files = {
-      {"outside/f0", "outside-file-0"},
-      {"outside/f1", "outside-file-1"},
-      {"outside/d/a", "dir-entry-a"},
-      {"outside/d/sub/b", "dir-entry-b"}};
-  const std::vector<std::string> outside_dirs = {"outside/d", "outside/d/sub"};
-
+  ASSERT_NO_FATAL_FAILURE(make_outside_targets());
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    util::SplitMix64 rng(seed);
     const std::string tree = "t" + std::to_string(seed);
-    ASSERT_TRUE(store_->make_dir(tree).ok());
-    std::vector<std::string> dirs = {tree};
-    std::vector<std::string> files;
-    for (int i = 0; i < 48; ++i) {
-      const std::string parent = dirs[rng.next_below(dirs.size())];
-      const std::string path = parent + "/e" + std::to_string(i);
-      switch (rng.next_below(8)) {
-        case 0:
-        case 1:
-          ASSERT_TRUE(store_->make_dir(path).ok());
-          dirs.push_back(path);
-          break;
-        case 2:
-        case 3:
-          ASSERT_TRUE(store_->write_file(
-                                path, std::string(rng.next_below(5000), 'x'))
-                          .ok());
-          files.push_back(path);
-          break;
-        case 4:
-          ASSERT_TRUE(store_->create_sparse_file(path, 2ull << 20).ok());
-          files.push_back(path);
-          break;
-        case 5: {  // link to a file, inside or outside the tree
-          const bool inside = !files.empty() && rng.next_below(2) == 0;
-          const std::string target =
-              inside ? files[rng.next_below(files.size())]
-                     : (rng.next_below(2) ? "outside/f0" : "outside/f1");
-          ASSERT_TRUE(store_->link_file(target, path).ok());
-          break;
-        }
-        case 6: {  // link to a directory, inside or outside the tree
-          const std::string target =
-              rng.next_below(2) ? dirs[rng.next_below(dirs.size())]
-                                : outside_dirs[rng.next_below(2)];
-          ASSERT_TRUE(store_->link_file(target, path).ok());
-          break;
-        }
-        default:  // dangling link
-          ASSERT_EQ(::symlink((root_ / "gone").c_str(),
-                              store_->resolve(path).value().c_str()),
-                    0);
-          break;
-      }
-    }
+    std::vector<std::string> entries;
+    ASSERT_NO_FATAL_FAILURE(build_random_tree(tree, seed, &entries));
     auto footprint = store_->tree_footprint(tree);
     ASSERT_TRUE(footprint.ok());
     auto removed = store_->remove_tree(tree);
@@ -355,11 +411,113 @@ TEST_F(StorageTest, RemoveTreeAccountingMatchesFootprintOnRandomTrees) {
     EXPECT_EQ(removed.value().files_touched,
               footprint.value().files + footprint.value().links);
     EXPECT_FALSE(store_->exists(tree));
-    for (const auto& [path, content] : outside_files) {
+    for (const auto& [path, content] : outside_files_) {
       auto read = store_->read_file(path);
       ASSERT_TRUE(read.ok()) << path;
       EXPECT_EQ(read.value(), content);
     }
+  }
+}
+
+/// Expects the store's answer and the std::filesystem reference's to agree:
+/// both succeed with equal values, or both fail with the same code and text.
+template <typename T, typename Same>
+void expect_same_result(const util::Result<T>& got, const util::Result<T>& want,
+                        const std::string& what, Same same) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << what << ": " << (got.ok() ? want : got).error().to_string();
+  if (got.ok()) {
+    EXPECT_TRUE(same(got.value(), want.value())) << what;
+  } else {
+    EXPECT_EQ(got.error().code(), want.error().code()) << what;
+    EXPECT_EQ(got.error().message(), want.error().message()) << what;
+  }
+}
+
+bool same_footprint(const TreeFootprint& a, const TreeFootprint& b) {
+  return a.physical_bytes == b.physical_bytes && a.files == b.files &&
+         a.links == b.links;
+}
+
+/// Every query and the footprint of `relative`, against the reference.
+void expect_queries_match_reference(const ArtifactStore& store,
+                                    const std::string& relative) {
+  namespace ref = storage_reference;
+  const std::filesystem::path path = store.root() / relative;
+  const auto same_size = [](std::uint64_t a, std::uint64_t b) { return a == b; };
+  EXPECT_EQ(store.exists(relative), ref::exists(path)) << relative;
+  EXPECT_EQ(store.is_symlink(relative), ref::is_symlink(path)) << relative;
+  expect_same_result(store.file_size(relative),
+                     ref::file_size(path, relative), "file_size " + relative,
+                     same_size);
+  expect_same_result(store.logical_size(relative),
+                     ref::logical_size(path, relative),
+                     "logical_size " + relative, same_size);
+  expect_same_result(store.tree_footprint(relative),
+                     ref::tree_footprint(path, relative),
+                     "tree_footprint " + relative, same_footprint);
+}
+
+// The POSIX walk and queries against the std::filesystem versions they
+// replaced, on the random trees: the footprint of each tree and of every
+// entry in it, each query on every entry and on paths under it that do
+// not exist, and the removal's accounting.
+TEST_F(StorageTest, WalkAndQueriesMatchFilesystemReferenceOnRandomTrees) {
+  ASSERT_NO_FATAL_FAILURE(make_outside_targets());
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string tree = "t" + std::to_string(seed);
+    std::vector<std::string> entries;
+    ASSERT_NO_FATAL_FAILURE(build_random_tree(tree, seed, &entries));
+    expect_queries_match_reference(*store_, tree);
+    for (const std::string& entry : entries) {
+      expect_queries_match_reference(*store_, entry);
+      expect_queries_match_reference(*store_, entry + "/");
+      expect_queries_match_reference(*store_, entry + "/missing");
+    }
+    const auto want = storage_reference::tree_footprint(root_ / tree, tree);
+    ASSERT_TRUE(want.ok());
+    auto removed = store_->remove_tree(tree);
+    ASSERT_TRUE(removed.ok()) << removed.error().to_string();
+    EXPECT_EQ(removed.value().bytes_freed, want.value().physical_bytes);
+    EXPECT_EQ(removed.value().files_touched,
+              want.value().files + want.value().links);
+  }
+}
+
+// The same comparison where the walk's root is not a directory: a file, a
+// sparse file, a fifo, links to a file and to a directory, a dangling link,
+// a link to itself, an empty directory, a missing path and a path through
+// a file.  Each existing root is then removed, freeing what the reference
+// measured.
+TEST_F(StorageTest, WalkAndQueriesMatchFilesystemReferenceOnSingleEntryRoots) {
+  ASSERT_TRUE(store_->write_file("file", "12345").ok());
+  ASSERT_TRUE(store_->create_sparse_file("sparse", 3ull << 20).ok());
+  ASSERT_EQ(::mkfifo((root_ / "fifo").c_str(), 0644), 0);
+  ASSERT_TRUE(store_->write_file("dir/inner", "abc").ok());
+  ASSERT_TRUE(store_->link_file("file", "link-file").ok());
+  ASSERT_TRUE(store_->link_file("dir", "link-dir").ok());
+  ASSERT_EQ(::symlink((root_ / "gone").c_str(), (root_ / "dangling").c_str()),
+            0);
+  ASSERT_EQ(::symlink((root_ / "loop").c_str(), (root_ / "loop").c_str()), 0);
+  ASSERT_TRUE(store_->make_dir("empty").ok());
+  const std::vector<std::string> roots = {
+      "file",    "sparse", "fifo",  "link-file", "link-dir", "dangling",
+      "loop",    "empty",  "dir",   "missing",   "file/sub", "missing/sub",
+      "link-dir/inner"};
+  for (const std::string& root : roots) {
+    expect_queries_match_reference(*store_, root);
+  }
+  for (const std::string& root : roots) {
+    const auto want = storage_reference::tree_footprint(root_ / root, root);
+    auto removed = store_->remove_tree(root);
+    ASSERT_TRUE(removed.ok()) << root << ": " << removed.error().to_string();
+    EXPECT_EQ(removed.value().bytes_freed,
+              want.ok() ? want.value().physical_bytes : 0u)
+        << root;
+    EXPECT_EQ(removed.value().files_touched,
+              want.ok() ? want.value().files + want.value().links : 0u)
+        << root;
   }
 }
 
