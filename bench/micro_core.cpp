@@ -208,8 +208,7 @@ BENCHMARK(BM_LinkedClone);
 
 /// A representative golden-image descriptor: the paper's 64 MB workspace
 /// image with a configured guest (packages, users, mounts, services) and a
-/// performed-action history — the object every warehouse rescan parses and
-/// every binary snapshot section carries.
+/// performed-action history — the object every warehouse rescan parses.
 warehouse::GoldenImage make_codec_descriptor() {
   warehouse::GoldenImage image;
   image.id = "golden-64mb";

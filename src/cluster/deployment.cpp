@@ -4,18 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
-#include <cmath>
 #include <filesystem>
 #include <map>
 #include <optional>
 
 #include "core/request.h"
-#include "core/snapshot.h"
 #include "sim/engine.h"
 #include "sim/resources.h"
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace vmp::cluster {
 
@@ -254,78 +250,6 @@ void SimulatedDeployment::collect_all() {
     (void)shop_->destroy(vm_id);
   }
   created_vm_ids_.clear();
-}
-
-Result<std::string> SimulatedDeployment::save_snapshot() const {
-  core::SnapshotParticipants participants;
-  participants.warehouse = warehouse_.get();
-  std::map<std::string, std::string> meta;
-  meta["deployment.backend"] = config_.backend;
-  meta["deployment.plants"] = std::to_string(plants_.size());
-  meta["deployment.sim_now"] = util::format_double(sim_now_);
-  meta["deployment.sequence"] = std::to_string(sequence_);
-  meta["deployment.failures"] = std::to_string(failures_);
-  return core::save_snapshot(participants, std::move(meta));
-}
-
-util::Status SimulatedDeployment::load_snapshot(std::string_view frame) {
-  auto data = core::decode_snapshot(frame);
-  if (!data.ok()) return data.error();
-  // Every meta value must parse whole before anything is restored.
-  double sim_now = sim_now_;
-  std::size_t sequence = sequence_;
-  std::size_t failures = failures_;
-  const auto read = [&](const char* key, auto* value) -> util::Status {
-    const auto it = data.value().meta.find(key);
-    if (it == data.value().meta.end()) return util::Status();
-    const std::string& text = it->second;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), *value);
-    if (ec != std::errc() || end != text.data() + text.size()) {
-      return Error(ErrorCode::kParseError, "deployment snapshot: malformed " +
-                                               std::string(key) + " \"" +
-                                               text + "\"");
-    }
-    return util::Status();
-  };
-  // A frame from a different deployment shape would restore a clock and
-  // counters that no longer describe these plants.
-  for (const auto& [key, mine] :
-       {std::pair<const char*, std::string>{"deployment.backend",
-                                            config_.backend},
-        {"deployment.plants", std::to_string(plants_.size())}}) {
-    const auto it = data.value().meta.find(key);
-    if (it != data.value().meta.end() && it->second != mine) {
-      return Error(ErrorCode::kFailedPrecondition,
-                   "deployment snapshot: " + std::string(key) + " \"" +
-                       it->second + "\" does not match this deployment's \"" +
-                       mine + "\"");
-    }
-  }
-  VMP_RETURN_IF_ERROR(read("deployment.sim_now", &sim_now));
-  VMP_RETURN_IF_ERROR(read("deployment.sequence", &sequence));
-  VMP_RETURN_IF_ERROR(read("deployment.failures", &failures));
-  if (!std::isfinite(sim_now)) {
-    return Error(ErrorCode::kParseError,
-                 "deployment snapshot: non-finite deployment.sim_now");
-  }
-  // The frame names the goldens' artefact trees but does not carry them,
-  // so each must already be in this sandbox (a same-sandbox restore).
-  for (const warehouse::GoldenImage& image : data.value().images) {
-    if (!store_->exists(image.layout.config_path())) {
-      return Error(ErrorCode::kFailedPrecondition,
-                   "deployment snapshot: golden '" + image.id +
-                       "' has no artefact tree here (" +
-                       image.layout.config_path() + ")");
-    }
-  }
-  core::SnapshotParticipants participants;
-  participants.warehouse = warehouse_.get();
-  VMP_RETURN_IF_ERROR(core::restore_snapshot(data.value(), participants));
-  sim_now_ = sim_now;
-  sequence_ = sequence;
-  failures_ = failures;
-  return util::Status();
 }
 
 }  // namespace vmp::cluster

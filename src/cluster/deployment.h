@@ -23,7 +23,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cluster/timing_model.h"
@@ -116,17 +115,6 @@ class SimulatedDeployment {
   /// Destroy every VM currently known to the shop-side routing of this
   /// deployment (between experiment phases).
   void collect_all();
-
-  // -- Snapshot ---------------------------------------------------------------
-  /// Encode the deployment's durable state (warehouse index + experiment
-  /// meta: sim clock, sequence, failure count) as one binary kSnapshot
-  /// frame (core/snapshot.h).
-  util::Result<std::string> save_snapshot() const;
-  /// Restore a save_snapshot() frame into THIS deployment: warehouse index
-  /// and experiment counters come back.  The sandbox must already hold the
-  /// captured images' artefact trees (same-sandbox restore); a frame naming
-  /// a missing tree is refused (kFailedPrecondition) and changes nothing.
-  util::Status load_snapshot(std::string_view frame);
 
   double sim_now() const { return sim_now_; }
   std::size_t creations() const { return sequence_; }

@@ -577,87 +577,6 @@ Result<ReapReport> LifecycleManager::reap_orphans() {
   return report;
 }
 
-Result<LedgerSnapshot> LifecycleManager::ledger_snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!publishing_.empty() || reserved_bytes_ != 0) {
-    return Error(ErrorCode::kFailedPrecondition,
-                 "ledger_snapshot: " + std::to_string(publishing_.size()) +
-                     " publish(es) in flight (" +
-                     std::to_string(reserved_bytes_) +
-                     " reserved bytes); quiesce before snapshotting");
-  }
-  LedgerSnapshot snap;
-  snap.entries.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) {
-    LedgerSnapshot::Entry e;
-    e.id = id;
-    e.dir = entry.dir;
-    e.physical_bytes = entry.physical_bytes;
-    e.files = entry.files;
-    e.hits = entry.hits;
-    e.last_use_tick = entry.last_use_tick;
-    e.leases = entry.leases;
-    e.rebuild_cost_s = entry.rebuild_cost_s;
-    e.pinned = entry.pinned;
-    e.zombie = entry.zombie;
-    snap.entries.push_back(std::move(e));
-  }
-  snap.used_bytes = used_bytes_;
-  snap.tick = tick_;
-  snap.policy = policy_->name();
-  snap.policy_clock = policy_->clock();
-  return snap;
-}
-
-Status LifecycleManager::restore_ledger(const LedgerSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!publishing_.empty() || reserved_bytes_ != 0) {
-    return Status(ErrorCode::kFailedPrecondition,
-                  "restore_ledger: " + std::to_string(publishing_.size()) +
-                      " publish(es) in flight (" +
-                      std::to_string(reserved_bytes_) +
-                      " reserved bytes); quiesce before restoring");
-  }
-  if (snapshot.policy != policy_->name()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "restore_ledger: snapshot was captured under policy '" +
-                      snapshot.policy + "' but this manager runs '" +
-                      policy_->name() + "'");
-  }
-  std::map<std::string, Entry> rebuilt;
-  for (const LedgerSnapshot::Entry& e : snapshot.entries) {
-    if (e.id.empty()) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "restore_ledger: entry with empty id");
-    }
-    Entry entry;
-    entry.dir = e.dir;
-    entry.physical_bytes = e.physical_bytes;
-    entry.files = e.files;
-    entry.hits = e.hits;
-    entry.last_use_tick = e.last_use_tick;
-    entry.leases = e.leases;
-    entry.rebuild_cost_s = e.rebuild_cost_s;
-    entry.pinned = e.pinned;
-    entry.zombie = e.zombie;
-    if (!rebuilt.emplace(e.id, std::move(entry)).second) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "restore_ledger: duplicate entry id '" + e.id + "'");
-    }
-  }
-  entries_ = std::move(rebuilt);
-  used_bytes_ = snapshot.used_bytes;
-  tick_ = snapshot.tick;
-  // restore_clock is monotone (max), matching warm_start's replay fold.
-  policy_->restore_clock(snapshot.policy_clock);
-  journal_->append(obs::JournalEvent::kWarmStart, "", 0, entries_.size(),
-                   policy_->clock());
-  LifecycleMetrics& metrics = LifecycleMetrics::get();
-  metrics.zombies->set(static_cast<std::int64_t>(zombie_count_locked()));
-  update_byte_gauges_locked();
-  return Status();
-}
-
 std::vector<ImageStats> LifecycleManager::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<ImageStats> out;

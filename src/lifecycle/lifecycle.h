@@ -58,33 +58,6 @@ struct ReapReport {
   std::uint64_t bytes_freed = 0;
 };
 
-/// Full in-memory ledger state, as captured by ledger_snapshot() and
-/// reinstated by restore_ledger() — the lifecycle section of a binary
-/// simulation snapshot (core/snapshot.h, DESIGN.md §15).  Unlike
-/// warm_start(), which re-measures footprints from disk and forgets usage
-/// history unless a journal replay supplies it, a snapshot carries the
-/// EXACT ledger: hits, use order, zombie/pin flags, and the policy's aging
-/// clock, so a restored GDSF ranks identically to the live instance.
-struct LedgerSnapshot {
-  struct Entry {
-    std::string id;
-    std::string dir;  // store-relative image directory
-    std::uint64_t physical_bytes = 0;
-    std::uint64_t files = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t last_use_tick = 0;
-    std::uint32_t leases = 0;
-    double rebuild_cost_s = 0.0;
-    bool pinned = false;
-    bool zombie = false;
-  };
-  std::vector<Entry> entries;  // id order
-  std::uint64_t used_bytes = 0;
-  std::uint64_t tick = 0;
-  std::string policy;        // policy name at capture ("gdsf", "lru")
-  double policy_clock = 0.0;  // aging clock at capture (0 for LRU)
-};
-
 class LifecycleManager : public hv::GoldenLeaseHook {
  public:
   struct Config {
@@ -155,18 +128,6 @@ class LifecycleManager : public hv::GoldenLeaseHook {
   /// descriptor.xml and is neither a live zombie nor a claimed id
   /// (a mid-publish placeholder).  Idempotent.
   util::Result<ReapReport> reap_orphans();
-
-  // -- Snapshot/restore ------------------------------------------------------
-  /// Capture the exact in-memory ledger (see LedgerSnapshot).  Refuses
-  /// (kFailedPrecondition) while publishes are in flight — a reservation is
-  /// transient state a snapshot must not freeze.
-  util::Result<LedgerSnapshot> ledger_snapshot() const;
-  /// Replace the in-memory ledger with a captured snapshot (the warehouse
-  /// index must have been restored first — core/snapshot.h orders this).
-  /// Requires the snapshot's policy name to match this manager's policy
-  /// (kInvalidArgument otherwise) and no in-flight publishes
-  /// (kFailedPrecondition).  Journals one kWarmStart, like warm_start().
-  util::Status restore_ledger(const LedgerSnapshot& snapshot);
 
   // -- Introspection ---------------------------------------------------------
   /// Ledger snapshot, id order (zombies included, flagged).

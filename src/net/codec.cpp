@@ -30,7 +30,6 @@ const char* frame_tag_name(FrameTag tag) noexcept {
     case FrameTag::kMessage: return "message";
     case FrameTag::kDescriptor: return "descriptor";
     case FrameTag::kClassAd: return "classad";
-    case FrameTag::kSnapshot: return "snapshot";
   }
   return "unknown";
 }
@@ -85,7 +84,7 @@ Result<FrameView> open_frame(std::string_view frame) {
   const std::uint32_t payload_len = header.u32();
   const std::uint32_t checksum = header.u32();
   if (tag_byte < static_cast<std::uint8_t>(FrameTag::kMessage) ||
-      tag_byte > static_cast<std::uint8_t>(FrameTag::kSnapshot)) {
+      tag_byte > static_cast<std::uint8_t>(FrameTag::kClassAd)) {
     return Result<FrameView>(Error(
         ErrorCode::kParseError,
         "unknown frame tag " + std::to_string(tag_byte)));
@@ -309,52 +308,6 @@ Result<Message> decode_message(std::string_view frame) {
 
 // -- Warehouse descriptors ----------------------------------------------------
 
-void encode_descriptor_payload(const warehouse::GoldenImage& image,
-                               ByteBuffer* out) {
-  out->reserve(out->size() + 512);
-  out->put_string(image.id);
-  out->put_string(image.backend);
-  out->put_string(image.layout.dir);
-
-  out->put_string(image.spec.os);
-  out->put_varint(image.spec.memory_bytes);
-  out->put_bool(image.spec.suspended);
-  out->put_string(image.spec.disk.name);
-  out->put_varint(image.spec.disk.capacity_bytes);
-  out->put_varint(image.spec.disk.span_count);
-  out->put_u8(static_cast<std::uint8_t>(image.spec.disk.mode));
-
-  const hv::GuestState& guest = image.guest;
-  out->put_string(guest.os);
-  out->put_string(guest.hostname);
-  out->put_string(guest.ip);
-  out->put_string(guest.mac);
-  out->put_varint(guest.packages.size());
-  for (const auto& package : guest.packages) out->put_string(package);
-  out->put_varint(guest.users.size());
-  for (const auto& [name, home] : guest.users) {
-    out->put_string(name);
-    out->put_string(home);
-  }
-  out->put_varint(guest.mounts.size());
-  for (const auto& [mountpoint, source] : guest.mounts) {
-    out->put_string(mountpoint);
-    out->put_string(source);
-  }
-  out->put_varint(guest.running_services.size());
-  for (const auto& service : guest.running_services) out->put_string(service);
-  out->put_varint(guest.files.size());
-  for (const auto& [path, content] : guest.files) {
-    out->put_string(path);
-    out->put_string(content);
-  }
-  // flaky_counters intentionally excluded, matching render_guest_state:
-  // they are fault-injection scratch state, not guest configuration.
-
-  out->put_varint(image.performed.size());
-  for (const auto& signature : image.performed) out->put_string(signature);
-}
-
 namespace {
 
 /// `n` strings.
@@ -451,28 +404,61 @@ util::Status decode_descriptor_fields(ByteReader* in,
 
 }  // namespace
 
-Result<warehouse::GoldenImage> decode_descriptor_payload(ByteReader* in) {
-  // Decoded in place and returned by name on every path: never moved.
-  Result<warehouse::GoldenImage> image(std::in_place);
-  if (util::Status s = decode_descriptor_fields(in, &image.value()); !s.ok()) {
-    image = s.error();
-  }
-  return image;
-}
-
 std::string encode_descriptor(const warehouse::GoldenImage& image) {
-  ByteBuffer payload = begin_frame(FrameTag::kDescriptor, 512);
-  encode_descriptor_payload(image, &payload);
-  return finish_frame(&payload);
+  ByteBuffer out = begin_frame(FrameTag::kDescriptor, 512);
+  out.put_string(image.id);
+  out.put_string(image.backend);
+  out.put_string(image.layout.dir);
+
+  out.put_string(image.spec.os);
+  out.put_varint(image.spec.memory_bytes);
+  out.put_bool(image.spec.suspended);
+  out.put_string(image.spec.disk.name);
+  out.put_varint(image.spec.disk.capacity_bytes);
+  out.put_varint(image.spec.disk.span_count);
+  out.put_u8(static_cast<std::uint8_t>(image.spec.disk.mode));
+
+  const hv::GuestState& guest = image.guest;
+  out.put_string(guest.os);
+  out.put_string(guest.hostname);
+  out.put_string(guest.ip);
+  out.put_string(guest.mac);
+  out.put_varint(guest.packages.size());
+  for (const auto& package : guest.packages) out.put_string(package);
+  out.put_varint(guest.users.size());
+  for (const auto& [name, home] : guest.users) {
+    out.put_string(name);
+    out.put_string(home);
+  }
+  out.put_varint(guest.mounts.size());
+  for (const auto& [mountpoint, source] : guest.mounts) {
+    out.put_string(mountpoint);
+    out.put_string(source);
+  }
+  out.put_varint(guest.running_services.size());
+  for (const auto& service : guest.running_services) out.put_string(service);
+  out.put_varint(guest.files.size());
+  for (const auto& [path, content] : guest.files) {
+    out.put_string(path);
+    out.put_string(content);
+  }
+  // flaky_counters intentionally excluded, matching render_guest_state:
+  // they are fault-injection scratch state, not guest configuration.
+
+  out.put_varint(image.performed.size());
+  for (const auto& signature : image.performed) out.put_string(signature);
+  return finish_frame(&out);
 }
 
 Result<warehouse::GoldenImage> decode_descriptor(std::string_view frame) {
   auto view = open_frame(frame, FrameTag::kDescriptor);
   if (!view.ok()) return view.propagate<warehouse::GoldenImage>();
   ByteReader in(view.value().payload);
-  // One named result, returned on every path below, so it is never moved.
-  auto image = decode_descriptor_payload(&in);
-  if (image.ok() && !in.done()) {
+  // Decoded in place and returned by name on every path below: never moved.
+  Result<warehouse::GoldenImage> image(std::in_place);
+  if (util::Status s = decode_descriptor_fields(&in, &image.value()); !s.ok()) {
+    image = s.error();
+  } else if (!in.done()) {
     image = Error(ErrorCode::kParseError,
                   std::to_string(in.remaining()) +
                       " trailing bytes after descriptor");
@@ -482,56 +468,48 @@ Result<warehouse::GoldenImage> decode_descriptor(std::string_view frame) {
 
 // -- ClassAd snapshots --------------------------------------------------------
 
-void encode_classad_payload(const classad::ClassAd& ad, ByteBuffer* out) {
-  const std::vector<std::string> names = ad.names();
-  out->put_varint(names.size());
-  for (const std::string& name : names) {
-    out->put_string(name);
-    const classad::Expr* expr = ad.lookup(name);
-    out->put_string(expr != nullptr ? expr->to_string() : "undefined");
-  }
-}
-
-Result<classad::ClassAd> decode_classad_payload(ByteReader* in) {
-  const std::uint64_t nattrs = in->varint();
-  if (!in->check_count(nattrs, 2)) {
-    return Result<classad::ClassAd>(Error(
-        ErrorCode::kParseError,
-        "classad attr count: " + in->status().error().message()));
-  }
-  classad::ClassAd ad;
-  for (std::uint64_t i = 0; i < nattrs && in->ok(); ++i) {
-    std::string name = in->string_field();
-    std::string expr_text = in->string_field();
-    if (!in->ok()) break;
-    if (auto set = ad.set_expression(name, expr_text); !set.ok()) {
-      return Result<classad::ClassAd>(Error(
-          ErrorCode::kParseError, "classad attr '" + name +
-                                      "': " + set.error().message()));
-    }
-  }
-  if (!in->ok()) {
-    return Result<classad::ClassAd>(Error(
-        ErrorCode::kParseError,
-        "classad: " + in->status().error().message()));
-  }
-  return ad;
-}
-
 std::string encode_classad(const classad::ClassAd& ad) {
-  ByteBuffer payload = begin_frame(FrameTag::kClassAd, 128);
-  encode_classad_payload(ad, &payload);
-  return finish_frame(&payload);
+  ByteBuffer out = begin_frame(FrameTag::kClassAd, 128);
+  const std::vector<std::string> names = ad.names();
+  out.put_varint(names.size());
+  for (const std::string& name : names) {
+    out.put_string(name);
+    const classad::Expr* expr = ad.lookup(name);
+    out.put_string(expr != nullptr ? expr->to_string() : "undefined");
+  }
+  return finish_frame(&out);
 }
 
 Result<classad::ClassAd> decode_classad(std::string_view frame) {
   auto view = open_frame(frame, FrameTag::kClassAd);
   if (!view.ok()) return view.propagate<classad::ClassAd>();
   ByteReader in(view.value().payload);
-  auto ad = decode_classad_payload(&in);
-  if (ad.ok() && !in.done()) {
-    ad = Error(ErrorCode::kParseError,
-               std::to_string(in.remaining()) + " trailing bytes after classad");
+  const std::uint64_t nattrs = in.varint();
+  if (!in.check_count(nattrs, 2)) {
+    return Result<classad::ClassAd>(Error(
+        ErrorCode::kParseError,
+        "classad attr count: " + in.status().error().message()));
+  }
+  classad::ClassAd ad;
+  for (std::uint64_t i = 0; i < nattrs && in.ok(); ++i) {
+    std::string name = in.string_field();
+    std::string expr_text = in.string_field();
+    if (!in.ok()) break;
+    if (auto set = ad.set_expression(name, expr_text); !set.ok()) {
+      return Result<classad::ClassAd>(Error(
+          ErrorCode::kParseError, "classad attr '" + name +
+                                      "': " + set.error().message()));
+    }
+  }
+  if (!in.ok()) {
+    return Result<classad::ClassAd>(Error(
+        ErrorCode::kParseError,
+        "classad: " + in.status().error().message()));
+  }
+  if (!in.done()) {
+    return Result<classad::ClassAd>(Error(
+        ErrorCode::kParseError,
+        std::to_string(in.remaining()) + " trailing bytes after classad"));
   }
   return ad;
 }

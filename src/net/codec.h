@@ -4,8 +4,7 @@
 // encoding and the default everywhere (paper runs remain byte-identical).
 // This codec is the compact alternative the bus negotiates per instance
 // (net::BusConfig::wire_format = kBinary): message envelopes + payloads,
-// warehouse golden-image descriptors, classad snapshots, and the
-// whole-simulation snapshot sections built on top of them (core/snapshot.h).
+// warehouse golden-image descriptors and classad snapshots.
 //
 // Frame layout (little-endian), shared by every object kind:
 //
@@ -44,7 +43,7 @@ enum class FrameTag : std::uint8_t {
   kMessage = 1,     // net::Message envelope + XML payload tree
   kDescriptor = 2,  // warehouse::GoldenImage (descriptor + guest state)
   kClassAd = 3,     // classad snapshot (attr name -> expression text)
-  kSnapshot = 4,    // whole-simulation snapshot (core/snapshot.h sections)
+  // Tag 4 is retired: v1 snapshot frames may exist on disk. Never reuse it.
 };
 
 const char* frame_tag_name(FrameTag tag) noexcept;
@@ -84,17 +83,9 @@ util::Result<Message> decode_message(std::string_view frame);
 // -- Warehouse descriptors ----------------------------------------------------
 std::string encode_descriptor(const warehouse::GoldenImage& image);
 util::Result<warehouse::GoldenImage> decode_descriptor(std::string_view frame);
-/// Raw (unframed) payload encoders, for embedding descriptors inside
-/// snapshot sections without a nested frame per image.
-void encode_descriptor_payload(const warehouse::GoldenImage& image,
-                               util::ByteBuffer* out);
-util::Result<warehouse::GoldenImage> decode_descriptor_payload(
-    util::ByteReader* in);
 
 // -- ClassAd snapshots --------------------------------------------------------
 std::string encode_classad(const classad::ClassAd& ad);
 util::Result<classad::ClassAd> decode_classad(std::string_view frame);
-void encode_classad_payload(const classad::ClassAd& ad, util::ByteBuffer* out);
-util::Result<classad::ClassAd> decode_classad_payload(util::ByteReader* in);
 
 }  // namespace vmp::net::codec

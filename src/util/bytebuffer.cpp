@@ -1,7 +1,6 @@
 #include "util/bytebuffer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 namespace vmp::util {
@@ -75,8 +74,6 @@ void ByteBuffer::put_u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
-void ByteBuffer::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
-
 void ByteBuffer::put_varint_slow(std::uint64_t v) {
   while (v >= 0x80) {
     put_u8(static_cast<std::uint8_t>((v & 0x7f) | 0x80));
@@ -139,8 +136,6 @@ std::uint64_t ByteReader::u64() {
   }
   return v;
 }
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 bool ByteReader::boolean() {
   const std::uint8_t v = u8();

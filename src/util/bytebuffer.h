@@ -4,8 +4,8 @@
 // encoding — but at fleet scale every bus hop and descriptor round-trip
 // pays the DOM build + escape/parse tax.  This module is the foundation of
 // the binary codec (net/codec.h, DESIGN.md §15): little-endian fixed-width
-// integers, LEB128 varints, zigzag signed varints, IEEE-754 doubles, and
-// length-prefixed strings, plus the FNV-1a checksums the frame layer uses
+// integers, LEB128 varints, zigzag signed varints, and length-prefixed
+// strings, plus the FNV-1a checksums the frame layer uses
 // (the same discipline as the event journal's segment codec, obs/journal.cpp).
 //
 // ByteReader BORROWS the input (std::string_view) and never copies a byte
@@ -50,8 +50,6 @@ class ByteBuffer {
   void put_u16(std::uint16_t v);
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
-  /// IEEE-754 bit pattern, little-endian (bit-exact round trip, NaNs kept).
-  void put_f64(double v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   /// LEB128: 7 bits per byte, low group first, high bit = continuation.
   void put_varint(std::uint64_t v) {
@@ -120,7 +118,6 @@ class ByteReader {
   std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
-  double f64();
   bool boolean();
   std::uint64_t varint() {
     // One-byte varints (every count and most string lengths) inline.

@@ -370,26 +370,6 @@ Status Warehouse::rescan() {
   return Status();
 }
 
-Status Warehouse::restore_index(std::vector<GoldenImage> images) {
-  std::map<std::string, IndexedImage> rebuilt;
-  for (GoldenImage& image : images) {
-    if (image.id.empty()) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "restore_index: image with empty id");
-    }
-    if (image.layout.dir.empty()) image.layout.dir = dir_for(image.id);
-    const std::string id = image.id;
-    if (!rebuilt.emplace(id, index_image(std::move(image))).second) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "restore_index: duplicate image id '" + id + "'");
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  images_ = std::move(rebuilt);
-  WarehouseMetrics::get().images->set(static_cast<std::int64_t>(images_.size()));
-  return Status();
-}
-
 std::size_t Warehouse::size() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   return images_.size();

@@ -152,14 +152,6 @@ class Warehouse {
   /// durable state; the warehouse's durable state *is* the disk).
   util::Status rescan();
 
-  /// Replace the in-memory index with already-decoded images WITHOUT
-  /// touching disk — the snapshot-restore primitive (core/snapshot.h,
-  /// DESIGN.md §15): where rescan() reads and parses one descriptor.xml per
-  /// image, restore_index() is pure in-memory rebuild (masks/fingerprints
-  /// recomputed).  The caller vouches that the images' artefact trees exist
-  /// in this store; ids must be unique and non-empty.
-  util::Status restore_index(std::vector<GoldenImage> images);
-
   std::size_t size() const;
   const std::string& base_dir() const { return base_dir_; }
   storage::ArtifactStore* store() { return store_; }

@@ -25,8 +25,11 @@ int main(int argc, char** argv) {
   std::error_code ec;
   fs::create_directories(dir, ec);
 
-  const std::string prefix =
-      "v" + std::to_string(static_cast<int>(codec::kCodecVersion)) + "-";
+  // Appended, not "v" + to_string(...): GCC 12 flags that at -O3
+  // (-Wrestrict).
+  std::string prefix = "v";
+  prefix += std::to_string(static_cast<int>(codec::kCodecVersion));
+  prefix += "-";
   const auto write = [&](const std::string& name, const std::string& bytes) {
     const fs::path path = dir / name;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -45,8 +48,6 @@ int main(int argc, char** argv) {
         codec::encode_descriptor(vmp::testing::wire_fixture_descriptor()));
   write(prefix + "classad.bin",
         codec::encode_classad(vmp::testing::wire_fixture_classad()));
-  write(prefix + "snapshot.bin",
-        vmp::core::encode_snapshot(vmp::testing::wire_fixture_snapshot()));
   write("message.xml", vmp::testing::wire_fixture_message().serialize());
   write("descriptor.xml", vmp::warehouse::render_descriptor(
                               vmp::testing::wire_fixture_descriptor()));

@@ -10,16 +10,12 @@
 //
 // Everything here must be deterministic: no clocks, no ambient trace
 // capture (Message::assemble, not Message::request), no filesystem
-// measurements (the snapshot fixture is synthetic SnapshotData, never a
-// capture of a live store, because st_blocks-derived footprints vary by
-// filesystem).
+// measurements.
 #pragma once
 
 #include <string>
 
 #include "classad/classad.h"
-#include "core/snapshot.h"
-#include "lifecycle/lifecycle.h"
 #include "net/message.h"
 #include "warehouse/warehouse.h"
 
@@ -75,33 +71,6 @@ inline classad::ClassAd wire_fixture_classad() {
   (void)ad.set_expression("Requirements", "other.Memory >= 64");
   (void)ad.set_expression("Rank", "other.Memory");
   return ad;
-}
-
-inline core::SnapshotData wire_fixture_snapshot() {
-  core::SnapshotData data;
-  data.warehouse_base_dir = "warehouse";
-  data.images.push_back(wire_fixture_descriptor());
-  data.has_ledger = true;
-  data.ledger.policy = "gdsf";
-  data.ledger.policy_clock = 2.5;
-  data.ledger.used_bytes = 9ull << 20;
-  data.ledger.tick = 12;
-  {
-    lifecycle::LedgerSnapshot::Entry e;
-    e.id = "golden-64mb";
-    e.dir = "warehouse/golden-64mb";
-    e.physical_bytes = 9ull << 20;
-    e.files = 21;
-    e.hits = 5;
-    e.last_use_tick = 12;
-    e.leases = 1;
-    e.rebuild_cost_s = 42.25;
-    data.ledger.entries.push_back(e);
-  }
-  data.has_ads = true;
-  data.ads.emplace_back("vm-0001", wire_fixture_classad());
-  data.meta = {{"fixture", "wire-v1"}, {"site", "acis.ufl.edu"}};
-  return data;
 }
 
 }  // namespace vmp::testing

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/snapshot.h"
 #include "net/codec.h"
 #include "obs/critical_path.h"
 #include "obs/journal.h"
@@ -86,38 +85,6 @@ int run_snapshot(const std::string& path, bool raw) {
       const auto ad = codec::decode_classad(frame);
       if (!ad.ok()) return fail(path, ad.error().message());
       std::printf("%s\n", ad.value().to_string().c_str());
-      break;
-    }
-    case codec::FrameTag::kSnapshot: {
-      const auto data = vmp::core::decode_snapshot(frame);
-      if (!data.ok()) return fail(path, data.error().message());
-      const vmp::core::SnapshotData& snap = data.value();
-      for (const auto& [key, value] : snap.meta) {
-        std::printf("meta    %s = %s\n", key.c_str(), value.c_str());
-      }
-      std::printf("warehouse base_dir %s, %zu image(s)\n",
-                  snap.warehouse_base_dir.c_str(), snap.images.size());
-      for (const auto& image : snap.images) {
-        std::printf("%s", vmp::warehouse::render_descriptor(image).c_str());
-      }
-      if (snap.has_ledger) {
-        const vmp::lifecycle::LedgerSnapshot& l = snap.ledger;
-        std::cout << "ledger  policy " << l.policy << " clock "
-                  << l.policy_clock << " used_bytes " << l.used_bytes
-                  << " tick " << l.tick << "\n";
-        for (const auto& e : l.entries) {
-          std::cout << "  entry id=" << e.id << " dir=" << e.dir
-                    << " bytes=" << e.physical_bytes << " files=" << e.files
-                    << " hits=" << e.hits << " last_use=" << e.last_use_tick
-                    << " leases=" << e.leases
-                    << " rebuild_s=" << e.rebuild_cost_s
-                    << " pinned=" << e.pinned << " zombie=" << e.zombie
-                    << "\n";
-        }
-      }
-      for (const auto& [id, ad] : snap.ads) {
-        std::printf("ad      %s %s\n", id.c_str(), ad.to_string().c_str());
-      }
       break;
     }
   }
